@@ -85,14 +85,19 @@ class Txn:
         fault dispatch keep working inside it) but charges into its own
         ``parts``; the caller decides post-hoc whether those cycles were
         on the critical path (:meth:`absorb`) or hidden (:meth:`shadow`).
+        While not profiling there is nothing to accumulate — ``charge``,
+        ``absorb`` and ``shadow`` are no-ops — so the leg is this
+        transaction itself.
         """
+        if self.parts is None:
+            return self
         return Txn(
             self.op,
             self.core,
             self.addr,
             tracer=self.tracer,
             fault_hook=self.fault_hook,
-            profiling=self.parts is not None,
+            profiling=True,
             prefix=self.prefix + prefix,
         )
 

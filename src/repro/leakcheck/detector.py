@@ -178,6 +178,43 @@ def _stream_samples(events: list[TraceEvent]) -> dict[str, list[float]]:
     return samples
 
 
+def _identical_sample_sizes(events: list[TraceEvent]) -> dict[str, int]:
+    """Per-dimension sample sizes :func:`_stream_samples` would produce."""
+    count = len(events)
+    return {
+        "value": count - [event.value for event in events].count(None),
+        "addr": count - [event.addr for event in events].count(None),
+        "interarrival": max(count - 1, 0),
+    }
+
+
+def _ks_results(
+    events_a: list[TraceEvent], events_b: list[TraceEvent]
+) -> list[tuple[str, float, float]]:
+    """(dimension, KS statistic, p-value) for each dimension with enough
+    samples on both sides."""
+    if events_a == events_b:
+        # Equal streams give equal samples, and the KS test of a sample
+        # against itself is exactly statistic 0.0, p-value 1.0: nothing
+        # needs building or sorting.
+        return [
+            (dimension, 0.0, 1.0)
+            for dimension, size in _identical_sample_sizes(events_a).items()
+            if size >= _MIN_KS_SAMPLES
+        ]
+    samples_a = _stream_samples(events_a)
+    samples_b = _stream_samples(events_b)
+    results = []
+    for dimension in ("value", "addr", "interarrival"):
+        sample_a = samples_a[dimension]
+        sample_b = samples_b[dimension]
+        if len(sample_a) < _MIN_KS_SAMPLES or len(sample_b) < _MIN_KS_SAMPLES:
+            continue
+        result = ks_two_sample(sample_a, sample_b)
+        results.append((dimension, result.statistic, result.pvalue))
+    return results
+
+
 def _compare_kind(
     component: str,
     kind: str,
@@ -196,23 +233,11 @@ def _compare_kind(
         finding.reasons.append(
             f"count {finding.count_a} != {finding.count_b}"
         )
-    samples_a = _stream_samples(events_a)
-    samples_b = _stream_samples(events_b)
-    for dimension in ("value", "addr", "interarrival"):
-        sample_a = samples_a[dimension]
-        sample_b = samples_b[dimension]
-        if len(sample_a) < _MIN_KS_SAMPLES or len(sample_b) < _MIN_KS_SAMPLES:
-            continue
-        result = ks_two_sample(sample_a, sample_b)
-        finding.tests[dimension] = {
-            "statistic": result.statistic,
-            "pvalue": result.pvalue,
-        }
-        if result.pvalue < alpha:
+    for dimension, statistic, pvalue in _ks_results(events_a, events_b):
+        finding.tests[dimension] = {"statistic": statistic, "pvalue": pvalue}
+        if pvalue < alpha:
             finding.flagged = True
-            finding.reasons.append(
-                f"{dimension} KS p={result.pvalue:.3g} < {alpha}"
-            )
+            finding.reasons.append(f"{dimension} KS p={pvalue:.3g} < {alpha}")
     return finding
 
 

@@ -12,18 +12,24 @@ Events carry the fields the MetaLeak analyses care about: simulation
 cycle, issuing core (when known), emitting component, event kind, block
 address, cache set and tree level.  ``value`` is a kind-specific scalar
 (latency in cycles, walk depth, burst size).
+
+An event is a :class:`typing.NamedTuple`: fields read by name as on any
+record, and equality and hashing are those of the plain tuple.  A traced
+run emits hundreds of events per access batch, so construction cost and
+garbage-collector tracking matter; a tuple of scalars costs one
+allocation and leaves the collector's tracked set after its first
+collection.
 """
 
 from __future__ import annotations
 
 from collections import Counter as _TallyCounter
 from collections import deque
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One structured metadata event."""
 
     cycle: int
@@ -36,14 +42,28 @@ class TraceEvent:
     value: float | None = None
 
     def to_dict(self) -> dict[str, object]:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "TraceEvent":
-        return cls(**{key: payload.get(key) for key in _EVENT_FIELDS})
+        """Inverse of :meth:`to_dict`; absent optional fields default.
+
+        Raises ``ValueError`` naming any missing required field.
+        """
+        missing = [key for key in _REQUIRED_FIELDS if key not in payload]
+        if missing:
+            raise ValueError(f"event lacks required field(s) {missing}")
+        return cls(**{key: payload[key] for key in cls._fields if key in payload})
 
 
-_EVENT_FIELDS = tuple(TraceEvent.__dataclass_fields__)
+_REQUIRED_FIELDS = tuple(
+    key for key in TraceEvent._fields if key not in TraceEvent._field_defaults
+)
+
+# ``tuple.__new__`` builds the event without the Python-level ``__new__``
+# the NamedTuple generates: one C call per emit on the traced hot path.
+_new_event = tuple.__new__
+_by_cycle = itemgetter(0)
 
 
 class Tracer:
@@ -94,18 +114,10 @@ class Tracer:
             self._buffer.popleft()
             self.dropped += 1
         self.emitted += 1
-        self._buffer.append(
-            TraceEvent(
-                cycle=cycle,
-                component=component,
-                kind=kind,
-                core=core,
-                addr=addr,
-                set_index=set_index,
-                level=level,
-                value=value,
-            )
-        )
+        self._buffer.append(_new_event(
+            TraceEvent,
+            (cycle, component, kind, core, addr, set_index, level, value),
+        ))
 
     # -- inspection --------------------------------------------------------
 
@@ -116,7 +128,7 @@ class Tracer:
         drains run "into the future" while the issuing core's clock stays
         put — so the buffer is stably sorted by cycle on the way out.
         """
-        return sorted(self._buffer, key=lambda event: event.cycle)
+        return sorted(self._buffer, key=_by_cycle)
 
     def raw_events(self) -> list[TraceEvent]:
         """Buffered events in emission order (for drop-order tests)."""
@@ -147,5 +159,6 @@ def group_by_kind(
     """Split an event stream into per-(component, kind) sub-streams."""
     grouped: dict[tuple[str, str], list[TraceEvent]] = {}
     for event in events:
-        grouped.setdefault((event.component, event.kind), []).append(event)
+        # event[1], event[2] are (component, kind).
+        grouped.setdefault((event[1], event[2]), []).append(event)
     return grouped

@@ -43,7 +43,10 @@ def read_jsonl(path: str | pathlib.Path) -> list[TraceEvent]:
                 raise ValueError(
                     f"{path}:{line_number}: not a JSON event line"
                 ) from exc
-            events.append(TraceEvent.from_dict(payload))
+            try:
+                events.append(TraceEvent.from_dict(payload))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_number}: {exc}") from exc
     return events
 
 

@@ -188,6 +188,8 @@ class TestTxn:
         txn.charge("a", 3)
         assert txn.parts is None
         leg = txn.leg("meta.")
+        # Nothing to accumulate, so no leg is allocated.
+        assert leg is txn
         assert not leg.profiling
 
     def test_breakdown_conserved_through_txn(self):

@@ -1,14 +1,26 @@
 """Tests for the automated leakage detector (``repro.leakcheck``)."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.leakcheck import (
+    KindFinding,
     LeakReport,
     VictimSpec,
     get_victim,
     run_leakcheck,
     victim_names,
 )
+from repro.leakcheck.detector import (
+    _MIN_KS_SAMPLES,
+    _compare_kind,
+    _stream_samples,
+)
+from repro.synth import compile_program, generate_program, synth_config
+from repro.trace import TraceEvent
 from repro.utils.stats import ks_two_sample
 
 
@@ -97,3 +109,106 @@ class TestDetector:
         first = run_leakcheck("rsa", seed=3)
         second = run_leakcheck("rsa", seed=3)
         assert first.to_dict() == second.to_dict()
+
+
+# sha256 over the canonical report JSON of _golden_reports().  A change
+# to any count, KS statistic, p-value or reason changes it, so a speedup
+# of the traced memory path or the detector must leave it as it is.
+_GOLDEN_DIGEST = (
+    "ddd087077802e6982f53bcf2aace2c465fb924059bd61f89fcf3129c9ce24e93"
+)
+
+
+def _rounded(value):
+    """Floats to 12 significant digits: a host's libm may differ from
+    another's in the last bit of a p-value, and nothing else may."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return value
+
+
+def _golden_reports():
+    """40 seeded fuzz programs on the synth machine, then every victim."""
+    config = synth_config()
+    for gen_seed in range(40):
+        spec = compile_program(generate_program(gen_seed), name=f"g{gen_seed}")
+        yield run_leakcheck(spec, seed=0, config=config)
+    for name in victim_names():
+        yield run_leakcheck(name, seed=0)
+
+
+class TestGoldenVerdicts:
+    def test_reports_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        leaky = 0
+        for report in _golden_reports():
+            canonical = json.dumps(_rounded(report.to_dict()), sort_keys=True)
+            digest.update(canonical.encode() + b"\n")
+            leaky += report.leaky
+        # Both verdicts occur, so the digest covers flagged and clean paths.
+        assert 0 < leaky < 40 + len(victim_names())
+        assert digest.hexdigest() == _GOLDEN_DIGEST
+
+
+def _random_events(rng: random.Random, count: int) -> list[TraceEvent]:
+    cycle = rng.randrange(100)
+    events = []
+    for _ in range(count):
+        cycle += rng.choice((0, 0, 1, rng.randrange(500)))
+        events.append(TraceEvent(
+            cycle=cycle,
+            component="c",
+            kind="k",
+            addr=rng.choice((None, rng.randrange(1 << 20) * 64)),
+            value=rng.choice((None, 0.0, float(rng.randrange(300)))),
+        ))
+    return events
+
+
+def _finding_via_ks(events: list[TraceEvent], alpha: float) -> KindFinding:
+    """The finding the KS path builds for two copies of ``events``."""
+    finding = KindFinding("c", "k", len(events), len(events))
+    samples = _stream_samples(events)
+    for dimension in ("value", "addr", "interarrival"):
+        sample = samples[dimension]
+        if len(sample) < _MIN_KS_SAMPLES:
+            continue
+        result = ks_two_sample(sample, list(sample))
+        finding.tests[dimension] = {
+            "statistic": result.statistic,
+            "pvalue": result.pvalue,
+        }
+        if result.pvalue < alpha:
+            finding.flagged = True
+            finding.reasons.append(
+                f"{dimension} KS p={result.pvalue:.3g} < {alpha}"
+            )
+    return finding
+
+
+class TestIdenticalStreamShortCircuit:
+    @pytest.mark.parametrize("seed", range(40))
+    # alpha 1.5 flags even p = 1.0, so the alpha comparison is exercised.
+    @pytest.mark.parametrize("alpha", [0.01, 1.5])
+    def test_matches_ks_finding(self, seed, alpha):
+        rng = random.Random(seed)
+        # Sizes straddle _MIN_KS_SAMPLES, so dimensions drop in and out.
+        events = _random_events(rng, rng.randrange(3 * _MIN_KS_SAMPLES))
+        copy = [TraceEvent(*event) for event in events]
+        got = _compare_kind("c", "k", events, copy, alpha)
+        assert got.to_dict() == _finding_via_ks(events, alpha).to_dict()
+        for result in got.tests.values():
+            assert result == {"statistic": 0.0, "pvalue": 1.0}
+
+    def test_sparse_dimensions_skip_below_threshold(self):
+        events = [TraceEvent(cycle=i, component="c", kind="k",
+                             value=1.0 if i < 3 else None)
+                  for i in range(_MIN_KS_SAMPLES + 1)]
+        finding = _compare_kind("c", "k", events, list(events), 0.01)
+        # value has 3 samples, addr none, interarrival exactly the minimum.
+        assert set(finding.tests) == {"interarrival"}
+        assert not finding.flagged

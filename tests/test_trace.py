@@ -235,6 +235,29 @@ class TestExport:
         with pytest.raises(ValueError):
             read_jsonl(path)
 
+    def test_jsonl_absent_optional_fields_take_defaults(self, tmp_path):
+        path = tmp_path / "minimal.jsonl"
+        path.write_text('{"cycle": 1, "component": "a", "kind": "k"}\n')
+        (event,) = read_jsonl(path)
+        assert event == TraceEvent(cycle=1, component="a", kind="k")
+        assert event.core == -1
+        (record,) = [r for r in to_chrome_trace([event])["traceEvents"]
+                     if r["ph"] != "M"]
+        assert record["tid"] == 0
+        assert record["ph"] == "i"
+
+    @pytest.mark.parametrize("missing", ["cycle", "component", "kind"])
+    def test_jsonl_missing_required_field_names_line(self, tmp_path, missing):
+        payload = {"cycle": 1, "component": "a", "kind": "k"}
+        del payload[missing]
+        path = tmp_path / "partial.jsonl"
+        path.write_text(
+            '{"cycle": 0, "component": "a", "kind": "k"}\n'
+            + json.dumps(payload) + "\n"
+        )
+        with pytest.raises(ValueError, match=f"partial.jsonl:2: .*{missing}"):
+            read_jsonl(path)
+
     def test_chrome_trace_structure(self, tmp_path):
         events = self._sample_events()
         doc = to_chrome_trace(events)
@@ -249,3 +272,27 @@ class TestExport:
         path = tmp_path / "trace.json"
         write_chrome_trace(events, path)
         assert json.loads(path.read_text())["traceEvents"]
+
+
+class TestTraceEvent:
+    def test_emit_fills_fields_in_order(self):
+        tracer = Tracer()
+        tracer.emit("c", "k", cycle=3, core=1, addr=64, set_index=2,
+                    level=0, value=1.5)
+        tracer.emit("c", "k", cycle=4)
+        full, bare = tracer.events()
+        assert list(full.to_dict().items()) == [
+            ("cycle", 3), ("component", "c"), ("kind", "k"), ("core", 1),
+            ("addr", 64), ("set_index", 2), ("level", 0), ("value", 1.5),
+        ]
+        assert tuple(bare) == (4, "c", "k", -1, None, None, None, None)
+        assert TraceEvent.from_dict(full.to_dict()) == full
+
+    def test_hashable_and_immutable(self):
+        event = TraceEvent(1, "a", "k", addr=0x40, value=2.0)
+        same = TraceEvent.from_dict(event.to_dict())
+        assert same == event
+        assert hash(same) == hash(event)
+        assert len({event, same}) == 1
+        with pytest.raises(AttributeError):
+            event.cycle = 2
