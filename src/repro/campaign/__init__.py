@@ -11,29 +11,38 @@ from cache.  See ``docs/robustness.md``.
 """
 
 from repro.campaign.db import CampaignDB, JobRow, RunRow, config_hash
-from repro.campaign.engine import (
-    CampaignEngine,
-    CampaignTask,
-    derive_task_seed,
-)
+from repro.campaign.engine import CampaignEngine, CampaignTask
 from repro.campaign.payload import (
     PayloadError,
     decode_payload,
     encode_payload,
 )
+from repro.campaign.records import (
+    STATUS_FAILED,
+    STATUS_OK,
+    STATUS_SKIPPED,
+    STATUS_TIMEOUT,
+    BatchReport,
+    TaskRecord,
+)
 from repro.campaign.worker import TEST_CRASH_ENV, TEST_CRASH_EXIT
 
 __all__ = [
+    "BatchReport",
     "CampaignDB",
     "CampaignEngine",
     "CampaignTask",
     "JobRow",
     "PayloadError",
     "RunRow",
+    "STATUS_FAILED",
+    "STATUS_OK",
+    "STATUS_SKIPPED",
+    "STATUS_TIMEOUT",
     "TEST_CRASH_ENV",
     "TEST_CRASH_EXIT",
+    "TaskRecord",
     "config_hash",
     "decode_payload",
-    "derive_task_seed",
     "encode_payload",
 ]

@@ -1,29 +1,34 @@
 """Crash-isolated sharded campaign engine.
 
-The coordinator fans :class:`CampaignTask` specs out to worker
-processes (:mod:`repro.campaign.worker`) and aggregates the outcomes
-into the runner's existing :class:`~repro.runner.TaskRecord` /
-:class:`~repro.runner.BatchReport` checkpoint format, so manifests
-written by a parallel campaign resume seamlessly under the serial
-runner and vice versa.
+The coordinator runs a batch of :class:`CampaignTask` specs through one
+scheduling loop and aggregates the outcomes into
+:class:`~repro.campaign.records.TaskRecord` /
+:class:`~repro.campaign.records.BatchReport`.  Every attempt is placed
+by one rule: it runs in the coordinator process only when ``jobs == 1``
+and the task has no timeout (there is nothing to isolate, so nothing is
+forked), or when the task cannot be pickled.  Every other attempt goes
+to a worker process (:mod:`repro.campaign.worker`), so a timeout always
+means SIGALRM inside a worker, backed by the watchdog's kill.
 
 Guarantees:
 
 * **Determinism** — task identity (name, function, kwargs) fully
-  determines the work; nothing about shard assignment or completion
-  order feeds back into a task, so a serial run and an ``--jobs N`` run
-  produce identical result payloads.  Reseeded retries derive their
-  seed from the attempt index exactly like the serial runner.
+  determines the work; nothing about placement, shard assignment or
+  completion order feeds back into a task, so a ``--jobs 1`` run and an
+  ``--jobs N`` run produce identical result payloads.  Retry ``k`` of a
+  task that accepts ``seed=`` runs with ``seed = reseed_base + k``.
 * **Crash isolation** — a worker that exits (segfault, OOM kill,
   ``os._exit``), raises, or stops heartbeating is reaped by the
-  coordinator's watchdog pass; its task is retried with exponential
-  backoff (and a fresh seed, when the task accepts one) on a fresh
-  worker.  Exhausted retries degrade to a structured ``failed`` /
+  coordinator's watchdog pass; its task is retried with full-jitter
+  exponential backoff (and a fresh seed, when the task accepts one) on a
+  fresh worker.  Exhausted retries degrade to a structured ``failed`` /
   ``timeout`` record — a batch is never lost wholesale.
 * **Result caching** — with a :class:`~repro.campaign.db.CampaignDB`
   attached, a task whose config hash and git revision match a stored
   successful run is served from the DB without executing anything, and
-  every executed task's terminal outcome is recorded for the next run.
+  every executed task's terminal outcome is recorded as it lands, so an
+  interrupted batch re-run against the same DB executes only what never
+  finished ``ok``.
 
 Worker/cache/retry activity is tallied in a standard
 :class:`~repro.trace.counters.CounterRegistry` (``cache.hits``,
@@ -33,6 +38,7 @@ work on campaigns unchanged.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import pickle
@@ -43,25 +49,21 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable
 
 from repro import obs
 from repro.campaign.db import CampaignDB, config_hash
 from repro.campaign.payload import PayloadError, decode_payload, encode_payload
-from repro.campaign.worker import execute_task, worker_main
-from repro.runner.core import (
+from repro.campaign.records import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_SKIPPED,
     STATUS_TIMEOUT,
     BatchReport,
-    ExperimentRunner,
     TaskRecord,
-    TaskSpec,
-    _accepts_seed,
-    _write_manifest,
-    load_manifest,
 )
+from repro.campaign.worker import _accepts_seed, run_attempt, worker_main
 from repro.trace.counters import CounterRegistry
 from repro.utils.provenance import git_rev as _git_rev
 
@@ -81,7 +83,7 @@ class CampaignTask:
 
     ``fn`` must be an importable module-level callable for the task to
     ship to a worker process; anything else (lambdas, closures) still
-    runs, but inline in the coordinator as a graceful degradation.
+    runs, but in the coordinator as a graceful degradation.
     """
 
     name: str
@@ -90,8 +92,10 @@ class CampaignTask:
     timeout: float | None = None  # overrides the engine default
     retries: int | None = None  # overrides the engine default
 
-    @property
+    @functools.cached_property
     def config_hash(self) -> str:
+        # Computed once: the cache lookup, the task span and the DB
+        # record all key on it.
         return config_hash(self.name, self.fn, self.kwargs)
 
 
@@ -114,13 +118,6 @@ def _fn_resolvable(fn: Callable[..., Any]) -> bool:
         if obj is None:
             return False
     return obj is fn
-
-
-def derive_task_seed(base: int, name: str, attempt: int) -> int:
-    """Deterministic per-task reseed, independent of shard assignment."""
-    from repro.utils.rng import derive_rng
-
-    return derive_rng(base, "campaign", name, f"attempt{attempt}").getrandbits(63)
 
 
 class _TaskState:
@@ -157,7 +154,7 @@ class _TaskState:
             and reseed_base is not None
             and _accepts_seed(self.task.fn)
         ):
-            # Retry under fresh, shard-independent randomness.
+            # Retry under fresh, placement-independent randomness.
             self.seed = (reseed_base or 0) + self.attempts
             kwargs.setdefault("seed", self.seed)
         return kwargs
@@ -212,7 +209,7 @@ class _Worker:
 
 
 class CampaignEngine:
-    """Run a batch of :class:`CampaignTask` across worker processes."""
+    """Run a batch of :class:`CampaignTask` in process or across workers."""
 
     def __init__(
         self,
@@ -224,8 +221,6 @@ class CampaignEngine:
         reseed_base: int | None = None,
         db: CampaignDB | str | os.PathLike[str] | None = None,
         use_cache: bool = True,
-        manifest_path: str | os.PathLike[str] | None = None,
-        resume: bool = False,
         fail_fast: bool = False,
         heartbeat_timeout: float = 30.0,
         registry: CounterRegistry | None = None,
@@ -249,8 +244,6 @@ class CampaignEngine:
         self.reseed_base = reseed_base
         self.db = CampaignDB(db) if isinstance(db, (str, os.PathLike)) else db
         self.use_cache = use_cache
-        self.manifest_path = manifest_path
-        self.resume = resume
         self.fail_fast = fail_fast
         self.heartbeat_timeout = heartbeat_timeout
         self.git_rev = git_rev if git_rev is not None else _git_rev()
@@ -262,10 +255,17 @@ class CampaignEngine:
         # Cooperative shutdown: request_stop() (drain: in-flight tasks
         # finish, pending tasks become cancelled records) and the
         # coordinator's own SIGINT/SIGTERM handler (interrupt: in-flight
-        # workers are killed too).  Both are sticky for the engine's
+        # work is abandoned too).  Both are sticky for the engine's
         # lifetime; an engine runs one campaign.
         self._stop_requested = False
         self._interrupted = False
+        # Per-run state: landed records, the streaming callback, the
+        # fail-fast latch, and whether the coordinator is inside an
+        # attempt of its own (the signal handler must interrupt that).
+        self._results: dict[str, TaskRecord] = {}
+        self._on_record: Callable[[TaskRecord], None] | None = None
+        self._abort = False
+        self._in_process = False
         # Retry backoff uses full jitter (uniform in [0, cap]) so many
         # shards failing at once do not retry in lockstep; seeding from
         # reseed_base keeps test campaigns reproducible.
@@ -286,7 +286,6 @@ class CampaignEngine:
         self._c_cache_hits = cache_reg.counter("hits")
         self._c_cache_misses = cache_reg.counter("misses")
         self._c_cache_stores = cache_reg.counter("stores")
-        self._c_manifest_hits = cache_reg.counter("manifest_hits")
         self._c_uncacheable = cache_reg.counter("uncacheable")
         worker_reg = CounterRegistry()
         self.registry.mount("workers", worker_reg)
@@ -307,55 +306,34 @@ class CampaignEngine:
         if len(set(names)) != len(names):
             raise ValueError("task names must be unique within a campaign")
         self._c_tasks.incr(len(tasks))
+        self._results = {}
+        self._on_record = on_record
         run_span = obs.start_span(
             "campaign.run", kind="campaign.run", parent=self.span_parent,
             attrs={"jobs": self.jobs, "tasks": len(tasks)},
         )
         with run_span:
-            manifest: dict[str, TaskRecord] = {}
-            if self.manifest_path is not None and self.resume:
-                manifest = load_manifest(self.manifest_path)
-
-            results: dict[str, TaskRecord] = {}
             to_run: list[CampaignTask] = []
             tracing = obs.active() is not None
             for task in tasks:
-                previous = manifest.get(task.name)
-                if previous is not None and previous.ok:
-                    previous.cached = True
-                    self._c_manifest_hits.incr()
-                    self._land(previous, manifest, on_record, persist=False)
-                    results[task.name] = previous
-                    if tracing:
-                        obs.start_span(
-                            "campaign.task", kind="campaign.task",
-                            attrs={"task": task.name, "cache": "manifest"},
-                        ).end(STATUS_OK)
-                    continue
                 cached = self._cache_lookup(task)
-                if cached is not None:
-                    self._land(cached, manifest, on_record, persist=False)
-                    results[task.name] = cached
-                    if tracing:
-                        obs.start_span(
-                            "campaign.task", kind="campaign.task",
-                            attrs={"task": task.name, "cache": "hit"},
-                        ).end(STATUS_OK)
+                if cached is None:
+                    to_run.append(task)
                     continue
-                to_run.append(task)
-
+                self._land(cached, task)
+                if tracing:
+                    obs.start_span(
+                        "campaign.task", kind="campaign.task",
+                        attrs={"task": task.name, "cache": "hit"},
+                    ).end(STATUS_OK)
             if to_run:
-                if self.jobs == 1:
-                    self._run_serial(to_run, results, manifest, on_record)
-                else:
-                    self._run_parallel(to_run, results, manifest, on_record)
+                self._execute(to_run)
 
             report = BatchReport()
-            report.records = [results[name] for name in names]
+            report.records = [self._results[name] for name in names]
             run_span.set_many({
                 "executed": int(self._c_executed.value),
-                "cached": int(self._c_cache_hits.value
-                              + self._c_manifest_hits.value),
+                "cached": int(self._c_cache_hits.value),
                 "failed": int(self._c_failed.value + self._c_timeout.value),
                 "retries": int(self._c_retries.value),
             })
@@ -364,7 +342,7 @@ class CampaignEngine:
     def summary_line(self) -> str:
         """One-line campaign tally for CLI output (and CI grepping)."""
         total = int(self._c_tasks.value)
-        cached = int(self._c_cache_hits.value + self._c_manifest_hits.value)
+        cached = int(self._c_cache_hits.value)
         executed = int(self._c_executed.value)
         failed = int(self._c_failed.value + self._c_timeout.value)
         parts = [
@@ -410,12 +388,6 @@ class CampaignEngine:
         cap = self.backoff * (2 ** max(0, attempts - 1))
         return self._backoff_rng.uniform(0.0, cap)
 
-    def _cancel_record(self, name: str, why: str) -> TaskRecord:
-        self._c_cancelled.incr()
-        return TaskRecord(
-            name=name, status=STATUS_SKIPPED, error=f"cancelled ({why})"
-        )
-
     def _effective(self, task: CampaignTask) -> tuple[float | None, int]:
         timeout = task.timeout if task.timeout is not None else self.timeout
         retries = task.retries if task.retries is not None else self.retries
@@ -449,19 +421,14 @@ class CampaignEngine:
             result=result,
         )
 
-    def _land(
-        self,
-        record: TaskRecord,
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
-        *,
-        persist: bool,
-        task: CampaignTask | None = None,
-    ) -> None:
-        """Finalize one record: counters, campaign DB, manifest, callback."""
+    def _land(self, record: TaskRecord, task: CampaignTask) -> None:
+        """Finalize one record: counters, campaign DB, fail-fast, callback."""
+        self._results[record.name] = record
         if record.queued_at and record.started_at:
             self._queue_waits.append(record.queue_wait)
-        if not record.cached and record.status != STATUS_SKIPPED:
+        if record.status == STATUS_SKIPPED:
+            self._c_skipped.incr()
+        elif not record.cached:
             self._c_executed.incr()
             self._c_retries.incr(max(0, record.attempts - 1))
             if record.status == STATUS_OK:
@@ -470,100 +437,50 @@ class CampaignEngine:
                 self._c_timeout.incr()
             else:
                 self._c_failed.incr()
-        elif record.status == STATUS_SKIPPED:
-            self._c_skipped.incr()
-        if (
-            persist
-            and self.db is not None
-            and task is not None
-            and _fn_resolvable(task.fn)
-        ):
-            payload = None
-            detail = record.detail
-            if record.status == STATUS_OK:
-                try:
-                    payload = encode_payload(record.result)
-                except PayloadError as error:
-                    note = f"payload not cacheable: {error}"
-                    detail = (detail + "\n" + note).strip()
-                    record.detail = detail
-            self.db.record_run(
-                config_hash=task.config_hash,
-                git_rev=self.git_rev,
-                name=record.name,
-                seed=record.seed,
-                status=record.status,
-                attempts=record.attempts,
-                elapsed=record.elapsed,
-                error=record.error,
-                detail=detail,
-                payload=payload,
-            )
-            if payload is not None:
-                self._c_cache_stores.incr()
-        manifest[record.name] = record
-        if self.manifest_path is not None:
-            _write_manifest(self.manifest_path, manifest)
-        if on_record is not None:
-            on_record(record)
+            self._persist(record, task)
+            if self.fail_fast and record.status != STATUS_OK:
+                self._abort = True
+        if self._on_record is not None:
+            self._on_record(record)
 
-    # -- serial path -------------------------------------------------------
-
-    def _run_serial(
-        self,
-        tasks: list[CampaignTask],
-        results: dict[str, TaskRecord],
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
-    ) -> None:
-        # Delegate per-task execution to the serial runner so timeout,
-        # retry, backoff, and reseed semantics stay bit-compatible.
-        runner = ExperimentRunner(
-            timeout=self.timeout,
-            retries=self.retries,
-            backoff=self.backoff,
-            reseed_base=self.reseed_base,
+    def _persist(self, record: TaskRecord, task: CampaignTask) -> None:
+        """Record an executed task's outcome in the campaign DB."""
+        if self.db is None or not _fn_resolvable(task.fn):
+            return
+        payload = None
+        if record.status == STATUS_OK:
+            try:
+                payload = encode_payload(record.result)
+            except PayloadError as error:
+                note = f"payload not cacheable: {error}"
+                record.detail = (record.detail + "\n" + note).strip()
+        self.db.record_run(
+            config_hash=task.config_hash,
+            git_rev=self.git_rev,
+            name=record.name,
+            seed=record.seed,
+            status=record.status,
+            attempts=record.attempts,
+            elapsed=record.elapsed,
+            error=record.error,
+            detail=record.detail,
+            payload=payload,
         )
-        abort = False
-        batch_queued_at = time.time()
-        for task in tasks:
-            if self._stop_requested:
-                record = self._cancel_record(task.name, "drain requested")
-            elif abort:
-                record = TaskRecord(
-                    name=task.name,
-                    status=STATUS_SKIPPED,
-                    error="skipped (fail-fast)",
-                )
-            else:
-                task_span = obs.start_span(
-                    "campaign.task", kind="campaign.task",
-                    attrs={"task": task.name},
-                )
-                with task_span:
-                    record = runner._run_one(
-                        TaskSpec(
-                            name=task.name,
-                            fn=task.fn,
-                            kwargs=task.kwargs,
-                            timeout=task.timeout,
-                            retries=task.retries,
-                        ),
-                        queued_at=batch_queued_at,
-                    )
-                    task_span.outcome = record.status
-                    task_span.set_many(
-                        {"attempts": record.attempts,
-                         "queue_wait_s": round(record.queue_wait, 6)}
-                    )
-            results[task.name] = record
-            self._land(record, manifest, on_record,
-                       persist=record.status != STATUS_SKIPPED, task=task)
-            if self.fail_fast and record.status in (STATUS_FAILED,
-                                                    STATUS_TIMEOUT):
-                abort = True
+        if payload is not None:
+            self._c_cache_stores.incr()
 
-    # -- parallel path -----------------------------------------------------
+    def _drop(self, state: _TaskState, error: str, outcome: str) -> None:
+        """Land a task that will not run (again) as a skipped record."""
+        if outcome == "cancelled":
+            self._c_cancelled.incr()
+        self._land(
+            TaskRecord(name=state.task.name, status=STATUS_SKIPPED,
+                       error=error),
+            state.task,
+        )
+        state.span.end(outcome)
+
+    # -- the scheduling loop -----------------------------------------------
 
     @staticmethod
     def _mp_context():
@@ -572,14 +489,7 @@ class CampaignEngine:
             "fork" if "fork" in methods else "spawn"
         )
 
-    def _run_parallel(
-        self,
-        tasks: list[CampaignTask],
-        results: dict[str, TaskRecord],
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
-    ) -> None:
-        ctx = self._mp_context()
+    def _execute(self, tasks: list[CampaignTask]) -> None:
         tracing = obs.active() is not None
         pending: list[_TaskState] = []
         for task in tasks:
@@ -593,19 +503,22 @@ class CampaignEngine:
                 )
             pending.append(state)
         workers: list[_Worker] = []
-        abort = False
-        # The coordinator owns worker processes, so Ctrl-C / SIGTERM must
-        # reap them and flush landed records instead of dying mid-batch
-        # and leaking orphans.  The handler only flips flags; the loop
-        # below does the cleanup, then KeyboardInterrupt is re-raised so
-        # callers see the usual interrupt exit.  Handlers can only be
-        # installed on the main thread; engines running inside service
-        # executor threads rely on request_stop() instead.
+        self._abort = False
+        # Ctrl-C / SIGTERM must reap workers and land records instead of
+        # dying mid-batch and leaking orphans.  The handler only flips
+        # flags and the loop below cleans up, unless the coordinator is
+        # inside an attempt of its own: then it raises at once, so the
+        # interrupt never waits for the task.  KeyboardInterrupt is
+        # re-raised at the end so callers see the usual interrupt exit.
+        # Handlers can only be installed on the main thread; engines
+        # running inside service executor threads rely on request_stop().
         installed: list[tuple[int, Any]] = []
         if threading.current_thread() is threading.main_thread():
             def _on_signal(signum: int, frame: Any) -> None:  # noqa: ARG001
                 self._interrupted = True
                 self._stop_requested = True
+                if self._in_process:
+                    raise KeyboardInterrupt
 
             for signum in (signal.SIGINT, signal.SIGTERM):
                 try:
@@ -620,69 +533,46 @@ class CampaignEngine:
                     why = ("interrupted" if self._interrupted
                            else "drain requested")
                     for state in pending:
-                        record = self._cancel_record(state.task.name, why)
-                        results[state.task.name] = record
-                        self._land(record, manifest, on_record,
-                                   persist=False, task=state.task)
-                        state.span.end("cancelled")
+                        self._drop(state, f"cancelled ({why})", "cancelled")
                     pending.clear()
                     if self._interrupted:
                         # Interrupt also abandons in-flight work: kill
                         # the workers and land cancelled records so the
-                        # manifest reflects exactly what completed.
-                        for worker in list(workers):
-                            state, worker.state = worker.state, None
-                            if state is not None:
-                                record = self._cancel_record(
-                                    state.task.name, why
-                                )
-                                results[state.task.name] = record
-                                self._land(record, manifest, on_record,
-                                           persist=False, task=state.task)
-                                state.span.end("cancelled")
+                        # DB reflects exactly what completed.
+                        for worker in workers:
+                            if worker.state is not None:
+                                self._drop(worker.state, f"cancelled ({why})",
+                                           "cancelled")
                             worker.kill()
-                            workers.remove(worker)
+                        workers.clear()
                         break
-                if abort and pending:
+                if self._abort and pending:
                     # Fail-fast: nothing new is scheduled; in-flight
                     # tasks finish, the rest become skipped records.
                     for state in pending:
-                        record = TaskRecord(
-                            name=state.task.name,
-                            status=STATUS_SKIPPED,
-                            error="skipped (fail-fast)",
-                        )
-                        results[state.task.name] = record
-                        self._land(record, manifest, on_record,
-                                   persist=False, task=state.task)
-                        state.span.end(STATUS_SKIPPED)
+                        self._drop(state, "skipped (fail-fast)",
+                                   STATUS_SKIPPED)
                     pending.clear()
-                self._assign(ctx, workers, pending, results, manifest,
-                             on_record, now)
+                self._assign(workers, pending, now)
                 busy_conns = [w.conn for w in workers if w.busy]
                 if busy_conns:
                     try:
                         ready = mp_connection.wait(busy_conns, timeout=_TICK)
                     except OSError:
                         ready = []
-                else:
-                    if pending:
-                        time.sleep(_TICK)
-                    ready = []
-                for conn in ready:
-                    worker = next(
-                        (w for w in workers if w.conn is conn), None
-                    )
-                    if worker is None:
-                        continue
-                    done = self._collect(worker, pending, results, manifest,
-                                         on_record)
-                    if (
-                        done is not None
-                        and self.fail_fast
-                        and done.status in (STATUS_FAILED, STATUS_TIMEOUT)
-                    ):
-                        abort = True
+                    for conn in ready:
+                        worker = next(
+                            (w for w in workers if w.conn is conn), None
+                        )
+                        if worker is not None:
+                            self._collect(worker, pending)
+                elif pending:
+                    # Nothing in flight: wait out the earliest retry
+                    # backoff, a tick at a time so a drain is seen.
+                    delay = (min(s.eligible_at for s in pending)
+                             - time.monotonic())
+                    if delay > 0:
+                        time.sleep(min(delay, _TICK))
         finally:
             for worker in workers:
                 if worker.busy or worker.proc.is_alive():
@@ -693,8 +583,8 @@ class CampaignEngine:
                 except (ValueError, OSError):  # pragma: no cover
                     pass
         if self._interrupted:
-            # Workers reaped, records landed, manifest flushed — now
-            # surface the interrupt the way callers expect.
+            # Workers reaped, records landed — now surface the
+            # interrupt the way callers expect.
             raise KeyboardInterrupt
 
     def _watchdog_pass(
@@ -752,44 +642,29 @@ class CampaignEngine:
             pending.append(state)
 
     def _assign(
-        self,
-        ctx,
-        workers: list[_Worker],
-        pending: list[_TaskState],
-        results: dict[str, TaskRecord],
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
-        now: float,
+        self, workers: list[_Worker], pending: list[_TaskState], now: float
     ) -> None:
-        """Hand eligible tasks to idle workers, spawning up to ``jobs``."""
-        if self._stop_requested:
-            return  # draining: nothing new reaches a worker
+        """Start every due attempt, in process or on a worker (spawning
+        up to ``jobs``), until a drain or fail-fast stops scheduling."""
         for state in list(pending):
+            if self._stop_requested or self._abort:
+                return
             # Retries exhausted -> terminal failed/timeout record.
             if state.attempts > state.retries:
                 pending.remove(state)
-                record = self._finalize_state(state)
-                results[state.task.name] = record
-                self._land(record, manifest, on_record,
-                           persist=True, task=state.task)
+                self._land(self._finalize_state(state), state.task)
                 continue
             if state.eligible_at > now:
                 continue
             worker = next(
                 (w for w in workers if not w.busy and w.proc.is_alive()), None
             )
-            if worker is None:
-                if len(workers) < self.jobs:
-                    worker = _Worker(ctx)
-                    self._c_spawned.incr()
-                    workers.append(worker)
-                else:
-                    break  # every slot busy; wait for a completion
+            if worker is None and len(workers) >= self.jobs:
+                break  # every slot busy; wait for a completion
             pending.remove(state)
             if state.started is None:
-                state.started = now
-            if state.started_wall is None:
-                # First assignment ends the queue-wait phase.
+                # First attempt ends the queue-wait phase.
+                state.started = time.monotonic()
                 state.started_wall = time.time()
                 if state.span is not obs.NULL_SPAN:
                     obs.start_span(
@@ -799,34 +674,17 @@ class CampaignEngine:
                     ).end(STATUS_OK, at=state.started_wall)
             kwargs = state.attempt_kwargs(self.reseed_base)
             state.attempts += 1
-            span_ctx = None
-            if state.span is not obs.NULL_SPAN:
-                span_ctx = dict(state.span.context.to_dict(),
-                                attempt=state.attempts)
-            message = (state.task.name, state.task.fn, kwargs, state.timeout,
-                       span_ctx)
-            try:
-                worker.conn.send(message)
-            except (pickle.PicklingError, AttributeError, TypeError):
-                # Unpicklable task (lambda/closure): degrade gracefully
-                # by running it inline in the coordinator.
-                self._c_inline.incr()
-                attempt_span = obs.start_span(
-                    "task.attempt", kind="task.attempt",
-                    parent=state.span if span_ctx is not None else None,
-                    attrs={"task": state.task.name,
-                           "attempt": state.attempts,
-                           "pid": os.getpid(), "inline": True},
-                )
-                with attempt_span:
-                    raw = execute_task(
-                        state.task.name, state.task.fn, kwargs, state.timeout
-                    )
-                    attempt_span.outcome = raw["status"]
-                self._absorb_attempt(state, raw, pending, results, manifest,
-                                     on_record)
+            message = self._worker_message(state, kwargs)
+            if message is None:
+                self._attempt_in_process(state, kwargs, pending)
                 continue
-            except (OSError, ValueError, BrokenPipeError):
+            if worker is None:
+                worker = _Worker(self._mp_context())
+                self._c_spawned.incr()
+                workers.append(worker)
+            try:
+                worker.conn.send_bytes(message)
+            except (OSError, ValueError):
                 # The worker died between the liveness check and the
                 # send: undo the attempt, requeue, and reap the corpse.
                 state.attempts -= 1
@@ -837,31 +695,67 @@ class CampaignEngine:
             worker.state = state
             worker.assigned_wall = time.time()
             worker.deadline = (
-                now + state.timeout * _DEADLINE_SLACK + _DEADLINE_GRACE
+                time.monotonic() + state.timeout * _DEADLINE_SLACK
+                + _DEADLINE_GRACE
                 if state.timeout is not None and state.timeout > 0 else None
             )
 
-    def _collect(
-        self,
-        worker: _Worker,
+    def _worker_message(
+        self, state: _TaskState, kwargs: dict[str, Any]
+    ) -> memoryview | None:
+        """The pickled attempt for a worker, or ``None`` to run it here.
+
+        An attempt stays in the coordinator only when ``jobs == 1`` and
+        the task has no timeout, or when the task cannot be pickled.
+        """
+        if self.jobs == 1 and state.timeout is None:
+            return None
+        span_ctx = None
+        if state.span is not obs.NULL_SPAN:
+            span_ctx = dict(state.span.context.to_dict(),
+                            attempt=state.attempts)
+        try:
+            return ForkingPickler.dumps(
+                (state.task.name, state.task.fn, kwargs, state.timeout,
+                 span_ctx)
+            )
+        except (pickle.PicklingError, AttributeError, TypeError):
+            self._c_inline.incr()
+            return None
+
+    def _attempt_in_process(
+        self, state: _TaskState, kwargs: dict[str, Any],
         pending: list[_TaskState],
-        results: dict[str, TaskRecord],
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
-    ) -> TaskRecord | None:
-        """Receive one worker result; returns the record if terminal."""
+    ) -> None:
+        """Run one attempt in the coordinator itself."""
+        try:
+            self._in_process = True
+            raw = run_attempt(state.task.name, state.task.fn, kwargs,
+                              state.timeout, state.span, state.attempts)
+        except KeyboardInterrupt:
+            # Ctrl-C stopped the attempt: cancel it like any in-flight
+            # task; the loop cancels the rest and re-raises.
+            self._interrupted = self._stop_requested = True
+            self._drop(state, "cancelled (interrupted)", "cancelled")
+            return
+        finally:
+            self._in_process = False
+        self._absorb_attempt(state, raw, pending)
+
+    def _collect(self, worker: _Worker, pending: list[_TaskState]) -> None:
+        """Receive one worker result and fold it into its task."""
         state = worker.state
         try:
             raw = worker.conn.recv()
         except (EOFError, OSError):
             # Worker died with the result half-sent; treat as a crash.
             # The watchdog pass will reap the process itself.
-            return None
+            return
         worker.state = None
         worker.deadline = None
         worker.assigned_wall = None
         if state is None:
-            return None
+            return
         worker_spans = raw.pop("spans", None)
         if worker_spans:
             recorder = obs.active()
@@ -880,40 +774,31 @@ class CampaignEngine:
                     )
         else:
             raw.setdefault("result", None)
-        return self._absorb_attempt(state, raw, pending, results, manifest,
-                                    on_record)
+        self._absorb_attempt(state, raw, pending)
 
     def _absorb_attempt(
-        self,
-        state: _TaskState,
-        raw: dict[str, Any],
+        self, state: _TaskState, raw: dict[str, Any],
         pending: list[_TaskState],
-        results: dict[str, TaskRecord],
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
-    ) -> TaskRecord | None:
+    ) -> None:
         """Fold one attempt outcome into the task state; finalize if done."""
         state.last_status = raw["status"]
         state.last_error = raw.get("error", "")
         state.last_detail = raw.get("detail", "")
-        if raw["status"] == STATUS_OK:
-            record = self._finalize_state(state, result=raw.get("result"))
-            results[state.task.name] = record
-            self._land(record, manifest, on_record,
-                       persist=True, task=state.task)
-            return record
-        if state.attempts > state.retries or self._stop_requested:
-            # Retries exhausted — or a drain is in progress, in which
-            # case the task keeps its last real outcome instead of
+        if (
+            raw["status"] == STATUS_OK
+            or state.attempts > state.retries
+            or self._stop_requested
+        ):
+            # Done — ok, retries exhausted, or a drain in progress, in
+            # which case the task keeps its last real outcome instead of
             # burning retry budget the shutdown will cancel anyway.
-            record = self._finalize_state(state)
-            results[state.task.name] = record
-            self._land(record, manifest, on_record,
-                       persist=True, task=state.task)
-            return record
+            self._land(
+                self._finalize_state(state, result=raw.get("result")),
+                state.task,
+            )
+            return
         state.eligible_at = time.monotonic() + self._retry_delay(state.attempts)
         pending.append(state)
-        return None
 
     def _finalize_state(
         self, state: _TaskState, *, result: Any = None

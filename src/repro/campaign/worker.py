@@ -3,10 +3,9 @@
 Each worker is one OS process running :func:`worker_main`: it receives
 ``(name, fn, kwargs, timeout, span_ctx)`` messages over its pipe (the
 fifth element carries the parent span identity when fleet tracing is on
-— see :mod:`repro.obs` — or ``None``), executes them
-with the runner's SIGALRM-backed timeout (workers run tasks on their
-main thread, so the alarm path — which interrupts even tight
-pure-Python loops — is always available), and sends a structured result
+— see :mod:`repro.obs` — or ``None``), executes them under a SIGALRM
+timeout (workers run tasks on their main thread, where the alarm
+interrupts even tight pure-Python loops), and sends a structured result
 record back.  A daemon heartbeat thread stamps a shared timestamp a few
 times per second; the coordinator's watchdog treats a stale stamp or a
 dead process as a crashed worker and retries the task elsewhere.
@@ -24,22 +23,18 @@ unset.
 
 from __future__ import annotations
 
+import inspect
 import os
 import pickle
+import signal
 import threading
 import time
 import traceback
 from multiprocessing.connection import Connection
-from typing import Any
+from typing import Any, Callable
 
 from repro import obs
-from repro.runner.core import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    TaskTimeout,
-    _call_with_timeout,
-)
+from repro.campaign.records import STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT
 
 #: Seconds between heartbeat stamps.
 HEARTBEAT_INTERVAL = 0.2
@@ -64,6 +59,60 @@ def maybe_test_crash(task_name: str) -> None:
     os._exit(TEST_CRASH_EXIT)
 
 
+class TaskTimeout(Exception):
+    """A task exceeded its wall-clock budget."""
+
+
+def _accepts_seed(fn: Callable[..., Any]) -> bool:
+    """Can ``fn`` be handed a ``seed=`` keyword for a reseeded retry?"""
+    try:
+        params = inspect.signature(fn).parameters
+    except (TypeError, ValueError):
+        return False
+    for param in params.values():
+        if param.kind is inspect.Parameter.VAR_KEYWORD:
+            return True
+        if param.name == "seed" and param.kind in (
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            inspect.Parameter.KEYWORD_ONLY,
+        ):
+            return True
+    return False
+
+
+def _call_with_timeout(
+    fn: Callable[..., Any], kwargs: dict[str, Any], timeout: float | None
+) -> Any:
+    """Run ``fn(**kwargs)``, raising :class:`TaskTimeout` on expiry.
+
+    The budget is a SIGALRM, which only fires on the main thread.  A
+    worker runs every task there; the coordinator runs a timed attempt
+    itself only for a task it cannot pickle, and off the main thread it
+    refuses instead of starting a thread it could never stop.  Without
+    SIGALRM the task runs unbounded and the coordinator's watchdog
+    deadline is the only limit.
+    """
+    if timeout is None or timeout <= 0 or not hasattr(signal, "SIGALRM"):
+        return fn(**kwargs)
+    if threading.current_thread() is not threading.main_thread():
+        raise RuntimeError(
+            f"cannot enforce a {timeout:g}s timeout off the main thread: "
+            "SIGALRM only fires on the main thread, and this task cannot be "
+            "pickled to a worker process (use a module-level function)"
+        )
+
+    def _on_alarm(signum, frame):  # noqa: ARG001 - signal signature
+        raise TaskTimeout(f"timed out after {timeout:g}s")
+
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, timeout)
+    try:
+        return fn(**kwargs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _heartbeat_loop(beat, stop: threading.Event) -> None:
     while not stop.is_set():
         beat.value = time.time()
@@ -73,11 +122,7 @@ def _heartbeat_loop(beat, stop: threading.Event) -> None:
 def execute_task(
     name: str, fn: Any, kwargs: dict[str, Any], timeout: float | None
 ) -> dict[str, Any]:
-    """Run one task attempt and summarise it as a plain record dict.
-
-    Shared by the worker loop and the coordinator's inline fallback so
-    both paths classify outcomes (ok / timeout / failed) identically.
-    """
+    """Run one task attempt and summarise it as a plain record dict."""
     record: dict[str, Any] = {
         "name": name,
         "status": STATUS_FAILED,
@@ -102,6 +147,29 @@ def execute_task(
     return record
 
 
+def run_attempt(
+    name: str, fn: Any, kwargs: dict[str, Any], timeout: float | None,
+    parent: Any, attempt: int,
+) -> dict[str, Any]:
+    """Run one attempt inside a ``task.attempt`` span under ``parent``.
+
+    Shared by the worker loop and the coordinator's in-process attempts,
+    so both classify outcomes (ok / timeout / failed) and shape their
+    spans identically.  With tracing off the span is the inert
+    ``NULL_SPAN``.
+    """
+    span = obs.start_span(
+        "task.attempt", kind="task.attempt", parent=parent,
+        attrs={"task": name, "attempt": attempt, "pid": os.getpid()},
+    )
+    with span:
+        record = execute_task(name, fn, kwargs, timeout)
+        span.outcome = record["status"]
+        if record["error"]:
+            span.set("error", record["error"][:200])
+    return record
+
+
 def execute_traced(
     name: str, fn: Any, kwargs: dict[str, Any], timeout: float | None,
     span_ctx: dict[str, Any] | None,
@@ -121,17 +189,8 @@ def execute_traced(
     recorder = obs.SpanRecorder()
     obs.enable(recorder)
     try:
-        span = recorder.start_span(
-            "task.attempt", kind="task.attempt", parent=parent,
-            attrs={"task": name,
-                   "attempt": int((span_ctx or {}).get("attempt", 1)),
-                   "pid": os.getpid()},
-        )
-        with span:
-            record = execute_task(name, fn, kwargs, timeout)
-            span.outcome = record["status"]
-            if record["error"]:
-                span.set("error", record["error"][:200])
+        record = run_attempt(name, fn, kwargs, timeout, parent,
+                             int((span_ctx or {}).get("attempt", 1)))
     finally:
         obs.disable()
     record["spans"] = recorder.drain()

@@ -10,16 +10,15 @@ Commands
     List every regenerable figure/ablation and its paper reference.
 
 ``figures [NAME ...] [--quick] [--out DIR] [--jobs N] [--no-cache]
-[--campaign-db FILE] [--timeout S] [--retries N] [--manifest FILE]
-[--resume] [--fail-fast]``
+[--campaign-db FILE] [--timeout S] [--retries N] [--fail-fast]``
     Regenerate paper figures (all by default) through the crash-isolated
     campaign engine: figures fan out across ``--jobs`` worker processes
     (0 = one per CPU core), each gets a wall-clock budget and bounded
     retries, a crashing or hung worker is reaped and its figure retried
-    on a fresh worker, and successful results are memoised in the
-    campaign DB so an unchanged re-run is served from cache.  Completed
-    figures are also checkpointed to a JSON manifest so ``--resume``
-    reruns only what failed.
+    on a fresh worker, and every finished figure is recorded in the
+    campaign DB as it lands.  Re-running against the same DB (by
+    default ``OUT/campaign.sqlite``) resumes an interrupted batch: only
+    figures with no ``ok`` row for this git revision execute.
 
 ``faults [--preset sct|ht|sgx|all] [--sites N] [--seed S] [--jobs N]
 [--no-cache] [--campaign-db FILE] [--timeout S] [--retries N]``
@@ -295,8 +294,6 @@ def _campaign_engine(
     *,
     out_dir: str | os.PathLike[str] | None = None,
     reseed_base: int | None = None,
-    manifest_path: str | os.PathLike[str] | None = None,
-    resume: bool = False,
     fail_fast: bool = False,
 ):
     from repro.campaign import CampaignEngine
@@ -308,8 +305,6 @@ def _campaign_engine(
         reseed_base=reseed_base,
         db=_resolve_campaign_db(args, out_dir),
         use_cache=not args.no_cache,
-        manifest_path=manifest_path,
-        resume=resume,
         fail_fast=fail_fast,
     )
 
@@ -352,13 +347,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     out_dir = pathlib.Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = args.manifest
-    if manifest_path is None and out_dir:
-        manifest_path = out_dir / "manifest.json"
-    if args.resume and manifest_path is None:
-        print("--resume needs a manifest: pass --manifest FILE or --out DIR",
-              file=sys.stderr)
-        return 2
 
     tasks = [
         CampaignTask(
@@ -370,9 +358,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     ]
 
     def _on_record(record) -> None:
-        if record.cached and record.result is None:
-            print(f"-- {record.name}: ok from manifest (resume)\n")
-            return
         if record.status == "skipped":
             print(f"-- {record.name}: {record.error}\n")
             return
@@ -392,8 +377,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         args,
         out_dir=out_dir,
         reseed_base=args.seed,
-        manifest_path=manifest_path,
-        resume=args.resume,
         fail_fast=args.fail_fast,
     )
     report = engine.run(tasks, on_record=_on_record)
@@ -1142,14 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "--seed", type=int, default=0,
         help="base seed for reseeded retries (figures accepting seed=)",
-    )
-    figures.add_argument(
-        "--manifest", default=None, metavar="FILE",
-        help="checkpoint manifest path (default: OUT/manifest.json)",
-    )
-    figures.add_argument(
-        "--resume", action="store_true",
-        help="skip figures already ok in the manifest; rerun the rest",
     )
     figures.add_argument(
         "--fail-fast", action="store_true",

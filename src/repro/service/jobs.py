@@ -29,7 +29,7 @@ from typing import Any
 
 from repro.campaign.engine import CampaignTask
 from repro.campaign.payload import PayloadError, encode_payload
-from repro.runner.core import STATUS_OK, STATUS_SKIPPED, STATUS_TIMEOUT
+from repro.campaign.records import STATUS_OK, STATUS_SKIPPED, STATUS_TIMEOUT
 
 # -- job states ------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.campaign.engine import CampaignEngine, CampaignTask
-from repro.runner.core import TaskRecord
+from repro.campaign.records import TaskRecord
 from repro.synth.corpus import Corpus
 from repro.synth.gen import GenConfig, generate_batch
 from repro.synth.ir import Program

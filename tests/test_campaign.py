@@ -10,24 +10,26 @@ import json
 import os
 import pathlib
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.campaign import (
+    BatchReport,
     CampaignDB,
     CampaignEngine,
     CampaignTask,
     PayloadError,
     TEST_CRASH_ENV,
+    TaskRecord,
     config_hash,
     decode_payload,
-    derive_task_seed,
     encode_payload,
 )
 from repro.campaign import engine as engine_mod
 from repro.campaign.engine import _fn_resolvable
-from repro.runner import load_manifest
+from repro.campaign.worker import TaskTimeout, _accepts_seed, _call_with_timeout
 
 
 # -- module-level task functions (picklable across the worker pipe) -------
@@ -39,6 +41,10 @@ def compute(x, seed=0):
 
 def always_crash():
     os._exit(17)
+
+
+def always_crash_exception():
+    raise RuntimeError("boom")
 
 
 def crash_until_marker(marker):
@@ -69,6 +75,11 @@ def ignore_alarm_and_sleep():
 
 def return_unpicklable():
     return lambda: None
+
+
+def sleep_for(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 # -- payload codec --------------------------------------------------------
@@ -136,11 +147,6 @@ class TestConfigHash:
     def test_kwarg_order_does_not_matter(self):
         assert (config_hash("t", compute, {"x": 1, "seed": 2})
                 == config_hash("t", compute, {"seed": 2, "x": 1}))
-
-    def test_derive_task_seed_is_deterministic_and_distinct(self):
-        assert derive_task_seed(7, "a", 0) == derive_task_seed(7, "a", 0)
-        assert derive_task_seed(7, "a", 0) != derive_task_seed(7, "a", 1)
-        assert derive_task_seed(7, "a", 0) != derive_task_seed(7, "b", 0)
 
     def test_fn_resolvable_rejects_closures_and_lambdas(self):
         assert _fn_resolvable(compute)
@@ -302,8 +308,9 @@ class TestCrashIsolation:
         assert report.record("fine").ok  # the batch is never lost wholesale
 
     def test_stalled_heartbeat_is_killed_by_the_watchdog(self):
-        # jobs >= 2 forces the worker-process path; the serial path runs
-        # in-process and offers no crash isolation by design.
+        # Without a timeout, jobs >= 2 is what puts the attempt in a
+        # worker; at jobs=1 it would run in process, where nothing can
+        # be reaped.
         engine = CampaignEngine(jobs=2, retries=0, backoff=0.0,
                                 heartbeat_timeout=0.5)
         report = engine.run([CampaignTask(name="wedged", fn=stop_self)])
@@ -312,14 +319,43 @@ class TestCrashIsolation:
         assert "watchdog" in record.error
         assert engine.registry.snapshot()["workers.hung"] == 1
 
-    def test_deadline_backstop_when_sigalrm_cannot_fire(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deadline_backstop_when_sigalrm_cannot_fire(
+        self, monkeypatch, jobs
+    ):
         monkeypatch.setattr(engine_mod, "_DEADLINE_SLACK", 1.0)
         monkeypatch.setattr(engine_mod, "_DEADLINE_GRACE", 0.5)
-        engine = CampaignEngine(jobs=2, retries=0, timeout=0.2)
+        engine = CampaignEngine(jobs=jobs, retries=0, timeout=0.2)
         report = engine.run(
             [CampaignTask(name="stuck", fn=ignore_alarm_and_sleep)]
         )
         assert report.records[0].status == "timeout"
+        assert engine.registry.snapshot()["workers.hung"] == 1
+
+    def test_timeout_off_the_main_thread_kills_a_worker(self):
+        # The shape of `repro serve --timeout`: a jobs=1 engine on an
+        # executor thread.  The attempt must run in a worker that the
+        # timeout ends, not on a thread that outlives it.
+        before = set(threading.enumerate())
+        box = {}
+
+        def off_main():
+            engine = CampaignEngine(jobs=1, timeout=0.2)
+            box["report"] = engine.run(
+                [CampaignTask(name="slow", fn=sleep_for,
+                              kwargs={"seconds": 5.0})]
+            )
+            box["spawned"] = engine.registry.snapshot()["workers.spawned"]
+
+        thread = threading.Thread(target=off_main)
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive()
+        record = box["report"].records[0]
+        assert record.status == "timeout"
+        assert "timed out after 0.2s" in record.error
+        assert box["spawned"] == 1
+        assert set(threading.enumerate()) == before
 
     def test_retry_reseeds_shard_independently(self, tmp_path):
         marker = tmp_path / "flaky.marker"
@@ -349,6 +385,45 @@ class TestEngineDegradations:
         assert int(
             engine.registry.counter("inline_fallbacks").value
         ) == 1
+        assert engine.registry.snapshot()["workers.spawned"] == 0
+
+    def test_untimed_serial_batch_forks_nothing_and_never_waits(
+        self, monkeypatch
+    ):
+        # The service's path: jobs=1, no timeout.  Every attempt runs in
+        # process, so there is no worker to poll and no tick to sleep.
+        def no_waiting(*_args, **_kwargs):
+            raise AssertionError("the coordinator waited")
+
+        monkeypatch.setattr(engine_mod.mp_connection, "wait", no_waiting)
+        monkeypatch.setattr(engine_mod.time, "sleep", no_waiting)
+        engine = CampaignEngine(jobs=1)
+        report = engine.run(_tasks([2, 3, 4]))
+        assert report.status == "pass"
+        snapshot = engine.registry.snapshot()
+        assert snapshot["workers.spawned"] == 0
+        assert snapshot["inline_fallbacks"] == 0
+
+    def test_unpicklable_fn_with_a_timeout_off_the_main_thread_fails(self):
+        # SIGALRM cannot reach a non-main thread and the task cannot go
+        # to a worker: it must fail saying so, without starting a thread.
+        before = set(threading.enumerate())
+        box = {}
+
+        def off_main():
+            engine = CampaignEngine(jobs=1, timeout=5.0)
+            box["report"] = engine.run(
+                [CampaignTask(name="closure", fn=lambda: "never timed")]
+            )
+
+        thread = threading.Thread(target=off_main)
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive()
+        record = box["report"].records[0]
+        assert record.status == "failed"
+        assert "main thread" in record.error
+        assert set(threading.enumerate()) == before
 
     def test_unpicklable_result_degrades_to_a_note(self):
         engine = CampaignEngine(jobs=2)
@@ -360,30 +435,27 @@ class TestEngineDegradations:
         assert record.result is None
         assert "not transferable" in record.detail
 
-    def test_manifest_resume_takes_precedence_over_execution(self, tmp_path):
-        manifest = tmp_path / "manifest.json"
-        engine = CampaignEngine(jobs=1, manifest_path=manifest)
-        assert engine.run(_tasks([2])).status == "pass"
-        assert load_manifest(manifest)["compute_2"].ok
-
-        resumed = CampaignEngine(jobs=1, manifest_path=manifest, resume=True)
-        report = resumed.run(_tasks([2]))
-        assert report.records[0].cached
-        assert int(resumed.registry.counter("executed").value) == 0
-        assert resumed.registry.snapshot()["cache.manifest_hits"] == 1
-
     def test_duplicate_task_names_are_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             CampaignEngine(jobs=1).run(_tasks([2]) + _tasks([2]))
 
-    def test_parallel_fail_fast_skips_remaining(self):
-        engine = CampaignEngine(jobs=1, fail_fast=True)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "boom", [always_crash_exception, lambda: 1 / 0],
+        ids=["module_fn", "lambda"],
+    )
+    def test_fail_fast_skips_remaining(self, jobs, boom):
+        # At jobs=2 the second task is in flight before the failure
+        # lands, so it finishes; nothing is started after the failure.
+        engine = CampaignEngine(jobs=jobs, fail_fast=True)
         report = engine.run([
-            CampaignTask(name="boom", fn=always_crash_exception),
+            CampaignTask(name="boom", fn=boom),
+            CampaignTask(name="busy", fn=sleep_for, kwargs={"seconds": 0.5}),
             CampaignTask(name="later", fn=compute, kwargs={"x": 2}),
         ])
         assert report.record("boom").status == "failed"
         assert report.record("later").status == "skipped"
+        assert report.record("later").error == "skipped (fail-fast)"
 
     def test_engine_validates_arguments(self):
         with pytest.raises(ValueError):
@@ -406,8 +478,123 @@ class TestEngineDegradations:
         assert "repro_campaign_executed_total 1" in text
 
 
-def always_crash_exception():
-    raise RuntimeError("boom")
+# -- engine: in-process attempts (jobs=1, no timeout) ----------------------
+
+
+class TestInProcessAttempts:
+    """Retry, reseed and reporting behaviour of attempts the coordinator
+    runs itself; closures are fine here since nothing is pickled."""
+
+    def test_retry_reseeds_when_fn_accepts_seed(self):
+        seen = []
+
+        def experiment(seed=None):
+            seen.append(seed)
+            if len(seen) < 3:
+                raise RuntimeError("unlucky roll")
+            return seed
+
+        engine = CampaignEngine(jobs=1, retries=3, backoff=0.0,
+                                reseed_base=500)
+        report = engine.run([CampaignTask(name="exp", fn=experiment)])
+        # First attempt uses the experiment's own default; retries reseed.
+        assert seen == [None, 501, 502]
+        assert report.records[0].seed == 502
+        assert report.records[0].result == 502
+
+    def test_no_seed_injection_without_parameter(self):
+        calls = []
+
+        def experiment():
+            calls.append(1)
+            if len(calls) < 2:
+                raise RuntimeError("flake")
+            return "ok"
+
+        engine = CampaignEngine(jobs=1, retries=2, backoff=0.0,
+                                reseed_base=500)
+        record = engine.run([CampaignTask(name="exp", fn=experiment)]).records[0]
+        assert record.ok and record.attempts == 2
+        assert record.seed is None
+
+    def test_retries_exhausted(self):
+        def doomed():
+            raise ValueError("no")
+
+        engine = CampaignEngine(jobs=1, retries=2, backoff=0.0)
+        record = engine.run([CampaignTask(name="doomed", fn=doomed)]).records[0]
+        assert record.status == "failed"
+        assert record.attempts == 3
+        assert "ValueError" in record.error
+        assert "Traceback" in record.detail and "ValueError" in record.detail
+        assert engine.registry.snapshot()["retries"] == 2
+
+    def test_crash_does_not_kill_batch(self):
+        report = CampaignEngine(jobs=1).run([
+            CampaignTask(name="boom", fn=lambda: 1 / 0),
+            CampaignTask(name="fine", fn=lambda: "result"),
+        ])
+        assert report.status == "partial"
+        assert report.record("boom").status == "failed"
+        assert "ZeroDivisionError" in report.record("boom").error
+        assert report.record("fine").result == "result"
+
+    def test_summary_mentions_every_task(self):
+        report = CampaignEngine(jobs=1).run([
+            CampaignTask(name="alpha", fn=lambda: 1),
+            CampaignTask(name="beta", fn=lambda: 1 / 0),
+        ])
+        text = report.summary()
+        assert text.startswith("batch partial: 1/2 ok, 1 failed, 0 skipped")
+        assert "alpha" in text and "beta" in text
+        assert "ZeroDivisionError" in text
+
+    def test_duplicate_names_rejected(self):
+        # Names key the report and the cache, so two different functions
+        # under one name are refused before anything runs.
+        with pytest.raises(ValueError, match="unique"):
+            CampaignEngine(jobs=1).run([
+                CampaignTask(name="x", fn=lambda: 1),
+                CampaignTask(name="x", fn=lambda: 2),
+            ])
+
+    def test_invalid_retry_arguments(self):
+        with pytest.raises(ValueError):
+            CampaignEngine(retries=-1)
+        with pytest.raises(ValueError):
+            CampaignEngine(backoff=-0.1)
+
+    def test_status_levels(self):
+        assert BatchReport(records=[]).status == "pass"
+        ok = TaskRecord(name="a", status="ok")
+        bad = TaskRecord(name="b", status="failed")
+        assert BatchReport(records=[ok]).status == "pass"
+        assert BatchReport(records=[ok, bad]).status == "partial"
+        assert BatchReport(records=[bad]).status == "fail"
+
+    def test_accepts_seed_detection(self):
+        assert _accepts_seed(lambda seed=0: None)
+        assert _accepts_seed(lambda **kwargs: None)
+        assert not _accepts_seed(lambda bits=1: None)
+        assert not _accepts_seed(len)  # builtin without a signature
+
+
+class TestAlarmTimeout:
+    """The SIGALRM budget every timed attempt runs under."""
+
+    def test_fast_task_completes(self):
+        assert _call_with_timeout(lambda: 41 + 1, {}, timeout=5.0) == 42
+
+    def test_slow_task_raises(self):
+        with pytest.raises(TaskTimeout):
+            _call_with_timeout(lambda: time.sleep(2), {}, timeout=0.05)
+
+    def test_no_timeout_means_no_alarm(self):
+        assert _call_with_timeout(lambda: "done", {}, timeout=None) == "done"
+
+    def test_exceptions_pass_through(self):
+        with pytest.raises(KeyError):
+            _call_with_timeout(lambda: {}["missing"], {}, timeout=5.0)
 
 
 # -- payload codec: special floats and deep nesting ------------------------
@@ -604,7 +791,7 @@ def slow(i):
     time.sleep(30)
     return i
 
-engine = CampaignEngine(jobs=2, db=sys.argv[1])
+engine = CampaignEngine(jobs=int(sys.argv[2]), db=sys.argv[1])
 tasks = [CampaignTask(name=f"slow_{i}", fn=slow, kwargs={"i": i})
          for i in range(4)]
 print("campaign-start", flush=True)
@@ -619,10 +806,13 @@ sys.exit(0)
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("jobs", [1, 2])
 class TestCoordinatorSignals:
-    def test_sigint_reaps_workers_and_exits_130(self, tmp_path):
-        """Ctrl-C on a parallel campaign must kill the workers, flush the
-        DB, and re-raise — not leak orphan processes or corrupt sqlite."""
+    def test_sigint_reaps_workers_and_exits_130(self, tmp_path, jobs):
+        """Ctrl-C on a campaign must kill the workers, flush the DB, and
+        re-raise — not leak orphan processes or corrupt sqlite.  At
+        jobs=1 the attempt runs in process, and the interrupt must stop
+        it at once instead of waiting the task out."""
         import subprocess
         import sys as _sys
 
@@ -634,7 +824,7 @@ class TestCoordinatorSignals:
             pathlib.Path(engine_mod.__file__).resolve().parents[2]
         )
         proc = subprocess.Popen(
-            [_sys.executable, str(script), str(db_path)],
+            [_sys.executable, str(script), str(db_path), str(jobs)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=env,
         )
@@ -642,11 +832,14 @@ class TestCoordinatorSignals:
             assert "campaign-start" in proc.stdout.readline()
             time.sleep(1.0)  # let the workers spawn and pick up tasks
             proc.send_signal(signal.SIGINT)
+            sent = time.monotonic()
             assert proc.wait(timeout=60) == 130
+            assert time.monotonic() - sent < 15  # the tasks sleep 30 s
+            output = proc.stdout.read()
         finally:
             if proc.poll() is None:
                 proc.kill()
-        output = proc.stdout.read()
+            proc.stdout.close()
         assert "orphans=0" in output
         assert "not-interrupted" not in output
         # The DB survived the interrupt: intact schema, no cancelled rows

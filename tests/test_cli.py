@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import time
+
 import pytest
 
 from repro.cli import _FIGURE_DOC, _QUICK_KWARGS, build_parser, main
@@ -70,6 +72,41 @@ def _fake_figure(label="fake"):
     return figure
 
 
+# Module-level figure stand-ins: unlike closures they pickle to a worker
+# and are cacheable, so a re-run can be checked through the campaign DB.
+_STAND_IN = {"runs": [], "broken": set()}
+
+
+def _stand_in(label):
+    _STAND_IN["runs"].append(label)
+    if label in _STAND_IN["broken"]:
+        raise RuntimeError("still broken")
+    return _fake_figure(label)()
+
+
+def stand_in_fig6(**_kwargs):
+    return _stand_in("fig6")
+
+
+def stand_in_fig8(**_kwargs):
+    return _stand_in("fig8")
+
+
+def sleepy_figure(**_kwargs):
+    time.sleep(3)
+
+
+@pytest.fixture
+def stand_ins(monkeypatch):
+    from repro.analysis import figures as figures_mod
+
+    monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", stand_in_fig6)
+    monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig8", stand_in_fig8)
+    monkeypatch.setitem(_STAND_IN, "runs", [])
+    monkeypatch.setitem(_STAND_IN, "broken", set())
+    return _STAND_IN
+
+
 class TestHardenedFigureRuns:
     """The resilient-runner behaviours of ``repro figures``."""
 
@@ -77,7 +114,6 @@ class TestHardenedFigureRuns:
         self, capsys, tmp_path, monkeypatch
     ):
         from repro.analysis import figures as figures_mod
-        from repro.runner import load_manifest
 
         monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", _fake_figure())
         monkeypatch.setitem(
@@ -96,56 +132,39 @@ class TestHardenedFigureRuns:
         # The figures around the failure still completed and were written.
         assert (tmp_path / "fig6.txt").exists()
         assert (tmp_path / "fig14.txt").exists()
-        records = load_manifest(tmp_path / "manifest.json")
-        assert records["fig8"].status == "failed"
-        assert records["fig6"].ok and records["fig14"].ok
+        assert "batch partial: 2/3 ok, 1 failed, 0 skipped" in captured.out
 
     def test_resume_reruns_only_the_failure(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, monkeypatch, stand_ins
     ):
-        from repro.analysis import figures as figures_mod
+        from repro.campaign import CampaignDB
 
-        ran = []
+        # Resuming is re-running against the same campaign DB, which
+        # defaults into the --out directory.
+        monkeypatch.delenv("REPRO_CAMPAIGN_DB", raising=False)
+        stand_ins["broken"].add("fig8")
+        command = ["figures", "fig6", "fig8", "--out", str(tmp_path)]
+        assert main(command) == 1
+        assert stand_ins["runs"] == ["fig6", "fig8"]
+        capsys.readouterr()
 
-        def tracked(name, fail=False):
-            def figure(**_kwargs):
-                ran.append(name)
-                if fail:
-                    raise RuntimeError("still broken")
-                return _fake_figure(name)()
-
-            return figure
-
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES, "fig6", tracked("fig6")
-        )
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES, "fig8", tracked("fig8", fail=True)
-        )
-        assert main(["figures", "fig6", "fig8", "--out", str(tmp_path)]) == 1
-        assert ran == ["fig6", "fig8"]
-
-        ran.clear()
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES, "fig8", tracked("fig8")
-        )
-        code = main(
-            ["figures", "fig6", "fig8", "--out", str(tmp_path), "--resume"]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert ran == ["fig8"]  # fig6 restored from the manifest
-        assert "fig6: ok from manifest" in captured.out
+        stand_ins["runs"].clear()
+        stand_ins["broken"].clear()
+        assert main(command) == 0
+        out = capsys.readouterr().out
+        assert stand_ins["runs"] == ["fig8"]  # fig6 served from the DB
+        assert "[campaign cache]" in out
+        assert "1 executed, 1 cached" in out
+        with CampaignDB(tmp_path / "campaign.sqlite") as db:
+            assert db.counts() == {"ok": 2, "failed": 1}
 
     def test_timeout_records_and_continues(self, capsys, tmp_path, monkeypatch):
-        import time
-
         from repro.analysis import figures as figures_mod
-        from repro.runner import load_manifest
+        from repro.campaign import CampaignDB
 
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES, "fig6", lambda **_kw: time.sleep(3)
-        )
+        # A module-level figure runs in a worker that the timeout ends;
+        # the closure cannot be pickled and runs under SIGALRM in process.
+        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", sleepy_figure)
         monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig8", _fake_figure())
         code = main(
             [
@@ -153,10 +172,12 @@ class TestHardenedFigureRuns:
                 "--out", str(tmp_path), "--timeout", "0.1",
             ]
         )
+        out = capsys.readouterr().out
         assert code == 1
-        records = load_manifest(tmp_path / "manifest.json")
-        assert records["fig6"].status == "timeout"
-        assert records["fig8"].ok
+        assert "batch partial: 1/2 ok, 1 failed, 0 skipped" in out
+        assert (tmp_path / "fig8.txt").exists()
+        with CampaignDB(tmp_path / "campaign.sqlite") as db:
+            assert db.counts() == {"timeout": 1}  # closures are not cached
 
     def test_fail_fast_skips_remaining(self, capsys, monkeypatch):
         from repro.analysis import figures as figures_mod
@@ -175,10 +196,6 @@ class TestHardenedFigureRuns:
         assert main(["figures", "fig6", "fig8", "--fail-fast"]) == 1
         assert not ran
         assert "fail-fast" in capsys.readouterr().out
-
-    def test_resume_requires_a_manifest(self, capsys):
-        assert main(["figures", "fig6", "--resume"]) == 2
-        assert "--resume needs a manifest" in capsys.readouterr().err
 
     def test_retry_flag_reaches_the_runner(self, tmp_path, monkeypatch):
         from repro.analysis import figures as figures_mod

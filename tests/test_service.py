@@ -11,11 +11,13 @@ server, and SIGTERM/SIGINT drain exits 0 without losing anything.
 import asyncio
 import http.client
 import json
+import multiprocessing
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -28,6 +30,7 @@ from repro.service import (
     QUEUED,
     RUNNING,
     TERMINAL_STATES,
+    TIMEOUT,
     Job,
     JobStateError,
     LeakcheckService,
@@ -178,6 +181,27 @@ class TestServiceHTTP:
             await service.close()
 
         asyncio.run(scenario())
+
+    def test_job_timeout_kills_the_jobs_worker(self, tmp_path):
+        # With a job timeout the job's engine forks one worker and kills
+        # it when the budget expires: nothing keeps running in the server.
+        before = set(threading.enumerate())
+
+        async def scenario():
+            service = _svc(tmp_path / "c.sqlite", job_timeout=0.3)
+            await service.start()
+            host, port = service.host, service.port
+            spec = {"kind": "probe", "spec": {"ops": SLOW_OPS, "seed": 1}}
+            status, _, job = await http_request(host, port, "POST", "/jobs", spec)
+            assert status == 202
+            final = await _poll_terminal(host, port, job["id"])
+            assert final["state"] == TIMEOUT
+            assert "timed out after 0.3s" in final["error"]
+            await service.close()
+
+        asyncio.run(scenario())
+        assert set(threading.enumerate()) == before
+        assert multiprocessing.active_children() == []
 
     def test_bad_requests_are_structured_errors(self, tmp_path):
         async def scenario():
