@@ -61,7 +61,9 @@ Commands
     simulated columns are asserted identical across repeats).
     ``--compare`` checks throughput against baseline JSONs in a
     directory, printing the old→new ratio per scenario, and exits
-    non-zero on a regression beyond ``--threshold``; ``--min-ratio X``
+    non-zero on a regression beyond ``--threshold`` or when a baseline
+    with the same seed and mode has different ``simulated_cycles`` or
+    ``accesses`` (status ``diverged``); ``--min-ratio X``
     additionally requires every ``steady_*`` scenario to reach X times
     its baseline throughput (the batching speedup gate).  Note that
     cached bench results replay the stored measurement; pass
@@ -647,6 +649,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.compare is None:
         return 0
     offenders = []
+    diverged = []
     for outcome in bench.compare(
         results, args.compare, threshold=args.threshold,
         min_ratio=args.min_ratio,
@@ -655,6 +658,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"{outcome.detail}")
         if outcome.status == "regression":
             offenders.append(outcome)
+        elif outcome.status == "diverged":
+            diverged.append(outcome.scenario)
+    if diverged:
+        print(
+            f"FAIL: simulated columns differ from the same-seed baseline "
+            f"in {args.compare} for: {', '.join(diverged)}",
+            file=sys.stderr,
+        )
     if offenders:
         named = ", ".join(
             f"{o.scenario} ({o.ratio:.2f}x)" if o.ratio is not None
@@ -669,8 +680,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             + f") failed for: {named}",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    return 1 if offenders or diverged else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1244,7 +1254,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--compare", default=None, metavar="DIR",
-        help="baseline directory of BENCH_*.json; exit non-zero on regression",
+        help="baseline directory of BENCH_*.json; exit non-zero on a "
+             "throughput regression or on simulated columns that differ "
+             "from a same-seed baseline",
     )
     bench.add_argument(
         "--threshold", type=float, default=0.2,

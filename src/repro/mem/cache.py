@@ -14,16 +14,27 @@ the ``apply`` state transitions, and no latency lives here.  Hit/service
 cycles are charged by the callers (the hierarchy and the MEE) from their
 config tables.
 
-Sets are materialised lazily: a machine-sized L3 has thousands of sets
-and a replacement-policy object each, but a typical workload touches a
-handful.  Creation uses the same per-set seed as the old eager
-constructor, so replacement behaviour (including seeded RANDOM) is
-unchanged — only the allocation time moves.
+``config.replacement`` fixes how a set is represented:
+
+* LRU: one insertion-ordered ``dict[block, dirty]`` kept
+  least-recently-used first.  A hit is ``pop`` plus re-insert, the victim
+  is the first key, and a fill or an invalidation is one dict operation.
+* PLRU and RANDOM pick victims by way index, so a set is a
+  :class:`_WaySlots`: the same ``block -> dirty`` dict plus a way-slot
+  tag list and the set's policy object.
+
+Sets are materialised lazily, on the first fill: a machine-sized L3 has
+thousands of sets, but a typical workload touches a handful.
+Materialising an LRU set costs one empty dict.  A PLRU/RANDOM set
+allocates its way slots and its policy, seeded with ``seed + set_index``,
+so replacement behaviour (including seeded RANDOM) does not depend on
+when a set is first touched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.config import CacheConfig
 from repro.core import Component
@@ -47,33 +58,60 @@ _HIT = CacheAccess(hit=True)
 _FILLED = CacheAccess(hit=False)
 
 
-class _CacheSet:
-    """One set: way-slot arrays plus a replacement-policy instance."""
+class _WaySlots(dict):
+    """One PLRU/RANDOM set: ``block -> dirty`` plus the way slots and the
+    replacement-policy state that pick victims by way index.
 
-    __slots__ = ("tags", "dirty", "index_of", "policy")
+    ``pop`` also frees the block's way, so invalidating a line is the
+    same dict operation as on an LRU set.
+    """
+
+    __slots__ = ("tags", "policy")
 
     def __init__(self, ways: int, policy_name: str, seed: int) -> None:
+        super().__init__()
         self.tags: list[int | None] = [None] * ways
-        self.dirty: list[bool] = [False] * ways
-        self.index_of: dict[int, int] = {}
         self.policy = make_policy(policy_name, ways, seed)
+
+    def pop(self, block, *default):
+        if block in self:
+            self.tags[self.tags.index(block)] = None
+        return super().pop(block, *default)
+
+    def touch(self, block: int) -> None:
+        self.policy.on_access(self.tags.index(block))
+
+    def fill(self, block: int, dirty: bool) -> tuple[int | None, bool]:
+        """Install an absent block; returns the (victim, victim dirty)."""
+        tags = self.tags
+        victim = None
+        victim_dirty = False
+        if None in tags:
+            way = tags.index(None)
+        else:
+            way = self.policy.victim([True] * len(tags))
+            victim = tags[way]
+            victim_dirty = self.pop(victim)
+        tags[way] = block
+        self[block] = dirty
+        self.policy.on_fill(way)
+        return victim, victim_dirty
 
 
 class SetAssocCache(Component):
     """A classic set-associative cache."""
 
-    def __init__(
-        self, config: CacheConfig, *, replacement: str | None = None, seed: int = 0
-    ) -> None:
+    def __init__(self, config: CacheConfig, *, seed: int = 0) -> None:
         self.config = config
         self.num_sets = config.num_sets
         self.ways = config.ways
-        self.replacement = replacement or getattr(config, "replacement", "lru")
+        self.replacement = config.replacement
+        self._lru = config.replacement == "lru"
         self._block_shift = log2_exact(config.block_size)
         self._block_mask = ~(config.block_size - 1)
-        # Lazily materialised sets: index -> _CacheSet, created on first
-        # fill (probes of untouched sets never allocate).
-        self._sets: dict[int, _CacheSet] = {}
+        # Lazily materialised sets: index -> lines, created on first fill
+        # (probes of untouched sets never allocate).
+        self._sets: dict[int, dict[int, bool]] = {}
         self._seed = seed
         self.counters = CounterRegistry()
         self._hits = self.counters.counter("hits")
@@ -118,20 +156,6 @@ class SetAssocCache(Component):
         """Cache set that the block containing ``addr`` maps to."""
         return (addr >> self._block_shift) % self.num_sets
 
-    def _set_at(self, set_index: int) -> _CacheSet:
-        """The set object at ``set_index``, materialising it on demand."""
-        cache_set = self._sets.get(set_index)
-        if cache_set is None:
-            cache_set = _CacheSet(
-                self.ways, self.replacement, self._seed + set_index
-            )
-            self._sets[set_index] = cache_set
-        return cache_set
-
-    def _set_of(self, addr: int) -> tuple[_CacheSet, int]:
-        block, set_index = self.decompose(addr)
-        return self._set_at(set_index), block
-
     # ------------------------------------------------------------------
     # Operations (the ``apply`` state transitions)
     # ------------------------------------------------------------------
@@ -140,11 +164,13 @@ class SetAssocCache(Component):
         """Probe for the block at ``addr``; optionally refresh its recency."""
         block = addr & self._block_mask
         set_index = (block >> self._block_shift) % self.num_sets
-        cache_set = self._sets.get(set_index)
-        way = cache_set.index_of.get(block) if cache_set is not None else None
-        if way is not None:
+        lines = self._sets.get(set_index)
+        if lines is not None and block in lines:
             if touch:
-                cache_set.policy.on_access(way)
+                if self._lru:
+                    lines[block] = lines.pop(block)
+                else:
+                    lines.touch(block)
             self._hits.value += 1
             if self.tracer is not None:
                 self.tracer.emit(
@@ -164,11 +190,34 @@ class SetAssocCache(Component):
             )
         return False
 
+    def hit(self, block: int, set_index: int, dirty: bool) -> bool:
+        """Serve a hit on an already decomposed address, if it is one.
+
+        When ``block`` is resident in set ``set_index`` this does what a
+        touching :meth:`lookup` (plus :meth:`mark_dirty` when ``dirty``)
+        does to the cache — refresh recency, count the hit, OR in the
+        dirty bit — and returns True.  Otherwise it changes nothing, not
+        even the miss count, and returns False: the caller then takes the
+        full access path.  It emits no trace event, so it serves only
+        machines with no instrument attached (``SecureProcessor.run_batch``).
+        """
+        lines = self._sets.get(set_index)
+        if lines is None or block not in lines:
+            return False
+        if self._lru:
+            lines[block] = lines.pop(block) or dirty
+        else:
+            lines.touch(block)
+            if dirty:
+                lines[block] = True
+        self._hits.value += 1
+        return True
+
     def contains(self, addr: int) -> bool:
         """Presence check with no side effects (no LRU update, no stats)."""
         block, set_index = self.decompose(addr)
-        cache_set = self._sets.get(set_index)
-        return cache_set is not None and block in cache_set.index_of
+        lines = self._sets.get(set_index)
+        return lines is not None and block in lines
 
     def insert(self, addr: int, *, dirty: bool = False) -> CacheAccess:
         """Fill the block at ``addr``, evicting a victim if needed.
@@ -176,31 +225,30 @@ class SetAssocCache(Component):
         If the block is already present this refreshes recency (and ORs in
         the dirty bit) instead of double-filling.
         """
-        block, set_index = self.decompose(addr)
-        cache_set = self._set_at(set_index)
-        way = cache_set.index_of.get(block)
-        if way is not None:
-            cache_set.dirty[way] = cache_set.dirty[way] or dirty
-            cache_set.policy.on_access(way)
+        block = addr & self._block_mask
+        set_index = (block >> self._block_shift) % self.num_sets
+        lines = self._sets.get(set_index)
+        if lines is None:
+            lines = {} if self._lru else _WaySlots(
+                self.ways, self.replacement, self._seed + set_index
+            )
+            self._sets[set_index] = lines
+        if block in lines:
+            if self._lru:
+                lines[block] = lines.pop(block) or dirty
+            else:
+                lines[block] = lines[block] or dirty
+                lines.touch(block)
             return _HIT
         evicted_addr = None
         evicted_dirty = False
-        tags = cache_set.tags
-        free_way = None
-        for w, tag in enumerate(tags):
-            if tag is None:
-                free_way = w
-                break
-        if free_way is None:
-            occupied = [tag is not None for tag in tags]
-            free_way = cache_set.policy.victim(occupied)
-            evicted_addr = tags[free_way]
-            evicted_dirty = cache_set.dirty[free_way]
-            del cache_set.index_of[evicted_addr]
-        cache_set.tags[free_way] = block
-        cache_set.dirty[free_way] = dirty
-        cache_set.index_of[block] = free_way
-        cache_set.policy.on_fill(free_way)
+        if self._lru:
+            if len(lines) >= self.ways:
+                evicted_addr = next(iter(lines))
+                evicted_dirty = lines.pop(evicted_addr)
+            lines[block] = dirty
+        else:
+            evicted_addr, evicted_dirty = lines.fill(block, dirty)
         self._fills.value += 1
         if evicted_addr is not None:
             self._evictions.value += 1
@@ -230,49 +278,36 @@ class SetAssocCache(Component):
     def mark_dirty(self, addr: int) -> None:
         """Set the dirty bit of a resident block (no-op if absent)."""
         block, set_index = self.decompose(addr)
-        cache_set = self._sets.get(set_index)
-        if cache_set is None:
-            return
-        way = cache_set.index_of.get(block)
-        if way is not None:
-            cache_set.dirty[way] = True
+        lines = self._sets.get(set_index)
+        if lines is not None and block in lines:
+            lines[block] = True
 
     def is_dirty(self, addr: int) -> bool:
         block, set_index = self.decompose(addr)
-        cache_set = self._sets.get(set_index)
-        if cache_set is None:
-            return False
-        way = cache_set.index_of.get(block)
-        return cache_set.dirty[way] if way is not None else False
+        lines = self._sets.get(set_index)
+        return lines is not None and lines.get(block, False)
 
     def invalidate(self, addr: int) -> tuple[bool, bool]:
         """Remove the block at ``addr``; returns (was_present, was_dirty)."""
         block = addr & self._block_mask
-        cache_set = self._sets.get((block >> self._block_shift) % self.num_sets)
-        way = cache_set.index_of.pop(block, None) if cache_set is not None else None
-        if way is None:
+        lines = self._sets.get((block >> self._block_shift) % self.num_sets)
+        if lines is None or block not in lines:
             return False, False
-        dirty = cache_set.dirty[way]
-        cache_set.tags[way] = None
-        cache_set.dirty[way] = False
-        return True, dirty
+        return True, lines.pop(block)
 
     def blocks_in_set(self, set_index: int) -> list[int]:
         """Resident block addresses of one set (eviction-priority first
         under LRU; fill order otherwise)."""
-        cache_set = self._sets.get(set_index)
-        if cache_set is None:
+        lines = self._sets.get(set_index)
+        if lines is None:
             return []
-        if self.replacement == "lru":
-            stack = cache_set.policy._stack  # LRU first
-            return [
-                cache_set.tags[w] for w in stack if cache_set.tags[w] is not None
-            ]
-        return [tag for tag in cache_set.tags if tag is not None]
+        if self._lru:
+            return list(lines)
+        return [tag for tag in lines.tags if tag is not None]
 
     def occupancy(self) -> int:
         """Total resident blocks across all sets."""
-        return sum(len(s.index_of) for s in self._sets.values())
+        return sum(map(len, self._sets.values()))
 
     def state_snapshot(self) -> dict[int, tuple[tuple[int, bool], ...]]:
         """Canonical functional state: set index -> ordered (block, dirty).
@@ -284,19 +319,17 @@ class SetAssocCache(Component):
         """
         snapshot: dict[int, tuple[tuple[int, bool], ...]] = {}
         for set_index in sorted(self._sets):
-            cache_set = self._sets[set_index]
-            if not cache_set.index_of:
-                continue
-            entries = tuple(
-                (block, cache_set.dirty[cache_set.index_of[block]])
-                for block in self.blocks_in_set(set_index)
-            )
-            snapshot[set_index] = entries
+            lines = self._sets[set_index]
+            if lines:
+                snapshot[set_index] = tuple(
+                    (block, lines[block])
+                    for block in self.blocks_in_set(set_index)
+                )
         return snapshot
 
     def __iter__(self):
-        for cache_set in self._sets.values():
-            yield from cache_set.index_of.keys()
+        for lines in self._sets.values():
+            yield from lines
 
     def clear(self) -> None:
         # Matches the old eager clear(), which rebuilt set ``i`` with
@@ -304,3 +337,21 @@ class SetAssocCache(Component):
         # lazy re-creation run from a zero seed base.
         self._sets = {}
         self._seed = 0
+
+
+def invalidate_level(caches: Sequence[SetAssocCache], addr: int) -> bool:
+    """Invalidate ``addr`` in every one of ``caches``; True if any copy
+    was dirty.
+
+    The caches must share one geometry — one level of the hierarchy, such
+    as every core's L1 — so the set index is computed once for all of them.
+    """
+    first = caches[0]
+    block = addr & first._block_mask
+    set_index = (block >> first._block_shift) % first.num_sets
+    dirty = False
+    for cache in caches:
+        lines = cache._sets.get(set_index)
+        if lines and lines.pop(block, False):
+            dirty = True
+    return dirty

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from repro.config import SecureProcessorConfig
 from repro.core import Component
 from repro.mem.block import block_address
-from repro.mem.cache import SetAssocCache
+from repro.mem.cache import SetAssocCache, invalidate_level
 
 
 @dataclass(slots=True)
@@ -58,6 +58,17 @@ class DataCacheSystem(Component):
         self.cores_per_socket = config.cores // config.sockets
         self.core_caches = [CoreCaches(config, i) for i in range(config.cores)]
         self.l3s = [SetAssocCache(config.l3) for _ in range(config.sockets)]
+        # Caches grouped by level, machine-wide and per socket: the caches
+        # of a group share one geometry, so ``invalidate_level`` drops a
+        # block from the whole group with one set-index computation.
+        l1s = tuple(caches.l1 for caches in self.core_caches)
+        l2s = tuple(caches.l2 for caches in self.core_caches)
+        self._levels = (l1s, l2s, tuple(self.l3s))
+        per_socket = self.cores_per_socket
+        self._socket_private = [
+            (l1s[first : first + per_socket], l2s[first : first + per_socket])
+            for first in range(0, config.cores, per_socket)
+        ]
         # Timing table, precomputed once: cumulative lookup cost after
         # probing 1, 2 or 3 levels.  The functional probes above never
         # carry latency themselves (see the functional/timing split in
@@ -174,14 +185,10 @@ class DataCacheSystem(Component):
 
     def _back_invalidate(self, core: int, block: int) -> bool:
         """Remove ``block`` from all private caches in ``core``'s socket."""
-        socket = self.socket_of(core)
-        dirty_any = False
-        first = socket * self.cores_per_socket
-        for caches in self.core_caches[first : first + self.cores_per_socket]:
-            for cache in (caches.l1, caches.l2):
-                _, dirty = cache.invalidate(block)
-                dirty_any = dirty_any or dirty
-        return dirty_any
+        l1s, l2s = self._socket_private[self.socket_of(core)]
+        dirty_l1 = invalidate_level(l1s, block)
+        dirty_l2 = invalidate_level(l2s, block)
+        return dirty_l1 or dirty_l2
 
     # ------------------------------------------------------------------
     # Maintenance operations
@@ -195,13 +202,9 @@ class DataCacheSystem(Component):
         """
         block = block_address(addr)
         dirty_any = False
-        for caches in self.core_caches:
-            for cache in (caches.l1, caches.l2):
-                _, dirty = cache.invalidate(block)
-                dirty_any = dirty_any or dirty
-        for l3 in self.l3s:
-            _, dirty = l3.invalidate(block)
-            dirty_any = dirty_any or dirty
+        for level in self._levels:
+            if invalidate_level(level, block):
+                dirty_any = True
         return dirty_any, ([block] if dirty_any else [])
 
     def contains(self, addr: int) -> bool:

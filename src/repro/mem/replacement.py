@@ -1,8 +1,10 @@
-"""Replacement policies for the set-associative caches.
+"""Way-indexed replacement policies for the set-associative caches.
 
 LRU is the default everywhere (and what the paper's mEvict analysis
-assumes); tree-PLRU approximates real L2/LLC hardware; RANDOM is the
-classic obfuscation knob.  The metadata-cache sweep in
+assumes), but it needs no policy object: an LRU set in
+``repro.mem.cache`` is a dict kept in recency order.  The policies here
+pick victims by way index: tree-PLRU approximates real L2/LLC hardware;
+RANDOM is the classic obfuscation knob.  The metadata-cache sweep in
 ``repro.analysis.sweeps`` uses these to show that MetaLeak-T survives
 replacement-policy changes — eviction sets just need a few more entries.
 """
@@ -31,31 +33,6 @@ class ReplacementPolicy(abc.ABC):
     @abc.abstractmethod
     def victim(self, occupied: list[bool]) -> int:
         """Choose the way to evict (all ways occupied)."""
-
-
-class LruPolicy(ReplacementPolicy):
-    """True least-recently-used via an age stack."""
-
-    def __init__(self, ways: int) -> None:
-        super().__init__(ways)
-        self._stack: list[int] = []  # LRU first
-
-    def on_access(self, way: int) -> None:
-        stack = self._stack
-        if stack and stack[-1] == way:
-            return  # already MRU (the common case on repeated hits)
-        if way in stack:
-            stack.remove(way)
-        stack.append(way)
-
-    def on_fill(self, way: int) -> None:
-        self.on_access(way)
-
-    def victim(self, occupied: list[bool]) -> int:
-        for way in self._stack:
-            if occupied[way]:
-                return way
-        return 0
 
 
 class TreePlruPolicy(ReplacementPolicy):
@@ -119,9 +96,7 @@ class RandomPolicy(ReplacementPolicy):
 
 
 def make_policy(name: str, ways: int, seed: int = 0) -> ReplacementPolicy:
-    """Instantiate a policy by config name."""
-    if name == "lru":
-        return LruPolicy(ways)
+    """Instantiate a way-indexed policy by config name."""
     if name == "plru":
         return TreePlruPolicy(ways)
     if name == "random":

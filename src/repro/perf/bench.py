@@ -413,11 +413,12 @@ class Comparison:
     """Outcome of comparing one current result against its baseline.
 
     ``ratio`` is current over baseline throughput (old -> new), ``None``
-    when no comparable baseline exists (missing or quick/full mismatch).
+    when no comparable baseline exists (missing, quick/full mismatch, or
+    a diverged simulated workload).
     """
 
     scenario: str
-    status: str  # "ok" | "regression" | "no-baseline" | "skipped"
+    status: str  # "ok" | "regression" | "diverged" | "no-baseline" | "skipped"
     detail: str
     ratio: float | None = None
 
@@ -430,7 +431,14 @@ def compare(
     min_ratio: float | None = None,
     min_ratio_prefix: str = "steady_",
 ) -> list[Comparison]:
-    """Compare throughput against ``BENCH_*.json`` files in ``baseline_dir``.
+    """Compare against the ``BENCH_*.json`` files in ``baseline_dir``.
+
+    A baseline with the same seed and mode must match the simulated
+    columns (``simulated_cycles``, ``accesses``) exactly; a scenario
+    whose columns differ is ``diverged`` and its throughput is not
+    compared.  Counters are not compared: some depend on host timing
+    (a service client's polling) and old baselines may carry counters
+    that no longer exist.
 
     A scenario regresses when its ``sim_accesses_per_second`` falls more
     than ``threshold`` (a fraction) below the baseline's.  ``min_ratio``
@@ -466,6 +474,16 @@ def compare(
             outcomes.append(Comparison(
                 result.scenario, "skipped",
                 "quick/full mode differs from baseline",
+            ))
+            continue
+        simulated = (result.simulated_cycles, result.accesses)
+        expected = (ref.simulated_cycles, ref.accesses)
+        if ref.seed == result.seed and simulated != expected:
+            outcomes.append(Comparison(
+                result.scenario, "diverged",
+                f"simulated_cycles/accesses {simulated[0]}/{simulated[1]} "
+                f"vs baseline {expected[0]}/{expected[1]} at seed "
+                f"{result.seed}",
             ))
             continue
         current = result.sim_accesses_per_second

@@ -3,8 +3,8 @@
 The scalar ``SecureProcessor.read``/``write``/... operations stay the
 reference implementation; an :class:`AccessBatch` is just a recorded
 sequence of those operations that ``SecureProcessor.run_batch`` can
-execute with per-batch precomputed address decompositions and an inlined
-L1-hit path.  Batch execution is *semantically identical* to replaying
+execute with per-batch precomputed address decompositions and L1 hits
+served by ``SetAssocCache.hit``.  Batch execution is *semantically identical* to replaying
 the same operations through the scalar calls — same simulated cycles,
 same cache/counter state, same RNG draws — which the batch-vs-scalar
 equivalence property test (tests/test_batch.py) locks in.

@@ -317,9 +317,9 @@ class SecureProcessor(Component):
     ) -> AccessResult:
         """Store to the block containing ``addr`` (write-allocate/back)."""
         self._check_data_addr(addr)
-        self.stats.writes += 1
         block = block_address(addr)
         self._plain[block] = self._coerce_data(block, data)
+        self.stats.writes += 1
         txn = self._begin("write", core, block)
         hier = self.caches.access(core, block, is_write=True)
         if hier.hit_level is not None:
@@ -362,9 +362,9 @@ class SecureProcessor(Component):
     ) -> AccessResult:
         """Persisted store: bypasses the caches and posts to the MC now."""
         self._check_data_addr(addr)
-        self.stats.writes += 1
         block = block_address(addr)
         self._plain[block] = self._coerce_data(block, data)
+        self.stats.writes += 1
         txn = self._begin("write_through", core, block)
         self.caches.flush(block)  # drop any stale cached copy
         enqueue = self.mee.write_data(block, self._plain[block], self.cycle)
@@ -429,9 +429,9 @@ class SecureProcessor(Component):
         instrument attached (tracer, profiler, sampler, fault hook) the
         scalar loop runs outright so event streams match byte-for-byte;
         otherwise address decompositions are precomputed once per batch
-        and uninstrumented L1 hits — the steady-state common case — are
-        resolved inline, with every other operation delegated to the
-        scalar reference path.
+        and L1 hits — the steady-state common case — are served by one
+        ``SetAssocCache.hit`` call each, with every other operation
+        delegated to the scalar reference path.
         """
         ops = batch.ops
         if (
@@ -444,16 +444,12 @@ class SecureProcessor(Component):
 
         # Per-batch decomposition table: addr -> (block, L1 set index).
         # L1 geometry is uniform across cores, so one table serves all.
-        l1_geometry = self.caches.core_caches[0].l1
-        block_mask = l1_geometry._block_mask
-        block_shift = l1_geometry._block_shift
-        num_sets = l1_geometry.num_sets
+        decompose = self.caches.core_caches[0].l1.decompose
         table: dict[int, tuple[int, int]] = {}
         for op in ops:
             addr = op[1]
             if addr is not None and addr not in table:
-                block = addr & block_mask
-                table[addr] = (block, (block >> block_shift) % num_sets)
+                table[addr] = decompose(addr)
 
         core_caches = self.caches.core_caches
         l1_latency = self.caches.hit_latency[0]
@@ -470,19 +466,10 @@ class SecureProcessor(Component):
                 if not 0 <= addr < data_size:
                     self._check_data_addr(addr)
                 block, set_index = table[addr]
-                l1 = core_caches[core].l1
-                cache_set = l1._sets.get(set_index)
-                way = (
-                    cache_set.index_of.get(block)
-                    if cache_set is not None
-                    else None
-                )
-                if way is None:
+                if not core_caches[core].l1.hit(block, set_index, False):
                     append(self.read(addr, core=core))
                     continue
-                # Inline L1 read hit: byte-identical to the scalar path.
-                cache_set.policy.on_access(way)
-                l1._hits.value += 1
+                # L1 read hit: byte-identical to the scalar path.
                 stats.reads += 1
                 path_counts[AccessPath.L1_HIT] = (
                     path_counts.get(AccessPath.L1_HIT, 0) + 1
@@ -503,26 +490,19 @@ class SecureProcessor(Component):
                 if not 0 <= addr < data_size:
                     self._check_data_addr(addr)
                 block, set_index = table[addr]
-                l1 = core_caches[core].l1
-                cache_set = l1._sets.get(set_index)
-                way = (
-                    cache_set.index_of.get(block)
-                    if cache_set is not None
-                    else None
-                )
-                if way is None:
-                    append(self.write(addr, data, core=core))
-                    continue
-                # Inline L1 write hit (scalar write hits skip path stats
-                # and timer jitter — preserved exactly).
-                plain[block] = (
+                # Validate the data before the cache sees the store, so a
+                # rejected write leaves the machine untouched.
+                value = (
                     plain.get(block, zero_block)
                     if data is None
                     else self._coerce_data(block, data)
                 )
-                cache_set.policy.on_access(way)
-                cache_set.dirty[way] = True
-                l1._hits.value += 1
+                if not core_caches[core].l1.hit(block, set_index, True):
+                    append(self.write(addr, data, core=core))
+                    continue
+                # L1 write hit (scalar write hits skip path stats and
+                # timer jitter — preserved exactly).
+                plain[block] = value
                 stats.writes += 1
                 self.cycle += l1_latency
                 append(

@@ -10,6 +10,7 @@ across every preset x defense combination, with and without instruments
 attached.
 """
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -130,6 +131,45 @@ class TestBatchScalarEquivalence:
         _assert_equivalent(
             scalar_proc, scalar_results, batch_proc, batch_result
         )
+
+    @pytest.mark.parametrize("replacement", ["plru", "random"])
+    def test_way_slot_l1(self, replacement):
+        """L1 hits on way-slot sets (PLRU/RANDOM) match the scalar path."""
+
+        def machine():
+            config = synth_config("sct")
+            return SecureProcessor(config.with_overrides(
+                l1=replace(config.l1, replacement=replacement)
+            ))
+
+        scalar_proc, batch_proc = machine(), machine()
+        vector = _op_vector(scalar_proc, seed=53)
+        scalar_results = _run_scalar(scalar_proc, vector)
+        batch_result = batch_proc.run_batch(_as_batch(vector))
+        _assert_equivalent(
+            scalar_proc, scalar_results, batch_proc, batch_result
+        )
+        assert batch_proc.caches.core_caches[0].l1.hits > 0
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["l1_hit", "miss"])
+    def test_oversized_write_rejected_uncounted(self, warm):
+        """A write of more than one block raises before it is counted or
+        reaches a cache, batched or not."""
+        scalar_proc, batch_proc = _machine("sct"), _machine("sct")
+        addr = 5 * PAGE_SIZE
+        if warm:
+            scalar_proc.read(addr)
+            batch_proc.read(addr)
+        before = _cache_states(batch_proc)
+        with pytest.raises(ValueError):
+            scalar_proc.write(addr, bytes(65))
+        with pytest.raises(ValueError):
+            batch_proc.run_batch(AccessBatch().write(addr, bytes(65)))
+        assert batch_proc.stats == scalar_proc.stats
+        assert batch_proc.stats.writes == 0
+        assert batch_proc.cycle == scalar_proc.cycle
+        assert batch_proc.registry.snapshot() == scalar_proc.registry.snapshot()
+        assert _cache_states(batch_proc) == _cache_states(scalar_proc) == before
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_read_batch_matches_read_loop(self, preset):

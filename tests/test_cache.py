@@ -164,3 +164,130 @@ class TestOccupancyInvariants:
         for addr in addrs:
             cache.insert(addr)
         assert set(cache) == addrs
+
+
+class TestLruSets:
+    def test_lru_victim_is_least_recent(self):
+        cache = small_cache(sets=1, ways=4)
+        for number in range(4):
+            cache.insert(number * 64)
+        cache.lookup(0)
+        assert cache.insert(4 * 64).evicted_addr == 64
+
+    def test_invalidated_hole_refilled_without_eviction(self):
+        cache = small_cache(sets=1, ways=4)
+        for number in range(4):
+            cache.insert(number * 64)
+        cache.invalidate(0)
+        assert cache.insert(4 * 64).evicted_addr is None
+        assert cache.blocks_in_set(0) == [64, 128, 192, 256]
+        assert cache.insert(5 * 64).evicted_addr == 64
+
+
+class _ListLru:
+    """Reference LRU: one list of (block, dirty) per set, LRU first."""
+
+    def __init__(self, sets: int, ways: int) -> None:
+        self.sets = [[] for _ in range(sets)]
+        self.ways = ways
+        self.hits = self.misses = 0
+
+    def _find(self, block):
+        lines = self.sets[(block // 64) % len(self.sets)]
+        for i, (resident, _) in enumerate(lines):
+            if resident == block:
+                return lines, i
+        return lines, None
+
+    def lookup(self, block, touch):
+        lines, i = self._find(block)
+        if i is None:
+            self.misses += 1
+            return False
+        if touch:
+            lines.append(lines.pop(i))
+        self.hits += 1
+        return True
+
+    def hit(self, block, dirty):
+        lines, i = self._find(block)
+        if i is None:
+            return False
+        _, was_dirty = lines.pop(i)
+        lines.append((block, was_dirty or dirty))
+        self.hits += 1
+        return True
+
+    def insert(self, block, dirty):
+        lines, i = self._find(block)
+        if i is not None:
+            _, was_dirty = lines.pop(i)
+            lines.append((block, was_dirty or dirty))
+            return True, None, False
+        victim, victim_dirty = None, False
+        if len(lines) == self.ways:
+            victim, victim_dirty = lines.pop(0)
+        lines.append((block, dirty))
+        return False, victim, victim_dirty
+
+    def invalidate(self, block):
+        lines, i = self._find(block)
+        if i is None:
+            return False, False
+        return True, lines.pop(i)[1]
+
+    def mark_dirty(self, block):
+        lines, i = self._find(block)
+        if i is not None:
+            lines[i] = (block, True)
+
+    def snapshot(self):
+        return {i: tuple(lines) for i, lines in enumerate(self.sets) if lines}
+
+
+_CACHE_OPS = ("insert", "lookup", "hit", "invalidate", "mark_dirty")
+
+
+class TestLruReferenceModel:
+    @given(
+        st.sampled_from([1, 2, 3, 4]),
+        st.integers(min_value=2, max_value=8),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_list_model(self, sets, ways, data):
+        cache = small_cache(sets=sets, ways=ways)
+        model = _ListLru(sets, ways)
+        # Start full, then draw from twice the capacity in distinct
+        # blocks: about half the probes hit, and fills keep evicting.
+        warmup = [("insert", number, False) for number in range(sets * ways)]
+        ops = data.draw(st.lists(
+            st.tuples(
+                st.sampled_from(_CACHE_OPS),
+                st.integers(min_value=0, max_value=2 * sets * ways),
+                st.booleans(),
+            ),
+            min_size=10,
+            max_size=150,
+        ))
+        for op, number, flag in warmup + ops:
+            block = number * 64
+            if op == "insert":
+                got = cache.insert(block, dirty=flag)
+                assert (got.hit, got.evicted_addr, got.evicted_dirty) == (
+                    model.insert(block, flag)
+                )
+            elif op == "lookup":
+                assert cache.lookup(block, touch=flag) == model.lookup(block, flag)
+            elif op == "hit":
+                _, set_index = cache.decompose(block)
+                assert cache.hit(block, set_index, flag) == model.hit(block, flag)
+            elif op == "invalidate":
+                assert cache.invalidate(block) == model.invalidate(block)
+            else:
+                cache.mark_dirty(block)
+                model.mark_dirty(block)
+            assert cache.state_snapshot() == model.snapshot()
+        for set_index, lines in enumerate(model.sets):
+            assert cache.blocks_in_set(set_index) == [b for b, _ in lines]
+        assert (cache.hits, cache.misses) == (model.hits, model.misses)

@@ -104,6 +104,31 @@ class TestSockets:
         caches.fill(0, 0x1000, dirty=False)
         assert caches.access(2, 0x1000, is_write=False).hit_level is None
 
+    @pytest.mark.parametrize("dirty_in", [None, "core0.l1", "core3.l2", "l3.1"])
+    def test_flush_drops_block_machine_wide(self, dirty_in):
+        caches = tiny_machine(cores=4, sockets=2)
+        for core in range(4):
+            caches.fill(core, 0x1000, dirty=False)
+        assert all(l3.contains(0x1000) for l3 in caches.l3s)
+        dirty_cache = {
+            None: None,
+            "core0.l1": caches.core_caches[0].l1,
+            "core3.l2": caches.core_caches[3].l2,
+            "l3.1": caches.l3s[1],
+        }[dirty_in]
+        if dirty_cache is not None:
+            dirty_cache.mark_dirty(0x1000)
+        was_dirty, writebacks = caches.flush(0x1000)
+        if dirty_in is None:
+            assert (was_dirty, writebacks) == (False, [])
+        else:
+            assert (was_dirty, writebacks) == (True, [0x1000])
+        assert not caches.contains(0x1000)
+        for core in caches.core_caches:
+            assert not core.l1.contains(0x1000)
+            assert not core.l2.contains(0x1000)
+        assert caches.flush(0x1000) == (False, [])
+
     def test_uneven_split_rejected(self):
         with pytest.raises(ValueError):
             tiny_machine(cores=3, sockets=2)

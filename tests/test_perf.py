@@ -285,6 +285,24 @@ class TestBench:
         (tmp_path / result.filename).write_text(json.dumps(full))
         assert [o.status for o in compare([result], tmp_path)] == ["skipped"]
 
+    def test_compare_flags_diverged_simulated_columns(self, tmp_path):
+        result = run_scenario("steady_sct", seed=1, quick=True)
+        baseline = json.loads(result.to_json())
+        for column in ("simulated_cycles", "accesses"):
+            changed = dict(baseline, **{column: baseline[column] + 1})
+            (tmp_path / result.filename).write_text(json.dumps(changed))
+            (outcome,) = compare([result], tmp_path)
+            assert outcome.status == "diverged"
+            assert outcome.ratio is None
+            # Another seed's baseline is another workload: throughput only.
+            changed["seed"] = 2
+            (tmp_path / result.filename).write_text(json.dumps(changed))
+            assert [o.status for o in compare([result], tmp_path)] == ["ok"]
+        # Counters are not compared.
+        changed = dict(baseline, counters={"gone.counter": 1})
+        (tmp_path / result.filename).write_text(json.dumps(changed))
+        assert [o.status for o in compare([result], tmp_path)] == ["ok"]
+
     def test_compare_threshold_validated(self, tmp_path):
         result = run_scenario("steady_sct", seed=1, quick=True)
         for bad in (0, -0.5, float("inf"), float("nan")):
@@ -376,6 +394,26 @@ class TestBenchCli:
             "bench", "steady_sct", "--quick", "--out", str(tmp_path / "b"),
             "--compare", str(out), "--threshold", "0.2",
         ]) == 1
+
+    def test_bench_compare_names_diverged_scenario(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([
+            "bench", "steady_sct", "--quick", "--out", str(out),
+        ]) == 0
+        baseline_path = out / "BENCH_steady_sct.json"
+        baseline = json.loads(baseline_path.read_text())
+        # Throughput passes easily; only the simulated workload differs.
+        baseline["simulated_cycles"] += 1
+        baseline["sim_accesses_per_second"] /= 10
+        baseline_path.write_text(json.dumps(baseline))
+        assert main([
+            "bench", "steady_sct", "--quick", "--out", str(tmp_path / "b"),
+            "--compare", str(out), "--threshold", "0.9",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "diverged" in captured.out
+        assert "simulated columns differ" in captured.err
+        assert "steady_sct" in captured.err
 
     def test_bench_validates_threshold_and_names(self, tmp_path):
         assert main([

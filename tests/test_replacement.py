@@ -6,27 +6,7 @@ from hypothesis import strategies as st
 
 from repro.config import CacheConfig
 from repro.mem.cache import SetAssocCache
-from repro.mem.replacement import (
-    LruPolicy,
-    RandomPolicy,
-    TreePlruPolicy,
-    make_policy,
-)
-
-
-class TestLruPolicy:
-    def test_victim_is_least_recent(self):
-        policy = LruPolicy(4)
-        for way in (0, 1, 2, 3):
-            policy.on_fill(way)
-        policy.on_access(0)
-        assert policy.victim([True] * 4) == 1
-
-    def test_skips_unoccupied(self):
-        policy = LruPolicy(4)
-        for way in (0, 1, 2, 3):
-            policy.on_fill(way)
-        assert policy.victim([False, True, True, True]) == 1
+from repro.mem.replacement import RandomPolicy, TreePlruPolicy, make_policy
 
 
 class TestTreePlru:
@@ -79,7 +59,7 @@ class TestPolicyFactory:
             make_policy("fifo", 4)
 
     def test_all_names(self):
-        for name in ("lru", "plru", "random"):
+        for name in ("plru", "random"):
             assert make_policy(name, 4) is not None
 
 
