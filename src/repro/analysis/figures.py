@@ -751,7 +751,7 @@ def perf_attribution(samples: int = 20) -> FigureResult:
 
     proc, _ = _machine("sct")
     attributor = CycleAttributor()
-    proc.attach_profiler(attributor)
+    proc.attach(attributor)
     _path_latency_samples(proc, samples)
     attributor.verify()
     result = FigureResult(

@@ -101,10 +101,9 @@ Commands
 [--seed S] [--quick] [--collapsed FILE] [--prom FILE] [--min-share F]``
     Run one victim — or one processor-backed bench scenario — under the
     cycle-attribution profiler and print the hierarchical
-    where-did-the-cycles-go report (conservation-checked).  With the
-    profiler attached the batch API takes the scalar reference path, so
-    scenario profiles attribute the same event stream the benchmark
-    simulates.  ``--collapsed`` exports flamegraph-ready collapsed
+    where-did-the-cycles-go report (conservation-checked).  A profiled
+    machine runs the same executor as a bare one, so scenario profiles
+    attribute the same op stream the benchmark simulates.  ``--collapsed`` exports flamegraph-ready collapsed
     stacks; ``--prom`` exports the counter registry in Prometheus text
     format.
 
@@ -500,7 +499,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         SecureProcessorConfig.sct_default(functional_crypto=False)
     )
     tracer = Tracer(capacity=args.capacity)
-    proc.attach_tracer(tracer)
+    proc.attach(tracer)
     spec.run(proc, secret)
     events = tracer.events()
     print(f"victim={spec.name} secret={args.secret} seed={args.seed}: "
@@ -866,7 +865,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         config = preset_config(args.preset, functional_crypto=False)
         proc = SecureProcessor(config)
         attributor = CycleAttributor()
-        proc.attach_profiler(attributor)
+        proc.attach(attributor)
         spec.run(proc, secret)
         attributor.verify()
         print(f"victim={spec.name} preset={args.preset} seed={args.seed}")

@@ -12,12 +12,9 @@ from :class:`Component`.  A component contributes three things:
   that hold the currently attached instruments, ``None`` when detached.
 
 :func:`attach` walks the graph once and installs one instrument into the
-matching slot of every component that declares it.  That single generic
-walk replaces the hand-written ``attach_tracer`` / ``install_fault_hook``
-fan-outs that previously re-enumerated the proc→hierarchy→MEE→memctrl→
-DRAM→crypto→tree layering at every layer boundary (the legacy entry
-points survive as thin shims over :func:`attach`).  Components created
-*after* an attach — per-domain integrity trees, most notably — inherit
+matching slot of every component that declares it, so no layer
+re-enumerates the proc→hierarchy→MEE→memctrl→DRAM→crypto→tree layering
+to wire an instrument through.  Components created *after* an attach — per-domain integrity trees, most notably — inherit
 their parent's current instruments through :func:`adopt`.
 
 Two rules keep the hot paths honest:

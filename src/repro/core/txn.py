@@ -1,7 +1,7 @@
 """The per-access transaction context threaded down the memory path.
 
-A :class:`Txn` is created once per software-visible operation at the
-``SecureProcessor.read``/``write`` boundary and handed down through the
+A :class:`Txn` is created once per software-visible operation by the
+executor (``SecureProcessor._execute``) and handed down through the
 hierarchy, the memory encryption engine and the memory controller.  It
 carries the cross-cutting per-access state that PRs used to thread by
 hand — issuing core, operation, latency attribution parts, the

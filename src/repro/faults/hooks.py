@@ -2,11 +2,11 @@
 
 ``repro.mem`` and ``repro.secmem`` components each carry a ``fault_hook``
 attribute (``None`` by default, so the hot paths pay one attribute test).
-:meth:`~repro.secmem.engine.MemoryEncryptionEngine.install_fault_hook`
-wires a single hook object into all of them at once.  The lower layers
-never import this module — any object with these methods works — but
-:class:`FaultHook` is the canonical base class: subclass it and override
-the events you care about.
+``repro.core.attach(proc.mee, hook)`` wires a single hook object into
+every memory-side layer at once.  The lower layers never import this
+module — any object with these methods works — but :class:`FaultHook` is
+the canonical base class: subclass it and override the events you care
+about.
 
 Events
 ------

@@ -20,6 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core import FAULT_HOOK, attach, detach
 from repro.faults.hooks import FaultHook
 from repro.proc.processor import SecureProcessor
 from repro.utils.rng import DeterministicRng, derive_rng
@@ -91,11 +92,12 @@ class FaultInjector(FaultHook):
         self._meta_fill_actions: dict[int, Callable[[], None]] = {}
         self._drop_blocks: dict[int, InjectionHandle] = {}
         self._reorder_next: InjectionHandle | None = None
-        self.mee.install_fault_hook(self)
+        # Hooked at the engine, so data-cache fills stay unobserved.
+        attach(self.mee, self)
 
     def detach(self) -> None:
         """Unhook from every layer (armed faults are discarded)."""
-        self.mee.install_fault_hook(None)
+        detach(self.mee, FAULT_HOOK)
 
     # ------------------------------------------------------------------
     # Immediate corruptions (DRAM-resident state)

@@ -158,7 +158,7 @@ def _collect_trace(
 ) -> tuple[list[TraceEvent], int]:
     proc = SecureProcessor(config)
     tracer = Tracer(capacity=capacity)
-    proc.attach_tracer(tracer)
+    proc.attach(tracer)
     spec.run(proc, secret)
     return tracer.events(), tracer.dropped
 

@@ -77,8 +77,8 @@ def _rsa_run(proc: SecureProcessor, secret: object) -> None:
     base = rng.getrandbits(24) | 1
     modulus = rng.getrandbits(48) | (1 << 47) | 1
     # The fetch sequence is a pure function of the secret's bits, so it
-    # goes through the batch API; under the detector's tracer this runs
-    # the scalar reference path, so event streams are unchanged.
+    # goes through the batch API, which emits the same events as per-op
+    # calls.
     victim.modexp_batched(base, int(secret), modulus)
     proc.drain_writes()
 

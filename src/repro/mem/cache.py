@@ -195,11 +195,12 @@ class SetAssocCache(Component):
 
         When ``block`` is resident in set ``set_index`` this does what a
         touching :meth:`lookup` (plus :meth:`mark_dirty` when ``dirty``)
-        does to the cache — refresh recency, count the hit, OR in the
-        dirty bit — and returns True.  Otherwise it changes nothing, not
-        even the miss count, and returns False: the caller then takes the
-        full access path.  It emits no trace event, so it serves only
-        machines with no instrument attached (``SecureProcessor.run_batch``).
+        does — refresh recency, count the hit, OR in the dirty bit, emit
+        the same ``hit`` trace event — and returns True.  Otherwise it
+        changes and emits nothing, not even the miss, and returns False:
+        the caller then takes the full access path, whose lookup counts
+        and traces the miss.  The processor's executor serves every L1
+        hit this way, traced or not.
         """
         lines = self._sets.get(set_index)
         if lines is None or block not in lines:
@@ -211,6 +212,10 @@ class SetAssocCache(Component):
             if dirty:
                 lines[block] = True
         self._hits.value += 1
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.component_name, "hit", addr=block, set_index=set_index
+            )
         return True
 
     def contains(self, addr: int) -> bool:

@@ -132,9 +132,6 @@ class DramModel(Component):
         for bank in self._banks:
             bank.busy_until = max(bank.busy_until, now) + duration
 
-    def busy_until(self, addr: int) -> int:
-        return self._banks[self.bank_of(addr)].busy_until
-
     def max_busy_until(self) -> int:
         """Cycle by which every bank is idle again."""
         return max(bank.busy_until for bank in self._banks)

@@ -108,16 +108,12 @@ class DataCacheSystem(Component):
             return HierarchyResult(hit_level=1, latency=hit_latency[0])
 
         if caches.l2.lookup(block):
-            result = self._promote_to_l1(core, block, dirty=is_write)
-            result.hit_level = 2
-            result.latency += hit_latency[1]
-            return result
+            writebacks = self._fill_l1_only(core, block, dirty=is_write)
+            return HierarchyResult(2, hit_latency[1], writebacks)
 
         if l3.lookup(block):
-            result = self._promote_to_l1_l2(core, block, dirty=is_write)
-            result.hit_level = 3
-            result.latency += hit_latency[2]
-            return result
+            writebacks = self._fill_private(core, block, dirty=is_write)
+            return HierarchyResult(3, hit_latency[2], writebacks)
 
         return HierarchyResult(hit_level=None, latency=self.miss_lookup_latency)
 
@@ -139,49 +135,38 @@ class DataCacheSystem(Component):
         return writebacks
 
     def _fill_private(self, core: int, block: int, *, dirty: bool) -> list[int]:
-        caches = self.core_caches[core]
+        """Install ``block`` in ``core``'s L2 and L1."""
         writebacks: list[int] = []
-        l2_evt = caches.l2.insert(block)
+        l2_evt = self.core_caches[core].l2.insert(block)
         if l2_evt.evicted_addr is not None and l2_evt.evicted_dirty:
-            # Dirty L2 victim folds into the (inclusive) L3 copy if present,
-            # otherwise it must go to memory.
-            l3 = self._l3_of(core)
-            if l3.contains(l2_evt.evicted_addr):
-                l3.mark_dirty(l2_evt.evicted_addr)
-            else:
-                writebacks.append(l2_evt.evicted_addr)
-        l1_evt = caches.l1.insert(block, dirty=dirty)
-        if l1_evt.evicted_addr is not None and l1_evt.evicted_dirty:
-            if caches.l2.contains(l1_evt.evicted_addr):
-                caches.l2.mark_dirty(l1_evt.evicted_addr)
-            else:
-                l3 = self._l3_of(core)
-                if l3.contains(l1_evt.evicted_addr):
-                    l3.mark_dirty(l1_evt.evicted_addr)
-                else:
-                    writebacks.append(l1_evt.evicted_addr)
-        return writebacks
-
-    def _promote_to_l1(self, core: int, block: int, *, dirty: bool) -> HierarchyResult:
-        writebacks = self._fill_l1_only(core, block, dirty=dirty)
-        return HierarchyResult(hit_level=None, latency=0, writebacks=writebacks)
-
-    def _promote_to_l1_l2(
-        self, core: int, block: int, *, dirty: bool
-    ) -> HierarchyResult:
-        writebacks = self._fill_private(core, block, dirty=dirty)
-        return HierarchyResult(hit_level=None, latency=0, writebacks=writebacks)
+            writebacks += self._fold_dirty(
+                l2_evt.evicted_addr, (self._l3_of(core),)
+            )
+        return writebacks + self._fill_l1_only(core, block, dirty=dirty)
 
     def _fill_l1_only(self, core: int, block: int, *, dirty: bool) -> list[int]:
+        """Install ``block`` in ``core``'s L1 (an L2-hit promotion)."""
         caches = self.core_caches[core]
-        writebacks: list[int] = []
         l1_evt = caches.l1.insert(block, dirty=dirty)
-        if l1_evt.evicted_addr is not None and l1_evt.evicted_dirty:
-            if caches.l2.contains(l1_evt.evicted_addr):
-                caches.l2.mark_dirty(l1_evt.evicted_addr)
-            else:
-                writebacks.append(l1_evt.evicted_addr)
-        return writebacks
+        if l1_evt.evicted_addr is None or not l1_evt.evicted_dirty:
+            return []
+        return self._fold_dirty(
+            l1_evt.evicted_addr, (caches.l2, self._l3_of(core))
+        )
+
+    @staticmethod
+    def _fold_dirty(victim: int, lower: tuple[SetAssocCache, ...]) -> list[int]:
+        """Fold a dirty victim into the first ``lower`` level holding it.
+
+        An L2 may have dropped the line already, but the inclusive L3 of
+        the socket still holds it, so the dirty data stays on chip.
+        Returns ``[victim]`` only when no level does: it must go to memory.
+        """
+        for cache in lower:
+            if cache.contains(victim):
+                cache.mark_dirty(victim)
+                return []
+        return [victim]
 
     def _back_invalidate(self, core: int, block: int) -> bool:
         """Remove ``block`` from all private caches in ``core``'s socket."""

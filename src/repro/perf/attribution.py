@@ -1,7 +1,7 @@
 """Cycle attribution: where every simulated access's latency went.
 
 A :class:`CycleAttributor` attaches to a :class:`~repro.proc.processor.
-SecureProcessor` via ``proc.attach_profiler(attributor)``.  While attached,
+SecureProcessor` via ``proc.attach(attributor)``.  While attached,
 every software-visible operation (read, write, write-through, flush,
 drain fence) reports a per-component latency breakdown built at the points
 where the simulator composes latencies — the data-cache hierarchy, the MEE

@@ -73,8 +73,8 @@ class BenchResult:
 #: When set (see :func:`machine_instrument`), every scenario machine is
 #: passed through this hook right after construction — the seam that lets
 #: ``repro profile --scenario`` attach the cycle attributor without the
-#: scenarios knowing about profiling.  Instrumented machines take the
-#: scalar reference path in ``run_batch``, so the attribution is exact.
+#: scenarios knowing about profiling.  Instrumented machines run the same
+#: executor as bare ones, so the attribution covers the exact op stream.
 _MACHINE_INSTRUMENT: Callable[[SecureProcessor], None] | None = None
 
 
@@ -364,10 +364,10 @@ def run_scenario(
 def profile_scenario(name: str, *, seed: int = 0, quick: bool = False):
     """Run one scenario under the cycle-attribution profiler.
 
-    Returns ``(attributor, proc)`` for the scenario's machine.  With the
-    profiler attached the batch API takes the scalar reference path, so
-    the attribution is exact per-leg cycle accounting of the same event
-    stream the uninstrumented benchmark simulates.  Only processor-backed
+    Returns ``(attributor, proc)`` for the scenario's machine.  The
+    profiled machine runs the same executor as the uninstrumented
+    benchmark, so the attribution is exact per-leg cycle accounting of
+    the op stream the benchmark simulates.  Only processor-backed
     scenarios (``steady_*``, ``victim_rsa``, ``covert_t``) can be
     profiled; system scenarios measure across many short-lived machines.
     """
@@ -377,7 +377,7 @@ def profile_scenario(name: str, *, seed: int = 0, quick: bool = False):
 
     def _attach(proc: SecureProcessor) -> None:
         attributor = CycleAttributor()
-        proc.attach_profiler(attributor)
+        proc.attach(attributor)
         instrumented.append((proc, attributor))
 
     with machine_instrument(_attach):

@@ -11,8 +11,8 @@ CounterRegistry` into interchange formats:
   plain mapping / JSON document for ad-hoc tooling.
 
 :class:`MetricsSampler` turns the registry into a time series over
-*simulated* cycles: attach it to a processor with ``attach_sampler`` and
-it snapshots every ``every`` cycles.  When the buffer fills it decimates
+*simulated* cycles: attach it to a processor with ``proc.attach(sampler)``
+and it snapshots every ``every`` cycles.  When the buffer fills it decimates
 (keeps every other sample and doubles the interval), so memory stays
 bounded for arbitrarily long runs while coverage of the whole run is
 preserved at decreasing resolution.

@@ -1,23 +1,20 @@
 """Access batches: vectors of processor operations submitted in one call.
 
-The scalar ``SecureProcessor.read``/``write``/... operations stay the
-reference implementation; an :class:`AccessBatch` is just a recorded
-sequence of those operations that ``SecureProcessor.run_batch`` can
-execute with per-batch precomputed address decompositions and L1 hits
-served by ``SetAssocCache.hit``.  Batch execution is *semantically identical* to replaying
-the same operations through the scalar calls — same simulated cycles,
-same cache/counter state, same RNG draws — which the batch-vs-scalar
-equivalence property test (tests/test_batch.py) locks in.
-
-Whenever any instrument is attached (tracer, profiler, sampler, fault
-hook), ``run_batch`` falls back to the scalar loop outright, so
-instruments observe byte-identical event streams by construction.  See
-the "Functional/timing split & batching" section of docs/architecture.md.
+An :class:`AccessBatch` is a recorded sequence of the processor's
+``read``/``write``/``write_through``/``flush``/``drain_writes``
+operations.  ``SecureProcessor.run_batch`` hands it to the processor's
+one executor, the same code a scalar call runs as a one-op batch, so a
+batch is *semantically identical* to replaying its operations through
+the scalar calls — same simulated cycles, cache/counter state, RNG
+draws, trace events and cycle attribution, instrumented or not.  The
+batch-vs-scalar property suite (tests/test_batch.py) locks this in.  See
+"Executor" under "Functional/timing split & batching" in
+docs/architecture.md.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 # Operation kinds, small ints so the hot dispatch loop compares cheaply.
 OP_READ = 0
@@ -72,15 +69,6 @@ class AccessBatch:
         self.ops.append((OP_DRAIN, None, None, -1))
         return self
 
-    @classmethod
-    def reads(cls, addrs: Iterable[int], *, core: int = 0) -> "AccessBatch":
-        """A batch that reads every address in ``addrs`` in order."""
-        batch = cls()
-        ops = batch.ops
-        for addr in addrs:
-            ops.append((OP_READ, addr, None, core))
-        return batch
-
 
 class BatchResult:
     """Per-operation outcomes of one executed batch, aligned with its ops.
@@ -125,11 +113,3 @@ class BatchResult:
 
     def read_count(self) -> int:
         return sum(1 for op in self.ops if op[0] == OP_READ)
-
-    def paths(self) -> list:
-        """AccessPath of every read/write result, in submission order."""
-        return [
-            result.path
-            for op, result in zip(self.ops, self.results)
-            if op[0] in (OP_READ, OP_WRITE)
-        ]

@@ -14,6 +14,10 @@ paper's threat model assumes:
 * a global cycle clock advanced by every operation, so concurrently
   "running" attacker and victim calls observe each other through DRAM bank
   busy state (overflow bursts) and shared metadata-cache state.
+
+Every operation runs through one executor, ``SecureProcessor._execute``:
+a scalar call is a one-op batch and ``run_batch`` submits a recorded
+:class:`~repro.proc.batch.AccessBatch`, traced or not.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from repro.core import (
     slot_of,
 )
 from repro.core import attach as graph_attach
-from repro.core import detach as graph_detach
 from repro.mem.block import block_address
 from repro.mem.hierarchy import DataCacheSystem
 from repro.mem.memctrl import MemoryController
@@ -51,6 +54,11 @@ from repro.trace.counters import CounterRegistry
 
 _FLUSH_LATENCY = 40
 _STORE_BUFFER_LATENCY = 6
+_ZERO_BLOCK = bytes(BLOCK_SIZE)
+_OP_NAMES = ("read", "write")
+_L1_HIT = AccessPath.L1_HIT
+_HIT_PATHS = (AccessPath.L1_HIT, AccessPath.L2_HIT, AccessPath.L3_HIT)
+_HIT_KEYS = ("cache.l1_hit", "cache.l2_hit", "cache.l3_hit")
 
 
 @dataclass(slots=True)
@@ -75,9 +83,6 @@ class ProcessorStats:
     writes: int = 0
     flushes: int = 0
     path_counts: dict[AccessPath, int] = field(default_factory=dict)
-
-    def count(self, path: AccessPath) -> None:
-        self.path_counts[path] = self.path_counts.get(path, 0) + 1
 
 
 class SecureProcessor(Component):
@@ -141,8 +146,8 @@ class SecureProcessor(Component):
         ``repro.perf.MetricsSampler`` → ``sampler``) unless given
         explicitly.  Tracers get their clock bound to this processor's
         cycle counter; samplers take an initial snapshot.  Returns the
-        number of components reached; :func:`repro.core.detach` (or the
-        legacy ``attach_*(None)`` shims) restores the no-op fast path.
+        number of components reached; :func:`repro.core.detach` restores
+        the no-op fast path.
         """
         slot = slot if slot is not None else slot_of(instrument)
         if slot == TRACER and instrument is not None:
@@ -151,46 +156,6 @@ class SecureProcessor(Component):
         if slot == SAMPLER and instrument is not None:
             instrument.on_cycle(self.cycle)
         return count
-
-    def attach_tracer(self, tracer) -> None:
-        """Thread one trace sink through the whole machine.
-
-        Deprecated shim over :meth:`attach`.  Binds the tracer's clock to
-        this processor's cycle counter (so components that have no notion
-        of time stamp events correctly) and attaches it to every cache,
-        the memory controller, DRAM and the memory encryption engine.
-        ``None`` detaches everywhere.
-        """
-        if tracer is None:
-            graph_detach(self, TRACER)
-        else:
-            self.attach(tracer, slot=TRACER)
-
-    def attach_profiler(self, profiler) -> None:
-        """Attach a cycle attributor (``repro.perf.CycleAttributor``).
-
-        Deprecated shim over :meth:`attach`.  While attached, every
-        software-visible operation reports its latency as a per-component
-        breakdown whose sum equals the access's pre-jitter latency (the
-        conservation guarantee).  ``None`` detaches and restores the
-        zero-overhead path.
-        """
-        if profiler is None:
-            graph_detach(self, PROFILER)
-        else:
-            self.attach(profiler, slot=PROFILER)
-
-    def attach_sampler(self, sampler) -> None:
-        """Attach a metrics sampler (``repro.perf.MetricsSampler``).
-
-        Deprecated shim over :meth:`attach`.  The sampler snapshots
-        ``self.registry`` every N simulated cycles, ticked from the
-        operations that advance the machine clock.  ``None`` detaches.
-        """
-        if sampler is None:
-            graph_detach(self, SAMPLER)
-        else:
-            self.attach(sampler, slot=SAMPLER)
 
     # ------------------------------------------------------------------
     # Per-access transactions
@@ -263,275 +228,202 @@ class SecureProcessor(Component):
         return waited
 
     # ------------------------------------------------------------------
-    # Core operations
+    # Core operations (each one a one-op batch through the executor)
     # ------------------------------------------------------------------
 
     def read(self, addr: int, *, core: int = 0) -> AccessResult:
         """Load the block containing ``addr``."""
-        self._check_data_addr(addr)
-        self.stats.reads += 1
-        block = block_address(addr)
-        txn = self._begin("read", core, block)
-        hier = self.caches.access(core, block, is_write=False)
-        if hier.hit_level is not None:
-            path = (AccessPath.L1_HIT, AccessPath.L2_HIT, AccessPath.L3_HIT)[
-                hier.hit_level - 1
-            ]
-            self.stats.count(path)
-            self.cycle += hier.latency
-            txn.emit(
-                "proc", "read", core=core, addr=block, value=float(hier.latency)
-            )
-            txn.charge(f"cache.l{hier.hit_level}_hit", hier.latency)
-            self._finish(txn, path=path, latency=hier.latency)
-            return AccessResult(
-                latency=self._observed(hier.latency),
-                path=path,
-                cycle=self.cycle,
-                data=self._plain.get(block, bytes(BLOCK_SIZE)),
-                breakdown=txn.parts,
-            )
-        self._handle_writebacks(hier.writebacks)
-        txn.charge("cache.lookup", hier.latency)
-        outcome = self.mee.read_data(block, self.cycle + hier.latency, txn=txn)
-        for writeback in self.caches.fill(core, block, dirty=False):
-            self._enqueue_data_writeback(writeback)
-        latency = hier.latency + outcome.latency
-        self.cycle += latency
-        path = self._classify(outcome.counter_hit, outcome.tree_levels_missed)
-        self.stats.count(path)
-        txn.emit("proc", "read", core=core, addr=block, value=float(latency))
-        self._finish(txn, path=path, latency=latency)
-        return AccessResult(
-            latency=self._observed(latency),
-            path=path,
-            cycle=self.cycle,
-            counter_hit=outcome.counter_hit,
-            tree_levels_missed=outcome.tree_levels_missed,
-            data=outcome.plaintext,
-            breakdown=txn.parts,
-        )
+        return self._execute(((OP_READ, addr, None, core),))[0]
 
     def write(
         self, addr: int, data: bytes | None = None, *, core: int = 0
     ) -> AccessResult:
         """Store to the block containing ``addr`` (write-allocate/back)."""
-        self._check_data_addr(addr)
-        block = block_address(addr)
-        self._plain[block] = self._coerce_data(block, data)
-        self.stats.writes += 1
-        txn = self._begin("write", core, block)
-        hier = self.caches.access(core, block, is_write=True)
-        if hier.hit_level is not None:
-            self.cycle += hier.latency
-            path = (AccessPath.L1_HIT, AccessPath.L2_HIT, AccessPath.L3_HIT)[
-                hier.hit_level - 1
-            ]
-            txn.emit(
-                "proc", "write", core=core, addr=block, value=float(hier.latency)
-            )
-            txn.charge(f"cache.l{hier.hit_level}_hit", hier.latency)
-            self._finish(txn, path=path, latency=hier.latency)
-            return AccessResult(
-                latency=hier.latency, path=path, cycle=self.cycle,
-                breakdown=txn.parts,
-            )
-        self._handle_writebacks(hier.writebacks)
-        txn.charge("cache.lookup", hier.latency)
-        # Fetch-for-write: the miss path is the same as a read.
-        outcome = self.mee.read_data(block, self.cycle + hier.latency, txn=txn)
-        for writeback in self.caches.fill(core, block, dirty=True):
-            self._enqueue_data_writeback(writeback)
-        latency = hier.latency + outcome.latency
-        self.cycle += latency
-        path = self._classify(outcome.counter_hit, outcome.tree_levels_missed)
-        self.stats.count(path)
-        txn.emit("proc", "write", core=core, addr=block, value=float(latency))
-        self._finish(txn, path=path, latency=latency)
-        return AccessResult(
-            latency=latency,
-            path=path,
-            cycle=self.cycle,
-            counter_hit=outcome.counter_hit,
-            tree_levels_missed=outcome.tree_levels_missed,
-            breakdown=txn.parts,
-        )
+        return self._execute(((OP_WRITE, addr, data, core),))[0]
 
     def write_through(
         self, addr: int, data: bytes | None = None, *, core: int = 0
     ) -> AccessResult:
         """Persisted store: bypasses the caches and posts to the MC now."""
-        self._check_data_addr(addr)
-        block = block_address(addr)
-        self._plain[block] = self._coerce_data(block, data)
-        self.stats.writes += 1
-        txn = self._begin("write_through", core, block)
-        self.caches.flush(block)  # drop any stale cached copy
-        enqueue = self.mee.write_data(block, self._plain[block], self.cycle)
-        latency = _STORE_BUFFER_LATENCY + enqueue
-        self.cycle += latency
-        txn.emit(
-            "proc", "write_through", core=core, addr=block, value=float(latency)
-        )
-        txn.charge("op.store_buffer", _STORE_BUFFER_LATENCY)
-        txn.charge("op.enqueue", enqueue)
-        self._finish(txn, path=None, latency=latency)
-        return AccessResult(
-            latency=latency, path=AccessPath.L1_HIT, cycle=self.cycle,
-            breakdown=txn.parts,
-        )
+        return self._execute(((OP_WRITE_THROUGH, addr, data, core),))[0]
 
-    def flush(self, addr: int, *, keep_clean_copy: bool = False) -> int:
+    def flush(self, addr: int) -> int:
         """clflush: drop the block from every cache; write back if dirty."""
-        self.stats.flushes += 1
-        block = block_address(addr)
-        txn = self._begin("flush", -1, block)
-        was_dirty, writebacks = self.caches.flush(block)
-        del keep_clean_copy  # reserved for a clwb variant; clflush drops
-        if was_dirty:
-            for writeback in writebacks:
-                self._enqueue_data_writeback(writeback)
-        self.cycle += _FLUSH_LATENCY
-        txn.emit("proc", "flush", addr=block, value=float(was_dirty))
-        txn.charge("op.flush", _FLUSH_LATENCY)
-        self._finish(txn, path=None, latency=_FLUSH_LATENCY)
-        return _FLUSH_LATENCY
+        return self._execute(((OP_FLUSH, addr, None, -1),))[0]
 
     def drain_writes(self) -> None:
         """Fence: force the MC write queue to service everything queued."""
-        txn = self._begin("drain", -1, None)
-        txn.emit("proc", "drain")
-        self.memctrl.drain(self.cycle)
-        self.cycle += _STORE_BUFFER_LATENCY
-        # The drain burst itself is posted background work; only the
-        # fence's store-buffer cost lands on the issuing core.
-        txn.charge("op.store_buffer", _STORE_BUFFER_LATENCY)
-        self._finish(txn, path=None, latency=_STORE_BUFFER_LATENCY)
+        self._execute(((OP_DRAIN, None, None, -1),))
 
     def timed_read(self, addr: int, *, core: int = 0) -> int:
         """Read and return only the measured latency (rdtscp-style)."""
         return self.read(addr, core=core).latency
 
-    # ------------------------------------------------------------------
-    # Batch access path
-    # ------------------------------------------------------------------
-
-    def read_batch(self, addrs, *, core: int = 0) -> BatchResult:
-        """Load every address in ``addrs`` (in order) as one batch."""
-        return self.run_batch(AccessBatch.reads(addrs, core=core))
-
     def run_batch(self, batch: AccessBatch) -> BatchResult:
-        """Execute a recorded operation vector.
+        """Execute a recorded operation vector in one call."""
+        return BatchResult(batch.ops, self._execute(batch.ops))
 
-        Semantically identical to replaying the batch through the scalar
-        calls — same simulated cycles, cache/counter state and RNG draw
-        order (the equivalence property test asserts this).  With any
-        instrument attached (tracer, profiler, sampler, fault hook) the
-        scalar loop runs outright so event streams match byte-for-byte;
-        otherwise address decompositions are precomputed once per batch
-        and L1 hits — the steady-state common case — are served by one
-        ``SetAssocCache.hit`` call each, with every other operation
-        delegated to the scalar reference path.
+    # ------------------------------------------------------------------
+    # The executor: the one implementation of every operation
+    # ------------------------------------------------------------------
+
+    def _execute(self, ops) -> list:
+        """Run recorded ops in order; one result per op (see BatchResult).
+
+        Per-call lookups are hoisted out of the loop: the L1
+        ``decompose`` (L1 geometry is uniform across cores), the latency
+        constants, and one test for an attached instrument (tracer,
+        profiler, sampler or the engine's fault hook).  That test only
+        gates the instrument hooks — ``_begin``, ``txn.emit``/``charge``
+        and ``_finish`` — at fixed points of each op; traced and bare
+        runs execute the same code.  An L1 hit is served by
+        ``SetAssocCache.hit``, which emits the same trace event a lookup
+        does; any other access continues in :meth:`_below_l1`.
         """
-        ops = batch.ops
-        if (
-            self.tracer is not None
-            or self.profiler is not None
-            or self.sampler is not None
-            or self.mee.fault_hook is not None
-        ):
-            return BatchResult(ops, [self._run_op_scalar(op) for op in ops])
-
-        # Per-batch decomposition table: addr -> (block, L1 set index).
-        # L1 geometry is uniform across cores, so one table serves all.
-        decompose = self.caches.core_caches[0].l1.decompose
-        table: dict[int, tuple[int, int]] = {}
-        for op in ops:
-            addr = op[1]
-            if addr is not None and addr not in table:
-                table[addr] = decompose(addr)
-
-        core_caches = self.caches.core_caches
-        l1_latency = self.caches.hit_latency[0]
+        caches = self.caches
+        core_caches = caches.core_caches
+        decompose = core_caches[0].l1.decompose
+        l1_latency = caches.hit_latency[0]
         data_size = self.layout.data_size
+        mee = self.mee
         stats = self.stats
         path_counts = stats.path_counts
         plain = self._plain
         jitter = self.config.timer_jitter_sigma > 0
-        zero_block = bytes(BLOCK_SIZE)
+        instrumented = (
+            self.tracer is not None
+            or self.profiler is not None
+            or self.sampler is not None
+            or mee.fault_hook is not None
+        )
+        txn = NULL_TXN
         results: list = []
         append = results.append
         for kind, addr, data, core in ops:
-            if kind == OP_READ:
+            if kind <= OP_WRITE:
                 if not 0 <= addr < data_size:
                     self._check_data_addr(addr)
-                block, set_index = table[addr]
-                if not core_caches[core].l1.hit(block, set_index, False):
-                    append(self.read(addr, core=core))
-                    continue
-                # L1 read hit: byte-identical to the scalar path.
-                stats.reads += 1
-                path_counts[AccessPath.L1_HIT] = (
-                    path_counts.get(AccessPath.L1_HIT, 0) + 1
-                )
-                self.cycle += l1_latency
-                latency = (
-                    self._observed(l1_latency) if jitter else l1_latency
-                )
-                append(
-                    AccessResult(
-                        latency=latency,
-                        path=AccessPath.L1_HIT,
-                        cycle=self.cycle,
-                        data=plain.get(block, zero_block),
+                block, set_index = decompose(addr)
+                is_write = kind == OP_WRITE
+                if is_write:
+                    # Coerced before any cache sees the store, so a
+                    # rejected write leaves the machine untouched.
+                    plain[block] = self._coerce_data(block, data)
+                    stats.writes += 1
+                else:
+                    stats.reads += 1
+                if instrumented:
+                    txn = self._begin(_OP_NAMES[kind], core, block)
+                if core_caches[core].l1.hit(block, set_index, is_write):
+                    self.cycle += l1_latency
+                    latency, path, fetched = l1_latency, _L1_HIT, None
+                    if instrumented:
+                        txn.charge("cache.l1_hit", l1_latency)
+                else:
+                    latency, path, fetched = self._below_l1(
+                        core, block, is_write, txn
                     )
-                )
-            elif kind == OP_WRITE:
-                if not 0 <= addr < data_size:
-                    self._check_data_addr(addr)
-                block, set_index = table[addr]
-                # Validate the data before the cache sees the store, so a
-                # rejected write leaves the machine untouched.
-                value = (
-                    plain.get(block, zero_block)
-                    if data is None
-                    else self._coerce_data(block, data)
-                )
-                if not core_caches[core].l1.hit(block, set_index, True):
-                    append(self.write(addr, data, core=core))
-                    continue
-                # L1 write hit (scalar write hits skip path stats and
-                # timer jitter — preserved exactly).
-                plain[block] = value
-                stats.writes += 1
-                self.cycle += l1_latency
-                append(
-                    AccessResult(
-                        latency=l1_latency,
-                        path=AccessPath.L1_HIT,
-                        cycle=self.cycle,
+                if instrumented:
+                    txn.emit(
+                        "proc", _OP_NAMES[kind], core=core, addr=block,
+                        value=float(latency),
                     )
-                )
+                    self._finish(txn, path=path, latency=latency)
+                result = AccessResult(latency, path, self.cycle,
+                                      breakdown=txn.parts)
+                if fetched is not None:
+                    result.counter_hit = fetched.counter_hit
+                    result.tree_levels_missed = fetched.tree_levels_missed
+                # Writes report no timer jitter, and write hits add no
+                # path count.
+                if not is_write:
+                    path_counts[path] = path_counts.get(path, 0) + 1
+                    result.data = (
+                        plain.get(block, _ZERO_BLOCK)
+                        if fetched is None else fetched.plaintext
+                    )
+                    if jitter:
+                        result.latency = self._observed(latency)
+                elif fetched is not None:
+                    path_counts[path] = path_counts.get(path, 0) + 1
+                append(result)
             elif kind == OP_WRITE_THROUGH:
-                append(self.write_through(addr, data, core=core))
+                if not 0 <= addr < data_size:
+                    self._check_data_addr(addr)
+                block = block_address(addr)
+                value = plain[block] = self._coerce_data(block, data)
+                stats.writes += 1
+                if instrumented:
+                    txn = self._begin("write_through", core, block)
+                caches.flush(block)  # drop any stale cached copy
+                enqueue = mee.write_data(block, value, self.cycle)
+                latency = _STORE_BUFFER_LATENCY + enqueue
+                self.cycle += latency
+                if instrumented:
+                    txn.emit(
+                        "proc", "write_through", core=core, addr=block,
+                        value=float(latency),
+                    )
+                    txn.charge("op.store_buffer", _STORE_BUFFER_LATENCY)
+                    txn.charge("op.enqueue", enqueue)
+                    self._finish(txn, path=None, latency=latency)
+                append(AccessResult(latency, _L1_HIT, self.cycle,
+                                    breakdown=txn.parts))
             elif kind == OP_FLUSH:
-                append(self.flush(addr))
+                stats.flushes += 1
+                block = block_address(addr)
+                if instrumented:
+                    txn = self._begin("flush", -1, block)
+                was_dirty, writebacks = caches.flush(block)
+                for writeback in writebacks:
+                    self._enqueue_data_writeback(writeback)
+                self.cycle += _FLUSH_LATENCY
+                if instrumented:
+                    txn.emit("proc", "flush", addr=block, value=float(was_dirty))
+                    txn.charge("op.flush", _FLUSH_LATENCY)
+                    self._finish(txn, path=None, latency=_FLUSH_LATENCY)
+                append(_FLUSH_LATENCY)
             else:
-                append(self.drain_writes())
-        return BatchResult(ops, results)
+                if instrumented:
+                    txn = self._begin("drain", -1, None)
+                    txn.emit("proc", "drain")
+                self.memctrl.drain(self.cycle)
+                self.cycle += _STORE_BUFFER_LATENCY
+                if instrumented:
+                    # The drain burst itself is posted background work;
+                    # only the fence's store-buffer cost lands on the
+                    # issuing core.
+                    txn.charge("op.store_buffer", _STORE_BUFFER_LATENCY)
+                    self._finish(txn, path=None, latency=_STORE_BUFFER_LATENCY)
+                append(None)
+        return results
 
-    def _run_op_scalar(self, op) -> object:
-        """Scalar fallback: one batch op through the reference path."""
-        kind, addr, data, core = op
-        if kind == OP_READ:
-            return self.read(addr, core=core)
-        if kind == OP_WRITE:
-            return self.write(addr, data, core=core)
-        if kind == OP_WRITE_THROUGH:
-            return self.write_through(addr, data, core=core)
-        if kind == OP_FLUSH:
-            return self.flush(addr)
-        return self.drain_writes()
+    def _below_l1(self, core: int, block: int, is_write: bool, txn: Txn):
+        """An access that missed L1: the rest of the hierarchy, then memory.
+
+        Advances the clock and returns ``(latency, path, fetched)``, where
+        ``fetched`` is the engine's ``ReadOutcome`` on a full miss and
+        None when L2 or L3 hit.  Dirty victims the hierarchy pushes out
+        go to the memory controller on every path.
+        """
+        caches = self.caches
+        hier = caches.access(core, block, is_write=is_write)
+        for writeback in hier.writebacks:
+            self._enqueue_data_writeback(writeback)
+        level = hier.hit_level
+        if level is not None:
+            self.cycle += hier.latency
+            txn.charge(_HIT_KEYS[level - 1], hier.latency)
+            return hier.latency, _HIT_PATHS[level - 1], None
+        txn.charge("cache.lookup", hier.latency)
+        # A write miss fetches the block first: the same path as a read.
+        fetched = self.mee.read_data(block, self.cycle + hier.latency, txn=txn)
+        for writeback in caches.fill(core, block, dirty=is_write):
+            self._enqueue_data_writeback(writeback)
+        latency = hier.latency + fetched.latency
+        self.cycle += latency
+        path = self._classify(fetched.counter_hit, fetched.tree_levels_missed)
+        return latency, path, fetched
 
     # ------------------------------------------------------------------
     # Helpers
@@ -546,19 +438,13 @@ class SecureProcessor(Component):
 
     def _coerce_data(self, block: int, data: bytes | None) -> bytes:
         if data is None:
-            return self._plain.get(block, bytes(BLOCK_SIZE))
+            return self._plain.get(block, _ZERO_BLOCK)
         if len(data) > BLOCK_SIZE:
             raise ValueError("data exceeds one block")
         return bytes(data) + bytes(BLOCK_SIZE - len(data))
 
-    def _handle_writebacks(self, writebacks: list[int]) -> None:
-        for writeback in writebacks:
-            self._enqueue_data_writeback(writeback)
-
     def _enqueue_data_writeback(self, block: int) -> None:
-        self.mee.write_data(
-            block, self._plain.get(block, bytes(BLOCK_SIZE)), self.cycle
-        )
+        self.mee.write_data(block, self._plain.get(block, _ZERO_BLOCK), self.cycle)
 
     @staticmethod
     def _classify(counter_hit: bool, tree_levels_missed: int) -> AccessPath:
@@ -574,7 +460,7 @@ class SecureProcessor(Component):
 
     def architectural_value(self, addr: int) -> bytes:
         """Software-visible value of a block (for test oracles)."""
-        return self._plain.get(block_address(addr), bytes(BLOCK_SIZE))
+        return self._plain.get(block_address(addr), _ZERO_BLOCK)
 
     @property
     def metadata_cache(self):

@@ -28,16 +28,7 @@ from repro.config import (
     SecureProcessorConfig,
     TreeUpdatePolicy,
 )
-from repro.core import (
-    FAULT_HOOK,
-    NULL_TXN,
-    TRACER,
-    Component,
-    Txn,
-    adopt,
-    attach,
-    detach,
-)
+from repro.core import NULL_TXN, Component, Txn, adopt
 from repro.crypto.engine import CounterModeEngine
 from repro.crypto.mac import MacEngine
 from repro.crypto.prf import keyed_prf, node_hash
@@ -66,14 +57,6 @@ class ReadOutcome:
     counter_hit: bool
     tree_levels_missed: int
     plaintext: bytes
-    overflow_stall: int = 0
-    # Critical-path cycle attribution (``repro.perf``): component -> cycles,
-    # summing exactly to ``latency``.  ``shadowed`` holds the cycles of the
-    # fetch that lost the max(data, metadata) overlap race — real work, but
-    # hidden under the critical path, so excluded from the conserved sum.
-    # Both stay ``None`` unless ``read_data(..., breakdown=True)``.
-    breakdown: dict[str, int] | None = None
-    shadowed: dict[str, int] | None = None
 
 
 @dataclass
@@ -147,34 +130,6 @@ class MemoryEncryptionEngine(Component):
             kids.append(self.tree_cache)
         kids.extend(self._domain_trees.values())
         return tuple(kids)
-
-    def install_fault_hook(self, hook) -> None:
-        """Thread one fault-injection hook through every memory-side layer.
-
-        Deprecated shim over the component graph: equivalent to
-        ``repro.core.attach(engine, hook)``.  The hook (a
-        ``repro.faults.hooks.FaultHook``) observes DRAM accesses,
-        write-queue drains, cache fills, counter increments and metadata
-        fetches; ``None`` detaches everywhere.
-        """
-        if hook is None:
-            detach(self, FAULT_HOOK)
-        else:
-            attach(self, hook, slot=FAULT_HOOK)
-
-    def attach_tracer(self, tracer) -> None:
-        """Thread one trace sink through every memory-side layer.
-
-        Deprecated shim over the component graph: equivalent to
-        ``repro.core.attach(engine, tracer)``.  The tracer (a
-        ``repro.trace.Tracer``) receives metadata-cache hits/misses, tree
-        walks and updates, counter overflows, write-queue activity and
-        DRAM accesses; ``None`` detaches everywhere.
-        """
-        if tracer is None:
-            detach(self, TRACER)
-        else:
-            attach(self, tracer, slot=TRACER)
 
     # ------------------------------------------------------------------
     # Per-domain isolated trees (Section IX-C mitigation)
@@ -288,25 +243,18 @@ class MemoryEncryptionEngine(Component):
     # Read path (Figure 5 / Algorithm 2)
     # ------------------------------------------------------------------
 
-    def read_data(
-        self, addr: int, now: int, txn: Txn = NULL_TXN, *, breakdown: bool = False
-    ) -> ReadOutcome:
+    def read_data(self, addr: int, now: int, txn: Txn = NULL_TXN) -> ReadOutcome:
         """Service an LLC-missing read of a protected data block.
 
         ``txn`` is the per-access transaction handed down by the
         processor; while it is profiling, the latency is charged into it
         in per-component parts (the data/metadata fetches overlap, so the
         losing side of the ``max()`` race lands in the shadowed tally).
-        ``breakdown=True`` is the legacy direct-call form: the engine runs
-        its own transaction and returns the split on the outcome; see
-        :class:`ReadOutcome` and ``docs/performance.md``.
+        See ``docs/performance.md``.
         """
         block_addr = block_address(addr)
         if not self.layout.is_protected_data(block_addr):
             raise ValueError(f"address {addr:#x} is not protected data")
-        own = None
-        if breakdown and not txn.profiling:
-            own = txn = Txn("read", addr=block_addr, profiling=True)
         self.stats.reads += 1
         crypto = self.config.crypto
         cb_addr, cb_index, mac_addr = self.decompose(block_addr)
@@ -319,7 +267,6 @@ class MemoryEncryptionEngine(Component):
             data_latency += self.memctrl.read_block(
                 mac_addr, now + data_latency, txn=data
             )
-        stall = max(0, self.memctrl.dram.busy_until(block_addr) - now - data_latency)
 
         meta = txn.leg("meta.")
         counter_hit = self.meta_cache.lookup(cb_addr)
@@ -374,18 +321,11 @@ class MemoryEncryptionEngine(Component):
             txn.shadow(data)
         txn.charge("mee.decrypt", extra_crypto)
         txn.charge("mee.mac", crypto.mac_latency)
-        attributed = shadowed = None
-        if own is not None:
-            attributed = dict(own.parts)
-            shadowed = dict(own.shadowed)
         return ReadOutcome(
             latency=latency,
             counter_hit=counter_hit,
             tree_levels_missed=levels_missed,
             plaintext=plaintext,
-            overflow_stall=stall,
-            breakdown=attributed,
-            shadowed=shadowed,
         )
 
     def _verify_walk(

@@ -106,9 +106,8 @@ def _execute(proc: SecureProcessor, program: Program, secret: object) -> None:
     """Run one side of the paired experiment (``secret`` is the bit).
 
     The whole program is a pure function of the bit (guards are resolved
-    at record time), so it compiles to one access batch; under the
-    oracle's tracer this executes the scalar reference path, keeping
-    event streams identical to per-op execution.
+    at record time), so it compiles to one access batch, whose event
+    stream is identical to per-op execution.
     """
     bit = int(secret) & 1  # type: ignore[call-overload]
     allocator = PageAllocator(

@@ -1,6 +1,6 @@
 """``repro.trace`` — metadata event tracing and the counter registry.
 
-Attach a :class:`Tracer` with ``proc.attach_tracer(tracer)`` to capture
+Attach a :class:`Tracer` with ``proc.attach(tracer)`` to capture
 structured :class:`TraceEvent` streams from every layer of the machine;
 read per-component tallies from ``proc.registry`` (a hierarchical
 :class:`CounterRegistry`).  See ``docs/observability.md``.

@@ -3,8 +3,8 @@
 A :class:`Tracer` is a bounded ring buffer of :class:`TraceEvent` records.
 Components hold a ``tracer`` attribute that is ``None`` by default — the
 zero-overhead-when-off contract is a single ``is not None`` test on every
-instrumented path — and :meth:`SecureProcessor.attach_tracer
-<repro.proc.processor.SecureProcessor.attach_tracer>` threads one tracer
+instrumented path — and :meth:`SecureProcessor.attach
+<repro.proc.processor.SecureProcessor.attach>` threads one tracer
 through every layer (caches, memory controller, DRAM, encryption engine,
 integrity trees, crypto engine).
 

@@ -4,25 +4,23 @@ Both subsystems stamp persisted measurements with the git revision they
 were produced under, so a cached or baseline result can never be
 silently compared against — or served for — a different code version.
 
-The revision is memoised after the first successful read: long-running
-consumers (the leakcheck service constructs one campaign engine per
-job) would otherwise fork a ``git`` subprocess on every task, and the
-revision cannot change under a running process anyway.
+The revision is resolved once per process, whatever the outcome: long-
+running consumers (the leakcheck service constructs one campaign engine
+per job) would otherwise fork a ``git`` subprocess on every task, and
+neither the revision nor the absence of a checkout can change under a
+running process.
 """
 
 from __future__ import annotations
 
+import functools
 import pathlib
 import subprocess
 
-_cached_rev: str | None = None
 
-
-def git_rev(*, refresh: bool = False) -> str:
+@functools.cache
+def git_rev() -> str:
     """The repository HEAD revision, or ``"unknown"`` outside a checkout."""
-    global _cached_rev
-    if _cached_rev is not None and not refresh:
-        return _cached_rev
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -33,5 +31,4 @@ def git_rev(*, refresh: bool = False) -> str:
         return "unknown"
     if out.returncode != 0:
         return "unknown"
-    _cached_rev = out.stdout.strip()
-    return _cached_rev
+    return out.stdout.strip()

@@ -172,13 +172,16 @@ class TestBatchScalarEquivalence:
         assert _cache_states(batch_proc) == _cache_states(scalar_proc) == before
 
     @pytest.mark.parametrize("preset", PRESETS)
-    def test_read_batch_matches_read_loop(self, preset):
+    def test_read_sequence_matches_read_loop(self, preset):
         scalar_proc = _machine(preset)
         batch_proc = _machine(preset)
         rng = Random(7)
         addrs = [rng.randrange(48) * PAGE_SIZE for _ in range(96)]
         scalar_results = [scalar_proc.read(addr, core=1) for addr in addrs]
-        batch_result = batch_proc.read_batch(addrs, core=1)
+        batch = AccessBatch()
+        for addr in addrs:
+            batch.read(addr, core=1)
+        batch_result = batch_proc.run_batch(batch)
         assert batch_result.read_latencies() == [
             result.latency for result in scalar_results
         ]
@@ -191,8 +194,8 @@ class TestBatchScalarEquivalence:
         scalar_proc = _machine("sct")
         batch_proc = _machine("sct")
         scalar_tracer, batch_tracer = Tracer(), Tracer()
-        scalar_proc.attach_tracer(scalar_tracer)
-        batch_proc.attach_tracer(batch_tracer)
+        scalar_proc.attach(scalar_tracer)
+        batch_proc.attach(batch_tracer)
         vector = _op_vector(scalar_proc, seed=11)
         scalar_results = _run_scalar(scalar_proc, vector)
         batch_result = batch_proc.run_batch(_as_batch(vector))
@@ -205,8 +208,8 @@ class TestBatchScalarEquivalence:
         """Per-leg cycle breakdowns match under the cycle attributor."""
         scalar_proc = _machine("sct")
         batch_proc = _machine("sct")
-        scalar_proc.attach_profiler(CycleAttributor())
-        batch_proc.attach_profiler(CycleAttributor())
+        scalar_proc.attach(CycleAttributor())
+        batch_proc.attach(CycleAttributor())
         vector = _op_vector(scalar_proc, seed=23)
         scalar_results = _run_scalar(scalar_proc, vector)
         batch_result = batch_proc.run_batch(_as_batch(vector))

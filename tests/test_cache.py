@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig
+from repro.core import attach
 from repro.mem.cache import SetAssocCache
+from repro.trace import Tracer
 
 
 def small_cache(sets=4, ways=2):
@@ -38,6 +40,26 @@ class TestLookupInsert:
         assert cache.lookup(0x1000)
         assert cache.hits == 1
         assert cache.misses == 1
+
+    def test_hit_traces_exactly_what_lookup_traces(self):
+        """Under a tracer, ``hit`` emits the event a ``lookup`` of the same
+        resident block emits, and nothing at all on a miss."""
+        via_hit, via_lookup = small_cache(), small_cache()
+        tracers = Tracer(), Tracer()
+        for cache, tracer in zip((via_hit, via_lookup), tracers):
+            cache.insert(0x1040)
+            attach(cache, tracer)
+        block, set_index = via_hit.decompose(0x1040)
+        assert via_hit.hit(block, set_index, False)
+        assert via_lookup.lookup(0x1040)
+        [event] = tracers[0].raw_events()
+        assert tracers[1].raw_events() == [event]
+        assert (event.component, event.kind, event.addr, event.set_index) == (
+            "cache.t", "hit", block, set_index
+        )
+        block, set_index = via_hit.decompose(0x2000)
+        assert not via_hit.hit(block, set_index, True)
+        assert tracers[0].raw_events() == [event]
 
     def test_insert_same_block_no_evict(self):
         cache = small_cache()

@@ -395,9 +395,12 @@ class TestEngineDegradations:
         def no_waiting(*_args, **_kwargs):
             raise AssertionError("the coordinator waited")
 
+        # Built first: the constructor may read the git revision, whose
+        # subprocess polls with time.sleep.  The no-wait patch covers all
+        # of engine.run.
+        engine = CampaignEngine(jobs=1)
         monkeypatch.setattr(engine_mod.mp_connection, "wait", no_waiting)
         monkeypatch.setattr(engine_mod.time, "sleep", no_waiting)
-        engine = CampaignEngine(jobs=1)
         report = engine.run(_tasks([2, 3, 4]))
         assert report.status == "pass"
         snapshot = engine.registry.snapshot()

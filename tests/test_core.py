@@ -4,8 +4,8 @@ Covers the structural invariants the refactor rests on (walk reaches
 every component exactly once, attach is idempotent, detach restores the
 zero-allocation fast path), the late-created-component regression
 (per-domain integrity trees built after an attach still see the tracer
-and fault hook), shim-vs-generic equivalence, and the source-scan guard
-that keeps instrument threading centralised in ``repro/core``.
+and fault hook), and the source-scan guard that keeps instrument
+threading centralised in ``repro/core``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.core import (
     NULL_TXN,
     TRACER,
     Txn,
+    attach,
     detach,
     slot_of,
     walk,
@@ -124,23 +125,13 @@ class TestComponentGraph:
         assert proc._begin("read", 0, 0) is NULL_TXN
         assert proc.read(0).breakdown is None
 
-    def test_shim_none_detaches_everywhere(self):
-        proc = _machine()
-        proc.attach_tracer(Tracer())
-        proc.attach_profiler(CycleAttributor())
-        proc.attach_tracer(None)
-        proc.attach_profiler(None)
-        for node in walk(proc):
-            assert getattr(node, "tracer", None) is None
-        assert proc.profiler is None
-        assert proc._begin("read", 0, 0) is NULL_TXN
-
-    def test_install_fault_hook_spares_data_caches(self):
-        """FaultInjector semantics: the MEE shim reaches the memory side
-        only, so data-cache fills never dispatch ``on_cache_fill``."""
+    def test_engine_fault_hook_spares_data_caches(self):
+        """FaultInjector semantics: a hook attached at the MEE reaches the
+        memory side only, so data-cache fills never dispatch
+        ``on_cache_fill``."""
         proc = _machine()
         hook = FaultHook()
-        proc.mee.install_fault_hook(hook)
+        attach(proc.mee, hook)
         assert proc.mee.fault_hook is hook
         assert proc.memctrl.fault_hook is hook
         assert proc.memctrl.dram.fault_hook is hook
@@ -148,7 +139,7 @@ class TestComponentGraph:
         assert proc.mee.meta_cache.fault_hook is hook
         assert proc.caches.core_caches[0].l1.fault_hook is None
         assert proc.caches.l3s[0].fault_hook is None
-        proc.mee.install_fault_hook(None)
+        detach(proc.mee, FAULT_HOOK)
         assert proc.mee.fault_hook is None
         assert proc.memctrl.dram.fault_hook is None
 
@@ -212,9 +203,9 @@ class TestLateDomainTrees:
     def test_tree_built_after_attach_inherits_instruments(self):
         proc = SecureProcessor(isolated_tree_config(protected_size=4 << 20))
         tracer = Tracer()
-        proc.attach_tracer(tracer)
+        proc.attach(tracer)
         hook = _RecordingHook()
-        proc.mee.install_fault_hook(hook)
+        attach(proc.mee, hook)
         frame = 3
         assign_domains(proc, {1: [frame]})
         addr = frame * 4096
@@ -238,39 +229,6 @@ class TestLateDomainTrees:
         assign_domains(proc, {1: [2]})
         proc.write(2 * 4096, b"x")
         assert proc.mee._domain_trees[1].tracer is None
-
-
-# ----------------------------------------------------------------------
-# Shim-vs-generic equivalence
-# ----------------------------------------------------------------------
-
-
-class TestShimEquivalence:
-    def test_shims_and_generic_attach_produce_identical_observations(self):
-        proc_shim, proc_generic = _machine(), _machine()
-        tracer_shim, tracer_generic = Tracer(), Tracer()
-        prof_shim, prof_generic = CycleAttributor(), CycleAttributor()
-        proc_shim.attach_tracer(tracer_shim)
-        proc_shim.attach_profiler(prof_shim)
-        proc_generic.attach(tracer_generic)
-        proc_generic.attach(prof_generic)
-        _workload(proc_shim)
-        _workload(proc_generic)
-        assert tracer_shim.events() == tracer_generic.events()
-        assert prof_shim.component_totals() == prof_generic.component_totals()
-        assert prof_shim.cycles == prof_generic.cycles
-        assert prof_shim.accesses == prof_generic.accesses
-
-    def test_fault_hook_shim_matches_generic_attach_at_engine(self):
-        from repro.core import attach
-
-        proc_shim, proc_generic = _machine(), _machine()
-        hook_shim, hook_generic = _RecordingHook(), _RecordingHook()
-        proc_shim.mee.install_fault_hook(hook_shim)
-        attach(proc_generic.mee, hook_generic, slot=FAULT_HOOK)
-        _workload(proc_shim)
-        _workload(proc_generic)
-        assert hook_shim.meta_fetches == hook_generic.meta_fetches
 
 
 # ----------------------------------------------------------------------

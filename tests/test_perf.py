@@ -62,7 +62,7 @@ class TestConservation:
         """
         proc = _machine(preset)
         attributor = CycleAttributor(keep_records=True)
-        proc.attach_profiler(attributor)
+        proc.attach(attributor)
         _exercise_paths(proc)
         attributor.verify()
         assert attributor.accesses > 0
@@ -77,7 +77,7 @@ class TestConservation:
     def test_tree_walk_components_attributed_per_level(self):
         proc = _machine("sct")
         attributor = CycleAttributor()
-        proc.attach_profiler(attributor)
+        proc.attach(attributor)
         _exercise_paths(proc)
         totals = attributor.component_totals()
         assert any(key.startswith("meta.tree.l0.") for key in totals)
@@ -100,7 +100,7 @@ class TestConservation:
 
     def test_breakdown_matches_result_latency(self):
         proc = _machine("sct")
-        proc.attach_profiler(CycleAttributor())
+        proc.attach(CycleAttributor())
         result = proc.read(8 * PAGE_SIZE)
         assert result.breakdown is not None
         assert sum(result.breakdown.values()) == result.latency
@@ -110,7 +110,7 @@ class TestReports:
     def _attributed(self) -> CycleAttributor:
         proc = _machine("sct")
         attributor = CycleAttributor()
-        proc.attach_profiler(attributor)
+        proc.attach(attributor)
         _exercise_paths(proc)
         return attributor
 
@@ -199,7 +199,7 @@ class TestMetrics:
     def test_sampler_snapshots_every_interval(self):
         proc = _machine("sct")
         sampler = MetricsSampler(proc.registry, every=1000)
-        proc.attach_sampler(sampler)
+        proc.attach(sampler)
         _exercise_paths(proc)
         assert len(sampler.samples) >= 2
         cycles = [cycle for cycle, _ in sampler.samples]
@@ -213,7 +213,7 @@ class TestMetrics:
     def test_sampler_decimates_to_bounded_memory(self):
         proc = _machine("sct")
         sampler = MetricsSampler(proc.registry, every=1, max_samples=8)
-        proc.attach_sampler(sampler)
+        proc.attach(sampler)
         _exercise_paths(proc)
         assert len(sampler.samples) < 8
         assert sampler.every > 1  # interval doubled at least once

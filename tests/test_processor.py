@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import MIB, SecureProcessorConfig
+from repro.config import BLOCK_SIZE, MIB, SecureProcessorConfig
 from repro.proc import AccessPath, SecureProcessor
 
 
@@ -67,6 +67,42 @@ class TestWriteSemantics:
         pending_before = proc.memctrl.pending_writes()
         proc.flush(0x3000)
         assert proc.memctrl.pending_writes() == pending_before
+
+
+class TestWriteBacks:
+    def test_dirty_l1_victim_of_an_l2_hit_promotion_is_not_lost(self, proc):
+        """An L2-hit promotion that evicts a dirty L1 line whose L2 copy
+        is gone folds the data into the inclusive L3, so it reaches
+        memory when L3 evicts the line."""
+        caches = proc.caches.core_caches[0]
+        l1, l2, l3 = caches.l1, caches.l2, proc.caches.l3s[0]
+        # Addresses this far apart share an L1, L2 or L3 set.
+        l1_stride, l2_stride, l3_stride = (
+            cache.num_sets * BLOCK_SIZE for cache in (l1, l2, l3)
+        )
+        x, z = 0, l1_stride  # same L1 set, different L2 sets
+        proc.write(x, b"must survive")
+        proc.read(z)
+        conflicts = [x + k * l2_stride for k in range(1, l2.ways + 1)]
+        for addr in conflicts:
+            proc.read(addr)
+        assert l1.is_dirty(x) and not l2.contains(x)
+        # Touch X so Z is the set's least recently used line, fill the
+        # free ways plus one so Z leaves L1, then make X the LRU line.
+        proc.read(x)
+        free_ways = l1.ways - 2 - len(conflicts)
+        for k in range(2, 2 + free_ways + 1):
+            proc.read(x + k * l1_stride)
+        assert not l1.contains(z)
+        for addr in conflicts:
+            proc.read(addr)
+        assert proc.read(z).path is AccessPath.L2_HIT
+        assert not l1.contains(x)
+        for k in range(1, l3.ways + 1):
+            proc.read(x + k * l3_stride)
+        assert not proc.caches.contains(x)
+        assert proc.read(x).data == proc.architectural_value(x)
+        assert proc.architectural_value(x).startswith(b"must survive")
 
 
 class TestStats:

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.config import SecureProcessorConfig
+from repro.core import TRACER, detach
+from repro.proc import AccessBatch
 from repro.proc.processor import SecureProcessor
 from repro.trace import (
     Counter,
@@ -42,7 +44,7 @@ class TestTracer:
     def test_events_nondecreasing_cycle_order(self):
         proc = _machine()
         tracer = Tracer()
-        proc.attach_tracer(tracer)
+        proc.attach(tracer)
         _exercise(proc)
         events = tracer.events()
         assert events, "instrumented machine produced no events"
@@ -63,8 +65,8 @@ class TestTracer:
         assert proc.tracer is None  # off by default
         _exercise(proc)
         tracer = Tracer()
-        proc.attach_tracer(tracer)
-        proc.attach_tracer(None)  # detach again
+        proc.attach(tracer)
+        detach(proc, TRACER)
         _exercise(proc)
         assert len(tracer) == 0
         assert tracer.emitted == 0
@@ -72,14 +74,37 @@ class TestTracer:
     def test_attach_does_not_add_counters(self):
         proc = _machine()
         before = set(proc.registry.snapshot())
-        proc.attach_tracer(Tracer())
+        proc.attach(Tracer())
         _exercise(proc)
         assert set(proc.registry.snapshot()) == before
+
+    def test_traced_batch_serves_l1_hits_on_the_fast_path(self):
+        """A traced batch over L1-resident lines records, per access, the
+        L1 hit and then the processor read — nothing else."""
+        proc = _machine()
+        addrs = [i * 64 for i in range(4)]
+        for addr in addrs:
+            proc.read(addr)
+        tracer = Tracer()
+        proc.attach(tracer)
+        batch = AccessBatch()
+        for addr in addrs:
+            batch.read(addr, core=0)
+        proc.run_batch(batch)
+        pairs = [
+            (event.component, event.kind, event.addr)
+            for event in tracer.raw_events()
+        ]
+        assert pairs == [
+            entry
+            for addr in addrs
+            for entry in (("cache.L1", "hit", addr), ("proc", "read", addr))
+        ]
 
     def test_clock_binding_stamps_component_events(self):
         proc = _machine()
         tracer = Tracer()
-        proc.attach_tracer(tracer)
+        proc.attach(tracer)
         proc.advance(1234)
         # A cache emits without cycle knowledge; the bound clock fills it in.
         proc.caches.core_caches[0].l1.lookup(0)
@@ -218,7 +243,7 @@ class TestExport:
     def _sample_events(self) -> list[TraceEvent]:
         proc = _machine()
         tracer = Tracer()
-        proc.attach_tracer(tracer)
+        proc.attach(tracer)
         _exercise(proc, blocks=8)
         return tracer.events()
 

@@ -1,11 +1,16 @@
-"""Unit tests for repro.utils (bitops, rng, stats)."""
+"""Unit tests for repro.utils (bitops, rng, stats, provenance)."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.utils import (
     DeterministicRng,
     accuracy,
@@ -162,3 +167,36 @@ class TestStats:
     def test_otsu_property_bimodal(self, low, high):
         threshold = otsu_threshold(low + high)
         assert max(low) <= threshold <= min(high) + 1e-6
+
+
+# A fresh interpreter, so no earlier lookup has memoised the revision.
+_GIT_REV_SCRIPT = """
+import subprocess
+from repro.utils import provenance
+
+forks = []
+
+def failing_git(args, **kwargs):
+    forks.append(args)
+    if {oserror}:
+        raise OSError("git not found")
+    return subprocess.CompletedProcess(args, 128, "", "not a git repository")
+
+subprocess.run = failing_git
+print(provenance.git_rev(), provenance.git_rev(), len(forks))
+"""
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("oserror", [False, True], ids=["exit", "oserror"])
+    def test_failing_git_forks_once(self, oserror):
+        """Outside a checkout, ``"unknown"`` is memoised like a revision:
+        a process forks ``git`` at most once."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", _GIT_REV_SCRIPT.format(oserror=oserror)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["unknown", "unknown", "1"]
