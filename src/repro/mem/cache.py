@@ -34,6 +34,7 @@ when a set is first touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from repro.config import CacheConfig
@@ -118,7 +119,9 @@ class SetAssocCache(Component):
         self._misses = self.counters.counter("misses")
         self._fills = self.counters.counter("fills")
         self._evictions = self.counters.counter("evictions")
-        self.counters.gauge("occupancy", self.occupancy)
+        # Gauges read the state they report, not the cache, so the
+        # machine graph stays acyclic (docs/architecture.md).
+        self.counters.gauge("occupancy", partial(_resident_blocks, self._sets))
         # Instrument slots (tracer, fault_hook) are created detached by
         # the component graph; attach via ``repro.core.attach``.
         self.init_component(f"cache.{config.name}")
@@ -312,7 +315,7 @@ class SetAssocCache(Component):
 
     def occupancy(self) -> int:
         """Total resident blocks across all sets."""
-        return sum(map(len, self._sets.values()))
+        return _resident_blocks(self._sets)
 
     def state_snapshot(self) -> dict[int, tuple[tuple[int, bool], ...]]:
         """Canonical functional state: set index -> ordered (block, dirty).
@@ -339,9 +342,14 @@ class SetAssocCache(Component):
     def clear(self) -> None:
         # Matches the old eager clear(), which rebuilt set ``i`` with
         # policy seed ``i`` (not ``seed + i``): drop every set and let
-        # lazy re-creation run from a zero seed base.
-        self._sets = {}
+        # lazy re-creation run from a zero seed base.  The set map is
+        # emptied in place: the occupancy gauge holds it.
+        self._sets.clear()
         self._seed = 0
+
+
+def _resident_blocks(sets: dict[int, dict[int, bool]]) -> int:
+    return sum(map(len, sets.values()))
 
 
 def invalidate_level(caches: Sequence[SetAssocCache], addr: int) -> bool:

@@ -9,6 +9,7 @@ delay concurrent reads and become observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.config import DramConfig
 from repro.core import Component
@@ -37,7 +38,8 @@ class DramModel(Component):
         self._writes = self.counters.counter("writes")
         self._row_hits = self.counters.counter("row_hits")
         self._row_misses = self.counters.counter("row_misses")
-        self.counters.gauge("max_busy_until", self.max_busy_until)
+        # Bound to the bank list, not the model: no back-reference.
+        self.counters.gauge("max_busy_until", partial(_latest_busy, self._banks))
         # Instrument slots (tracer for every access, fault_hook for
         # campaign triggers) are created detached by the component graph.
         self.init_component("dram")
@@ -134,4 +136,8 @@ class DramModel(Component):
 
     def max_busy_until(self) -> int:
         """Cycle by which every bank is idle again."""
-        return max(bank.busy_until for bank in self._banks)
+        return _latest_busy(self._banks)
+
+
+def _latest_busy(banks: list[_BankState]) -> int:
+    return max(bank.busy_until for bank in banks)

@@ -14,11 +14,14 @@ explicitly:
 Security work done at write-service time (encryption, counter increment,
 possible overflow handling) is delegated to a ``write_sink`` callback
 installed by the memory encryption engine, keeping this module free of
-metadata knowledge.
+metadata knowledge.  The engine owns this controller, so the sink is
+held weakly: a machine that is dropped is freed by reference counting
+(docs/architecture.md).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,14 +54,15 @@ class MemoryController(Component):
         self.config = config
         self.dram = DramModel(dram_config)
         self._write_queue: dict[int, WriteQueueEntry] = {}
-        self._write_sink: WriteSink | None = None
+        self._write_sink: weakref.WeakMethod | None = None
         self.counters = CounterRegistry()
         self._reads_serviced = self.counters.counter("reads_serviced")
         self._writes_serviced = self.counters.counter("writes_serviced")
         self._writes_merged = self.counters.counter("writes_merged")
         self._drains = self.counters.counter("drains")
         self._writes_dropped = self.counters.counter("writes_dropped")
-        self.counters.gauge("write_queue_depth", self.pending_writes)
+        # Bound to the queue, not the controller: no back-reference.
+        self.counters.gauge("write_queue_depth", self._write_queue.__len__)
         # Instrument slots (tracer, fault_hook — the latter may drop or
         # reorder drain bursts) are created detached by the component graph.
         self.init_component("memctrl")
@@ -111,8 +115,13 @@ class MemoryController(Component):
         self._writes_dropped.value = value
 
     def set_write_sink(self, sink: WriteSink) -> None:
-        """Install the security-engine callback run when a write services."""
-        self._write_sink = sink
+        """Install the security-engine callback run when a write services.
+
+        ``sink`` must be a bound method.  It is held weakly, since its
+        owner normally owns this controller; once the owner is gone,
+        drains service writes with no security work.
+        """
+        self._write_sink = weakref.WeakMethod(sink)
 
     # ------------------------------------------------------------------
     # Reads
@@ -191,6 +200,7 @@ class MemoryController(Component):
             return now
         self._drains.value += 1
         t = now
+        sink = self._write_sink() if self._write_sink is not None else None
         entries = list(self._write_queue.values())
         self._write_queue.clear()
         if self.fault_hook is not None:
@@ -204,8 +214,8 @@ class MemoryController(Component):
         for entry in entries:
             t += self.dram.access(entry.addr, t, is_write=True)
             self._writes_serviced.value += 1
-            if self._write_sink is not None:
-                t += self._write_sink(entry.addr, t)
+            if sink is not None:
+                t += sink(entry.addr, t)
             if self.tracer is not None:
                 self.tracer.emit(
                     "memctrl", "write_service", cycle=t, addr=entry.addr

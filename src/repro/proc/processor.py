@@ -22,7 +22,9 @@ a scalar call is a one-op batch and ``run_batch`` submits a recorded
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.config import BLOCK_SIZE, SecureProcessorConfig
 from repro.core import (
@@ -90,9 +92,9 @@ class SecureProcessor(Component):
 
     The processor is the root of the component graph (``repro.core``):
     ``attach`` installs an instrument — tracer, fault hook, cycle
-    attributor, metrics sampler — across the whole machine in one walk,
-    and every software-visible operation runs under a per-access
-    :class:`~repro.core.Txn` created by :meth:`_begin`.
+    attributor, metrics sampler — across the whole machine in one walk.
+    While a profiler is attached, every software-visible operation runs
+    under a per-access :class:`~repro.core.Txn` opened by :meth:`_begin`.
     """
 
     instrument_slots = (TRACER, FAULT_HOOK, PROFILER, SAMPLER)
@@ -145,13 +147,14 @@ class SecureProcessor(Component):
         ``repro.perf.CycleAttributor`` → ``profiler``,
         ``repro.perf.MetricsSampler`` → ``sampler``) unless given
         explicitly.  Tracers get their clock bound to this processor's
-        cycle counter; samplers take an initial snapshot.  Returns the
-        number of components reached; :func:`repro.core.detach` restores
-        the no-op fast path.
+        cycle counter through a weak proxy, so the tracer does not keep
+        the machine alive; samplers take an initial snapshot.  Returns
+        the number of components reached; :func:`repro.core.detach`
+        restores the no-op fast path.
         """
         slot = slot if slot is not None else slot_of(instrument)
         if slot == TRACER and instrument is not None:
-            instrument.bind_clock(lambda: self.cycle)
+            instrument.bind_clock(partial(getattr, weakref.proxy(self), "cycle"))
         count = graph_attach(self, instrument, slot=slot)
         if slot == SAMPLER and instrument is not None:
             instrument.on_cycle(self.cycle)
@@ -164,26 +167,14 @@ class SecureProcessor(Component):
     def _begin(self, op: str, core: int, addr: int | None) -> Txn:
         """Open the transaction for one software-visible operation.
 
-        Returns the shared no-op :data:`~repro.core.NULL_TXN` when nothing
-        is attached anywhere — the zero-overhead fast path allocates
-        nothing.  Otherwise the transaction carries the attached tracer
-        and the engine's fault hook down the memory path, and builds
-        attribution parts only while a profiler is attached.
+        A transaction only collects latency attribution, so it exists
+        only while a profiler is attached; otherwise this returns the
+        shared no-op :data:`~repro.core.NULL_TXN` and allocates nothing,
+        traced or not.
         """
-        if (
-            self.tracer is None
-            and self.profiler is None
-            and self.mee.fault_hook is None
-        ):
+        if self.profiler is None:
             return NULL_TXN
-        return Txn(
-            op,
-            core,
-            addr,
-            tracer=self.tracer,
-            fault_hook=self.mee.fault_hook,
-            profiling=self.profiler is not None,
-        )
+        return Txn(op, core, addr)
 
     def _finish(self, txn: Txn, *, path: AccessPath | None, latency: int) -> None:
         """Close a transaction: report attribution, tick the sampler."""
@@ -274,11 +265,11 @@ class SecureProcessor(Component):
         ``decompose`` (L1 geometry is uniform across cores), the latency
         constants, and one test for an attached instrument (tracer,
         profiler, sampler or the engine's fault hook).  That test only
-        gates the instrument hooks — ``_begin``, ``txn.emit``/``charge``
-        and ``_finish`` — at fixed points of each op; traced and bare
-        runs execute the same code.  An L1 hit is served by
-        ``SetAssocCache.hit``, which emits the same trace event a lookup
-        does; any other access continues in :meth:`_below_l1`.
+        gates the instrument hooks — ``_begin``, the ``proc`` trace
+        event, ``txn.charge`` and ``_finish`` — at fixed points of each
+        op; traced and bare runs execute the same code.  An L1 hit is
+        served by ``SetAssocCache.hit``, which emits the same trace event
+        a lookup does; any other access continues in :meth:`_below_l1`.
         """
         caches = self.caches
         core_caches = caches.core_caches
@@ -290,8 +281,9 @@ class SecureProcessor(Component):
         path_counts = stats.path_counts
         plain = self._plain
         jitter = self.config.timer_jitter_sigma > 0
+        tracer = self.tracer
         instrumented = (
-            self.tracer is not None
+            tracer is not None
             or self.profiler is not None
             or self.sampler is not None
             or mee.fault_hook is not None
@@ -324,10 +316,11 @@ class SecureProcessor(Component):
                         core, block, is_write, txn
                     )
                 if instrumented:
-                    txn.emit(
-                        "proc", _OP_NAMES[kind], core=core, addr=block,
-                        value=float(latency),
-                    )
+                    if tracer is not None:
+                        tracer.emit(
+                            "proc", _OP_NAMES[kind], core=core, addr=block,
+                            value=float(latency),
+                        )
                     self._finish(txn, path=path, latency=latency)
                 result = AccessResult(latency, path, self.cycle,
                                       breakdown=txn.parts)
@@ -360,10 +353,11 @@ class SecureProcessor(Component):
                 latency = _STORE_BUFFER_LATENCY + enqueue
                 self.cycle += latency
                 if instrumented:
-                    txn.emit(
-                        "proc", "write_through", core=core, addr=block,
-                        value=float(latency),
-                    )
+                    if tracer is not None:
+                        tracer.emit(
+                            "proc", "write_through", core=core, addr=block,
+                            value=float(latency),
+                        )
                     txn.charge("op.store_buffer", _STORE_BUFFER_LATENCY)
                     txn.charge("op.enqueue", enqueue)
                     self._finish(txn, path=None, latency=latency)
@@ -379,14 +373,18 @@ class SecureProcessor(Component):
                     self._enqueue_data_writeback(writeback)
                 self.cycle += _FLUSH_LATENCY
                 if instrumented:
-                    txn.emit("proc", "flush", addr=block, value=float(was_dirty))
+                    if tracer is not None:
+                        tracer.emit(
+                            "proc", "flush", addr=block, value=float(was_dirty)
+                        )
                     txn.charge("op.flush", _FLUSH_LATENCY)
                     self._finish(txn, path=None, latency=_FLUSH_LATENCY)
                 append(_FLUSH_LATENCY)
             else:
                 if instrumented:
                     txn = self._begin("drain", -1, None)
-                    txn.emit("proc", "drain")
+                    if tracer is not None:
+                        tracer.emit("proc", "drain")
                 self.memctrl.drain(self.cycle)
                 self.cycle += _STORE_BUFFER_LATENCY
                 if instrumented:

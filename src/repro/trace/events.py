@@ -70,9 +70,9 @@ class Tracer:
     """Ring-buffered event sink shared by every instrumented component.
 
     The buffer holds the most recent ``capacity`` events; older events are
-    dropped oldest-first and tallied in :attr:`dropped`.  ``emitted``
-    counts every event ever offered, so ``emitted - dropped == len(self)``
-    until :meth:`clear`.
+    dropped oldest-first.  ``emitted`` counts every event offered since
+    construction or the last :meth:`clear`, and :attr:`dropped` is how
+    many of them the ring no longer holds: ``emitted - len(self)``.
     """
 
     #: Component-graph slot this instrument occupies (``repro.core``).
@@ -82,15 +82,26 @@ class Tracer:
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
         self.capacity = capacity
-        self._buffer: deque[TraceEvent] = deque()
+        # A full bounded deque drops its oldest event on append, in C.
+        self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
         self.emitted = 0
-        self.dropped = 0
         self._clock: Callable[[], int] | None = None
+
+    @property
+    def dropped(self) -> int:
+        """Events emitted but since pushed out of the ring."""
+        return self.emitted - len(self._buffer)
 
     # -- wiring ------------------------------------------------------------
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
-        """Install the cycle source used when ``emit`` gets no cycle."""
+        """Install the cycle source used when ``emit`` gets no cycle.
+
+        ``SecureProcessor.attach`` binds a weak proxy of the machine's
+        clock, so the tracer does not keep its machine alive.  Once that
+        machine is gone, an ``emit`` without a cycle raises
+        ``ReferenceError``; buffered events stay readable.
+        """
         self._clock = clock
 
     # -- emission ----------------------------------------------------------
@@ -110,9 +121,6 @@ class Tracer:
         """Record one event (components call this behind a ``None`` guard)."""
         if cycle is None:
             cycle = self._clock() if self._clock is not None else 0
-        if len(self._buffer) >= self.capacity:
-            self._buffer.popleft()
-            self.dropped += 1
         self.emitted += 1
         self._buffer.append(_new_event(
             TraceEvent,
@@ -150,7 +158,6 @@ class Tracer:
         """Drop all buffered events and reset the tallies."""
         self._buffer.clear()
         self.emitted = 0
-        self.dropped = 0
 
 
 def group_by_kind(
@@ -160,5 +167,10 @@ def group_by_kind(
     grouped: dict[tuple[str, str], list[TraceEvent]] = {}
     for event in events:
         # event[1], event[2] are (component, kind).
-        grouped.setdefault((event[1], event[2]), []).append(event)
+        key = event[1], event[2]
+        stream = grouped.get(key)
+        if stream is None:
+            grouped[key] = [event]
+        else:
+            stream.append(event)
     return grouped

@@ -142,44 +142,64 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     for the sample sizes the leakage detector works with (dozens+) and
     conservative below that.
     """
-    xs = sorted(float(v) for v in a)
-    ys = sorted(float(v) for v in b)
+    xs = sorted(map(float, a))
+    ys = sorted(map(float, b))
     if not xs or not ys:
         raise ValueError("both samples must be non-empty")
+    n, m = len(xs), len(ys)
+    d = ks_statistic(xs, ys)
+    return KsResult(statistic=d, pvalue=ks_pvalue(n, m, d), n_a=n, n_b=m)
+
+
+def ks_statistic(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Supremum distance between the empirical CDFs of two non-empty
+    samples, each already sorted ascending.
+
+    A merge over both samples: after each step ``i/n - j/m`` is the CDF
+    gap just past the values consumed so far.  A tied value steps both
+    CDFs past every copy before comparing, otherwise ties would
+    manufacture a spurious gap.
+    """
     n, m = len(xs), len(ys)
     i = j = 0
     d = 0.0
     while i < n and j < m:
-        if xs[i] < ys[j]:
+        x = xs[i]
+        y = ys[j]
+        if x < y:
             i += 1
-        elif ys[j] < xs[i]:
+        elif y < x:
             j += 1
         else:
-            # Tied value: step both CDFs past every copy before comparing,
-            # otherwise ties manufacture a spurious gap.
-            tied = xs[i]
-            while i < n and xs[i] == tied:
+            i += 1
+            j += 1
+            while i < n and xs[i] == x:
                 i += 1
-            while j < m and ys[j] == tied:
+            while j < m and ys[j] == x:
                 j += 1
-        d = max(d, abs(i / n - j / m))
+        gap = abs(i / n - j / m)
+        if gap > d:
+            d = gap
+    return d
 
+
+def ks_pvalue(n: int, m: int, d: float) -> float:
+    """Asymptotic Kolmogorov p-value of KS statistic ``d`` for sample
+    sizes ``n`` and ``m``."""
     en = math.sqrt(n * m / (n + m))
     lam = (en + 0.12 + 0.11 / en) * d
     if lam <= 0:
-        pvalue = 1.0
-    else:
-        # Alternating series; terms decay like exp(-2 k^2 lam^2).
-        total = 0.0
-        sign = 1.0
-        for k in range(1, 101):
-            term = sign * 2.0 * math.exp(-2.0 * (k * lam) ** 2)
-            total += term
-            if abs(term) < 1e-10:
-                break
-            sign = -sign
-        pvalue = min(1.0, max(0.0, total))
-    return KsResult(statistic=d, pvalue=pvalue, n_a=n, n_b=m)
+        return 1.0
+    # Alternating series; terms decay like exp(-2 k^2 lam^2).
+    total = 0.0
+    sign = 1.0
+    for k in range(1, 101):
+        term = sign * 2.0 * math.exp(-2.0 * (k * lam) ** 2)
+        total += term
+        if abs(term) < 1e-10:
+            break
+        sign = -sign
+    return min(1.0, max(0.0, total))
 
 
 def otsu_threshold(values: Sequence[float], bins: int = 128) -> float:

@@ -4,22 +4,26 @@ Covers the structural invariants the refactor rests on (walk reaches
 every component exactly once, attach is idempotent, detach restores the
 zero-allocation fast path), the late-created-component regression
 (per-domain integrity trees built after an attach still see the tracer
-and fault hook), and the source-scan guard that keeps instrument
-threading centralised in ``repro/core``.
+and fault hook), the ownership rule that keeps the machine graph acyclic
+(a dropped machine is freed by reference counting, instruments and all),
+and the source-scan guard that keeps instrument threading centralised in
+``repro/core``.
 """
 
 from __future__ import annotations
 
+import gc
 import pathlib
 import re
 
 import pytest
 
+from repro.campaign import CampaignEngine, CampaignTask
 from repro.config import SecureProcessorConfig
 from repro.core import (
     FAULT_HOOK,
     NULL_TXN,
-    TRACER,
+    PROFILER,
     Txn,
     attach,
     detach,
@@ -28,8 +32,11 @@ from repro.core import (
 )
 from repro.defenses import assign_domains, isolated_tree_config
 from repro.faults.hooks import FaultHook
+from repro.leakcheck import run_leakcheck
 from repro.perf import CycleAttributor, MetricsSampler
 from repro.proc.processor import SecureProcessor
+from repro.synth import compile_program, generate_program
+from repro.synth.runner import DEFENSES, synth_config
 from repro.trace import Tracer
 
 
@@ -116,12 +123,12 @@ class TestComponentGraph:
     def test_detach_restores_null_txn_fast_path(self):
         proc = _machine()
         assert proc._begin("read", 0, 0) is NULL_TXN
-        tracer = Tracer()
-        proc.attach(tracer)
+        profiler = CycleAttributor()
+        proc.attach(profiler)
         txn = proc._begin("read", 0, 0)
         assert txn is not NULL_TXN
-        assert not txn.profiling  # tracer alone builds no parts dict
-        detach(proc, TRACER)
+        assert txn.profiling
+        detach(proc, PROFILER)
         assert proc._begin("read", 0, 0) is NULL_TXN
         assert proc.read(0).breakdown is None
 
@@ -152,14 +159,12 @@ class TestComponentGraph:
 class TestTxn:
     def test_null_txn_is_inert(self):
         NULL_TXN.charge("x", 5)
-        NULL_TXN.emit("c", "k")
-        NULL_TXN.fault("on_meta_fetch", "counter", 0, 0)
         assert NULL_TXN.leg("data.") is NULL_TXN
         assert NULL_TXN.parts is None
-        assert not NULL_TXN.recording
+        assert not NULL_TXN.profiling
 
     def test_charge_prefixes_and_skips_zero(self):
-        txn = Txn("read", profiling=True)
+        txn = Txn("read")
         txn.charge("a", 3)
         txn.charge("a", 2)
         txn.charge("b", 0)
@@ -175,13 +180,18 @@ class TestTxn:
         assert txn.shadowed == {"data.service": 4}
 
     def test_not_profiling_builds_no_parts(self):
-        txn = Txn("read", tracer=None, profiling=False)
-        txn.charge("a", 3)
-        assert txn.parts is None
-        leg = txn.leg("meta.")
-        # Nothing to accumulate, so no leg is allocated.
-        assert leg is txn
-        assert not leg.profiling
+        """Every instrument but the profiler leaves the executor on the
+        shared NULL_TXN: a traced or hooked access allocates no Txn."""
+        proc = _machine()
+        tracer = Tracer()
+        for instrument in (tracer, FaultHook(),
+                           MetricsSampler(proc.registry, every=100)):
+            proc.attach(instrument)
+        assert proc._begin("read", 0, 0) is NULL_TXN
+        _workload(proc)
+        assert proc.read(0x5000).breakdown is None
+        # The processor still emits its own per-op events.
+        assert ("proc", "read") in tracer.counts()
 
     def test_breakdown_conserved_through_txn(self):
         proc = _machine()
@@ -229,6 +239,78 @@ class TestLateDomainTrees:
         assign_domains(proc, {1: [2]})
         proc.write(2 * 4096, b"x")
         assert proc.mee._domain_trees[1].tracer is None
+
+
+# ----------------------------------------------------------------------
+# Ownership: the machine graph is acyclic
+# ----------------------------------------------------------------------
+
+_INSTRUMENTS = {
+    "bare": lambda proc: None,
+    "tracer": lambda proc: Tracer(),
+    "profiler": lambda proc: CycleAttributor(),
+    "sampler": lambda proc: MetricsSampler(proc.registry, every=1000),
+    "fault_hook": lambda proc: FaultHook(),
+}
+
+
+def _cyclic_garbage(work) -> int:
+    """How many objects only the cycle collector can free after
+    ``work()`` has run and dropped everything it built."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        work()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestAcyclicMachines:
+    """A dropped machine, with its instruments and the trace it holds, is
+    freed by reference counting as soon as its last user lets go."""
+
+    @pytest.mark.parametrize("instrument", sorted(_INSTRUMENTS))
+    @pytest.mark.parametrize("defense", DEFENSES)
+    @pytest.mark.parametrize("preset", ["sct", "ht", "sgx"])
+    def test_machine_after_generated_program(self, preset, defense, instrument):
+        spec = compile_program(generate_program(7))
+
+        def work():
+            proc = SecureProcessor(synth_config(preset, defense))
+            attached = _INSTRUMENTS[instrument](proc)
+            if attached is not None:
+                proc.attach(attached)
+            spec.run(proc, 1)
+
+        assert _cyclic_garbage(work) == 0
+
+    def test_machine_with_late_domain_tree(self):
+        def work():
+            proc = SecureProcessor(isolated_tree_config(protected_size=4 << 20))
+            proc.attach(Tracer())
+            assign_domains(proc, {1: [3]})
+            proc.write_through(3 * 4096, b"x")
+            proc.drain_writes()
+            assert len(proc.mee._domain_trees) == 2
+
+        assert _cyclic_garbage(work) == 0
+
+    def test_leakcheck_run(self):
+        assert _cyclic_garbage(lambda: run_leakcheck("rsa")) == 0
+
+    def test_campaign_leakcheck_job(self):
+        def work():
+            engine = CampaignEngine(jobs=1, git_rev="test")
+            batch = engine.run([CampaignTask(
+                name="leakcheck_rsa_s0", fn=run_leakcheck,
+                kwargs={"victim": "rsa", "seed": 0},
+            )])
+            assert batch.records[0].ok
+
+        assert _cyclic_garbage(work) == 0
 
 
 # ----------------------------------------------------------------------

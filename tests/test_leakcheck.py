@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.leakcheck import (
     KindFinding,
@@ -42,6 +45,82 @@ class TestKsTwoSample:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
+
+
+def _reference_ks(a, b) -> tuple[float, float]:
+    """The two-sample KS test as a plain merge loop over both samples:
+    the implementation every faster one must match bit for bit."""
+    xs = sorted(float(v) for v in a)
+    ys = sorted(float(v) for v in b)
+    n, m = len(xs), len(ys)
+    i = j = 0
+    d = 0.0
+    while i < n and j < m:
+        if xs[i] < ys[j]:
+            i += 1
+        elif ys[j] < xs[i]:
+            j += 1
+        else:
+            tied = xs[i]
+            while i < n and xs[i] == tied:
+                i += 1
+            while j < m and ys[j] == tied:
+                j += 1
+        d = max(d, abs(i / n - j / m))
+    en = math.sqrt(n * m / (n + m))
+    lam = (en + 0.12 + 0.11 / en) * d
+    if lam <= 0:
+        return d, 1.0
+    total = 0.0
+    sign = 1.0
+    for k in range(1, 101):
+        term = sign * 2.0 * math.exp(-2.0 * (k * lam) ** 2)
+        total += term
+        if abs(term) < 1e-10:
+            break
+        sign = -sign
+    return d, min(1.0, max(0.0, total))
+
+
+# Few distinct values (heavy ties, both signs of zero) mixed with
+# arbitrary finite floats.
+_tied = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, 64.0, 211.0, -5.5])
+_value = st.one_of(_tied, _tied, _tied, st.floats(allow_nan=False))
+_sample = st.lists(_value, min_size=1, max_size=200)
+
+
+def _assert_matches_reference(a, b):
+    result = ks_two_sample(a, b)
+    statistic, pvalue = _reference_ks(a, b)
+    assert result.statistic.hex() == statistic.hex()
+    assert result.pvalue.hex() == pvalue.hex()
+    assert (result.n_a, result.n_b) == (len(a), len(b))
+
+
+class TestKsReference:
+    @given(_sample, _sample)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_merge_loop(self, a, b):
+        _assert_matches_reference(a, b)
+
+    @given(_sample, st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_identical_samples(self, a, rng):
+        b = list(a)
+        rng.shuffle(b)
+        _assert_matches_reference(a, b)
+        assert ks_two_sample(a, b).statistic == 0.0
+
+    @given(
+        st.lists(st.floats(max_value=-1.0, allow_nan=False), min_size=1,
+                 max_size=200),
+        st.lists(st.floats(min_value=1.0, allow_nan=False), min_size=1,
+                 max_size=200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_disjoint_samples(self, a, b):
+        _assert_matches_reference(a, b)
+        assert ks_two_sample(a, b).statistic == 1.0
 
 
 class TestRegistry:
@@ -110,6 +189,28 @@ class TestDetector:
         second = run_leakcheck("rsa", seed=3)
         assert first.to_dict() == second.to_dict()
 
+    def test_truncated_trace_is_not_certified_clean(self):
+        """Secret 1 misses once, then both runs make identical reads: the
+        runs differ only in a head that a small ring drops, and equal
+        tails must not pass for equal traces."""
+
+        def run(proc, secret):
+            if secret:
+                proc.flush(0)
+                proc.read(0)
+            for _ in range(200):
+                proc.read(0)
+
+        spec = VictimSpec(
+            name="early", description="test",
+            secrets=lambda seed: (0, 1), run=run,
+        )
+        with pytest.raises(ValueError, match="capacity=100"):
+            run_leakcheck(spec, capacity=100)
+        report = run_leakcheck(spec)
+        assert report.leaky
+        assert report.dropped_a == report.dropped_b == 0
+
 
 # sha256 over the canonical report JSON of _golden_reports().  A change
 # to any count, KS statistic, p-value or reason changes it, so a speedup
@@ -173,8 +274,7 @@ def _finding_via_ks(events: list[TraceEvent], alpha: float) -> KindFinding:
     """The finding the KS path builds for two copies of ``events``."""
     finding = KindFinding("c", "k", len(events), len(events))
     samples = _stream_samples(events)
-    for dimension in ("value", "addr", "interarrival"):
-        sample = samples[dimension]
+    for dimension, sample in zip(("value", "addr", "interarrival"), samples):
         if len(sample) < _MIN_KS_SAMPLES:
             continue
         result = ks_two_sample(sample, list(sample))

@@ -92,6 +92,15 @@ class TestDram:
         assert dram.writes == 1
 
 
+class _RecordingSink:
+    def __init__(self) -> None:
+        self.serviced: list[int] = []
+
+    def service(self, addr: int, now: int) -> int:
+        self.serviced.append(addr)
+        return 7
+
+
 class TestMemoryController:
     def make(self, **kwargs):
         return MemoryController(MemCtrlConfig(**kwargs), DramConfig())
@@ -150,12 +159,26 @@ class TestMemoryController:
 
     def test_write_sink_invoked_per_serviced_write(self):
         mc = self.make()
-        serviced = []
-        mc.set_write_sink(lambda addr, now: serviced.append(addr) or 7)
+        sink = _RecordingSink()
+        mc.set_write_sink(sink.service)
         mc.enqueue_write(0x40, 0)
         mc.enqueue_write(0x80, 0)
         mc.drain(0)
-        assert serviced == [0x40, 0x80]
+        assert sink.serviced == [0x40, 0x80]
+
+    def test_write_sink_is_held_weakly(self):
+        """The sink's owner (the engine) owns the controller, so the
+        controller must not keep it alive; once the owner is gone a drain
+        services writes with no security work."""
+        mc = self.make()
+        sink = _RecordingSink()
+        serviced = sink.serviced
+        mc.set_write_sink(sink.service)
+        mc.enqueue_write(0x40, 0)
+        del sink
+        mc.drain(0)
+        assert mc.writes_serviced == 1
+        assert serviced == []
 
     def test_drain_occupies_banks(self):
         mc = self.make()

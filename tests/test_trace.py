@@ -110,6 +110,22 @@ class TestTracer:
         proc.caches.core_caches[0].l1.lookup(0)
         assert tracer.raw_events()[-1].cycle >= 1234
 
+    def test_tracer_outlives_its_machine(self):
+        """The bound clock does not keep the machine alive.  Once the
+        machine is gone its events stay readable, and only an emit that
+        needs the clock fails."""
+        proc = _machine()
+        tracer = Tracer()
+        proc.attach(tracer)
+        _exercise(proc)
+        recorded = tracer.events()
+        del proc
+        assert tracer.events() == recorded
+        tracer.emit("c", "k", cycle=5)
+        with pytest.raises(ReferenceError):
+            tracer.emit("c", "k")
+        assert len(tracer) == len(recorded) + 1
+
     def test_clear_resets_tallies(self):
         tracer = Tracer(capacity=2)
         for i in range(5):
