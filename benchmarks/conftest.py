@@ -6,29 +6,18 @@ under ``benchmarks/results/``, echoes it to the terminal, and asserts the
 figure's *shape* claims (ordering, separability, who-wins) — absolute
 cycle counts are simulator-specific by design.
 
-Each recorded figure also captures host-side cost (wall time since the
-test started, process peak RSS): a footer on the ``.txt`` table plus one
-JSON line in ``results/trajectory.jsonl``, so figure-generation cost can
-be tracked across commits alongside the ``repro bench`` suite.
+A recorded table holds simulated results only, so a run that reproduces
+every figure leaves the tracked files unchanged.  Host time is measured
+by ``perfbench/`` (docs/performance.md).
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
-import resource
-import time
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-_test_started_at = 0.0
-
-
-def pytest_runtest_setup(item):
-    global _test_started_at
-    _test_started_at = time.perf_counter()
 
 
 @pytest.fixture(scope="session")
@@ -39,21 +28,9 @@ def record_figure():
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _record(result):
-        elapsed = time.perf_counter() - _test_started_at
-        peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         text = format_result(result)
         name = result.figure.lower().replace(" ", "_") + ".txt"
-        footer = (
-            f"host wall time: {elapsed:.2f} s   peak RSS: {peak_rss_kb} KB"
-        )
-        (RESULTS_DIR / name).write_text(text + "\n" + footer + "\n")
-        with (RESULTS_DIR / "trajectory.jsonl").open("a") as fh:
-            fh.write(json.dumps({
-                "figure": result.figure,
-                "title": result.title,
-                "host_wall_time_s": round(elapsed, 3),
-                "peak_rss_kb": peak_rss_kb,
-            }, sort_keys=True) + "\n")
+        (RESULTS_DIR / name).write_text(text + "\n")
         print("\n" + text)
         return text
 

@@ -195,8 +195,9 @@ def fig8_overflow_bands(cycles: int = 3) -> FigureResult:
         latency = max(
             latency, proc.read(base + ((i + 7) % 64) * 64, core=1).latency
         )
-        if proc.mee.stats.tree_counter_overflows > overflows_seen:
-            overflows_seen = proc.mee.stats.tree_counter_overflows
+        overflows = proc.mee.registry.get("tree_counter_overflows")
+        if overflows > overflows_seen:
+            overflows_seen = overflows
             overflow.append(latency)
         else:
             quiet.append(latency)
@@ -544,12 +545,13 @@ def ablation_counter_schemes() -> FigureResult:
         for neighbor in range(1, 4):
             proc.write_through(spin + neighbor * 64, b"n")
         proc.drain_writes()
-        while proc.mee.stats.enc_counter_overflows == 0:
+        tally = proc.mee.registry.get
+        while tally("enc_counter_overflows") == 0:
             proc.write_through(spin, b"y")
             proc.drain_writes()
         result.add(
             f"{scheme.value} re-encrypted blocks",
-            proc.mee.stats.reencrypted_blocks,
+            tally("reencrypted_blocks"),
             paper,
         )
     return result

@@ -97,9 +97,11 @@ class DramConfig:
 
 @dataclass(frozen=True)
 class MemCtrlConfig:
-    """Memory-controller queues (Table I: 64 RD & WR queue, FR-FCFS)."""
+    """Memory-controller write queue (Table I: 64 RD & WR queue, FR-FCFS).
 
-    read_queue_entries: int = 64
+    Only the write queue is modelled; reads are serviced as they arrive.
+    """
+
     write_queue_entries: int = 64
     write_merge: bool = True
     # Fraction of the write queue that, once exceeded, forces a drain burst
@@ -166,22 +168,6 @@ class TreeConfig:
     @property
     def minor_max(self) -> int:
         return (1 << self.minor_bits) - 1
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Background interference injected between attack rounds.
-
-    ``meta_disturb_rate`` is the per-round probability that co-running
-    traffic touches the metadata-cache set (or counter) the attacker relies
-    on, flipping one observation.  ``jitter_cycles`` adds symmetric timing
-    noise to every measured latency.  Defaults are calibrated so the headline
-    experiments land near the paper's reported accuracies.
-    """
-
-    meta_disturb_rate: float = 0.0
-    jitter_cycles: int = 0
-    seed_label: str = "noise"
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ The two structural primitives the whole memory path is built on:
   component is a node in one graph rooted at the processor; one generic
   walk installs (or removes) an instrument everywhere, and late-created
   components inherit instruments from their parent;
-* :class:`Txn` / :data:`NULL_TXN` — the per-access context carrying
-  core id, latency attribution, the critical/shadowed overlap split,
-  trace emission and fault-hook dispatch down the proc→MEE→memctrl→DRAM
-  path, with a shared no-op when nothing is attached.
+* :class:`Txn` / :data:`NULL_TXN` — the per-access latency attribution
+  (per-component cycles and the critical/shadowed overlap split) charged
+  down the proc→MEE→memctrl→DRAM path.  A ``Txn`` exists only while a
+  profiler is attached; otherwise every layer is handed the shared no-op
+  :data:`NULL_TXN`.  Trace events and fault hooks go through each
+  component's own instrument slots.
 
 See ``docs/architecture.md`` for the graph shape, the ``Txn`` lifecycle
 and how to add a new instrument or component.

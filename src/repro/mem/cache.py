@@ -127,26 +127,6 @@ class SetAssocCache(Component):
         self.init_component(f"cache.{config.name}")
 
     # ------------------------------------------------------------------
-    # Legacy tally attributes (now registry-backed)
-    # ------------------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.value = value
-
-    # ------------------------------------------------------------------
     # Address mapping (the pure ``decompose`` step)
     # ------------------------------------------------------------------
 

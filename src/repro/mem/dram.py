@@ -44,26 +44,6 @@ class DramModel(Component):
         # campaign triggers) are created detached by the component graph.
         self.init_component("dram")
 
-    # ------------------------------------------------------------------
-    # Legacy tally attributes (now registry-backed)
-    # ------------------------------------------------------------------
-
-    @property
-    def reads(self) -> int:
-        return self._reads.value
-
-    @reads.setter
-    def reads(self, value: int) -> None:
-        self._reads.value = value
-
-    @property
-    def writes(self) -> int:
-        return self._writes.value
-
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self._writes.value = value
-
     def _row_of(self, addr: int) -> int:
         return addr // self.config.row_size
 

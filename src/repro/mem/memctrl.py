@@ -70,50 +70,6 @@ class MemoryController(Component):
     def children(self):
         return (self.dram,)
 
-    # ------------------------------------------------------------------
-    # Legacy tally attributes (now registry-backed)
-    # ------------------------------------------------------------------
-
-    @property
-    def reads_serviced(self) -> int:
-        return self._reads_serviced.value
-
-    @reads_serviced.setter
-    def reads_serviced(self, value: int) -> None:
-        self._reads_serviced.value = value
-
-    @property
-    def writes_serviced(self) -> int:
-        return self._writes_serviced.value
-
-    @writes_serviced.setter
-    def writes_serviced(self, value: int) -> None:
-        self._writes_serviced.value = value
-
-    @property
-    def writes_merged(self) -> int:
-        return self._writes_merged.value
-
-    @writes_merged.setter
-    def writes_merged(self, value: int) -> None:
-        self._writes_merged.value = value
-
-    @property
-    def drains(self) -> int:
-        return self._drains.value
-
-    @drains.setter
-    def drains(self, value: int) -> None:
-        self._drains.value = value
-
-    @property
-    def writes_dropped(self) -> int:
-        return self._writes_dropped.value
-
-    @writes_dropped.setter
-    def writes_dropped(self, value: int) -> None:
-        self._writes_dropped.value = value
-
     def set_write_sink(self, sink: WriteSink) -> None:
         """Install the security-engine callback run when a write services.
 

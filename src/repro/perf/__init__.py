@@ -5,7 +5,7 @@ Three pillars (see ``docs/performance.md``):
 * :mod:`repro.perf.attribution` — :class:`CycleAttributor`, an exact
   (conservation-checked) per-component latency profiler with hierarchical
   reports and flamegraph-ready collapsed-stack export;
-* :mod:`repro.perf.metrics` — Prometheus-text / JSON exporters over the
+* :mod:`repro.perf.metrics` — the Prometheus-text exporter over the
   counter registry, plus :class:`MetricsSampler` for time series over
   simulated cycles;
 * :mod:`repro.perf.bench` — the ``repro bench`` scenario suite with
@@ -27,12 +27,7 @@ from repro.perf.bench import (
     scenario_names,
     write_result,
 )
-from repro.perf.metrics import (
-    MetricsSampler,
-    metrics_dict,
-    metrics_json,
-    prometheus_text,
-)
+from repro.perf.metrics import MetricsSampler, prometheus_text
 
 __all__ = [
     "AccessRecord",
@@ -44,8 +39,6 @@ __all__ = [
     "PathProfile",
     "compare",
     "load_result",
-    "metrics_dict",
-    "metrics_json",
     "prometheus_text",
     "run_scenario",
     "scenario_names",

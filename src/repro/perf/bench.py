@@ -141,6 +141,12 @@ def _steady(preset: str, seed: int, quick: bool) -> tuple[SecureProcessor, int]:
     return proc, len(batch)
 
 
+def _accesses(proc: SecureProcessor) -> int:
+    """Software-visible reads, writes and flushes the machine executed."""
+    tally = proc.registry.get
+    return tally("proc.reads") + tally("proc.writes") + tally("proc.flushes")
+
+
 def _victim_rsa(seed: int, quick: bool) -> tuple[SecureProcessor, int]:
     """One full leakage-victim run (square-and-multiply RSA)."""
     spec = get_victim("rsa")
@@ -151,7 +157,7 @@ def _victim_rsa(seed: int, quick: bool) -> tuple[SecureProcessor, int]:
     if _MACHINE_INSTRUMENT is not None:
         _MACHINE_INSTRUMENT(proc)
     spec.run(proc, secret)
-    return proc, proc.stats.reads + proc.stats.writes + proc.stats.flushes
+    return proc, _accesses(proc)
 
 
 def _covert_t(seed: int, quick: bool) -> tuple[SecureProcessor, int]:
@@ -161,7 +167,7 @@ def _covert_t(seed: int, quick: bool) -> tuple[SecureProcessor, int]:
     rng = Random(seed)
     bits = [rng.randrange(2) for _ in range(8 if quick else 32)]
     channel.transmit(bits)
-    return proc, proc.stats.reads + proc.stats.writes + proc.stats.flushes
+    return proc, _accesses(proc)
 
 
 @dataclass(frozen=True)

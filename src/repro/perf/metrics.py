@@ -1,14 +1,10 @@
-"""Metrics export: Prometheus text format, JSON, and periodic sampling.
+"""Metrics export: Prometheus text format and periodic sampling.
 
-Two stateless exporters flatten a :class:`~repro.trace.counters.
-CounterRegistry` into interchange formats:
-
-* :func:`prometheus_text` emits the Prometheus text exposition format
-  (``# TYPE`` lines, sanitised metric names, counters suffixed ``_total``)
-  so a scrape of a long-running simulation can be pasted straight into
-  promtool or a pushgateway;
-* :func:`metrics_dict` / :func:`metrics_json` produce the same data as a
-  plain mapping / JSON document for ad-hoc tooling.
+:func:`prometheus_text` flattens a :class:`~repro.trace.counters.
+CounterRegistry` into the Prometheus text exposition format (``# TYPE``
+lines, sanitised metric names, counters suffixed ``_total``), so a scrape
+of a long-running simulation can be pasted straight into promtool or a
+pushgateway.
 
 :class:`MetricsSampler` turns the registry into a time series over
 *simulated* cycles: attach it to a processor with ``proc.attach(sampler)``
@@ -92,18 +88,6 @@ def prometheus_text(
         lines += prom_header(name, kind, f"repro {kind} {path}")
         lines.append(prom_sample(name, None, value))
     return "\n".join(lines) + "\n"
-
-
-def metrics_dict(registry: CounterRegistry) -> dict[str, dict[str, float]]:
-    """Registry contents as ``{"counters": {...}, "gauges": {...}}``."""
-    out: dict[str, dict[str, float]] = {"counters": {}, "gauges": {}}
-    for path, kind, value in registry.items():
-        out[f"{kind}s"][path] = value
-    return out
-
-
-def metrics_json(registry: CounterRegistry, *, indent: int = 2) -> str:
-    return json.dumps(metrics_dict(registry), indent=indent, sort_keys=True)
 
 
 class MetricsSampler:

@@ -23,7 +23,7 @@ a scalar call is a one-op batch and ``run_batch`` submits a recorded
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from repro.config import BLOCK_SIZE, SecureProcessorConfig
@@ -61,6 +61,11 @@ _OP_NAMES = ("read", "write")
 _L1_HIT = AccessPath.L1_HIT
 _HIT_PATHS = (AccessPath.L1_HIT, AccessPath.L2_HIT, AccessPath.L3_HIT)
 _HIT_KEYS = ("cache.l1_hit", "cache.l2_hit", "cache.l3_hit")
+#: Registry name of each path's tally (``path_mem_tree_miss``), built
+#: once so machine set-up does not re-derive it.
+_PATH_COUNTER_NAMES = tuple(
+    (path, f"path_{path.name.lower()}") for path in AccessPath
+)
 
 
 @dataclass(slots=True)
@@ -77,14 +82,6 @@ class AccessResult:
     # attached): component -> cycles, summing exactly to the access's
     # pre-jitter latency.  See ``repro.perf`` / docs/performance.md.
     breakdown: dict[str, int] | None = None
-
-
-@dataclass
-class ProcessorStats:
-    reads: int = 0
-    writes: int = 0
-    flushes: int = 0
-    path_counts: dict[AccessPath, int] = field(default_factory=dict)
 
 
 class SecureProcessor(Component):
@@ -106,10 +103,22 @@ class SecureProcessor(Component):
         self.mee = MemoryEncryptionEngine(self.config, self.memctrl)
         self.layout = self.mee.layout
         self.cycle = 0
-        self.stats = ProcessorStats()
+        # Software-visible operations, and the path each read (or write
+        # miss to memory) took: ``path_l1_hit`` ... ``path_mem_tree_miss``.
+        self.counters = CounterRegistry()
+        self._reads = self.counters.counter("reads")
+        self._writes = self.counters.counter("writes")
+        self._flushes = self.counters.counter("flushes")
+        self._path_counters = {
+            path: self.counters.counter(name)
+            for path, name in _PATH_COUNTER_NAMES
+        }
         # One machine-wide view over every component's counter registry,
-        # mounted under dotted prefixes (``core0.l1.hits``, ``dram.reads``…).
+        # mounted under dotted prefixes (``proc.reads``, ``mee.counter_hits``,
+        # ``core0.l1.hits``, ``dram.reads``…).
         self.registry = CounterRegistry()
+        self.registry.mount("proc", self.counters)
+        self.registry.mount("mee", self.mee.registry)
         for i, core in enumerate(self.caches.core_caches):
             self.registry.mount(f"core{i}.l1", core.l1.counters)
             self.registry.mount(f"core{i}.l2", core.l2.counters)
@@ -277,8 +286,9 @@ class SecureProcessor(Component):
         l1_latency = caches.hit_latency[0]
         data_size = self.layout.data_size
         mee = self.mee
-        stats = self.stats
-        path_counts = stats.path_counts
+        reads = self._reads
+        writes = self._writes
+        path_counters = self._path_counters
         plain = self._plain
         jitter = self.config.timer_jitter_sigma > 0
         tracer = self.tracer
@@ -301,9 +311,9 @@ class SecureProcessor(Component):
                     # Coerced before any cache sees the store, so a
                     # rejected write leaves the machine untouched.
                     plain[block] = self._coerce_data(block, data)
-                    stats.writes += 1
+                    writes.value += 1
                 else:
-                    stats.reads += 1
+                    reads.value += 1
                 if instrumented:
                     txn = self._begin(_OP_NAMES[kind], core, block)
                 if core_caches[core].l1.hit(block, set_index, is_write):
@@ -330,7 +340,7 @@ class SecureProcessor(Component):
                 # Writes report no timer jitter, and write hits add no
                 # path count.
                 if not is_write:
-                    path_counts[path] = path_counts.get(path, 0) + 1
+                    path_counters[path].value += 1
                     result.data = (
                         plain.get(block, _ZERO_BLOCK)
                         if fetched is None else fetched.plaintext
@@ -338,14 +348,14 @@ class SecureProcessor(Component):
                     if jitter:
                         result.latency = self._observed(latency)
                 elif fetched is not None:
-                    path_counts[path] = path_counts.get(path, 0) + 1
+                    path_counters[path].value += 1
                 append(result)
             elif kind == OP_WRITE_THROUGH:
                 if not 0 <= addr < data_size:
                     self._check_data_addr(addr)
                 block = block_address(addr)
                 value = plain[block] = self._coerce_data(block, data)
-                stats.writes += 1
+                writes.value += 1
                 if instrumented:
                     txn = self._begin("write_through", core, block)
                 caches.flush(block)  # drop any stale cached copy
@@ -364,7 +374,7 @@ class SecureProcessor(Component):
                 append(AccessResult(latency, _L1_HIT, self.cycle,
                                     breakdown=txn.parts))
             elif kind == OP_FLUSH:
-                stats.flushes += 1
+                self._flushes.value += 1
                 block = block_address(addr)
                 if instrumented:
                     txn = self._begin("flush", -1, block)

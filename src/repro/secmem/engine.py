@@ -20,7 +20,7 @@ The engine sits between the LLC and the memory controller and implements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import (
     BLOCK_SIZE,
@@ -38,6 +38,7 @@ from repro.mem.memctrl import MemoryController
 from repro.secmem.counters import CounterEvent, EncryptionCounterStore
 from repro.secmem.layout import MetadataLayout
 from repro.secmem.tree import TreeIntegrityError, build_tree
+from repro.trace.counters import CounterRegistry
 
 # Cycles of engine work per block during an overflow re-encryption or
 # subtree re-hash burst (read + crypto + write, pipelined).
@@ -57,19 +58,6 @@ class ReadOutcome:
     counter_hit: bool
     tree_levels_missed: int
     plaintext: bytes
-
-
-@dataclass
-class EngineStats:
-    reads: int = 0
-    writes_serviced: int = 0
-    counter_hits: int = 0
-    counter_misses: int = 0
-    tree_node_loads: int = 0
-    enc_counter_overflows: int = 0
-    tree_counter_overflows: int = 0
-    reencrypted_blocks: int = 0
-    tree_levels_missed_histogram: dict[int, int] = field(default_factory=dict)
 
 
 class MemoryEncryptionEngine(Component):
@@ -114,7 +102,18 @@ class MemoryEncryptionEngine(Component):
         # batch tables; see the functional/timing split in
         # docs/architecture.md.
         self._decompose: dict[int, tuple[int, int, int]] = {}
-        self.stats = EngineStats()
+        # Metadata-path tallies: counter hits and misses, tree-node loads,
+        # overflows.  ``counters`` already names the encryption-counter
+        # store, so the engine's registry is ``registry``.
+        self.registry = CounterRegistry()
+        self._reads = self.registry.counter("reads")
+        self._writes_serviced = self.registry.counter("writes_serviced")
+        self._counter_hits = self.registry.counter("counter_hits")
+        self._counter_misses = self.registry.counter("counter_misses")
+        self._tree_node_loads = self.registry.counter("tree_node_loads")
+        self._enc_overflows = self.registry.counter("enc_counter_overflows")
+        self._tree_overflows = self.registry.counter("tree_counter_overflows")
+        self._reencrypted = self.registry.counter("reencrypted_blocks")
         # Instrument slots (tracer + fault hook, shared by every
         # memory-side layer via the component graph) start detached; the
         # fault hook is notified right before metadata fetched from memory
@@ -255,7 +254,7 @@ class MemoryEncryptionEngine(Component):
         block_addr = block_address(addr)
         if not self.layout.is_protected_data(block_addr):
             raise ValueError(f"address {addr:#x} is not protected data")
-        self.stats.reads += 1
+        self._reads.value += 1
         crypto = self.config.crypto
         cb_addr, cb_index, mac_addr = self.decompose(block_addr)
 
@@ -272,12 +271,12 @@ class MemoryEncryptionEngine(Component):
         counter_hit = self.meta_cache.lookup(cb_addr)
         levels_missed = 0
         if counter_hit:
-            self.stats.counter_hits += 1
+            self._counter_hits.value += 1
             meta_latency = self.config.metadata_cache.hit_latency
             meta.charge("cache_hit", meta_latency)
             extra_crypto = max(0, crypto.aes_latency - data_latency)
         else:
-            self.stats.counter_misses += 1
+            self._counter_misses.value += 1
             counter_leg = meta.leg("counter.")
             meta_latency = self.memctrl.read_block(cb_addr, now, txn=counter_leg)
             meta.absorb(counter_leg)
@@ -285,9 +284,6 @@ class MemoryEncryptionEngine(Component):
                 cb_index, cb_addr, now, meta_latency, leg=meta
             )
             extra_crypto = crypto.aes_latency
-        self.stats.tree_levels_missed_histogram[levels_missed] = (
-            self.stats.tree_levels_missed_histogram.get(levels_missed, 0) + 1
-        )
         if self.tracer is not None:
             self.tracer.emit(
                 "mee",
@@ -357,7 +353,7 @@ class MemoryEncryptionEngine(Component):
             missed.append((level, index, node_addr))
         # Fetch + verify the missed chain.
         for level, index, node_addr in missed:
-            self.stats.tree_node_loads += 1
+            self._tree_node_loads.value += 1
             if self.tracer is not None:
                 self.tracer.emit(
                     "mee", "tree_node_load", cycle=now, addr=node_addr, level=level
@@ -443,7 +439,7 @@ class MemoryEncryptionEngine(Component):
         """Account for a tree update's bursts; returns engine cycles."""
         cycles = update.levels_touched * self.config.crypto.hash_latency
         for overflow in update.overflows:
-            self.stats.tree_counter_overflows += 1
+            self._tree_overflows.value += 1
             for affected_cb in overflow.counter_blocks:
                 if affected_cb in self._cb_hashes:
                     self._refresh_cb_hash(affected_cb)
@@ -485,7 +481,7 @@ class MemoryEncryptionEngine(Component):
         if not self.layout.is_protected_data(block_addr):
             return 0
 
-        self.stats.writes_serviced += 1
+        self._writes_serviced.value += 1
         if self.tracer is not None:
             self.tracer.emit("mee", "write_service", cycle=now, addr=block_addr)
         crypto = self.config.crypto
@@ -550,7 +546,7 @@ class MemoryEncryptionEngine(Component):
 
     def _handle_encryption_overflow(self, event: CounterEvent, now: int) -> int:
         """VUL-1: re-encrypt the counter-sharing group, occupying DRAM."""
-        self.stats.enc_counter_overflows += 1
+        self._enc_overflows.value += 1
         old_epoch = event.key_epoch
         if self.config.counters.scheme is not CounterScheme.SPLIT:
             old_epoch = event.key_epoch - 1
@@ -566,7 +562,7 @@ class MemoryEncryptionEngine(Component):
             else:
                 plaintext = ciphertext
             self._store_block(addr, plaintext, new_counter, event.key_epoch)
-            self.stats.reencrypted_blocks += 1
+            self._reencrypted.value += 1
         burst = (len(event.reencrypt) + 1) * REENCRYPT_BLOCK_COST
         self.memctrl.dram.occupy_all(now, burst)
         if self.tracer is not None:

@@ -3,13 +3,12 @@
 Every component owns a small :class:`CounterRegistry` holding its counters
 (monotonic tallies: hits, misses, drains, ...) and gauges (sampled values:
 occupancy, queue depth).  The processor mounts the component registries
-under dotted prefixes (``core0.l1``, ``memctrl``, ``meta_cache``, ...) so
-one :meth:`CounterRegistry.snapshot` call yields the whole machine's state
-as a flat ``{"memctrl.drains": 3, ...}`` mapping.
+under dotted prefixes (``proc``, ``mee``, ``core0.l1``, ``memctrl``, ...)
+so one :meth:`CounterRegistry.snapshot` call yields the whole machine's
+state as a flat ``{"memctrl.drains": 3, ...}`` mapping.
 
 Counters are plain attribute-bearing objects: hot paths bump
-``counter.value += 1`` directly, so the registry adds one indirection over
-the old ad-hoc ``self.hits`` integers and nothing else.
+``counter.value += 1`` directly, one attribute store per tally.
 """
 
 from __future__ import annotations
@@ -34,22 +33,16 @@ class Counter:
 
 
 class Gauge:
-    """A sampled value: either set explicitly or read through a callback."""
+    """A sampled value, read through a callback when snapshotted."""
 
-    __slots__ = ("name", "fn", "value")
+    __slots__ = ("name", "fn")
 
-    def __init__(self, name: str, fn: Callable[[], float] | None = None) -> None:
+    def __init__(self, name: str, fn: Callable[[], float]) -> None:
         self.name = name
         self.fn = fn
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
     def read(self) -> float:
-        if self.fn is not None:
-            return self.fn()
-        return self.value
+        return self.fn()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name}={self.read()})"
@@ -89,8 +82,12 @@ class CounterRegistry:
         self._counters[name] = created
         return created
 
-    def gauge(self, name: str, fn: Callable[[], float] | None = None) -> Gauge:
-        """Return the gauge called ``name``, creating it on first use."""
+    def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
+        """Return the gauge called ``name``, creating it on first use.
+
+        ``fn`` is called on every read; bind it to the state it reports,
+        not to its owner, so the machine graph stays acyclic.
+        """
         existing = self._gauges.get(name)
         if existing is not None:
             return existing
@@ -159,17 +156,6 @@ class CounterRegistry:
         for prefix, child in self._children.items():
             for path, kind, value in child.items():
                 yield f"{prefix}.{path}", kind, value
-
-    def tree(self) -> dict[str, object]:
-        """Nested-dict view (one level of dict per mount point)."""
-        nested: dict[str, object] = {}
-        for name, counter in self._counters.items():
-            nested[name] = counter.value
-        for name, gauge in self._gauges.items():
-            nested[name] = gauge.read()
-        for prefix, child in self._children.items():
-            nested[prefix] = child.tree()
-        return nested
 
     def get(self, path: str) -> float:
         """Resolve one dotted path (``memctrl.drains``) to its value."""

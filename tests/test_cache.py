@@ -38,8 +38,8 @@ class TestLookupInsert:
         assert not cache.lookup(0x1000)
         cache.insert(0x1000)
         assert cache.lookup(0x1000)
-        assert cache.hits == 1
-        assert cache.misses == 1
+        assert cache.counters.get("hits") == 1
+        assert cache.counters.get("misses") == 1
 
     def test_hit_traces_exactly_what_lookup_traces(self):
         """Under a tracer, ``hit`` emits the event a ``lookup`` of the same
@@ -312,4 +312,5 @@ class TestLruReferenceModel:
             assert cache.state_snapshot() == model.snapshot()
         for set_index, lines in enumerate(model.sets):
             assert cache.blocks_in_set(set_index) == [b for b, _ in lines]
-        assert (cache.hits, cache.misses) == (model.hits, model.misses)
+        tally = cache.counters.get
+        assert (tally("hits"), tally("misses")) == (model.hits, model.misses)

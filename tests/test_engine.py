@@ -146,11 +146,11 @@ class TestLazyTreePropagation:
             proc.write_through(0x100000 + (i % 64) * 64, b"w")
             proc.drain_writes()
             proc.mee.flush_metadata_cache(proc.cycle)
-        assert proc.mee.stats.tree_counter_overflows == 0
+        assert proc.registry.get("mee.tree_counter_overflows") == 0
         proc.write_through(0x100000, b"w")
         proc.drain_writes()
         proc.mee.flush_metadata_cache(proc.cycle)
-        assert proc.mee.stats.tree_counter_overflows >= 1
+        assert proc.registry.get("mee.tree_counter_overflows") >= 1
 
     def test_tree_stays_verifiable_after_overflow(self, proc):
         for i in range(130):
@@ -186,8 +186,8 @@ class TestEncryptionCounterOverflow:
         for _ in range(128):
             proc.write_through(addr, b"spin")
             proc.drain_writes()
-        assert proc.mee.stats.enc_counter_overflows == 1
-        assert proc.mee.stats.reencrypted_blocks >= 1
+        assert proc.registry.get("mee.enc_counter_overflows") == 1
+        assert proc.registry.get("mee.reencrypted_blocks") >= 1
         # Data in the re-encrypted group must still decrypt correctly.
         proc.flush(addr + 64)
         proc.mee.flush_metadata_cache(proc.cycle)
@@ -200,7 +200,7 @@ class TestEncryptionCounterOverflow:
         for _ in range(200):
             proc.write_through(0x1000, b"x")
             proc.drain_writes()
-        assert proc.mee.stats.enc_counter_overflows == 0
+        assert proc.registry.get("mee.enc_counter_overflows") == 0
 
 
 class TestTamperDetection:

@@ -112,7 +112,7 @@ class TestInjector:
         proc.write_through(addr, b"newval")
         proc.drain_writes()
         assert handle.fired
-        assert proc.memctrl.writes_dropped == 1
+        assert proc.registry.get("memctrl.writes_dropped") == 1
         result = clean_read(proc, addr)  # no violation: availability fault
         assert result.data[:6] == b"victim"
 

@@ -56,10 +56,10 @@ class TestKvStore:
         assert len(self.store) == 2
 
     def test_writes_reach_memory_controller(self):
-        before = self.proc.mee.stats.writes_serviced
+        before = self.proc.registry.get("mee.writes_serviced")
         self._run(self.store.put("k", b"v"))
         self.proc.drain_writes()
-        assert self.proc.mee.stats.writes_serviced > before
+        assert self.proc.registry.get("mee.writes_serviced") > before
 
     def test_bucket_count_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from repro.perf import (
     MetricsSampler,
     compare,
     load_result,
-    metrics_dict,
     prometheus_text,
     run_scenario,
     scenario_names,
@@ -187,14 +186,6 @@ class TestMetrics:
         assert prom_sample("m", None, 4.0) == "m 4"
         assert prom_sample("m", None, 0.25) == "m 0.25"
         assert prom_sample("m", {"a": "b", "c": "d"}, 1) == 'm{a="b",c="d"} 1'
-
-    def test_metrics_dict_splits_kinds(self):
-        proc = _machine("sct")
-        _exercise_paths(proc)
-        data = metrics_dict(proc.registry)
-        assert "dram.reads" in data["counters"]
-        assert "memctrl.write_queue_depth" in data["gauges"]
-        assert "dram.reads" not in data["gauges"]
 
     def test_sampler_snapshots_every_interval(self):
         proc = _machine("sct")

@@ -1,9 +1,13 @@
 """Direct tests of the SecureProcessor surface."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import BLOCK_SIZE, MIB, SecureProcessorConfig
 from repro.proc import AccessPath, SecureProcessor
+from repro.synth import generate_program
+from repro.synth.runner import DEFENSES, compile_program, synth_config
 
 
 @pytest.fixture()
@@ -109,17 +113,56 @@ class TestStats:
     def test_path_counting(self, proc):
         proc.read(0x4000)
         proc.read(0x4000)
-        counts = proc.stats.path_counts
-        assert counts.get(AccessPath.MEM_TREE_MISS, 0) >= 1
-        assert counts.get(AccessPath.L1_HIT, 0) >= 1
+        assert proc.registry.get("proc.path_mem_tree_miss") >= 1
+        assert proc.registry.get("proc.path_l1_hit") >= 1
 
     def test_read_write_flush_counters(self, proc):
         proc.read(0x4000)
         proc.write(0x4000, b"x")
         proc.flush(0x4000)
-        assert proc.stats.reads == 1
-        assert proc.stats.writes == 1
-        assert proc.stats.flushes == 1
+        assert proc.registry.get("proc.reads") == 1
+        assert proc.registry.get("proc.writes") == 1
+        assert proc.registry.get("proc.flushes") == 1
+
+    def test_registry_names_every_tally(self, proc):
+        expected = {"proc.reads", "proc.writes", "proc.flushes"}
+        expected |= {f"proc.path_{path.name.lower()}" for path in AccessPath}
+        expected |= {
+            f"mee.{name}"
+            for name in (
+                "reads", "writes_serviced", "counter_hits", "counter_misses",
+                "tree_node_loads", "enc_counter_overflows",
+                "tree_counter_overflows", "reencrypted_blocks",
+            )
+        }
+        tallies = {
+            path for path in proc.registry.snapshot()
+            if path.startswith(("proc.", "mee."))
+        }
+        assert tallies == expected
+
+
+class TestCrossLayerTallies:
+    """The processor's per-path tallies and the MEE's metadata tallies
+    count the same memory reads from two layers, so they agree."""
+
+    @pytest.mark.parametrize("defense", DEFENSES)
+    @pytest.mark.parametrize("preset", ["sct", "ht", "sgx"])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_path_tallies_match_metadata_tallies(self, preset, defense, seed):
+        spec = compile_program(generate_program(seed))
+        for secret in (0, 1):
+            proc = SecureProcessor(synth_config(preset, defense))
+            spec.run(proc, secret)
+            tally = proc.registry.get
+            hits, misses = tally("mee.counter_hits"), tally("mee.counter_misses")
+            assert tally("mee.reads") == hits + misses
+            assert tally("proc.path_mem_counter_hit") == hits
+            assert (
+                tally("proc.path_mem_tree_hit") + tally("proc.path_mem_tree_miss")
+                == misses
+            )
 
 
 class TestJitter:

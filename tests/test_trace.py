@@ -174,7 +174,7 @@ class TestCounterRegistry:
         registry = CounterRegistry()
         registry.counter("hits")
         with pytest.raises(ValueError):
-            registry.gauge("hits")
+            registry.gauge("hits", lambda: 0)
         with pytest.raises(ValueError):
             registry.mount("hits", CounterRegistry())
 
@@ -187,7 +187,7 @@ class TestCounterRegistry:
     def test_mount_prefix_colliding_with_counter_rejected(self):
         root = CounterRegistry()
         root.counter("hits")
-        root.gauge("depth")
+        root.gauge("depth", lambda: 0)
         # Both the leaf segment and an intermediate segment of a dotted
         # prefix must reject counter/gauge name collisions.
         with pytest.raises(ValueError):
@@ -236,23 +236,23 @@ class TestCounterRegistry:
             ("reads", "counter", 9),
         ]
 
-    def test_machine_registry_mirrors_legacy_attributes(self):
+    def test_machine_registry_mounts_component_registries(self):
         proc = _machine()
         _exercise(proc)
         snapshot = proc.registry.snapshot()
-        assert snapshot["meta_cache.hits"] == proc.mee.meta_cache.hits
-        assert snapshot["meta_cache.misses"] == proc.mee.meta_cache.misses
-        assert snapshot["dram.reads"] == proc.memctrl.dram.reads
-        assert snapshot["memctrl.reads_serviced"] == proc.memctrl.reads_serviced
-        assert snapshot["core0.l1.hits"] == proc.caches.core_caches[0].l1.hits
-
-    def test_legacy_setters_still_work(self):
-        proc = _machine()
-        _exercise(proc)
-        proc.mee.meta_cache.hits = 0
-        proc.memctrl.drains = 0
-        assert proc.registry.snapshot()["meta_cache.hits"] == 0
-        assert proc.registry.snapshot()["memctrl.drains"] == 0
+        mounts = {
+            "proc": proc.counters,
+            "mee": proc.mee.registry,
+            "meta_cache": proc.mee.meta_cache.counters,
+            "dram": proc.memctrl.dram.counters,
+            "memctrl": proc.memctrl.counters,
+            "core0.l1": proc.caches.core_caches[0].l1.counters,
+        }
+        for prefix, registry in mounts.items():
+            for name, value in registry.snapshot().items():
+                assert snapshot[f"{prefix}.{name}"] == value
+        assert snapshot["proc.reads"] > 0
+        assert snapshot["mee.reads"] > 0
 
 
 class TestExport:
