@@ -1,10 +1,11 @@
 """Shared benchmark plumbing.
 
 Every benchmark regenerates one paper table/figure via the
-``repro.analysis.figures`` harness, records the paper-vs-measured table
-under ``benchmarks/results/``, echoes it to the terminal, and asserts the
-figure's *shape* claims (ordering, separability, who-wins) — absolute
-cycle counts are simulator-specific by design.
+``repro.analysis.figures`` registry, records the paper-vs-measured table
+and its claim lines under ``benchmarks/results/``, echoes it to the
+terminal, and asserts the figure's *shape* claims (ordering,
+separability, who-wins) — absolute cycle counts are simulator-specific
+by design.
 
 A recorded table holds simulated results only, so a run that reproduces
 every figure leaves the tracked files unchanged.  Host time is measured
@@ -14,6 +15,7 @@ by ``perfbench/`` (docs/performance.md).
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 
@@ -29,14 +31,9 @@ def record_figure():
 
     def _record(result):
         text = format_result(result)
-        name = result.figure.lower().replace(" ", "_") + ".txt"
+        name = re.sub(r"[^a-z0-9]+", "_", result.figure.lower()) + ".txt"
         (RESULTS_DIR / name).write_text(text + "\n")
         print("\n" + text)
         return text
 
     return _record
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

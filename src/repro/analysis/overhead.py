@@ -86,7 +86,7 @@ class _InsecureBaseline:
 
 
 def overhead_study(
-    accesses: int = 400,
+    accesses: int = 300,
     patterns: tuple[str, ...] = ("seq-read", "stride-read", "rand-read", "seq-write"),
 ) -> FigureResult:
     """Slowdown of HT and SCT designs vs an (approximated) insecure base."""
@@ -109,6 +109,7 @@ def overhead_study(
             protected_size=64 * MIB, functional_crypto=False
         ),
     }
+    slowdowns: dict[str, float] = {}
     for pattern in patterns:
         base = _run_workload(baseline_proc, pattern, accesses)
         result.add(
@@ -121,10 +122,20 @@ def overhead_study(
             proc = SecureProcessor(config)
             run = _run_workload(proc, pattern, accesses)
             slowdown = run.cycles / max(1, base.cycles)
+            slowdowns[f"{name} {pattern}"] = round(slowdown, 3)
             result.add(
                 f"{name} {pattern} slowdown",
-                round(slowdown, 3),
+                slowdowns[f"{name} {pattern}"],
                 "> 1.0",
                 "x",
             )
+    # Protection must cost something on memory-bound reads, and nothing
+    # absurd; posted writes hide security work from the issuing core.
+    reads = [value for key, value in slowdowns.items() if key.endswith("-read")]
+    write = slowdowns.get("SCT seq-write")
+    result.claim(
+        "HT and SCT read slowdowns within 1.0-3.0x",
+        bool(reads) and all(1.0 <= value <= 3.0 for value in reads),
+    )
+    result.claim("SCT seq-write slowdown <= 1.2x", write is not None and write <= 1.2)
     return result

@@ -32,7 +32,7 @@ from repro.attacks.framing import (
 )
 from repro.attacks.mapping import MetadataEvictor, MetadataMapper
 from repro.attacks.metaleak_c import MetaLeakC, OverflowScan
-from repro.attacks.metaleak_t import MetaLeakT, ReloadObservation, TreeNodeMonitor
+from repro.attacks.metaleak_t import MetaLeakT, TreeNodeMonitor
 from repro.attacks.noise import NoiseProcess
 from repro.attacks.resilience import (
     MIN_CALIBRATION_QUALITY,
@@ -62,7 +62,6 @@ __all__ = [
     "NoiseProcess",
     "OverflowScan",
     "ReliableChannel",
-    "ReloadObservation",
     "SearchOutcome",
     "TreeNodeMonitor",
     "crc8",

@@ -42,15 +42,6 @@ class MonitorStats:
     rejected_recalibrations: int = 0
 
 
-@dataclass(frozen=True)
-class ReloadObservation:
-    """One scored mReload: latency, decision, and honest confidence."""
-
-    latency: int
-    hit: bool
-    confidence: float
-
-
 class TreeNodeMonitor:
     """Monitors one shared tree node block with mEvict+mReload."""
 
@@ -177,13 +168,6 @@ class TreeNodeMonitor:
         ):
             self.calibrate(self._calibration_samples)
         return latency, hit
-
-    def m_reload_scored(self) -> ReloadObservation:
-        """:meth:`m_reload` plus the per-observation confidence score."""
-        latency, hit = self.m_reload()
-        return ReloadObservation(
-            latency=latency, hit=hit, confidence=self.last_confidence
-        )
 
 
 class MetaLeakT:

@@ -424,15 +424,6 @@ class CampaignDB:
             })
         return out
 
-    def span_traces(self) -> list[str]:
-        """Distinct trace ids with stored spans, oldest first."""
-        return [
-            row[0] for row in self._execute(
-                "SELECT trace_id, MIN(start) AS t0 FROM spans"
-                " GROUP BY trace_id ORDER BY t0"
-            )
-        ]
-
     def close(self) -> None:
         self._conn.close()
 

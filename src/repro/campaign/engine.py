@@ -369,10 +369,6 @@ class CampaignEngine:
         calls it from its event loop during graceful shutdown)."""
         self._stop_requested = True
 
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop_requested
-
     # -- shared plumbing ---------------------------------------------------
 
     def _retry_delay(self, attempts: int) -> float:

@@ -7,7 +7,8 @@ Commands
     Print the machine configuration and metadata layout of a preset.
 
 ``list``
-    List every regenerable figure/ablation and its paper reference.
+    List every experiment in ``repro.analysis.figures.FIGURES`` and its
+    paper reference.
 
 ``figures [NAME ...] [--quick] [--out DIR] [--jobs N] [--no-cache]
 [--campaign-db FILE] [--timeout S] [--retries N] [--fail-fast]``
@@ -18,7 +19,10 @@ Commands
     on a fresh worker, and every finished figure is recorded in the
     campaign DB as it lands.  Re-running against the same DB (by
     default ``OUT/campaign.sqlite``) resumes an interrupted batch: only
-    figures with no ``ok`` row for this git revision execute.
+    figures with no ``ok`` row for this git revision execute.  Each
+    table ends with one line per shape claim; the run exits 1 when a
+    claim of its scale (``quick`` claims under ``--quick``, every claim
+    otherwise) does not hold.
 
 ``faults [--preset sct|ht|sgx|all] [--sites N] [--seed S] [--jobs N]
 [--no-cache] [--campaign-db FILE] [--timeout S] [--retries N]``
@@ -135,50 +139,6 @@ _DEFAULT_CAMPAIGN_DB = ".repro-campaign.sqlite"
 #: Default synth corpus location; override per-invocation with
 #: ``--corpus`` or globally with ``REPRO_SYNTH_CORPUS``.
 _DEFAULT_CORPUS = ".repro-corpus.sqlite"
-
-_FIGURE_DOC = {
-    "fig6": "Fig. 6  — access-path latency bands (SCT)",
-    "fig7": "Fig. 7  — SGX latency profile (SIT)",
-    "fig8": "Fig. 8  — counter-overflow latency bands",
-    "fig11": "Fig. 11 — MetaLeak-T covert channel",
-    "fig12": "Fig. 12 — resolution/coverage vs tree level",
-    "fig14": "Fig. 14 — MetaLeak-C covert channel",
-    "fig15": "Fig. 15 — libjpeg image stealing",
-    "fig16": "Fig. 16 — RSA exponent recovery",
-    "fig17": "Fig. 17 — mbedTLS shift/sub detection",
-    "fig18": "Fig. 18 — MIRAGE randomized-cache study",
-    "case_kvstore": "Case study — kvstore bucket recovery (MetaLeak-C)",
-    "ablation_counters": "Abl. A1 — counter-scheme overflow scope",
-    "ablation_policy": "Abl. A2 — lazy vs eager tree updates",
-    "ablation_defenses": "Abl. A3 — defenses vs MetaLeak-T",
-    "ablation_trees": "Abl. A4 — MetaLeak-T across HT/SCT/SIT",
-    "ablation_mac": "Abl. A5 — MAC placement (Synergy vs classical)",
-    "ablation_split": "Abl. A6 — combined vs split metadata caches",
-    "sweep_ecc": "Sweep S6 — raw vs ECC-framed covert channels under noise",
-    "leakcheck": "Leakcheck — automated paired-secret leakage detection matrix",
-    "perf_attribution": "Perf — cycle attribution across access paths",
-}
-
-# Reduced-scale keyword arguments for --quick runs.
-_QUICK_KWARGS = {
-    "fig6": {"samples": 10},
-    "fig7": {"samples": 10},
-    "fig8": {"cycles": 1},
-    "fig11": {"bits": 120},
-    "fig12": {"rounds": 8},
-    "fig14": {"symbols": 12},
-    "fig15": {"images": ("circles",), "size": 16, "include_metaleak_c": False},
-    "fig16": {"exponent_bits": 48},
-    "fig17": {"secret_bits": 48},
-    "fig18": {"access_counts": (2000, 8000), "trials": 8},
-    "case_kvstore": {"puts": 4, "buckets": 3},
-    "ablation_policy": {"bits": 16},
-    "ablation_defenses": {"bits": 16},
-    "sweep_ecc": {"intensities": (0, 2), "bits": 16, "include_c": False},
-    "leakcheck": {"victims": ("rsa", "const")},
-    "perf_attribution": {"samples": 5},
-}
-
 
 # -- shared option validation (consistent across subcommands) -------------
 
@@ -329,18 +289,21 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    for name, doc in _FIGURE_DOC.items():
-        print(f"{name:<20} {doc}")
+    from repro.analysis.figures import FIGURES
+
+    for name, figure in FIGURES.items():
+        print(f"{name:<20} {figure.label}")
     return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.analysis.figures import ALL_FIGURES
+    from repro.analysis.figures import FIGURES
+    from repro.analysis.report import FULL, QUICK
     from repro.campaign import CampaignTask
     from repro.perf import prometheus_text
 
-    names = args.names or list(ALL_FIGURES)
-    unknown = [name for name in names if name not in ALL_FIGURES]
+    names = args.names or list(FIGURES)
+    unknown = [name for name in names if name not in FIGURES]
     if unknown:
         print(f"unknown figure(s): {unknown}; see 'python -m repro list'",
               file=sys.stderr)
@@ -349,14 +312,16 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    scale = QUICK if args.quick else FULL
     tasks = [
         CampaignTask(
             name=name,
-            fn=ALL_FIGURES[name],
-            kwargs=_QUICK_KWARGS.get(name, {}) if args.quick else {},
+            fn=FIGURES[name].fn,
+            kwargs=FIGURES[name].quick if args.quick else {},
         )
         for name in names
     ]
+    broken: list[tuple[str, str]] = []
 
     def _on_record(record) -> None:
         if record.status == "skipped":
@@ -367,6 +332,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             return
         text = format_result(record.result)
         print(text)
+        broken.extend(
+            (record.name, claim.name)
+            for claim in record.result.broken_claims(scale)
+        )
         if record.cached:
             print("   [campaign cache]\n")
         else:
@@ -383,11 +352,13 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     report = engine.run(tasks, on_record=_on_record)
     print(report.summary())
     print(engine.summary_line())
+    for name, claim in broken:
+        print(f"!! {name}: {scale}-scale claim broken: {claim}", file=sys.stderr)
     if out_dir:
         (out_dir / "campaign_metrics.prom").write_text(
             prometheus_text(engine.registry, namespace="repro_campaign")
         )
-    return 0 if report.status == "pass" else 1
+    return 0 if report.status == "pass" and not broken else 1
 
 
 def _cmd_channel(args: argparse.Namespace) -> int:
@@ -524,8 +495,7 @@ def _cmd_leakcheck(args: argparse.Namespace) -> int:
     import json as _json
     import pathlib as _pathlib
 
-    from repro.campaign import CampaignTask
-    from repro.leakcheck import list_victims, run_leakcheck
+    from repro.leakcheck import build_leakcheck_tasks, list_victims
 
     if args.list:
         for spec in list_victims():
@@ -536,14 +506,9 @@ def _cmd_leakcheck(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     seeds = [args.seed + offset for offset in range(args.seeds)]
-    tasks = [
-        CampaignTask(
-            name=f"leakcheck_{args.victim}_s{seed}",
-            fn=run_leakcheck,
-            kwargs={"victim": args.victim, "seed": seed, "alpha": args.alpha},
-        )
-        for seed in seeds
-    ]
+    tasks = build_leakcheck_tasks(
+        args.victim, seed=args.seed, seeds=args.seeds, alpha=args.alpha
+    )
     engine = _campaign_engine(args)
     batch = engine.run(tasks)
     reports = []

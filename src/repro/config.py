@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 BLOCK_SIZE = 64
 PAGE_SIZE = 4096
-BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -137,8 +136,6 @@ class CounterConfig:
     scheme: CounterScheme = CounterScheme.SPLIT
     major_bits: int = 64
     minor_bits: int = 7
-    # Blocks sharing one major counter in SC mode: one physical page.
-    group_blocks: int = BLOCKS_PER_PAGE
     # Width of the single counter in GC/MoC mode.
     monolithic_bits: int = 64
 
@@ -217,14 +214,6 @@ class SecureProcessorConfig:
     # and ~50 (SGX hardware messiness).
     timer_jitter_sigma: float = 0.0
     seed: int = 2024
-
-    @property
-    def protected_pages(self) -> int:
-        return self.protected_size // PAGE_SIZE
-
-    @property
-    def protected_blocks(self) -> int:
-        return self.protected_size // BLOCK_SIZE
 
     def with_overrides(self, **kwargs: object) -> "SecureProcessorConfig":
         """Return a copy with selected fields replaced."""

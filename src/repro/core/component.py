@@ -10,6 +10,8 @@ from :class:`Component`.  A component contributes three things:
   rooted at :class:`~repro.proc.processor.SecureProcessor`;
 * *instrument slots* — named attributes (``tracer``, ``fault_hook``, …)
   that hold the currently attached instruments, ``None`` when detached.
+  Every component has a ``tracer`` slot; only the layers that dispatch
+  a fault event (the MEE and the memory controller) have ``fault_hook``.
 
 :func:`attach` walks the graph once and installs one instrument into the
 matching slot of every component that declares it, so no layer
@@ -50,8 +52,9 @@ class Component:
     """
 
     #: Slots this component accepts; subclasses may extend (the
-    #: processor adds ``profiler`` and ``sampler``).
-    instrument_slots: tuple[str, ...] = (TRACER, FAULT_HOOK)
+    #: processor adds ``profiler`` and ``sampler``, the MEE and the
+    #: memory controller ``fault_hook``).
+    instrument_slots: tuple[str, ...] = (TRACER,)
 
     component_name: str = "component"
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.report import FigureResult
-from repro.config import BLOCK_SIZE, PAGE_SIZE, preset_config, preset_names
+from repro.config import BLOCK_SIZE, PAGE_SIZE, preset_config
 from repro.faults.injector import (
     PROTECTED_SITES,
     QUEUE_SITES,
@@ -289,12 +289,6 @@ def run_campaign(
     if sites <= 0:
         raise ValueError("sites must be positive")
     return _Campaign(preset, seed=seed, pages=pages).run(sites)
-
-
-def run_all_campaigns(
-    *, sites: int = 200, seed: int = 2024
-) -> dict[str, CampaignReport]:
-    return {name: run_campaign(name, sites=sites, seed=seed) for name in preset_names()}
 
 
 def campaign_figure_result(reports: dict[str, CampaignReport]) -> FigureResult:

@@ -10,14 +10,15 @@ of sites on one machine instance, checking detection after each.
 
 The injector *is* a :class:`~repro.faults.hooks.FaultHook`: armed faults
 (corrupt-on-fill, queue perturbations) fire from the hook callbacks the
-memory layers invoke, while direct state corruptions apply immediately
-through the tamper APIs of the engine, counter store and trees.
+engine and the memory controller invoke, while direct state corruptions
+apply immediately through the tamper APIs of the engine, counter store
+and trees.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core import FAULT_HOOK, attach, detach
@@ -67,18 +68,6 @@ class InjectionHandle:
             self._undo = None
 
 
-@dataclass
-class InjectorStats:
-    dram_accesses: int = 0
-    cache_fills: int = 0
-    counter_increments: int = 0
-    meta_fetches: int = 0
-    injected: dict[FaultSite, int] = field(default_factory=dict)
-
-    def count(self, site: FaultSite) -> None:
-        self.injected[site] = self.injected.get(site, 0) + 1
-
-
 class FaultInjector(FaultHook):
     """Deterministic fault-injection engine bound to one processor."""
 
@@ -86,13 +75,13 @@ class FaultInjector(FaultHook):
         self.proc = proc
         self.mee = proc.mee
         self.rng: DeterministicRng = derive_rng(seed, "fault-injector")
-        self.stats = InjectorStats()
         # Armed (deferred) faults, consumed by hook callbacks.
         self._meta_fill_faults: dict[int, InjectionHandle] = {}
         self._meta_fill_actions: dict[int, Callable[[], None]] = {}
         self._drop_blocks: dict[int, InjectionHandle] = {}
         self._reorder_next: InjectionHandle | None = None
-        # Hooked at the engine, so data-cache fills stay unobserved.
+        # Attached from the engine down: the MEE and its memory
+        # controller are the two layers with a fault slot.
         attach(self.mee, self)
 
     def detach(self) -> None:
@@ -108,7 +97,6 @@ class FaultInjector(FaultHook):
         if bit is None:
             bit = self.rng.randrange(8 * 64)
         self.mee.tamper_flip_data_bit(addr, bit)
-        self.stats.count(FaultSite.DATA_BIT)
         return InjectionHandle(
             site=FaultSite.DATA_BIT,
             description=f"data bit {bit} @ {addr:#x}",
@@ -120,7 +108,6 @@ class FaultInjector(FaultHook):
         if bit is None:
             bit = self.rng.randrange(8 * 8)
         self.mee.tamper_flip_mac_bit(addr, bit)
-        self.stats.count(FaultSite.MAC_BIT)
         return InjectionHandle(
             site=FaultSite.MAC_BIT,
             description=f"MAC bit {bit} @ {addr:#x}",
@@ -134,7 +121,6 @@ class FaultInjector(FaultHook):
         counters = self.mee.counters
         old = counters.tamper_counter(block, 0)
         counters.tamper_counter(block, old + delta)
-        self.stats.count(FaultSite.COUNTER)
         return InjectionHandle(
             site=FaultSite.COUNTER,
             description=f"counter of block {block} += {delta}",
@@ -150,7 +136,6 @@ class FaultInjector(FaultHook):
         tree = self.mee.tree
         old = tree.tamper_node(level, index, slot, 0)
         tree.tamper_node(level, index, slot, old + delta)
-        self.stats.count(FaultSite.TREE_NODE)
         return InjectionHandle(
             site=FaultSite.TREE_NODE,
             description=f"tree L{level}[{index}] slot {slot} += {delta}",
@@ -180,7 +165,6 @@ class FaultInjector(FaultHook):
             undo_state["old"] = counters.tamper_counter(block, 0)
             counters.tamper_counter(block, undo_state["old"] + delta)
             handle.fired = True
-            self.stats.count(FaultSite.META_FILL)
 
         def undo() -> None:
             self._meta_fill_faults.pop(cb_index, None)
@@ -228,17 +212,7 @@ class FaultInjector(FaultHook):
     # FaultHook callbacks
     # ------------------------------------------------------------------
 
-    def on_dram_access(self, addr: int, now: int, *, is_write: bool) -> None:
-        self.stats.dram_accesses += 1
-
-    def on_cache_fill(self, cache_name: str, block_addr: int) -> None:
-        self.stats.cache_fills += 1
-
-    def on_counter_increment(self, block: int) -> None:
-        self.stats.counter_increments += 1
-
     def on_meta_fetch(self, kind: str, level: int, index: int) -> None:
-        self.stats.meta_fetches += 1
         if kind == "counter":
             action = self._meta_fill_actions.pop(index, None)
             if action is not None:
@@ -251,7 +225,6 @@ class FaultInjector(FaultHook):
             self._reorder_next = None
             self.rng.shuffle(entries)
             handle.fired = True
-            self.stats.count(FaultSite.WQ_REORDER)
         if self._drop_blocks:
             kept = []
             for entry in entries:
@@ -263,6 +236,5 @@ class FaultInjector(FaultHook):
                     # pending plaintext so nothing forwards it later.
                     self.mee._pending_plain.pop(entry.addr, None)
                     handle.fired = True
-                    self.stats.count(FaultSite.WQ_DROP)
             entries = kept
         return entries

@@ -1,6 +1,11 @@
 """Automated metadata-leakage detection (paired-secret trace diffing)."""
 
-from repro.leakcheck.detector import KindFinding, LeakReport, run_leakcheck
+from repro.leakcheck.detector import (
+    KindFinding,
+    LeakReport,
+    build_leakcheck_tasks,
+    run_leakcheck,
+)
 from repro.leakcheck.victims import (
     VICTIMS,
     VictimSpec,
@@ -12,6 +17,7 @@ from repro.leakcheck.victims import (
 __all__ = [
     "KindFinding",
     "LeakReport",
+    "build_leakcheck_tasks",
     "run_leakcheck",
     "VICTIMS",
     "VictimSpec",

@@ -321,3 +321,24 @@ def run_leakcheck(
         span.set_many({"leaky": report.leaky,
                        "events": report.events_a + report.events_b})
     return report
+
+
+def build_leakcheck_tasks(
+    victim: str, *, seed: int = 0, seeds: int = 1, alpha: float = 0.01
+) -> list:
+    """The campaign tasks of one leakcheck request, one per seed.
+
+    ``repro leakcheck`` and the service's ``leakcheck`` jobs both build
+    their tasks here, so equal requests share task names and kwargs —
+    and therefore campaign-cache entries.
+    """
+    from repro.campaign.engine import CampaignTask
+
+    return [
+        CampaignTask(
+            name=f"leakcheck_{victim}_s{seed + offset}",
+            fn=run_leakcheck,
+            kwargs={"victim": victim, "seed": seed + offset, "alpha": float(alpha)},
+        )
+        for offset in range(seeds)
+    ]

@@ -122,8 +122,8 @@ class SetAssocCache(Component):
         # Gauges read the state they report, not the cache, so the
         # machine graph stays acyclic (docs/architecture.md).
         self.counters.gauge("occupancy", partial(_resident_blocks, self._sets))
-        # Instrument slots (tracer, fault_hook) are created detached by
-        # the component graph; attach via ``repro.core.attach``.
+        # The tracer slot is created detached by the component graph;
+        # attach via ``repro.core.attach``.
         self.init_component(f"cache.{config.name}")
 
     # ------------------------------------------------------------------
@@ -255,8 +255,6 @@ class SetAssocCache(Component):
                     set_index=set_index,
                     value=float(evicted_dirty),
                 )
-        if self.fault_hook is not None:
-            self.fault_hook.on_cache_fill(self.config.name, block)
         if evicted_addr is None:
             return _FILLED
         return CacheAccess(

@@ -40,12 +40,8 @@ class DramModel(Component):
         self._row_misses = self.counters.counter("row_misses")
         # Bound to the bank list, not the model: no back-reference.
         self.counters.gauge("max_busy_until", partial(_latest_busy, self._banks))
-        # Instrument slots (tracer for every access, fault_hook for
-        # campaign triggers) are created detached by the component graph.
+        # The tracer slot is created detached by the component graph.
         self.init_component("dram")
-
-    def _row_of(self, addr: int) -> int:
-        return addr // self.config.row_size
 
     def bank_of(self, addr: int) -> int:
         return bank_of(addr, self.config.banks)
@@ -75,8 +71,6 @@ class DramModel(Component):
         ``sum(access_parts(...)) == access(...)`` by construction; the cycle
         attributor uses the split to separate DRAM queueing from service.
         """
-        if self.fault_hook is not None:
-            self.fault_hook.on_dram_access(addr, now, is_write=is_write)
         bank_index, row = self.decompose(addr)
         bank = self._banks[bank_index]
         wait = max(0, bank.busy_until - now)

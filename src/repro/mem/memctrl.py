@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.config import DramConfig, MemCtrlConfig
-from repro.core import NULL_TXN, Component, Txn
+from repro.core import FAULT_HOOK, NULL_TXN, TRACER, Component, Txn
 from repro.mem.block import block_address
 from repro.mem.dram import DramModel
 from repro.trace.counters import CounterRegistry
@@ -49,6 +49,8 @@ class WriteQueueEntry:
 
 class MemoryController(Component):
     """FR-FCFS-flavoured controller front-ending one DRAM rank."""
+
+    instrument_slots = (TRACER, FAULT_HOOK)
 
     def __init__(self, config: MemCtrlConfig, dram_config: DramConfig) -> None:
         self.config = config

@@ -34,10 +34,6 @@ class PhaseStats:
     p95_s: float = 0.0
     max_s: float = 0.0
 
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
-
 
 @dataclass
 class FleetSummary:

@@ -9,8 +9,6 @@ crafted frame on the victim's core immediately before the victim allocates
 
 from __future__ import annotations
 
-from repro.config import PAGE_SIZE
-
 
 class PageAllocator:
     """Tracks frames of a protected region; LIFO per-core free lists."""
@@ -90,10 +88,6 @@ class PageAllocator:
 
     def is_allocated(self, frame: int) -> bool:
         return frame in self._allocated
-
-    def frame_addr(self, frame: int) -> int:
-        self._check_frame(frame)
-        return frame * PAGE_SIZE
 
     def _check_frame(self, frame: int) -> None:
         if not 0 <= frame < self.total_pages:

@@ -64,9 +64,6 @@ class AddressSpace:
     def frame_of(self, vaddr: int) -> int:
         return self.translate(vaddr) // PAGE_SIZE
 
-    def mapped_pages(self) -> dict[int, int]:
-        return dict(self._map)
-
 
 class Process:
     """A software context: address space + core + cleansing policy."""

@@ -28,7 +28,6 @@ from functools import partial
 
 from repro.config import BLOCK_SIZE, SecureProcessorConfig
 from repro.core import (
-    FAULT_HOOK,
     NULL_TXN,
     PROFILER,
     SAMPLER,
@@ -94,7 +93,7 @@ class SecureProcessor(Component):
     under a per-access :class:`~repro.core.Txn` opened by :meth:`_begin`.
     """
 
-    instrument_slots = (TRACER, FAULT_HOOK, PROFILER, SAMPLER)
+    instrument_slots = (TRACER, PROFILER, SAMPLER)
 
     def __init__(self, config: SecureProcessorConfig | None = None) -> None:
         self.config = config or SecureProcessorConfig.sct_default()

@@ -73,8 +73,7 @@ class EncryptionCounterStore(Component):
         self._written: set[int] = set()
         self.key_epoch = 0
         self.overflows = 0
-        # Instrument slots (the fault hook observes counter increments)
-        # are created detached by the component graph.
+        # The tracer slot is created detached by the component graph.
         self.init_component("counters")
 
     # ------------------------------------------------------------------
@@ -138,8 +137,6 @@ class EncryptionCounterStore(Component):
 
     def increment(self, block: int) -> CounterEvent:
         """Bump the write counter for ``block`` (one serviced write)."""
-        if self.fault_hook is not None:
-            self.fault_hook.on_counter_increment(block)
         self._written.add(block)
         if self.scheme is CounterScheme.SPLIT:
             return self._increment_split(block)

@@ -28,7 +28,7 @@ from repro.config import (
     SecureProcessorConfig,
     TreeUpdatePolicy,
 )
-from repro.core import NULL_TXN, Component, Txn, adopt
+from repro.core import FAULT_HOOK, NULL_TXN, TRACER, Component, Txn, adopt
 from repro.crypto.engine import CounterModeEngine
 from repro.crypto.mac import MacEngine
 from repro.crypto.prf import keyed_prf, node_hash
@@ -62,6 +62,8 @@ class ReadOutcome:
 
 class MemoryEncryptionEngine(Component):
     """Counter-mode encryption + integrity verification over one MC."""
+
+    instrument_slots = (TRACER, FAULT_HOOK)
 
     def __init__(self, config: SecureProcessorConfig, memctrl: MemoryController) -> None:
         self.config = config
@@ -114,10 +116,9 @@ class MemoryEncryptionEngine(Component):
         self._enc_overflows = self.registry.counter("enc_counter_overflows")
         self._tree_overflows = self.registry.counter("tree_counter_overflows")
         self._reencrypted = self.registry.counter("reencrypted_blocks")
-        # Instrument slots (tracer + fault hook, shared by every
-        # memory-side layer via the component graph) start detached; the
-        # fault hook is notified right before metadata fetched from memory
-        # is verified, so campaigns can model corrupt-on-fill faults.
+        # Instrument slots start detached; the fault hook is notified
+        # right before metadata fetched from memory is verified, so
+        # campaigns can model corrupt-on-fill faults.
         self.init_component("mee")
         if config.isolated_trees and config.tree_update_policy is not TreeUpdatePolicy.LAZY:
             raise ValueError("isolated trees are implemented for the lazy policy")

@@ -5,9 +5,12 @@ A *job* is what the HTTP server accepts: a kind (``probe``,
 server-assigned id.  A job
 expands into one or more :class:`~repro.campaign.CampaignTask` — the
 unit the campaign engine executes, retries, and caches — via
-:func:`build_job_tasks`; the task names and kwargs match what the CLI
-subcommands submit, so the service and ``python -m repro leakcheck``
-share one result cache.
+:func:`build_job_tasks`.  ``leakcheck`` and ``synth`` jobs build their
+tasks with the same functions as ``repro leakcheck`` and ``repro synth
+run`` (:func:`~repro.leakcheck.build_leakcheck_tasks`,
+:func:`~repro.synth.build_fuzz_tasks`), so the service and the CLI
+share those cache entries.  ``bench`` jobs do not: ``repro bench``
+passes ``repeats``, which a bench job spec does not carry.
 
 The state machine is strict::
 
@@ -192,9 +195,9 @@ def build_job_tasks(
     """Validate a job spec and expand it into campaign tasks.
 
     Returns ``(normalized_spec, tasks)``; raises :class:`ValueError` for
-    anything malformed, which the server maps to HTTP 400.  Task names
-    and kwargs deliberately mirror the equivalent CLI invocations so the
-    campaign cache is shared between the service and the CLI.
+    anything malformed, which the server maps to HTTP 400.  Leakcheck
+    and synth tasks come from the builders the CLI uses, so those jobs
+    share the CLI's campaign-cache entries.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"job spec must be a JSON object, got {type(spec).__name__}")
@@ -218,7 +221,7 @@ def build_job_tasks(
         return normalized, [task]
 
     if kind == "leakcheck":
-        from repro.leakcheck import run_leakcheck
+        from repro.leakcheck import build_leakcheck_tasks
         from repro.leakcheck.victims import victim_names
 
         victim = spec.get("victim")
@@ -238,18 +241,9 @@ def build_job_tasks(
             "victim": victim, "seed": seed, "seeds": seeds,
             "alpha": float(alpha),
         }
-        tasks = [
-            CampaignTask(
-                name=f"leakcheck_{victim}_s{seed + offset}",
-                fn=run_leakcheck,
-                kwargs={
-                    "victim": victim, "seed": seed + offset,
-                    "alpha": float(alpha),
-                },
-            )
-            for offset in range(seeds)
-        ]
-        return normalized, tasks
+        return normalized, build_leakcheck_tasks(
+            victim, seed=seed, seeds=seeds, alpha=alpha
+        )
 
     if kind == "bench":
         from repro.perf import bench
@@ -274,9 +268,7 @@ def build_job_tasks(
 
     if kind == "synth":
         from repro.config import preset_names
-        from repro.synth import DEFENSES, GenConfig, generate_batch
-        from repro.synth.fuzz import task_name
-        from repro.synth.runner import evaluate_program
+        from repro.synth import DEFENSES, build_fuzz_tasks
 
         preset = spec.get("preset", "sct")
         if preset not in preset_names():
@@ -299,18 +291,10 @@ def build_job_tasks(
             "preset": preset, "defense": defense, "seed": seed,
             "budget": budget, "alpha": float(alpha),
         }
-        tasks = [
-            CampaignTask(
-                name=task_name(preset, defense, gen_seed),
-                fn=evaluate_program,
-                kwargs={
-                    "program": program, "preset": preset, "defense": defense,
-                    "alpha": float(alpha), "gen_seed": gen_seed,
-                },
-            )
-            for gen_seed, program in generate_batch(seed, budget, GenConfig())
-        ]
-        return normalized, tasks
+        return normalized, build_fuzz_tasks(
+            preset=preset, defense=defense, budget=budget, seed=seed,
+            alpha=float(alpha),
+        )
 
     raise ValueError(
         f"unknown job kind {kind!r}; "

@@ -119,9 +119,6 @@ class HuffmanTable:
             previous_length = length
         return codes
 
-    def encoded_bits(self, symbol: object) -> int:
-        return len(self.codes[symbol])
-
 
 def encode_bitstream(per_block_symbols: list[list[AcSymbol]]) -> tuple[str, HuffmanTable]:
     """Huffman-code all blocks' symbols; returns (bitstring, table)."""

@@ -61,10 +61,6 @@ class KeyLoadVictim:
         return self.process.paddr(self.sub_page_vaddr) // 4096
 
     @property
-    def u_buffer_frame(self) -> int:
-        return self.process.paddr(self.u_buffer_vaddr) // 4096
-
-    @property
     def v_buffer_frame(self) -> int:
         return self.process.paddr(self.v_buffer_vaddr) // 4096
 

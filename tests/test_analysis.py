@@ -1,4 +1,4 @@
-"""Integration tests for the case-study drivers and figure harness.
+"""Integration tests for the case-study drivers and figure registry.
 
 These run the real end-to-end experiments at reduced scale; the
 full-scale runs live in benchmarks/.
@@ -13,15 +13,9 @@ from repro.analysis import (
     run_mbedtls_attack,
     run_rsa_attack,
 )
-from repro.analysis.figures import (
-    ablation_counter_schemes,
-    ablation_defenses,
-    fig6_access_paths,
-    fig7_sgx_paths,
-    fig8_overflow_bands,
-    fig12_tree_levels,
-)
-from repro.analysis.report import FigureResult
+from repro.analysis.figures import FIGURES
+from repro.analysis.report import QUICK, FigureResult
+from repro.campaign.payload import decode_payload, encode_payload
 from repro.utils.stats import aligned_accuracy, edit_distance
 
 
@@ -38,6 +32,14 @@ class TestReport:
         assert result.row("a").measured == 1.0
         with pytest.raises(KeyError):
             result.row("missing")
+
+    def test_numpy_claim_is_stored_as_bool_and_round_trips(self):
+        import numpy
+
+        result = FigureResult(figure="F", title="t")
+        result.claim("numpy verdict", numpy.float64(2.0) > 1.0)
+        assert type(result.claims[0].holds) is bool
+        assert decode_payload(encode_payload(result)) == result
 
 
 class TestEditDistance:
@@ -113,43 +115,10 @@ class TestMbedtlsCaseStudy:
         assert outcome.labels == outcome.truth
 
 
-class TestFigureHarness:
-    def test_fig6_band_ordering(self):
-        result = fig6_access_paths(samples=6)
-        ordered = [row.measured for row in result.rows]
-        assert ordered == sorted(ordered)
-
-    def test_fig7_wider_than_fig6(self):
-        sct = fig6_access_paths(samples=6)
-        sgx = fig7_sgx_paths(samples=6)
-        assert (
-            sgx.row("Path-4 (all levels missed)").measured
-            > sct.row("Path-4 (all levels missed)").measured
-        )
-
-    def test_fig8_bands_separate(self):
-        result = fig8_overflow_bands(cycles=1)
-        assert result.row("band separation").measured > 500
-
-    def test_fig12_monotone(self):
-        result = fig12_tree_levels(levels=(0, 1), rounds=5)
-        l0 = result.row("L0 interval").measured
-        l1 = result.row("L1 interval").measured
-        assert l1 >= l0
-        assert result.row("L1 coverage").measured == 16 * result.row(
-            "L0 coverage"
-        ).measured
-
-    def test_ablation_counter_schemes_ordering(self):
-        result = ablation_counter_schemes()
-        sc = result.row("SC re-encrypted blocks").measured
-        gc = result.row("GC re-encrypted blocks").measured
-        moc = result.row("MoC re-encrypted blocks").measured
-        assert sc < gc == moc
-
-    @pytest.mark.slow
-    def test_ablation_defenses_isolated_trees_break_channel(self):
-        result = ablation_defenses(bits=24)
-        assert result.row("baseline (no defense)").measured > 0.9
-        assert result.row("disjoint LLCs (cross-socket)").measured > 0.9
-        assert result.row("per-domain isolated trees").measured < 0.8
+class TestFigureClaims:
+    @pytest.mark.parametrize("name", list(FIGURES))
+    def test_quick_claims_hold(self, name):
+        figure = FIGURES[name]
+        result = figure.fn(**figure.quick)
+        broken = result.broken_claims(QUICK)
+        assert not broken, [claim.name for claim in broken]

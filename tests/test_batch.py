@@ -222,14 +222,12 @@ class TestBatchScalarEquivalence:
             def __init__(self):
                 self.calls = []
 
-            def on_cache_fill(self, cache_name, block_addr):
-                self.calls.append(("fill", cache_name, block_addr))
-
-            def on_counter_increment(self, block):
-                self.calls.append(("ctr", block))
-
             def on_meta_fetch(self, kind, level, index):
                 self.calls.append(("meta", kind, level, index))
+
+            def on_write_drain(self, entries):
+                self.calls.append(("drain", [entry.addr for entry in entries]))
+                return entries
 
         scalar_proc = _machine("sct")
         batch_proc = _machine("sct")
@@ -243,6 +241,7 @@ class TestBatchScalarEquivalence:
             scalar_proc, scalar_results, batch_proc, batch_result
         )
         assert batch_hook.calls == scalar_hook.calls
+        assert {call[0] for call in scalar_hook.calls} == {"meta", "drain"}
 
     def test_interleaved_scalar_and_batch(self):
         """Batches compose with scalar calls on the same machine."""

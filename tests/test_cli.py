@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
+import inspect
 import time
 
 import pytest
 
-from repro.cli import _FIGURE_DOC, _QUICK_KWARGS, build_parser, main
+from repro.analysis import figures as figures_mod
+from repro.analysis.figures import FIGURES, Figure
+from repro.analysis.report import FULL
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -26,11 +30,8 @@ class TestCommands:
     def test_list_covers_all_figures(self, capsys):
         assert main(["list"]) == 0
         output = capsys.readouterr().out
-        from repro.analysis.figures import ALL_FIGURES
-
-        for name in ALL_FIGURES:
-            assert name in output
-        assert set(_FIGURE_DOC) == set(ALL_FIGURES)
+        for name, figure in FIGURES.items():
+            assert f"{name:<20} {figure.label}" in output
 
     @pytest.mark.parametrize("preset", ["sct", "ht", "sgx"])
     def test_info_presets(self, preset, capsys):
@@ -50,9 +51,8 @@ class TestCommands:
         assert (tmp_path / "fig8.txt").exists()
 
     def test_quick_kwargs_are_valid_figures(self):
-        from repro.analysis.figures import ALL_FIGURES
-
-        assert set(_QUICK_KWARGS) <= set(ALL_FIGURES)
+        for figure in FIGURES.values():
+            inspect.signature(figure.fn).bind(**figure.quick)
 
     def test_info_rejects_unknown_preset(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -96,12 +96,28 @@ def sleepy_figure(**_kwargs):
     time.sleep(3)
 
 
+def claiming_figure(**_kwargs):
+    result = _fake_figure("claiming")()
+    result.claim("quick claim holds", True)
+    result.claim("full claim fails", False, FULL)
+    return result
+
+
+def broken_quick_figure(**_kwargs):
+    result = _fake_figure("broken")()
+    result.claim("quick claim fails", False)
+    return result
+
+
+def _register(monkeypatch, name, fn):
+    """Stand ``fn`` in for registry entry ``name``."""
+    monkeypatch.setitem(figures_mod.FIGURES, name, Figure(fn, "stand-in"))
+
+
 @pytest.fixture
 def stand_ins(monkeypatch):
-    from repro.analysis import figures as figures_mod
-
-    monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", stand_in_fig6)
-    monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig8", stand_in_fig8)
+    _register(monkeypatch, "fig6", stand_in_fig6)
+    _register(monkeypatch, "fig8", stand_in_fig8)
     monkeypatch.setitem(_STAND_IN, "runs", [])
     monkeypatch.setitem(_STAND_IN, "broken", set())
     return _STAND_IN
@@ -113,15 +129,13 @@ class TestHardenedFigureRuns:
     def test_one_failure_does_not_stop_the_batch(
         self, capsys, tmp_path, monkeypatch
     ):
-        from repro.analysis import figures as figures_mod
-
-        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", _fake_figure())
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES,
+        _register(monkeypatch, "fig6", _fake_figure())
+        _register(
+            monkeypatch,
             "fig8",
             lambda **_kw: (_ for _ in ()).throw(RuntimeError("forced crash")),
         )
-        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig14", _fake_figure())
+        _register(monkeypatch, "fig14", _fake_figure())
         code = main(
             ["figures", "fig6", "fig8", "fig14", "--out", str(tmp_path)]
         )
@@ -159,13 +173,12 @@ class TestHardenedFigureRuns:
             assert db.counts() == {"ok": 2, "failed": 1}
 
     def test_timeout_records_and_continues(self, capsys, tmp_path, monkeypatch):
-        from repro.analysis import figures as figures_mod
         from repro.campaign import CampaignDB
 
         # A module-level figure runs in a worker that the timeout ends;
         # the closure cannot be pickled and runs under SIGALRM in process.
-        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", sleepy_figure)
-        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig8", _fake_figure())
+        _register(monkeypatch, "fig6", sleepy_figure)
+        _register(monkeypatch, "fig8", _fake_figure())
         code = main(
             [
                 "figures", "fig6", "fig8",
@@ -180,16 +193,14 @@ class TestHardenedFigureRuns:
             assert db.counts() == {"timeout": 1}  # closures are not cached
 
     def test_fail_fast_skips_remaining(self, capsys, monkeypatch):
-        from repro.analysis import figures as figures_mod
-
         ran = []
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES,
+        _register(
+            monkeypatch,
             "fig6",
             lambda **_kw: (_ for _ in ()).throw(RuntimeError("dead")),
         )
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES,
+        _register(
+            monkeypatch,
             "fig8",
             lambda **_kw: ran.append("fig8") or _fake_figure()(),
         )
@@ -198,8 +209,6 @@ class TestHardenedFigureRuns:
         assert "fail-fast" in capsys.readouterr().out
 
     def test_retry_flag_reaches_the_runner(self, tmp_path, monkeypatch):
-        from repro.analysis import figures as figures_mod
-
         calls = []
 
         def flaky(**_kwargs):
@@ -208,12 +217,63 @@ class TestHardenedFigureRuns:
                 raise RuntimeError("transient")
             return _fake_figure()()
 
-        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", flaky)
+        _register(monkeypatch, "fig6", flaky)
         code = main(
             ["figures", "fig6", "--out", str(tmp_path), "--retries", "2"]
         )
         assert code == 0
         assert len(calls) == 2
+
+
+def _claim_lines(text):
+    return [line for line in text.splitlines() if line.startswith("claim ")]
+
+
+class TestClaimGate:
+    """``repro figures`` exits 1 when a claim of the run's scale fails."""
+
+    def test_broken_quick_claim_fails_a_quick_run(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        _register(monkeypatch, "fig6", broken_quick_figure)
+        code = main(["figures", "fig6", "--quick", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "claim FAIL [quick] quick claim fails" in captured.out
+        assert "fig6: quick-scale claim broken: quick claim fails" in captured.err
+        # The figure itself ran fine: only the claim fails the batch.
+        assert "batch pass: 1/1 ok" in captured.out
+        assert "claim FAIL" in (tmp_path / "fig6.txt").read_text()
+
+    def test_full_claim_gates_only_a_full_run(self, capsys, tmp_path, monkeypatch):
+        _register(monkeypatch, "fig6", claiming_figure)
+        assert main(["figures", "fig6", "--quick", "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert _claim_lines(captured.out) == [
+            "claim ok   [quick] quick claim holds",
+            "claim FAIL [full] full claim fails",
+        ]
+        assert "claim broken" not in captured.err
+        assert main(["figures", "fig6", "--out", str(tmp_path)]) == 1
+        assert (
+            "fig6: full-scale claim broken: full claim fails"
+            in capsys.readouterr().err
+        )
+
+    def test_cache_served_rerun_reports_the_same_verdicts(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        _register(monkeypatch, "fig6", claiming_figure)
+        command = ["figures", "fig6", "--out", str(tmp_path)]
+        assert main(command) == 1
+        first = capsys.readouterr()
+        assert main(command) == 1
+        second = capsys.readouterr()
+        assert "[campaign cache]" in second.out
+        assert "0 executed, 1 cached" in second.out
+        assert _claim_lines(second.out) == _claim_lines(first.out)
+        assert len(_claim_lines(first.out)) == 2
+        assert second.err == first.err
 
 
 class TestFaultsCommand:

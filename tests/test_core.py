@@ -133,22 +133,26 @@ class TestComponentGraph:
         assert proc.read(0).breakdown is None
 
     def test_engine_fault_hook_spares_data_caches(self):
-        """FaultInjector semantics: a hook attached at the MEE reaches the
-        memory side only, so data-cache fills never dispatch
-        ``on_cache_fill``."""
+        """FaultInjector semantics: only the two layers that dispatch a
+        fault event — the MEE and the memory controller — have a
+        ``fault_hook`` slot; caches, DRAM and the counter store do not."""
         proc = _machine()
         hook = FaultHook()
-        attach(proc.mee, hook)
-        assert proc.mee.fault_hook is hook
-        assert proc.memctrl.fault_hook is hook
-        assert proc.memctrl.dram.fault_hook is hook
-        assert proc.mee.counters.fault_hook is hook
-        assert proc.mee.meta_cache.fault_hook is hook
-        assert proc.caches.core_caches[0].l1.fault_hook is None
-        assert proc.caches.l3s[0].fault_hook is None
+        assert proc.attach(hook) == 2
+        holders = {
+            component.component_name
+            for component in walk(proc)
+            if getattr(component, "fault_hook", None) is hook
+        }
+        assert holders == {"mee", "memctrl"}
+        for component in (
+            proc.caches.core_caches[0].l1, proc.caches.l3s[0],
+            proc.mee.meta_cache, proc.memctrl.dram, proc.mee.counters,
+        ):
+            assert not hasattr(component, "fault_hook")
         detach(proc.mee, FAULT_HOOK)
         assert proc.mee.fault_hook is None
-        assert proc.memctrl.dram.fault_hook is None
+        assert proc.memctrl.fault_hook is None
 
 
 # ----------------------------------------------------------------------
@@ -224,8 +228,7 @@ class TestLateDomainTrees:
         tree = proc.mee._domain_trees[1]
         assert tree is not proc.mee.tree
         assert tree.tracer is tracer
-        assert tree.fault_hook is hook
-        # The new domain's metadata verification reached the fault hook.
+        # The new domain's metadata verification reached the MEE's hook.
         assert hook.meta_fetches
         # Forcing the dirty counter block out exercises the lazy bump on
         # the late-created tree, which must land on the shared tracer.

@@ -10,6 +10,7 @@ fault-free machine never raises a violation.
 import pytest
 
 from repro.config import BLOCK_SIZE, PAGE_SIZE, preset_config
+from repro.core import walk
 from repro.faults import (
     FaultInjector,
     FaultSite,
@@ -136,13 +137,19 @@ class TestInjector:
 
     def test_detach_unhooks_every_layer(self):
         proc, injector, addr = make_target("sct")
-        clean_read(proc, addr)
-        assert injector.stats.dram_accesses > 0
+        assert proc.mee.fault_hook is injector
+        assert proc.memctrl.fault_hook is injector
         injector.detach()
-        before = injector.stats.dram_accesses
-        clean_read(proc, addr)
-        assert injector.stats.dram_accesses == before
-        assert proc.mee.fault_hook is None
+        assert all(
+            getattr(component, "fault_hook", None) is None
+            for component in walk(proc)
+        )
+        # A detached injector sees no drain burst: an armed drop never fires.
+        handle = injector.arm_write_drop(addr)
+        proc.write_through(addr, b"kept")
+        proc.drain_writes()
+        assert not handle.fired
+        assert clean_read(proc, addr).data[:4] == b"kept"
 
 
 class TestCampaign:

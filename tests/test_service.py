@@ -182,6 +182,33 @@ class TestServiceHTTP:
 
         asyncio.run(scenario())
 
+    def test_cli_leakcheck_run_serves_the_same_service_job(self, tmp_path):
+        """``repro leakcheck`` and a service leakcheck job with the same
+        victim, seed and alpha build the same tasks: one cache entry."""
+        from repro.cli import main
+
+        db = tmp_path / "c.sqlite"
+        assert main([
+            "leakcheck", "--victim", "const", "--seed", "3", "--alpha", "0.02",
+            "--campaign-db", str(db),
+        ]) == 0
+
+        async def scenario():
+            service = _svc(db)
+            await service.start()
+            spec = {
+                "kind": "leakcheck",
+                "spec": {"victim": "const", "seed": 3, "alpha": 0.02},
+            }
+            status, _, job = await http_request(
+                service.host, service.port, "POST", "/jobs", spec
+            )
+            assert status == 200
+            assert job["state"] == DONE and job["cached"]
+            await service.close()
+
+        asyncio.run(scenario())
+
     def test_job_timeout_kills_the_jobs_worker(self, tmp_path):
         # With a job timeout the job's engine forks one worker and kills
         # it when the budget expires: nothing keeps running in the server.
