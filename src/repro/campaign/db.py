@@ -14,21 +14,25 @@ server acknowledges it, every state transition is committed as it
 happens, and on startup any row still ``queued``/``running`` is
 re-queued — so an accepted job survives a ``kill -9`` of the server.
 
-The campaign coordinator remains the only writer of ``runs`` rows
-*within one process*, but the service introduces benign cross-process
-and cross-connection concurrency (journal writes on the server
-connection while per-job engines record runs on their own).  WAL mode
-plus an explicit ``busy_timeout`` and a retry-on-``SQLITE_BUSY``
-wrapper keep those writers from ever surfacing a transient lock as a
-crash.
+Within one process a DB is one connection, shared by every thread that
+holds the :class:`CampaignDB`: the service's event loop writes journal
+rows and spans on it while its job threads look up and record runs.  A
+lock held from each public method's first statement to its commit keeps
+any transaction from spanning two callers.  Other processes may open
+the same file (a ``repro figures`` run beside a server, a restarted
+server); WAL mode plus an explicit ``busy_timeout`` and a
+retry-on-``SQLITE_BUSY`` wrapper keep those writers from ever surfacing
+a transient lock as a crash.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sqlite3
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -99,6 +103,17 @@ def _is_busy_error(error: sqlite3.OperationalError) -> bool:
     return "locked" in message or "busy" in message
 
 
+def _locked(method: Callable[..., Any]) -> Callable[..., Any]:
+    """Run a :class:`CampaignDB` method under the DB's connection lock."""
+
+    @functools.wraps(method)
+    def call(self: "CampaignDB", *args: Any, **kwargs: Any) -> Any:
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return call
+
+
 def config_hash(name: str, fn: Callable[..., Any], kwargs: dict[str, Any]) -> str:
     """Stable identity of one task configuration.
 
@@ -160,14 +175,18 @@ _JOB_COLUMNS = (
 
 
 class CampaignDB:
-    """Append-mostly store of campaign runs keyed by (config hash, git rev)."""
+    """Append-mostly store of campaign runs keyed by (config hash, git rev).
+
+    Safe to share between threads: every public method holds the DB's
+    lock (see the module docstring).  The owner closes it once no other
+    thread will use it again.
+    """
 
     def __init__(
         self,
         path: str | os.PathLike[str],
         *,
         busy_timeout: float = 5.0,
-        check_same_thread: bool = True,
     ) -> None:
         if busy_timeout < 0:
             raise ValueError("busy_timeout must be non-negative")
@@ -175,9 +194,9 @@ class CampaignDB:
         self.busy_timeout = busy_timeout
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
+        self._lock = threading.Lock()
         self._conn = sqlite3.connect(
-            self.path, timeout=busy_timeout,
-            check_same_thread=check_same_thread,
+            self.path, timeout=busy_timeout, check_same_thread=False,
         )
         self._conn.execute("PRAGMA journal_mode=WAL")
         # Block inside sqlite itself while another connection commits;
@@ -234,6 +253,7 @@ class CampaignDB:
 
     # -- writes ------------------------------------------------------------
 
+    @_locked
     def record_run(
         self,
         *,
@@ -262,6 +282,7 @@ class CampaignDB:
 
     # -- reads -------------------------------------------------------------
 
+    @_locked
     def lookup(self, config_hash: str, git_rev: str) -> RunRow | None:
         """Latest successful run with a payload for this exact config + rev."""
         cur = self._execute(
@@ -274,6 +295,7 @@ class CampaignDB:
         row = cur.fetchone()
         return RunRow(*row) if row is not None else None
 
+    @_locked
     def runs(self, *, name: str | None = None) -> list[RunRow]:
         """All recorded runs (optionally for one task name), oldest first."""
         query = (
@@ -286,18 +308,21 @@ class CampaignDB:
             params = (name,)
         return [RunRow(*row) for row in self._execute(query + " ORDER BY id", params)]
 
+    @_locked
     def counts(self) -> dict[str, int]:
         """``{status: rows}`` across the whole DB."""
         return dict(
             self._execute("SELECT status, COUNT(*) FROM runs GROUP BY status")
         )
 
+    @_locked
     def __len__(self) -> int:
         (count,) = self._execute("SELECT COUNT(*) FROM runs").fetchone()
         return count
 
     # -- job journal (write-ahead log for the leakcheck service) ----------
 
+    @_locked
     def journal_put(
         self,
         *,
@@ -320,6 +345,7 @@ class CampaignDB:
         )
         self._commit()
 
+    @_locked
     def journal_update(
         self,
         job_id: str,
@@ -347,6 +373,7 @@ class CampaignDB:
         )
         self._commit()
 
+    @_locked
     def journal_get(self, job_id: str) -> JobRow | None:
         cur = self._execute(
             f"SELECT {_JOB_COLUMNS} FROM jobs WHERE id = ?", (job_id,)
@@ -354,6 +381,7 @@ class CampaignDB:
         row = cur.fetchone()
         return JobRow(*row) if row is not None else None
 
+    @_locked
     def journal_jobs(self, *, states: tuple[str, ...] | None = None) -> list[JobRow]:
         """Journalled jobs, oldest first (optionally filtered by state)."""
         query = f"SELECT {_JOB_COLUMNS} FROM jobs"
@@ -373,6 +401,7 @@ class CampaignDB:
 
     # -- span persistence (fleet tracing, schema v1 in repro.obs) ---------
 
+    @_locked
     def span_put_many(self, spans: list[dict[str, Any]]) -> int:
         """Persist finished span dicts; idempotent on span id."""
         count = 0
@@ -398,6 +427,7 @@ class CampaignDB:
             self._commit()
         return count
 
+    @_locked
     def spans(self, trace_id: str | None = None,
               *, limit: int = 0) -> list[dict[str, Any]]:
         """Stored spans as schema-v1 dicts, oldest first."""
@@ -424,6 +454,7 @@ class CampaignDB:
             })
         return out
 
+    @_locked
     def close(self) -> None:
         self._conn.close()
 

@@ -415,6 +415,7 @@ class CampaignEngine:
             seed=row.seed,
             cached=True,
             result=result,
+            payload=row.payload,
         )
 
     def _land(self, record: TaskRecord, task: CampaignTask) -> None:
@@ -443,10 +444,9 @@ class CampaignEngine:
         """Record an executed task's outcome in the campaign DB."""
         if self.db is None or not _fn_resolvable(task.fn):
             return
-        payload = None
         if record.status == STATUS_OK:
             try:
-                payload = encode_payload(record.result)
+                record.payload = encode_payload(record.result)
             except PayloadError as error:
                 note = f"payload not cacheable: {error}"
                 record.detail = (record.detail + "\n" + note).strip()
@@ -460,9 +460,9 @@ class CampaignEngine:
             elapsed=record.elapsed,
             error=record.error,
             detail=record.detail,
-            payload=payload,
+            payload=record.payload,
         )
-        if payload is not None:
+        if record.payload is not None:
             self._c_cache_stores.incr()
 
     def _drop(self, state: _TaskState, error: str, outcome: str) -> None:

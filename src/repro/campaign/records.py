@@ -39,6 +39,9 @@ class TaskRecord:
     started_at: float = 0.0
     finished_at: float = 0.0
     result: Any = None
+    #: ``result`` in the campaign-payload encoding, once the campaign DB
+    #: has stored it (executed) or served it (cached); ``None`` otherwise.
+    payload: str | None = None
 
     @property
     def ok(self) -> bool:

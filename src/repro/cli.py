@@ -683,7 +683,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
         await service.wait_closed()
-        service.db.close()
+        # close() waits for any job a forced drain left running, so its
+        # campaign run is recorded before the DB closes.
+        await service.close()
         if service.drain_report is not None:
             # One machine-parseable line per drain: what was
             # checkpointed, what was force-stopped, under what grace.

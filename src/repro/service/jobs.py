@@ -315,6 +315,11 @@ def summarize_records(records: list[Any]) -> tuple[str, dict[str, Any], str]:
     Severity order: any ``failed`` task fails the job, else any
     ``timeout`` times it out, else any cancelled/skipped task marks it
     cancelled (a drain checkpointed it mid-run), else it is done.
+
+    A task's ``result`` entry is its payload encoding parsed as JSON.
+    The text comes from the record when the campaign DB stored or served
+    it; only a record without one (no DB, or an unresolvable ``fn``) is
+    encoded here.
     """
     tasks: list[dict[str, Any]] = []
     errors: list[str] = []
@@ -335,7 +340,9 @@ def summarize_records(records: list[Any]) -> tuple[str, dict[str, Any], str]:
             if record.cached:
                 n_cached += 1
             try:
-                entry["result"] = json.loads(encode_payload(record.result))
+                entry["result"] = json.loads(
+                    record.payload or encode_payload(record.result)
+                )
             except PayloadError:
                 entry["result"] = None
                 entry["result_note"] = "result not serialisable"

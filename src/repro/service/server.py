@@ -6,6 +6,8 @@ HTTP, journals every accepted job in the campaign sqlite DB *before*
 acknowledging it, dedups against the campaign result cache by blake2b
 config hash, and executes admitted jobs through per-job
 :class:`~repro.campaign.CampaignEngine` instances on a thread executor.
+Admission, the journal and every job share the service's one
+:class:`~repro.campaign.CampaignDB` connection.
 
 Robustness properties, in order of importance:
 
@@ -150,6 +152,10 @@ class LeakcheckService:
         self.db: CampaignDB | None = None
         self._jobs: dict[str, Job] = {}
         self._running: dict[str, CampaignEngine] = {}
+        #: Executor futures of job runs that have not returned yet.  A
+        #: forced drain cancels a worker loop, not its job thread, so
+        #: close() waits on these before it closes the DB they use.
+        self._executions: set[asyncio.Future] = set()
         self._queue: asyncio.Queue[Job | None] = asyncio.Queue()
         self._workers: list[asyncio.Task] = []
         self._server: asyncio.base_events.Server | None = None
@@ -184,9 +190,17 @@ class LeakcheckService:
         await self._stopped.wait()
 
     async def close(self) -> None:
-        """Programmatic graceful shutdown (tests, bench): drain and wait."""
+        """Graceful shutdown: drain, wait for every job run to return,
+        then close the campaign DB.
+
+        A job the drain stopped waiting for still records its campaign
+        run through the shared connection, so a restart serves it from
+        the cache instead of executing it again.
+        """
         self.begin_drain()
         await self.wait_closed()
+        if self._executions:
+            await asyncio.wait(self._executions)
         if self.db is not None:
             self.db.close()
         if self._obs_owner:
@@ -314,10 +328,13 @@ class LeakcheckService:
                 job_span.context if job_span is not obs.NULL_SPAN else None
             )
             started = self._loop.time()
+            execution = self._loop.run_in_executor(
+                None, self._execute_job, job, span_parent
+            )
+            self._executions.add(execution)
+            execution.add_done_callback(self._executions.discard)
             try:
-                state, summary, error = await self._loop.run_in_executor(
-                    None, self._execute_job, job, span_parent
-                )
+                state, summary, error = await asyncio.shield(execution)
             except Exception as exc:  # noqa: BLE001 - job isolation
                 state, summary, error = (
                     FAILED, None, f"{type(exc).__name__}: {exc}"
@@ -346,6 +363,12 @@ class LeakcheckService:
     ) -> tuple[str, dict[str, Any] | None, str]:
         """Run one job through a fresh campaign engine (executor thread).
 
+        The engine looks up and records runs through the service's own
+        campaign DB, and each ``ok`` record carries the payload text the
+        DB stored or served, so summarising the job encodes nothing
+        again.  The DB stays open until this returns, even after a forced
+        drain has given up on the job (see :meth:`close`).
+
         ``span_parent`` is passed explicitly because ``run_in_executor``
         does not propagate the event loop's context vars into executor
         threads — the job span would otherwise be lost here.
@@ -364,7 +387,7 @@ class LeakcheckService:
             retries=self.retries,
             backoff=self.backoff,
             reseed_base=job.spec.get("seed"),
-            db=self.db_path,
+            db=self.db,
             use_cache=True,
             git_rev=self.git_rev,
             span_parent=(
@@ -379,8 +402,6 @@ class LeakcheckService:
         except BaseException:
             run_span.end("failed")
             raise
-        finally:
-            engine.db.close()
         outcome = summarize_records(report.records)
         run_span.end("ok" if outcome[0] == DONE else outcome[0])
         return outcome

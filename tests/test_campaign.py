@@ -10,6 +10,7 @@ import json
 import os
 import pathlib
 import signal
+import sys
 import threading
 import time
 
@@ -733,6 +734,66 @@ class TestBusyRetry:
         with CampaignDB(db_path) as db:
             assert len(db) == 4
         for db in writers:
+            db.close()
+
+
+class TestSharedConnection:
+    def test_threads_sharing_one_db_lose_no_write(self, tmp_path):
+        """Every public method holds the DB's lock to its commit, so
+        threads interleaving on one connection neither fail nor lose or
+        mix up a write."""
+        threads_n = 4 * (os.cpu_count() or 1) + 2  # more threads than cores
+        rounds = 25
+        db = CampaignDB(tmp_path / "c.sqlite")
+        deadline = time.monotonic() + 60
+        errors = []
+
+        def work(t):
+            try:
+                db.journal_put(job_id=f"j{t}", kind="probe", spec="{}",
+                               state="queued")
+                for i in range(rounds):
+                    if time.monotonic() > deadline:
+                        raise TimeoutError(f"thread {t} ran out of time")
+                    key = f"h{t}-{i}"
+                    db.record_run(config_hash=key, git_rev="r", name=f"t{t}",
+                                  seed=i, status="ok", attempts=1, elapsed=0.0,
+                                  payload=encode_payload({"t": t, "i": i}))
+                    row = db.lookup(key, "r")
+                    assert decode_payload(row.payload) == {"t": t, "i": i}
+                    db.journal_update(f"j{t}", state="running",
+                                      attempts=i + 1, result=key)
+                    db.span_put_many([{
+                        "span": f"s{t}-{i}", "trace": f"tr{t}", "name": "x",
+                        "start": float(i), "end": float(i + 1),
+                    }])
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(t,), daemon=True)
+                   for t in range(threads_n)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()) + 1)
+        finally:
+            sys.setswitchinterval(previous)
+        try:
+            assert not [thread for thread in threads if thread.is_alive()]
+            assert errors == []
+            assert len(db) == threads_n * rounds
+            assert db.counts() == {"ok": threads_n * rounds}
+            jobs = {row.id: row for row in db.journal_jobs()}
+            assert sorted(jobs) == sorted(f"j{t}" for t in range(threads_n))
+            for t in range(threads_n):
+                assert (jobs[f"j{t}"].state, jobs[f"j{t}"].attempts,
+                        jobs[f"j{t}"].result) == (
+                    "running", rounds, f"h{t}-{rounds - 1}")
+            assert len(db.spans()) == threads_n * rounds
+        finally:
             db.close()
 
 

@@ -9,6 +9,7 @@ server, and SIGTERM/SIGINT drain exits 0 without losing anything.
 """
 
 import asyncio
+import contextlib
 import http.client
 import json
 import multiprocessing
@@ -50,6 +51,34 @@ FAST_OPS = 200
 SLOW_OPS = 150_000
 
 
+#: The gate ``_gated_probe`` waits on; the ``probe_gate`` fixture sets a
+#: fresh one per test (a task's function must be module-level to be
+#: cacheable, so it can only reach module-level state).
+_PROBE_GATE = threading.Event()
+
+
+def _gated_probe(*, preset="sct", ops=400, seed=0):
+    """``run_probe`` that first waits for the test to open its gate."""
+    if not _PROBE_GATE.wait(timeout=60):
+        raise TimeoutError("the probe gate never opened")
+    return run_probe(preset=preset, ops=ops, seed=seed)
+
+
+@pytest.fixture
+def probe_gate(monkeypatch):
+    """Hold every probe job on a gate the test opens.
+
+    A job blocked on an event holds its worker for exactly as long as
+    the test needs, however slow the host or the interpreter mode, and
+    leaves the GIL free for the event loop the test is talking to.
+    """
+    gate = threading.Event()
+    monkeypatch.setattr(sys.modules[__name__], "_PROBE_GATE", gate)
+    monkeypatch.setattr("repro.service.jobs.run_probe", _gated_probe)
+    yield gate
+    gate.set()  # never leave a job thread blocked behind a failed test
+
+
 def _svc(db_path, **kwargs):
     kwargs.setdefault("port", 0)
     kwargs.setdefault("concurrency", 1)
@@ -65,6 +94,16 @@ async def _poll_terminal(host, port, job_id, deadline_s=30.0):
             return data
         await asyncio.sleep(0.03)
     raise AssertionError(f"job {job_id} never reached a terminal state")
+
+
+async def _poll_running(host, port, job_id, deadline_s=10.0):
+    deadline = time.monotonic() + deadline_s
+    while time.monotonic() < deadline:
+        _, _, data = await http_request(host, port, "GET", f"/jobs/{job_id}")
+        if data["state"] == RUNNING:
+            break
+        await asyncio.sleep(0.01)
+    assert data["state"] == RUNNING
 
 
 # -- job model -------------------------------------------------------------
@@ -249,25 +288,19 @@ class TestServiceHTTP:
 
         asyncio.run(scenario())
 
-    def test_admission_control_sheds_with_429_and_retry_after(self, tmp_path):
+    def test_admission_control_sheds_with_429_and_retry_after(
+        self, tmp_path, probe_gate
+    ):
         async def scenario():
             service = _svc(tmp_path / "c.sqlite", capacity=1)
             await service.start()
             host, port = service.host, service.port
-            # Occupy the single worker...
+            # Occupy the single worker until the gate opens...
             _, _, slow = await http_request(
                 host, port, "POST", "/jobs",
-                {"kind": "probe", "spec": {"ops": 40_000, "seed": 1}},
+                {"kind": "probe", "spec": {"ops": FAST_OPS, "seed": 1}},
             )
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                _, _, data = await http_request(
-                    host, port, "GET", f"/jobs/{slow['id']}"
-                )
-                if data["state"] == RUNNING:
-                    break
-                await asyncio.sleep(0.01)
-            assert data["state"] == RUNNING
+            await _poll_running(host, port, slow["id"])
             # ...fill the queue to capacity...
             status, _, queued = await http_request(
                 host, port, "POST", "/jobs",
@@ -284,19 +317,22 @@ class TestServiceHTTP:
             assert shed["capacity"] == 1
             status, _, text = await http_request(host, port, "GET", "/metrics")
             assert "repro_service_shed_total 1" in text
+            probe_gate.set()
             await _poll_terminal(host, port, queued["id"])
             await service.close()
 
         asyncio.run(scenario())
 
-    def test_queued_job_can_be_cancelled(self, tmp_path):
+    def test_queued_job_can_be_cancelled(self, tmp_path, probe_gate):
         async def scenario():
             service = _svc(tmp_path / "c.sqlite")
             await service.start()
             host, port = service.host, service.port
+            # The gated job holds the single worker, so the next one
+            # stays queued until the gate opens.
             _, _, slow = await http_request(
                 host, port, "POST", "/jobs",
-                {"kind": "probe", "spec": {"ops": 40_000, "seed": 1}},
+                {"kind": "probe", "spec": {"ops": FAST_OPS, "seed": 1}},
             )
             _, _, victim = await http_request(
                 host, port, "POST", "/jobs",
@@ -311,9 +347,11 @@ class TestServiceHTTP:
                 host, port, "DELETE", f"/jobs/{victim['id']}"
             )
             assert status == 409
+            probe_gate.set()
             await _poll_terminal(host, port, slow["id"])
             await service.close()
-            row = CampaignDB(tmp_path / "c.sqlite").journal_get(victim["id"])
+            with CampaignDB(tmp_path / "c.sqlite") as db:
+                row = db.journal_get(victim["id"])
             assert row.state == CANCELLED
 
         asyncio.run(scenario())
@@ -346,7 +384,9 @@ class TestServiceHTTP:
             assert db.journal_pending() == []
             assert {row.state for row in db.journal_jobs()} == {DONE}
 
-    def test_drain_checkpoints_queued_jobs_and_stops_admitting(self, tmp_path):
+    def test_drain_checkpoints_queued_jobs_and_stops_admitting(
+        self, tmp_path, probe_gate
+    ):
         db_path = tmp_path / "c.sqlite"
 
         async def scenario():
@@ -355,8 +395,9 @@ class TestServiceHTTP:
             host, port = service.host, service.port
             _, _, slow = await http_request(
                 host, port, "POST", "/jobs",
-                {"kind": "probe", "spec": {"ops": 40_000, "seed": 1}},
+                {"kind": "probe", "spec": {"ops": FAST_OPS, "seed": 1}},
             )
+            await _poll_running(host, port, slow["id"])
             _, _, queued = await http_request(
                 host, port, "POST", "/jobs",
                 {"kind": "probe", "spec": {"ops": FAST_OPS, "seed": 2}},
@@ -369,9 +410,11 @@ class TestServiceHTTP:
                 {"kind": "probe", "spec": {"ops": FAST_OPS, "seed": 3}},
             )
             assert status == 503
+            probe_gate.set()
             await service.wait_closed()
             snap = service.registry.snapshot()
             assert snap["drained"] == 1
+            await service.close()
             return slow["id"], queued["id"]
 
         slow_id, queued_id = asyncio.run(scenario())
@@ -381,6 +424,55 @@ class TestServiceHTTP:
             assert db.journal_get(slow_id).state == DONE
             assert db.journal_get(queued_id).state == QUEUED
             assert [row.id for row in db.journal_pending()] == [queued_id]
+
+    def test_forced_drain_records_the_run_and_restart_serves_it(
+        self, tmp_path, probe_gate
+    ):
+        """A job still running when the drain gives up is not journalled
+        terminal, but its campaign run lands before the DB closes, so a
+        restart finishes the job from the cache instead of re-running it."""
+        db_path = tmp_path / "c.sqlite"
+
+        async def first_run():
+            service = _svc(db_path, drain_grace=0.05)
+            await service.start()
+            host, port = service.host, service.port
+            _, _, job = await http_request(
+                host, port, "POST", "/jobs",
+                {"kind": "probe", "spec": {"ops": FAST_OPS, "seed": 1}},
+            )
+            await _poll_running(host, port, job["id"])
+            service.begin_drain()
+            await service.wait_closed()
+            assert service.drain_report["forced_stop"] == 1
+            # Close before the job can finish: the DB it records its run
+            # through must outlive it.
+            closing = asyncio.ensure_future(service.close())
+            await asyncio.sleep(0.05)
+            probe_gate.set()
+            await closing
+            return job["id"]
+
+        job_id = asyncio.run(first_run())
+        with CampaignDB(db_path) as db:
+            assert db.journal_get(job_id).state == RUNNING
+            runs = db.runs()
+        assert [(run.name, run.status) for run in runs] == [
+            (f"probe_sct_o{FAST_OPS}_s1", "ok")
+        ]
+
+        async def restart():
+            service = _svc(db_path)
+            await service.start()
+            final = await _poll_terminal(service.host, service.port, job_id)
+            await service.close()
+            return final
+
+        final = asyncio.run(restart())
+        assert final["state"] == DONE
+        assert final["cached"] and final["resumed"]
+        with CampaignDB(db_path) as db:
+            assert len(db) == 1  # served from the cache, not executed again
 
     def test_load_generator_drives_all_jobs_to_done(self, tmp_path):
         async def scenario():
@@ -410,6 +502,92 @@ class TestServiceHTTP:
                 LeakcheckService(str(tmp_path / "c.sqlite"), **kwargs)
 
 
+class TestWorkPerJob:
+    """What one executed job costs the service beyond the task itself."""
+
+    def test_one_connection_and_one_encoding_per_result(
+        self, tmp_path, monkeypatch
+    ):
+        import sqlite3
+
+        from repro.campaign import engine as engine_module
+        from repro.campaign.payload import encode_payload
+        from repro.service import jobs as jobs_module
+        from repro.service import server as server_module
+
+        connects = []
+        real_connect = sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            connects.append(args[0])
+            return real_connect(*args, **kwargs)
+
+        # The engine encodes results to store them and the job summary
+        # encodes them when no stored text exists: those are the only
+        # result encodings on the job path.
+        encoded = []
+
+        def counting_encode(obj):
+            encoded.append(obj)
+            return encode_payload(obj)
+
+        summarized = []
+        real_summarize = jobs_module.summarize_records
+
+        def recording_summarize(records):
+            outcome = real_summarize(records)
+            summarized.append((list(records), outcome[1]))
+            return outcome
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        monkeypatch.setattr(engine_module, "encode_payload", counting_encode)
+        monkeypatch.setattr(jobs_module, "encode_payload", counting_encode)
+        monkeypatch.setattr(server_module, "summarize_records",
+                            recording_summarize)
+
+        # Three one-seed jobs execute one task each; the last job's
+        # first seed is the third job's, so it mixes a cache-served
+        # record with an executed one.
+        specs = [
+            {"victim": "const", "seed": 0},
+            {"victim": "const", "seed": 1},
+            {"victim": "const", "seed": 2},
+            {"victim": "const", "seed": 2, "seeds": 2},
+        ]
+
+        async def scenario():
+            service = _svc(tmp_path / "c.sqlite")
+            await service.start()
+            for spec in specs:
+                status, _, job = await http_request(
+                    service.host, service.port, "POST", "/jobs",
+                    {"kind": "leakcheck", "spec": spec},
+                )
+                assert status == 202
+                final = await _poll_terminal(service.host, service.port,
+                                             job["id"])
+                assert final["state"] == DONE
+            await service.close()
+
+        asyncio.run(scenario())
+        assert connects == [str(tmp_path / "c.sqlite")]
+
+        records = [record for batch, _ in summarized for record in batch]
+        executed = [record for record in records if not record.cached]
+        assert [record.cached for record in records] == [
+            False, False, False, True, False,
+        ]
+        assert sorted(map(id, encoded)) == sorted(
+            id(record.result) for record in executed
+        )
+        for batch, summary in summarized:
+            for record, entry in zip(batch, summary["tasks"]):
+                assert entry["cached"] == record.cached
+                assert entry["result"] == json.loads(
+                    encode_payload(record.result)
+                )
+
+
 # -- bench scenario --------------------------------------------------------
 
 
@@ -435,25 +613,37 @@ def _serve_env(db_path):
     return env
 
 
-def _start_server(db_path, *extra_args):
-    proc = subprocess.Popen(
+@contextlib.contextmanager
+def _serving(db_path, *extra_args):
+    """Run ``repro serve`` and yield ``(proc, port)``.
+
+    On exit a server still running is killed, and ``Popen``'s own exit
+    waits for it and closes its output pipe.
+    """
+    with subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--concurrency", "1", *extra_args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=_serve_env(db_path),
-    )
-    deadline = time.monotonic() + 30
-    line = ""
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if "listening on" in line:
-            port = int(line.rsplit(":", 1)[1].split()[0])
-            return proc, port
-        if proc.poll() is not None:
-            break
-        time.sleep(0.01)
-    proc.kill()
-    raise AssertionError(f"server never came up: {line!r}")
+    ) as proc:
+        try:
+            deadline = time.monotonic() + 30
+            line = ""
+            port = None
+            while port is None and time.monotonic() < deadline:
+                line = proc.stdout.readline()
+                if "listening on" in line:
+                    port = int(line.rsplit(":", 1)[1].split()[0])
+                elif proc.poll() is not None:
+                    break
+                else:
+                    time.sleep(0.01)
+            if port is None:
+                raise AssertionError(f"server never came up: {line!r}")
+            yield proc, port
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
 
 def _http(port, method, path, body=None):
@@ -486,9 +676,8 @@ class TestServeProcess:
         """The headline guarantee: jobs accepted before SIGKILL all reach a
         terminal state after a restart on the same journal."""
         db_path = tmp_path / "c.sqlite"
-        server, port = _start_server(db_path)
         job_ids = []
-        try:
+        with _serving(db_path) as (server, port):
             status, slow = _http(port, "POST", "/jobs", {
                 "kind": "probe", "spec": {"ops": SLOW_OPS, "seed": 1},
             })
@@ -501,7 +690,6 @@ class TestServeProcess:
                 })
                 assert status == 202
                 job_ids.append(job["id"])
-        finally:
             server.kill()  # SIGKILL: no drain, no cleanup
             server.wait(timeout=30)
 
@@ -509,33 +697,33 @@ class TestServeProcess:
             pending = {row.id for row in db.journal_pending()}
         assert pending == set(job_ids)  # the journal remembers everything
 
-        server, port = _start_server(db_path)
-        try:
-            for job_id in job_ids:
-                final = _wait_state(port, job_id, TERMINAL_STATES)
-                assert final["state"] == "done", final
-                assert final["resumed"]
-            status, metrics = _http(port, "GET", "/metrics")
-            assert "repro_service_resumed_total 3" in metrics
-        finally:
-            server.send_signal(signal.SIGTERM)
-            assert server.wait(timeout=60) == 0
+        with _serving(db_path) as (server, port):
+            try:
+                for job_id in job_ids:
+                    final = _wait_state(port, job_id, TERMINAL_STATES)
+                    assert final["state"] == "done", final
+                    assert final["resumed"]
+                status, metrics = _http(port, "GET", "/metrics")
+                assert "repro_service_resumed_total 3" in metrics
+            finally:
+                server.send_signal(signal.SIGTERM)
+                assert server.wait(timeout=60) == 0
 
     def test_sigterm_drains_gracefully_with_exit_0(self, tmp_path):
         db_path = tmp_path / "c.sqlite"
-        server, port = _start_server(db_path)
-        status, slow = _http(port, "POST", "/jobs", {
-            "kind": "probe", "spec": {"ops": SLOW_OPS, "seed": 1},
-        })
-        assert status == 202
-        _wait_state(port, slow["id"], {"running"})
-        status, queued = _http(port, "POST", "/jobs", {
-            "kind": "probe", "spec": {"ops": FAST_OPS, "seed": 2},
-        })
-        assert status == 202
-        server.send_signal(signal.SIGTERM)
-        assert server.wait(timeout=120) == 0
-        output = server.stdout.read()
+        with _serving(db_path) as (server, port):
+            status, slow = _http(port, "POST", "/jobs", {
+                "kind": "probe", "spec": {"ops": SLOW_OPS, "seed": 1},
+            })
+            assert status == 202
+            _wait_state(port, slow["id"], {"running"})
+            status, queued = _http(port, "POST", "/jobs", {
+                "kind": "probe", "spec": {"ops": FAST_OPS, "seed": 2},
+            })
+            assert status == 202
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=120) == 0
+            output = server.stdout.read()
         assert "service:" in output  # the drain summary made it out
         with CampaignDB(db_path) as db:
             # The in-flight job finished; the queued one was checkpointed,
