@@ -92,7 +92,8 @@ Commands
     percentiles, outcome/retry/straggler and queue-wait summaries
     (``--strict`` validates the log and gates CI); ``export`` rewrites
     a trace as JSONL / Chrome ``trace_event`` / Prometheus text;
-    ``tail`` prints the most recent spans.
+    ``tail`` prints the most recent spans.  A JSONL line that is not a
+    JSON object exits 2 with ``error: FILE:LINE: ...``.
 
 ``service-load --port P [-n N] [--concurrency N] [--kind K]
 [--spec JSON] [--same-seed] [--json FILE]``
@@ -704,7 +705,7 @@ def _load_spans(
     Detection is by content, not extension: SQLite files carry a fixed
     16-byte magic, anything else is treated as a JSONL span log.
     """
-    from repro import obs
+    from repro.trace import read_jsonl
 
     path = pathlib.Path(source)
     if not path.exists():
@@ -719,15 +720,41 @@ def _load_spans(
             return db.spans(trace)
         finally:
             db.close()
-    spans = obs.read_spans_jsonl(path)
+    spans = read_jsonl(path, decode=dict)
     if trace:
         spans = [s for s in spans if s.get("trace") == trace]
     return spans
 
 
+def _write_span_files(
+    spans: list[dict],
+    out: str | os.PathLike[str],
+    *,
+    chrome: str | os.PathLike[str] | None,
+    prom: str | os.PathLike[str] | None,
+) -> list[str]:
+    """Write a span log as JSONL to ``out``, plus the optional Chrome
+    ``trace_event`` timeline and Prometheus fleet summary; returns the
+    paths written."""
+    from repro.obs import fleet_prometheus_text, summarize, write_chrome_spans
+    from repro.trace import write_jsonl
+
+    out = pathlib.Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_jsonl(spans, out)
+    written = [str(out)]
+    if chrome:
+        write_chrome_spans(spans, chrome)
+        written.append(str(chrome))
+    if prom:
+        pathlib.Path(prom).write_text(fleet_prometheus_text(summarize(spans)))
+        written.append(str(prom))
+    return written
+
+
 def _cmd_spans(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.obs import fleet_prometheus_text, render_report, summarize
+    from repro.obs import render_report, summarize
 
     source = args.source or str(_resolve_campaign_db(args))
     spans = _load_spans(source, getattr(args, "trace", None))
@@ -745,18 +772,9 @@ def _cmd_spans(args: argparse.Namespace) -> int:
             return 1
         return 0
     if args.spans_command == "export":
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        obs.write_spans_jsonl(spans, out)
-        written = [str(out)]
-        if args.chrome:
-            obs.write_chrome_spans(spans, args.chrome)
-            written.append(args.chrome)
-        if args.prom:
-            pathlib.Path(args.prom).write_text(
-                fleet_prometheus_text(summarize(spans))
-            )
-            written.append(args.prom)
+        written = _write_span_files(
+            spans, args.out, chrome=args.chrome, prom=args.prom
+        )
         print(f"exported {len(spans)} spans: {', '.join(written)}")
         return 0
     # tail: the most recently finished spans, oldest first.
@@ -1589,7 +1607,6 @@ def _run_with_spans(args: argparse.Namespace) -> int:
     if not path:
         return args.func(args)
     from repro import obs
-    from repro.obs import fleet_prometheus_text, summarize
 
     recorder = obs.SpanRecorder()
     obs.enable(recorder)
@@ -1608,13 +1625,9 @@ def _run_with_spans(args: argparse.Namespace) -> int:
         obs.disable()
         spans = recorder.drain()
         out = pathlib.Path(path)
-        if out.parent != pathlib.Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        obs.write_spans_jsonl(spans, out)
         chrome = out.with_name(out.name + ".chrome.json")
-        obs.write_chrome_spans(spans, chrome)
         prom = out.with_name(out.name + ".prom")
-        prom.write_text(fleet_prometheus_text(summarize(spans)))
+        _write_span_files(spans, out, chrome=chrome, prom=prom)
         print(
             f"spans: wrote {len(spans)} spans to {out} "
             f"(+ {chrome.name}, {prom.name})",

@@ -5,7 +5,10 @@ The two structural primitives the whole memory path is built on:
 * :class:`Component` / :func:`attach` / :func:`adopt` — every simulated
   component is a node in one graph rooted at the processor; one generic
   walk installs (or removes) an instrument everywhere, and late-created
-  components inherit instruments from their parent;
+  components inherit instruments from their parent.  There are three
+  instrument slots (:data:`KNOWN_SLOTS`): ``tracer`` on every component,
+  ``fault_hook`` on the MEE and the memory controller, and ``profiler``
+  on the processor;
 * :class:`Txn` / :data:`NULL_TXN` — the per-access latency attribution
   (per-component cycles and the critical/shadowed overlap split) charged
   down the proc→MEE→memctrl→DRAM path.  A ``Txn`` exists only while a
@@ -21,7 +24,6 @@ from repro.core.component import (
     FAULT_HOOK,
     KNOWN_SLOTS,
     PROFILER,
-    SAMPLER,
     TRACER,
     Component,
     adopt,
@@ -38,7 +40,6 @@ __all__ = [
     "KNOWN_SLOTS",
     "NULL_TXN",
     "PROFILER",
-    "SAMPLER",
     "TRACER",
     "Txn",
     "adopt",

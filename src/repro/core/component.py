@@ -8,10 +8,11 @@ from :class:`Component`.  A component contributes three things:
 * ``component_name`` — a short dotted label (``"mee"``, ``"cache.l1"``);
 * ``children()`` — the components it owns, making the machine a graph
   rooted at :class:`~repro.proc.processor.SecureProcessor`;
-* *instrument slots* — named attributes (``tracer``, ``fault_hook``, …)
-  that hold the currently attached instruments, ``None`` when detached.
-  Every component has a ``tracer`` slot; only the layers that dispatch
-  a fault event (the MEE and the memory controller) have ``fault_hook``.
+* *instrument slots* — named attributes (``tracer``, ``fault_hook``,
+  ``profiler``) that hold the currently attached instruments, ``None``
+  when detached.  Every component has a ``tracer`` slot; only the layers
+  that dispatch a fault event (the MEE and the memory controller) have
+  ``fault_hook``, and only the processor has ``profiler``.
 
 :func:`attach` walks the graph once and installs one instrument into the
 matching slot of every component that declares it, so no layer
@@ -36,9 +37,8 @@ from typing import Iterable, Iterator
 TRACER = "tracer"
 FAULT_HOOK = "fault_hook"
 PROFILER = "profiler"
-SAMPLER = "sampler"
 
-KNOWN_SLOTS = (TRACER, FAULT_HOOK, PROFILER, SAMPLER)
+KNOWN_SLOTS = (TRACER, FAULT_HOOK, PROFILER)
 
 
 class Component:
@@ -52,8 +52,8 @@ class Component:
     """
 
     #: Slots this component accepts; subclasses may extend (the
-    #: processor adds ``profiler`` and ``sampler``, the MEE and the
-    #: memory controller ``fault_hook``).
+    #: processor adds ``profiler``, the MEE and the memory controller
+    #: ``fault_hook``).
     instrument_slots: tuple[str, ...] = (TRACER,)
 
     component_name: str = "component"

@@ -18,12 +18,10 @@ from repro.obs.spans import (
     enable,
     new_span_id,
     new_trace_id,
-    read_spans_jsonl,
     spans_to_chrome,
     start_span,
     validate_spans,
     write_chrome_spans,
-    write_spans_jsonl,
 )
 from repro.obs.telemetry import (
     FleetSummary,
@@ -50,12 +48,10 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "percentile",
-    "read_spans_jsonl",
     "render_report",
     "spans_to_chrome",
     "start_span",
     "summarize",
     "validate_spans",
     "write_chrome_spans",
-    "write_spans_jsonl",
 ]

@@ -20,8 +20,9 @@ singleton when no recorder is enabled — no allocation, no clock read —
 mirroring the ``NULL_TXN`` / ``tracer is None`` discipline of the
 simulator hot path (docs/observability.md).
 
-Span log schema v1 (one JSON object per line in JSONL exports, one row
-in the campaign DB ``spans`` table)::
+Span log schema v1 (one JSON object per line in JSONL exports, written
+and read by :func:`repro.trace.write_jsonl` / :func:`repro.trace.read_jsonl`
+with ``decode=dict``; one row in the campaign DB ``spans`` table)::
 
     {"v": 1, "trace": <32 hex>, "span": <16 hex>, "parent": <16 hex>|null,
      "name": str, "kind": str, "start": epoch_s, "end": epoch_s,
@@ -37,6 +38,7 @@ import os
 import threading
 import time
 import uuid
+from collections import deque
 from typing import Any, Iterable
 
 SCHEMA_VERSION = 1
@@ -209,18 +211,19 @@ NULL_SPAN = _NullSpan()
 class SpanRecorder:
     """Collects finished spans; thread-safe; bounded.
 
-    ``capacity`` bounds retained finished spans (oldest dropped first,
-    tallied in ``dropped``).  ``recent_capacity`` bounds the separate
-    always-retained window served by ``/debug/spans`` — draining for
-    persistence does not empty it.
+    Two rings hold finished spans, as ``Tracer`` holds events.
+    ``capacity`` bounds the spans kept for :meth:`drain` (oldest dropped
+    first, tallied in ``dropped``).  ``recent_capacity`` bounds the
+    separate window served by ``/debug/spans``, which draining for
+    persistence does not empty.
     """
 
     def __init__(self, capacity: int = 1 << 18, recent_capacity: int = 512):
         self.capacity = capacity
         self.recent_capacity = recent_capacity
         self._lock = threading.Lock()
-        self._finished: list[dict[str, Any]] = []
-        self._recent: list[dict[str, Any]] = []
+        self._finished: deque[dict[str, Any]] = deque(maxlen=capacity)
+        self._recent: deque[dict[str, Any]] = deque(maxlen=recent_capacity)
         self.dropped = 0
         self.recorded = 0
         self.active = 0
@@ -258,19 +261,19 @@ class SpanRecorder:
             self.active += 1
         return span
 
+    def _keep(self, data: dict[str, Any]) -> None:
+        """Ring one finished span; the caller holds the lock."""
+        if len(self._finished) == self.capacity:
+            self.dropped += 1
+        self._finished.append(data)
+        self._recent.append(data)
+        self.recorded += 1
+
     def _record(self, span: Span, outcome: str, end: float) -> None:
         data = span.to_dict(end, outcome)
         with self._lock:
             self.active = max(0, self.active - 1)
-            self.recorded += 1
-            self._finished.append(data)
-            if len(self._finished) > self.capacity:
-                excess = len(self._finished) - self.capacity
-                del self._finished[:excess]
-                self.dropped += excess
-            self._recent.append(data)
-            if len(self._recent) > self.recent_capacity:
-                del self._recent[: len(self._recent) - self.recent_capacity]
+            self._keep(data)
 
     def adopt(self, span_dicts: Iterable[dict[str, Any]]) -> int:
         """Absorb finished span dicts shipped from another process."""
@@ -279,16 +282,8 @@ class SpanRecorder:
             for data in span_dicts:
                 if not isinstance(data, dict) or data.get("v") != SCHEMA_VERSION:
                     continue
-                self._finished.append(data)
-                self._recent.append(data)
-                self.recorded += 1
+                self._keep(data)
                 count += 1
-            if len(self._finished) > self.capacity:
-                excess = len(self._finished) - self.capacity
-                del self._finished[:excess]
-                self.dropped += excess
-            if len(self._recent) > self.recent_capacity:
-                del self._recent[: len(self._recent) - self.recent_capacity]
         return count
 
     # -- retrieval -----------------------------------------------------
@@ -296,24 +291,22 @@ class SpanRecorder:
         """Pop finished spans (all, or those of one trace) for persistence."""
         with self._lock:
             if trace_id is None:
-                out = self._finished
-                self._finished = []
+                out = list(self._finished)
+                self._finished.clear()
                 return out
             out = [s for s in self._finished if s["trace"] == trace_id]
             if out:
-                self._finished = [s for s in self._finished
-                                  if s["trace"] != trace_id]
+                self._finished = deque(
+                    (s for s in self._finished if s["trace"] != trace_id),
+                    maxlen=self.capacity,
+                )
             return out
 
-    def finished_spans(self) -> list[dict[str, Any]]:
-        with self._lock:
-            return list(self._finished)
-
     def recent(self, limit: int = 0) -> list[dict[str, Any]]:
+        """The most recent ``limit`` finished spans (all when 0)."""
         with self._lock:
-            if limit and limit < len(self._recent):
-                return list(self._recent[-limit:])
-            return list(self._recent)
+            spans = list(self._recent)
+        return spans[-limit:] if limit else spans
 
 
 # --------------------------------------------------------------------------
@@ -365,27 +358,8 @@ def current_context() -> SpanContext | None:
 
 
 # --------------------------------------------------------------------------
-# Export / validation
+# Export / validation (span logs are JSONL through ``repro.trace.export``)
 # --------------------------------------------------------------------------
-
-def write_spans_jsonl(spans: Iterable[dict[str, Any]], path: str) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for span in spans:
-            fh.write(json.dumps(span, sort_keys=True) + "\n")
-            count += 1
-    return count
-
-
-def read_spans_jsonl(path: str) -> list[dict[str, Any]]:
-    spans = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                spans.append(json.loads(line))
-    return spans
-
 
 def spans_to_chrome(spans: list[dict[str, Any]]) -> dict[str, Any]:
     """Render spans as Chrome ``trace_event`` complete ('X') slices.

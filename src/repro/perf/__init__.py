@@ -6,14 +6,13 @@ Three pillars (see ``docs/performance.md``):
   (conservation-checked) per-component latency profiler with hierarchical
   reports and flamegraph-ready collapsed-stack export;
 * :mod:`repro.perf.metrics` — the Prometheus-text exporter over the
-  counter registry, plus :class:`MetricsSampler` for time series over
-  simulated cycles;
+  counter registry (a time series over simulated cycles is a fold over
+  trace events, which carry their cycle);
 * :mod:`repro.perf.bench` — the ``repro bench`` scenario suite with
   ``BENCH_<scenario>.json`` results and baseline regression comparison.
 """
 
 from repro.perf.attribution import (
-    AccessRecord,
     AttributionError,
     CycleAttributor,
     PathProfile,
@@ -27,15 +26,13 @@ from repro.perf.bench import (
     scenario_names,
     write_result,
 )
-from repro.perf.metrics import MetricsSampler, prometheus_text
+from repro.perf.metrics import prometheus_text
 
 __all__ = [
-    "AccessRecord",
     "AttributionError",
     "BenchResult",
     "Comparison",
     "CycleAttributor",
-    "MetricsSampler",
     "PathProfile",
     "compare",
     "load_result",

@@ -37,20 +37,6 @@ class AttributionError(ValueError):
     """The conservation invariant was violated for one access."""
 
 
-@dataclass(frozen=True)
-class AccessRecord:
-    """One attributed access (kept only when ``keep_records=True``)."""
-
-    op: str
-    path: str | None
-    core: int
-    addr: int | None
-    cycle: int
-    latency: int
-    parts: Mapping[str, int]
-    shadowed: Mapping[str, int]
-
-
 @dataclass
 class PathProfile:
     """Aggregated attribution for one (operation, access-path) bucket."""
@@ -79,23 +65,15 @@ class PathProfile:
 class CycleAttributor:
     """Aggregates per-access latency breakdowns with exact conservation.
 
-    ``keep_records=True`` additionally retains the most recent
-    ``record_capacity`` individual :class:`AccessRecord` objects (a bounded
-    list, oldest dropped first) for fine-grained inspection.
+    Only the per-(op, path) aggregates are kept.  A single access's
+    breakdown is its own :attr:`AccessResult.breakdown
+    <repro.proc.processor.AccessResult.breakdown>`.
     """
 
     #: Component-graph slot this instrument occupies (``repro.core``).
     instrument_slot = "profiler"
 
-    def __init__(
-        self, *, keep_records: bool = False, record_capacity: int = 1 << 16
-    ) -> None:
-        if record_capacity <= 0:
-            raise ValueError("record capacity must be positive")
-        self.keep_records = keep_records
-        self.record_capacity = record_capacity
-        self.records: list[AccessRecord] = []
-        self.dropped_records = 0
+    def __init__(self) -> None:
         self.accesses = 0
         self.cycles = 0
         self._profiles: dict[tuple[str, str | None], PathProfile] = {}
@@ -130,23 +108,6 @@ class CycleAttributor:
             profile = PathProfile(op=op, path=path_name)
             self._profiles[(op, path_name)] = profile
         profile._absorb(latency, parts, shadowed)
-        if self.keep_records:
-            if len(self.records) >= self.record_capacity:
-                del self.records[0]
-                self.dropped_records += 1
-            self.records.append(
-                AccessRecord(
-                    op=op, path=path_name, core=core, addr=addr, cycle=cycle,
-                    latency=latency, parts=dict(parts), shadowed=dict(shadowed),
-                )
-            )
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped_records = 0
-        self.accesses = 0
-        self.cycles = 0
-        self._profiles.clear()
 
     # -- aggregate views ---------------------------------------------------
 

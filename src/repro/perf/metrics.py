@@ -1,4 +1,4 @@
-"""Metrics export: Prometheus text format and periodic sampling.
+"""Metrics export: the counter registry in Prometheus text format.
 
 :func:`prometheus_text` flattens a :class:`~repro.trace.counters.
 CounterRegistry` into the Prometheus text exposition format (``# TYPE``
@@ -6,18 +6,14 @@ lines, sanitised metric names, counters suffixed ``_total``), so a scrape
 of a long-running simulation can be pasted straight into promtool or a
 pushgateway.
 
-:class:`MetricsSampler` turns the registry into a time series over
-*simulated* cycles: attach it to a processor with ``proc.attach(sampler)``
-and it snapshots every ``every`` cycles.  When the buffer fills it decimates
-(keeps every other sample and doubles the interval), so memory stays
-bounded for arbitrarily long runs while coverage of the whole run is
-preserved at decreasing resolution.
+The registry holds totals.  A time series over *simulated* cycles comes
+from the machine's trace instead: every :class:`~repro.trace.TraceEvent`
+carries its cycle, so a series is a fold over ``tracer.events()``
+(docs/performance.md, "Metrics export").
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import re
 
 from repro.trace.counters import CounterRegistry
@@ -88,66 +84,3 @@ def prometheus_text(
         lines += prom_header(name, kind, f"repro {kind} {path}")
         lines.append(prom_sample(name, None, value))
     return "\n".join(lines) + "\n"
-
-
-class MetricsSampler:
-    """Snapshot a registry every N simulated cycles, with bounded memory.
-
-    The processor calls :meth:`on_cycle` as its clock advances; whenever at
-    least ``every`` cycles have elapsed since the last sample, the registry
-    is snapshotted.  Once ``max_samples`` snapshots accumulate, the sampler
-    decimates: it keeps every other sample and doubles ``every``, trading
-    resolution for unbounded run length.
-    """
-
-    #: Component-graph slot this instrument occupies (``repro.core``).
-    instrument_slot = "sampler"
-
-    def __init__(
-        self,
-        registry: CounterRegistry,
-        *,
-        every: int = 10_000,
-        max_samples: int = 4096,
-    ) -> None:
-        if every <= 0:
-            raise ValueError("sampling interval must be positive")
-        if max_samples < 2:
-            raise ValueError("need room for at least two samples")
-        self.registry = registry
-        self.every = every
-        self.max_samples = max_samples
-        self.samples: list[tuple[int, dict[str, float]]] = []
-        self._next_at = 0
-
-    def on_cycle(self, cycle: int) -> None:
-        if cycle < self._next_at:
-            return
-        self.sample(cycle)
-
-    def sample(self, cycle: int) -> None:
-        """Take a snapshot now, regardless of the schedule."""
-        self.samples.append((cycle, self.registry.snapshot()))
-        self._next_at = cycle + self.every
-        if len(self.samples) >= self.max_samples:
-            self.samples = self.samples[::2]
-            self.every *= 2
-
-    def series(self, path: str) -> list[tuple[int, float]]:
-        """The sampled (cycle, value) series for one dotted counter path."""
-        return [
-            (cycle, snap[path]) for cycle, snap in self.samples if path in snap
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "every": self.every,
-            "samples": [
-                {"cycle": cycle, "values": snap} for cycle, snap in self.samples
-            ],
-        }
-
-    def write_json(self, path: str | pathlib.Path) -> None:
-        pathlib.Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )

@@ -30,7 +30,6 @@ from repro.config import BLOCK_SIZE, SecureProcessorConfig
 from repro.core import (
     NULL_TXN,
     PROFILER,
-    SAMPLER,
     TRACER,
     Component,
     Txn,
@@ -87,13 +86,13 @@ class SecureProcessor(Component):
     """A multi-core secure processor per Table I.
 
     The processor is the root of the component graph (``repro.core``):
-    ``attach`` installs an instrument — tracer, fault hook, cycle
-    attributor, metrics sampler — across the whole machine in one walk.
+    ``attach`` installs an instrument — tracer, fault hook or cycle
+    attributor — across the whole machine in one walk.
     While a profiler is attached, every software-visible operation runs
     under a per-access :class:`~repro.core.Txn` opened by :meth:`_begin`.
     """
 
-    instrument_slots = (TRACER, PROFILER, SAMPLER)
+    instrument_slots = (TRACER, PROFILER)
 
     def __init__(self, config: SecureProcessorConfig | None = None) -> None:
         self.config = config or SecureProcessorConfig.sct_default()
@@ -129,9 +128,8 @@ class SecureProcessor(Component):
         if self.mee.tree_cache is not self.mee.meta_cache:
             self.registry.mount("tree_cache", self.mee.tree_cache.counters)
         self.registry.mount("crypto", self.mee.cipher.counters)
-        # Instrument slots (tracer, fault hook, profiler, sampler) start
-        # detached; None keeps every instrumented path down to a single
-        # attribute test.
+        # Instrument slots (tracer, profiler) start detached; None keeps
+        # every instrumented path down to a single attribute test.
         self.init_component("proc")
         # Architectural (software-visible) values of written blocks.
         self._plain: dict[int, bytes] = {}
@@ -152,21 +150,16 @@ class SecureProcessor(Component):
         The slot is inferred from the instrument's ``instrument_slot``
         class attribute (``repro.trace.Tracer`` → ``tracer``,
         ``repro.faults.FaultHook`` → ``fault_hook``,
-        ``repro.perf.CycleAttributor`` → ``profiler``,
-        ``repro.perf.MetricsSampler`` → ``sampler``) unless given
+        ``repro.perf.CycleAttributor`` → ``profiler``) unless given
         explicitly.  Tracers get their clock bound to this processor's
         cycle counter through a weak proxy, so the tracer does not keep
-        the machine alive; samplers take an initial snapshot.  Returns
-        the number of components reached; :func:`repro.core.detach`
-        restores the no-op fast path.
+        the machine alive.  Returns the number of components reached;
+        :func:`repro.core.detach` restores the no-op fast path.
         """
         slot = slot if slot is not None else slot_of(instrument)
         if slot == TRACER and instrument is not None:
             instrument.bind_clock(partial(getattr, weakref.proxy(self), "cycle"))
-        count = graph_attach(self, instrument, slot=slot)
-        if slot == SAMPLER and instrument is not None:
-            instrument.on_cycle(self.cycle)
-        return count
+        return graph_attach(self, instrument, slot=slot)
 
     # ------------------------------------------------------------------
     # Per-access transactions
@@ -185,15 +178,13 @@ class SecureProcessor(Component):
         return Txn(op, core, addr)
 
     def _finish(self, txn: Txn, *, path: AccessPath | None, latency: int) -> None:
-        """Close a transaction: report attribution, tick the sampler."""
+        """Close a transaction: report its attribution to the profiler."""
         if txn.profiling:
             self.profiler.on_access(
                 op=txn.op, path=path, core=txn.core, addr=txn.addr,
                 cycle=self.cycle, latency=latency, parts=txn.parts,
                 shadowed=txn.shadowed or None,
             )
-        if self.sampler is not None:
-            self.sampler.on_cycle(self.cycle)
 
     def _observed(self, latency: int) -> int:
         """Latency as software measures it (with modeled timer noise)."""
@@ -211,8 +202,6 @@ class SecureProcessor(Component):
         if cycles < 0:
             raise ValueError("cannot advance backwards")
         self.cycle += cycles
-        if self.sampler is not None:
-            self.sampler.on_cycle(self.cycle)
 
     def quiesce(self) -> int:
         """Idle until all DRAM banks are free; returns cycles waited.
@@ -272,10 +261,10 @@ class SecureProcessor(Component):
         Per-call lookups are hoisted out of the loop: the L1
         ``decompose`` (L1 geometry is uniform across cores), the latency
         constants, and one test for an attached instrument (tracer,
-        profiler, sampler or the engine's fault hook).  That test only
-        gates the instrument hooks — ``_begin``, the ``proc`` trace
-        event, ``txn.charge`` and ``_finish`` — at fixed points of each
-        op; traced and bare runs execute the same code.  An L1 hit is
+        profiler or the engine's fault hook).  That test only gates the
+        instrument hooks — ``_begin``, the ``proc`` trace event,
+        ``txn.charge`` and ``_finish`` — at fixed points of each op;
+        traced and bare runs execute the same code.  An L1 hit is
         served by ``SetAssocCache.hit``, which emits the same trace event
         a lookup does; any other access continues in :meth:`_below_l1`.
         """
@@ -294,7 +283,6 @@ class SecureProcessor(Component):
         instrumented = (
             tracer is not None
             or self.profiler is not None
-            or self.sampler is not None
             or mee.fault_hook is not None
         )
         txn = NULL_TXN

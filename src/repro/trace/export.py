@@ -1,37 +1,57 @@
-"""Trace exporters: JSONL (lossless round-trip) and Chrome ``trace_event``.
+"""The JSONL codec for trace events and span logs, and the Chrome builder.
 
-The JSONL form is one event per line and reads back into identical
-:class:`~repro.trace.events.TraceEvent` objects.  The Chrome form follows
-the ``trace_event`` JSON schema (https://ui.perfetto.dev loads it
-directly): each component becomes a named "process", each core a thread,
-events with a ``value`` become complete ("X") slices whose duration is the
-value, and the rest become instants — so a metadata-cache miss and its
-tree walk appear as nested slices on the issuing core's track.
+One writer and one reader serve both kinds of JSONL record: the
+machine's :class:`~repro.trace.events.TraceEvent` stream and the
+schema-v1 span dicts of :mod:`repro.obs`.  Each record is one compact
+JSON object per line, and reads back equal to what was written.
+
+The Chrome form follows the ``trace_event`` JSON schema
+(https://ui.perfetto.dev loads it directly): each component becomes a
+named "process", each core a thread, events with a ``value`` become
+complete ("X") slices whose duration is the value, and the rest become
+instants — so a metadata-cache miss and its tree walk appear as nested
+slices on the issuing core's track.  Spans have their own builder,
+:func:`repro.obs.spans_to_chrome`, because they sit on a wall clock,
+not on simulated cycles.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.trace.events import TraceEvent
 
 
-def write_jsonl(events: Iterable[TraceEvent], path: str | pathlib.Path) -> int:
-    """Write one JSON object per event; returns the number written."""
+def write_jsonl(records: Iterable[Any], path: str | pathlib.Path) -> int:
+    """Write one JSON object per record; returns the number written.
+
+    A record is a trace event, written field by field, or a dict such as
+    a span, written as it is.
+    """
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(event.to_dict(), separators=(",", ":")))
+        for record in records:
+            payload = record if isinstance(record, dict) else record.to_dict()
+            handle.write(json.dumps(payload, separators=(",", ":")))
             handle.write("\n")
             count += 1
     return count
 
 
-def read_jsonl(path: str | pathlib.Path) -> list[TraceEvent]:
-    """Read a JSONL trace back into event objects (inverse of write)."""
-    events: list[TraceEvent] = []
+def read_jsonl(
+    path: str | pathlib.Path,
+    decode: Callable[[dict[str, Any]], Any] = TraceEvent.from_dict,
+) -> list[Any]:
+    """Read a JSONL file back, one record per non-blank line.
+
+    ``decode`` builds each record from its line's JSON object: trace
+    events by default (the inverse of :func:`write_jsonl`), and span
+    logs pass ``dict``.  A line that is not JSON, is not an object, or
+    that ``decode`` rejects raises ``ValueError`` naming ``path:line``.
+    """
+    records: list[Any] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
@@ -41,13 +61,18 @@ def read_jsonl(path: str | pathlib.Path) -> list[TraceEvent]:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(
-                    f"{path}:{line_number}: not a JSON event line"
+                    f"{path}:{line_number}: not a JSON line ({exc})"
                 ) from exc
+            if not isinstance(payload, dict):
+                raise ValueError(
+                    f"{path}:{line_number}: expected a JSON object, got "
+                    f"{type(payload).__name__}"
+                )
             try:
-                events.append(TraceEvent.from_dict(payload))
+                records.append(decode(payload))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_number}: {exc}") from exc
-    return events
+    return records
 
 
 def to_chrome_trace(events: Sequence[TraceEvent]) -> dict[str, object]:

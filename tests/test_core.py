@@ -22,6 +22,7 @@ from repro.campaign import CampaignEngine, CampaignTask
 from repro.config import SecureProcessorConfig
 from repro.core import (
     FAULT_HOOK,
+    KNOWN_SLOTS,
     NULL_TXN,
     PROFILER,
     Txn,
@@ -33,7 +34,7 @@ from repro.core import (
 from repro.defenses import assign_domains, isolated_tree_config
 from repro.faults.hooks import FaultHook
 from repro.leakcheck import run_leakcheck
-from repro.perf import CycleAttributor, MetricsSampler
+from repro.perf import CycleAttributor
 from repro.proc.processor import SecureProcessor
 from repro.synth import compile_program, generate_program
 from repro.synth.runner import DEFENSES, synth_config
@@ -98,11 +99,9 @@ class TestComponentGraph:
         assert proc.memctrl.dram.tracer is tracer
 
     def test_slot_inference_for_all_instruments(self):
-        proc = _machine()
         assert slot_of(Tracer()) == "tracer"
         assert slot_of(FaultHook()) == "fault_hook"
         assert slot_of(CycleAttributor()) == "profiler"
-        assert slot_of(MetricsSampler(proc.registry)) == "sampler"
         with pytest.raises(ValueError):
             slot_of(object())
 
@@ -110,15 +109,13 @@ class TestComponentGraph:
         proc = _machine()
         tracer, hook = Tracer(), FaultHook()
         profiler = CycleAttributor()
-        sampler = MetricsSampler(proc.registry, every=100)
-        for instrument in (tracer, hook, profiler, sampler):
+        for instrument in (tracer, hook, profiler):
             proc.attach(instrument)
         assert proc.tracer is tracer
         assert proc.mee.fault_hook is hook
         assert proc.profiler is profiler
-        assert proc.sampler is sampler
-        # The sampler took its initial snapshot on attach.
-        assert sampler.samples
+        assert KNOWN_SLOTS == ("tracer", "fault_hook", "profiler")
+        assert proc.instrument_slots == ("tracer", "profiler")
 
     def test_detach_restores_null_txn_fast_path(self):
         proc = _machine()
@@ -188,8 +185,7 @@ class TestTxn:
         shared NULL_TXN: a traced or hooked access allocates no Txn."""
         proc = _machine()
         tracer = Tracer()
-        for instrument in (tracer, FaultHook(),
-                           MetricsSampler(proc.registry, every=100)):
+        for instrument in (tracer, FaultHook()):
             proc.attach(instrument)
         assert proc._begin("read", 0, 0) is NULL_TXN
         _workload(proc)
@@ -249,11 +245,10 @@ class TestLateDomainTrees:
 # ----------------------------------------------------------------------
 
 _INSTRUMENTS = {
-    "bare": lambda proc: None,
-    "tracer": lambda proc: Tracer(),
-    "profiler": lambda proc: CycleAttributor(),
-    "sampler": lambda proc: MetricsSampler(proc.registry, every=1000),
-    "fault_hook": lambda proc: FaultHook(),
+    "bare": lambda: None,
+    "tracer": Tracer,
+    "profiler": CycleAttributor,
+    "fault_hook": FaultHook,
 }
 
 
@@ -283,7 +278,7 @@ class TestAcyclicMachines:
 
         def work():
             proc = SecureProcessor(synth_config(preset, defense))
-            attached = _INSTRUMENTS[instrument](proc)
+            attached = _INSTRUMENTS[instrument]()
             if attached is not None:
                 proc.attach(attached)
             spec.run(proc, 1)

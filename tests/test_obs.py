@@ -35,6 +35,7 @@ from repro.obs import (
     validate_spans,
 )
 from repro.service import DONE, QUEUED, TERMINAL_STATES, LeakcheckService, http_request
+from repro.trace import read_jsonl, write_jsonl
 
 
 @pytest.fixture(autouse=True)
@@ -155,7 +156,7 @@ class TestRecorder:
         for i in range(5):
             recorder.start_span(f"s{i}").end()
         assert recorder.dropped == 3
-        assert [s["name"] for s in recorder.finished_spans()] == ["s3", "s4"]
+        assert [s["name"] for s in recorder.drain()] == ["s3", "s4"]
 
     def test_adopt_absorbs_only_schema_v1_dicts(self):
         recorder = SpanRecorder()
@@ -164,7 +165,18 @@ class TestRecorder:
         shipped = donor.drain()
         count = recorder.adopt(shipped + [{"v": 99}, "junk"])
         assert count == 1
-        assert recorder.finished_spans() == shipped
+        assert recorder.drain() == shipped
+
+    def test_adopt_past_capacity_counts_drops_and_bounds_recent(self):
+        recorder = SpanRecorder(capacity=3, recent_capacity=2)
+        donor = SpanRecorder()
+        for i in range(5):
+            donor.start_span(f"s{i}").end()
+        assert recorder.adopt(donor.drain()) == 5
+        assert recorder.recorded == 5 and recorder.dropped == 2
+        assert [s["name"] for s in recorder.recent()] == ["s3", "s4"]
+        assert [s["name"] for s in recorder.recent(1)] == ["s4"]
+        assert [s["name"] for s in recorder.drain()] == ["s2", "s3", "s4"]
 
 
 # -- export + validation ---------------------------------------------------
@@ -182,9 +194,23 @@ class TestExportAndValidate:
         recorder = obs.enable()
         _make_tree(recorder)
         path = tmp_path / "spans.jsonl"
-        assert obs.write_spans_jsonl(recorder.drain(), str(path)) == 3
-        spans = obs.read_spans_jsonl(str(path))
+        drained = recorder.drain()
+        assert write_jsonl(drained, path) == 3
+        spans = read_jsonl(path, decode=dict)
+        assert spans == drained
         assert validate_spans(spans, single_trace=True) == []
+
+    def test_reader_takes_sorted_spaced_span_lines(self, tmp_path):
+        """Span logs written one ``json.dumps(span, sort_keys=True)`` per
+        line, with default separators, read back as the same dicts."""
+        recorder = obs.enable()
+        _make_tree(recorder)
+        drained = recorder.drain()
+        path = tmp_path / "sorted.jsonl"
+        path.write_text(
+            "".join(json.dumps(s, sort_keys=True) + "\n" for s in drained)
+        )
+        assert read_jsonl(path, decode=dict) == drained
 
     def test_validation_catches_the_broken_shapes(self):
         recorder = obs.enable()
@@ -499,7 +525,7 @@ class TestCliSpans:
         assert main(["figures", "fig8", "--quick", "--out", str(tmp_path),
                      "--spans", str(out)]) == 0
         assert obs.active() is None, "CLI must tear the recorder down"
-        spans = obs.read_spans_jsonl(str(out))
+        spans = read_jsonl(out, decode=dict)
         assert validate_spans(spans, single_trace=True) == []
         kinds = _kind_counts(spans)
         assert kinds["cli"] == 1 and kinds["campaign.run"] == 1
@@ -526,7 +552,7 @@ class TestCliSpans:
         chrome = tmp_path / "copy.chrome.json"
         assert main(["spans", "export", str(src), "--out", str(dst),
                      "--chrome", str(chrome)]) == 0
-        assert obs.read_spans_jsonl(str(dst)) == obs.read_spans_jsonl(str(src))
+        assert read_jsonl(dst, decode=dict) == read_jsonl(src, decode=dict)
         doc = json.loads(chrome.read_text())
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
 
@@ -534,6 +560,21 @@ class TestCliSpans:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         assert main(["spans", "report", str(empty), "--strict"]) == 1
+
+    @pytest.mark.parametrize("command", ["report", "export"])
+    @pytest.mark.parametrize("content, where", [
+        ('{"v": 1}\n\nnot json\n', ":3: not a JSON line"),
+        ("[1, 2]\n", ":1: expected a JSON object"),
+    ], ids=["not_json", "not_object"])
+    def test_malformed_line_names_file_and_line(self, capsys, tmp_path,
+                                                command, content, where):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(content)
+        argv = ["spans", command, str(log)]
+        if command == "export":
+            argv += ["--out", str(tmp_path / "copy.jsonl")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {log}{where}")
 
     def test_report_reads_spans_from_a_campaign_db(self, capsys, tmp_path):
         db_path = tmp_path / "svc.sqlite"

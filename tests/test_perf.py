@@ -9,7 +9,6 @@ from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.perf import (
     AttributionError,
     CycleAttributor,
-    MetricsSampler,
     compare,
     load_result,
     prometheus_text,
@@ -18,7 +17,7 @@ from repro.perf import (
     write_result,
 )
 from repro.proc.paths import AccessPath
-from repro.proc.processor import SecureProcessor
+from repro.proc.processor import AccessResult, SecureProcessor
 
 
 def _machine(preset: str = "sct") -> SecureProcessor:
@@ -28,26 +27,31 @@ def _machine(preset: str = "sct") -> SecureProcessor:
     return SecureProcessor(preset_config(preset, **overrides))
 
 
-def _exercise_paths(proc: SecureProcessor) -> None:
-    """Steer one address through hit, counter-hit and tree-walk paths."""
+def _exercise_paths(proc: SecureProcessor) -> list[AccessResult]:
+    """Steer one address through hit, counter-hit and tree-walk paths.
+
+    Returns the results of the reads and writes, in issue order.
+    """
     layout = proc.layout
+    results = []
     for i in range(6):
         addr = (8 + 3 * i) * PAGE_SIZE
         counter_addr = layout.counter_block_addr(addr)
         proc.quiesce()
-        proc.read(addr)          # cold: full tree walk (Path-4)
-        proc.read(addr)          # L1 hit (Path-1)
-        proc.write(addr, b"y")
+        results.append(proc.read(addr))  # cold: full tree walk (Path-4)
+        results.append(proc.read(addr))  # L1 hit (Path-1)
+        results.append(proc.write(addr, b"y"))
         proc.flush(addr)
         proc.quiesce()
-        proc.read(addr)          # counter cached (Path-2)
+        results.append(proc.read(addr))  # counter cached (Path-2)
         proc.flush(addr)
         proc.mee.invalidate_metadata(counter_addr)
         proc.quiesce()
-        proc.read(addr)          # tree leaf cached (Path-3)
+        results.append(proc.read(addr))  # tree leaf cached (Path-3)
         proc.flush(addr)
         proc.mee.flush_metadata_cache(proc.cycle)
     proc.drain_writes()
+    return results
 
 
 class TestConservation:
@@ -60,15 +64,15 @@ class TestConservation:
         counter hits and full tree walks, no cycle is lost or invented.
         """
         proc = _machine(preset)
-        attributor = CycleAttributor(keep_records=True)
+        attributor = CycleAttributor()
         proc.attach(attributor)
-        _exercise_paths(proc)
+        results = _exercise_paths(proc)
         attributor.verify()
         assert attributor.accesses > 0
         assert sum(attributor.component_totals().values()) == attributor.cycles
-        for record in attributor.records:
-            assert sum(record.parts.values()) == record.latency
-        seen = {record.path for record in attributor.records}
+        for result in results:
+            assert sum(result.breakdown.values()) == result.latency
+        seen = {profile.path for profile in attributor.profiles()}
         assert "L1_HIT" in seen
         assert "MEM_COUNTER_HIT" in seen
         assert "MEM_TREE_MISS" in seen
@@ -133,17 +137,6 @@ class TestReports:
         assert written == len(lines)
         assert out.read_text().splitlines() == lines
 
-    def test_record_buffer_is_bounded(self):
-        attributor = CycleAttributor(keep_records=True, record_capacity=4)
-        for i in range(10):
-            attributor.on_access(
-                op="read", path=None, core=0, addr=i, cycle=i,
-                latency=1, parts={"cache.l1_hit": 1},
-            )
-        assert len(attributor.records) == 4
-        assert attributor.dropped_records == 6
-        assert attributor.accesses == 10  # aggregates keep counting
-
 
 class TestMetrics:
     def test_prometheus_text_shape(self):
@@ -186,35 +179,6 @@ class TestMetrics:
         assert prom_sample("m", None, 4.0) == "m 4"
         assert prom_sample("m", None, 0.25) == "m 0.25"
         assert prom_sample("m", {"a": "b", "c": "d"}, 1) == 'm{a="b",c="d"} 1'
-
-    def test_sampler_snapshots_every_interval(self):
-        proc = _machine("sct")
-        sampler = MetricsSampler(proc.registry, every=1000)
-        proc.attach(sampler)
-        _exercise_paths(proc)
-        assert len(sampler.samples) >= 2
-        cycles = [cycle for cycle, _ in sampler.samples]
-        assert cycles == sorted(cycles)
-        assert all(b - a >= 1000 for a, b in zip(cycles[1:], cycles[2:]))
-        series = sampler.series("dram.reads")
-        assert len(series) == len(sampler.samples)
-        values = [value for _, value in series]
-        assert values == sorted(values)  # counters are monotonic
-
-    def test_sampler_decimates_to_bounded_memory(self):
-        proc = _machine("sct")
-        sampler = MetricsSampler(proc.registry, every=1, max_samples=8)
-        proc.attach(sampler)
-        _exercise_paths(proc)
-        assert len(sampler.samples) < 8
-        assert sampler.every > 1  # interval doubled at least once
-
-    def test_sampler_validation(self):
-        registry = _machine("sct").registry
-        with pytest.raises(ValueError):
-            MetricsSampler(registry, every=0)
-        with pytest.raises(ValueError):
-            MetricsSampler(registry, max_samples=1)
 
 
 class TestBench:
