@@ -9,11 +9,11 @@ The two structural primitives the whole memory path is built on:
   instrument slots (:data:`KNOWN_SLOTS`): ``tracer`` on every component,
   ``fault_hook`` on the MEE and the memory controller, and ``profiler``
   on the processor;
-* :class:`Txn` / :data:`NULL_TXN` — the per-access latency attribution
-  (per-component cycles and the critical/shadowed overlap split) charged
-  down the proc→MEE→memctrl→DRAM path.  A ``Txn`` exists only while a
-  profiler is attached; otherwise every layer is handed the shared no-op
-  :data:`NULL_TXN`.  Trace events and fault hooks go through each
+* :class:`Txn` — the per-access latency attribution (per-component
+  cycles and the critical/shadowed overlap split) charged down the
+  proc→MEE→memctrl→DRAM path.  A ``Txn`` exists only while a profiler
+  is attached; otherwise every layer is handed ``None`` and makes no
+  attribution call.  Trace events and fault hooks go through each
   component's own instrument slots.
 
 See ``docs/architecture.md`` for the graph shape, the ``Txn`` lifecycle
@@ -32,13 +32,12 @@ from repro.core.component import (
     slot_of,
     walk,
 )
-from repro.core.txn import NULL_TXN, Txn
+from repro.core.txn import Txn
 
 __all__ = [
     "Component",
     "FAULT_HOOK",
     "KNOWN_SLOTS",
-    "NULL_TXN",
     "PROFILER",
     "TRACER",
     "Txn",

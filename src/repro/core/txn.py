@@ -13,12 +13,14 @@ block address) and its latency attribution, behind four calls:
   attribution with :meth:`Txn.absorb` and the loser into the shadowed
   tally with :meth:`Txn.shadow`.
 
-**Zero overhead when off.**  Without a profiler the processor hands down
-the shared :data:`NULL_TXN` singleton — no allocation, and every method
-is a pass — whatever else is attached.  Trace events and fault-hook
-callbacks do not ride the transaction: every component, the processor
-included, emits through its own ``tracer`` slot and dispatches through
-its own ``fault_hook`` slot (attached via the component graph).
+**Zero overhead when off.**  Without a profiler the processor hands
+down ``None`` instead of a transaction, whatever else is attached, and
+every layer makes its attribution calls only on a transaction
+(``if txn is not None``): an unprofiled access allocates no ``Txn`` and
+makes no attribution call.  Trace events and fault-hook callbacks do not
+ride the transaction: every component, the processor included, emits
+through its own ``tracer`` slot and dispatches through its own
+``fault_hook`` slot (attached via the component graph).
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ class Txn:
     """Attribution context for one in-flight memory access."""
 
     __slots__ = ("op", "core", "addr", "prefix", "parts", "shadowed")
-
-    #: Real transactions collect attribution; NULL_TXN reports False.
-    profiling = True
 
     def __init__(
         self,
@@ -73,31 +72,3 @@ class Txn:
         for key, value in leg.parts.items():
             self.shadowed[key] = self.shadowed.get(key, 0) + value
 
-
-class _NullTxn:
-    """The shared do-nothing transaction used while not profiling."""
-
-    __slots__ = ()
-
-    profiling = False
-    op = None
-    core = -1
-    addr = None
-    prefix = ""
-    parts = None
-    shadowed = None
-
-    def charge(self, key: str, cycles: int) -> None:
-        pass
-
-    def leg(self, prefix: str) -> "_NullTxn":
-        return self
-
-    def absorb(self, leg) -> None:
-        pass
-
-    def shadow(self, leg) -> None:
-        pass
-
-
-NULL_TXN = _NullTxn()

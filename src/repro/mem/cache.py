@@ -181,9 +181,9 @@ class SetAssocCache(Component):
         does — refresh recency, count the hit, OR in the dirty bit, emit
         the same ``hit`` trace event — and returns True.  Otherwise it
         changes and emits nothing, not even the miss, and returns False:
-        the caller then takes the full access path, whose lookup counts
-        and traces the miss.  The processor's executor serves every L1
-        hit this way, traced or not.
+        the caller then records the miss with :meth:`miss`.  The
+        processor's executor probes L1 this way, and only this way,
+        traced or not.
         """
         lines = self._sets.get(set_index)
         if lines is None or block not in lines:
@@ -200,6 +200,15 @@ class SetAssocCache(Component):
                 self.component_name, "hit", addr=block, set_index=set_index
             )
         return True
+
+    def miss(self, block: int, set_index: int) -> None:
+        """Count and trace the miss a failed :meth:`hit` probe found: what
+        a missing :meth:`lookup` records, without probing again."""
+        self._misses.value += 1
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.component_name, "miss", addr=block, set_index=set_index
+            )
 
     def contains(self, addr: int) -> bool:
         """Presence check with no side effects (no LRU update, no stats)."""

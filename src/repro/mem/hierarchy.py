@@ -3,30 +3,22 @@
 Private L1/L2 per core, one shared inclusive L3 per socket.  The hierarchy
 reports where an access hit and what got written back, but defers actual
 memory traffic to the memory controller (the caller).
+
+The processor's executor probes L1 itself (``SetAssocCache.hit``), so the
+hierarchy's access path starts at L2 with the L1 miss it is handed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.config import SecureProcessorConfig
 from repro.core import Component
 from repro.mem.block import block_address
 from repro.mem.cache import SetAssocCache, invalidate_level
 
-
-@dataclass(slots=True)
-class HierarchyResult:
-    """Outcome of one data-cache access.
-
-    ``hit_level`` is 1, 2 or 3, or ``None`` on a full miss; ``latency`` is
-    the cycles spent in the hierarchy itself (lookup plus hit service);
-    ``writebacks`` are dirty blocks pushed out to memory by this access.
-    """
-
-    hit_level: int | None
-    latency: int
-    writebacks: list[int] = field(default_factory=list)
+#: The writebacks of a full miss, which installs nothing.
+_NO_WRITEBACKS: tuple[int, ...] = ()
 
 
 class CoreCaches(Component):
@@ -64,11 +56,16 @@ class DataCacheSystem(Component):
         l1s = tuple(caches.l1 for caches in self.core_caches)
         l2s = tuple(caches.l2 for caches in self.core_caches)
         self._levels = (l1s, l2s, tuple(self.l3s))
+        # Each core's caches in one lookup: its L1, L2 and socket L3, and
+        # the L1s and L2s of its socket, which an L3 eviction invalidates.
         per_socket = self.cores_per_socket
-        self._socket_private = [
-            (l1s[first : first + per_socket], l2s[first : first + per_socket])
-            for first in range(0, config.cores, per_socket)
-        ]
+        self._paths = []
+        for core, caches in enumerate(self.core_caches):
+            first = core - core % per_socket
+            self._paths.append((
+                caches.l1, caches.l2, self.l3s[self.socket_of(core)],
+                l1s[first : first + per_socket], l2s[first : first + per_socket],
+            ))
         # Timing table, precomputed once: cumulative lookup cost after
         # probing 1, 2 or 3 levels.  The functional probes above never
         # carry latency themselves (see the functional/timing split in
@@ -88,92 +85,51 @@ class DataCacheSystem(Component):
     def socket_of(self, core: int) -> int:
         return core // self.cores_per_socket
 
-    def _l3_of(self, core: int) -> SetAssocCache:
-        return self.l3s[self.socket_of(core)]
-
     # ------------------------------------------------------------------
     # Access path
     # ------------------------------------------------------------------
 
-    def access(self, core: int, addr: int, *, is_write: bool) -> HierarchyResult:
-        """Look up ``addr`` for ``core``; no fill happens on a miss."""
-        block = block_address(addr)
-        caches = self.core_caches[core]
-        l3 = self._l3_of(core)
-        hit_latency = self.hit_latency
+    def access(
+        self, core: int, block: int, l1_set: int, is_write: bool
+    ) -> tuple[int, Sequence[int]]:
+        """Serve ``core``'s L1 miss of ``block`` from L2 or L3.
 
-        if caches.l1.lookup(block):
-            if is_write:
-                caches.l1.mark_dirty(block)
-            return HierarchyResult(hit_level=1, latency=hit_latency[0])
-
-        if caches.l2.lookup(block):
-            writebacks = self._fill_l1_only(core, block, dirty=is_write)
-            return HierarchyResult(2, hit_latency[1], writebacks)
-
+        The caller has probed L1 (set ``l1_set``) and found the block
+        absent; this counts and traces that miss, then probes L2 and the
+        socket's L3.  A hit promotes the block into the levels above it.
+        Returns ``(level, writebacks)``: the level that hit (2 or 3, or 0
+        on a full miss, which installs nothing; see :meth:`fill`) and the
+        dirty blocks the promotion pushed out to memory.
+        """
+        l1, l2, l3, _, _ = self._paths[core]
+        l1.miss(block, l1_set)
+        if l2.lookup(block):
+            writebacks: list[int] = []
+            _install_l1(l1, l2, l3, block, is_write, writebacks)
+            return 2, writebacks
         if l3.lookup(block):
-            writebacks = self._fill_private(core, block, dirty=is_write)
-            return HierarchyResult(3, hit_latency[2], writebacks)
+            writebacks = []
+            _install_private(l1, l2, l3, block, is_write, writebacks)
+            return 3, writebacks
+        return 0, _NO_WRITEBACKS
 
-        return HierarchyResult(hit_level=None, latency=self.miss_lookup_latency)
-
-    def fill(self, core: int, addr: int, *, dirty: bool) -> list[int]:
-        """Install a block fetched from memory at all levels.
+    def fill(self, core: int, block: int, *, dirty: bool) -> list[int]:
+        """Install a block fetched from memory in L3, then L2, then L1.
 
         Returns dirty blocks evicted to memory as a side effect.
         """
-        block = block_address(addr)
+        l1, l2, l3, l1s, l2s = self._paths[core]
         writebacks: list[int] = []
-        l3 = self._l3_of(core)
         l3_evt = l3.insert(block)
-        if l3_evt.evicted_addr is not None:
+        victim = l3_evt.evicted_addr
+        if victim is not None:
             # Inclusive L3: back-invalidate private copies in this socket.
-            dirty_private = self._back_invalidate(core, l3_evt.evicted_addr)
-            if l3_evt.evicted_dirty or dirty_private:
-                writebacks.append(l3_evt.evicted_addr)
-        writebacks.extend(self._fill_private(core, block, dirty=dirty))
+            dirty_l1 = invalidate_level(l1s, victim)
+            dirty_l2 = invalidate_level(l2s, victim)
+            if l3_evt.evicted_dirty or dirty_l1 or dirty_l2:
+                writebacks.append(victim)
+        _install_private(l1, l2, l3, block, dirty, writebacks)
         return writebacks
-
-    def _fill_private(self, core: int, block: int, *, dirty: bool) -> list[int]:
-        """Install ``block`` in ``core``'s L2 and L1."""
-        writebacks: list[int] = []
-        l2_evt = self.core_caches[core].l2.insert(block)
-        if l2_evt.evicted_addr is not None and l2_evt.evicted_dirty:
-            writebacks += self._fold_dirty(
-                l2_evt.evicted_addr, (self._l3_of(core),)
-            )
-        return writebacks + self._fill_l1_only(core, block, dirty=dirty)
-
-    def _fill_l1_only(self, core: int, block: int, *, dirty: bool) -> list[int]:
-        """Install ``block`` in ``core``'s L1 (an L2-hit promotion)."""
-        caches = self.core_caches[core]
-        l1_evt = caches.l1.insert(block, dirty=dirty)
-        if l1_evt.evicted_addr is None or not l1_evt.evicted_dirty:
-            return []
-        return self._fold_dirty(
-            l1_evt.evicted_addr, (caches.l2, self._l3_of(core))
-        )
-
-    @staticmethod
-    def _fold_dirty(victim: int, lower: tuple[SetAssocCache, ...]) -> list[int]:
-        """Fold a dirty victim into the first ``lower`` level holding it.
-
-        An L2 may have dropped the line already, but the inclusive L3 of
-        the socket still holds it, so the dirty data stays on chip.
-        Returns ``[victim]`` only when no level does: it must go to memory.
-        """
-        for cache in lower:
-            if cache.contains(victim):
-                cache.mark_dirty(victim)
-                return []
-        return [victim]
-
-    def _back_invalidate(self, core: int, block: int) -> bool:
-        """Remove ``block`` from all private caches in ``core``'s socket."""
-        l1s, l2s = self._socket_private[self.socket_of(core)]
-        dirty_l1 = invalidate_level(l1s, block)
-        dirty_l2 = invalidate_level(l2s, block)
-        return dirty_l1 or dirty_l2
 
     # ------------------------------------------------------------------
     # Maintenance operations
@@ -201,3 +157,36 @@ class DataCacheSystem(Component):
             caches.l1.contains(block) or caches.l2.contains(block)
             for caches in self.core_caches
         )
+
+
+def _install_private(l1, l2, l3, block, dirty, writebacks) -> None:
+    """Install ``block`` in L2, then L1, appending memory writebacks."""
+    l2_evt = l2.insert(block)
+    if l2_evt.evicted_dirty:
+        _fold_dirty(l2_evt.evicted_addr, (l3,), writebacks)
+    _install_l1(l1, l2, l3, block, dirty, writebacks)
+
+
+def _install_l1(l1, l2, l3, block, dirty, writebacks) -> None:
+    """Install ``block`` in L1 (an L2-hit promotion, or the last step of
+    a fill), appending memory writebacks."""
+    l1_evt = l1.insert(block, dirty=dirty)
+    if l1_evt.evicted_dirty:
+        _fold_dirty(l1_evt.evicted_addr, (l2, l3), writebacks)
+
+
+def _fold_dirty(
+    victim: int, lower: tuple[SetAssocCache, ...], writebacks: list[int]
+) -> None:
+    """Fold a dirty victim into the first ``lower`` level holding it.
+
+    An L2 may have dropped the line already, but the inclusive L3 of the
+    socket still holds it, so the dirty data stays on chip.  Only when no
+    level does is ``victim`` appended to ``writebacks``: it must go to
+    memory.
+    """
+    for cache in lower:
+        if cache.contains(victim):
+            cache.mark_dirty(victim)
+            return
+    writebacks.append(victim)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.config import DramConfig, MemCtrlConfig
-from repro.core import FAULT_HOOK, NULL_TXN, TRACER, Component, Txn
+from repro.core import FAULT_HOOK, TRACER, Component, Txn
 from repro.mem.block import block_address
 from repro.mem.dram import DramModel
 from repro.trace.counters import CounterRegistry
@@ -56,6 +56,10 @@ class MemoryController(Component):
         self.config = config
         self.dram = DramModel(dram_config)
         self._write_queue: dict[int, WriteQueueEntry] = {}
+        # Queue depth at which a posted write first forces a drain.
+        self._watermark = int(
+            config.write_queue_entries * config.drain_watermark
+        )
         self._write_sink: weakref.WeakMethod | None = None
         self.counters = CounterRegistry()
         self._reads_serviced = self.counters.counter("reads_serviced")
@@ -85,20 +89,21 @@ class MemoryController(Component):
     # Reads
     # ------------------------------------------------------------------
 
-    def read_block(self, addr: int, now: int, txn: Txn = NULL_TXN) -> int:
+    def read_block(self, addr: int, now: int, txn: Txn | None = None) -> int:
         """Service a block read at cycle ``now``; return its latency.
 
         This is the timing (``charge``) step of the memory path: the DRAM
         model decomposes the address (memoised bank/row) and mutates bank
-        state, while every cycle the core observes is charged here.  While
-        the transaction is profiling, the latency is charged in parts
-        whose sum equals the return value: ``queue`` (enqueue plus bank
-        wait), ``service`` (DRAM row service plus bus transfer) and
-        ``forward`` (store-to-load forward out of the write queue).
+        state, while every cycle the core observes is charged here.  Given
+        a transaction (only while profiling), the latency is charged into
+        it in parts whose sum equals the return value: ``queue`` (enqueue
+        plus bank wait), ``service`` (DRAM row service plus bus transfer)
+        and ``forward`` (store-to-load forward out of the write queue).
         """
         block = block_address(addr)
         if block in self._write_queue:
-            txn.charge("forward", _FORWARD_LATENCY)
+            if txn is not None:
+                txn.charge("forward", _FORWARD_LATENCY)
             if self.tracer is not None:
                 self.tracer.emit(
                     "memctrl", "read_forward", cycle=now, addr=block,
@@ -107,8 +112,9 @@ class MemoryController(Component):
             return _FORWARD_LATENCY
         self._reads_serviced.value += 1
         wait, service = self.dram.access_parts(block, now + _ENQUEUE_LATENCY)
-        txn.charge("queue", _ENQUEUE_LATENCY + wait)
-        txn.charge("service", service)
+        if txn is not None:
+            txn.charge("queue", _ENQUEUE_LATENCY + wait)
+            txn.charge("service", service)
         latency = _ENQUEUE_LATENCY + wait + service
         if self.tracer is not None:
             self.tracer.emit(
@@ -135,8 +141,7 @@ class MemoryController(Component):
                 return _ENQUEUE_LATENCY
             # Without merging, an in-queue duplicate forces ordering: drain.
             self.drain(now)
-        watermark = int(self.config.write_queue_entries * self.config.drain_watermark)
-        if len(self._write_queue) >= watermark:
+        if len(self._write_queue) >= self._watermark:
             self.drain(now)
         self._write_queue[block] = WriteQueueEntry(addr=block, enqueued_at=now)
         if self.tracer is not None:

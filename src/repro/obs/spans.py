@@ -17,8 +17,9 @@ retries.  It is a deliberately small, stdlib-only tracer:
 
 Zero overhead when off: ``start_span`` returns the shared ``NULL_SPAN``
 singleton when no recorder is enabled — no allocation, no clock read —
-mirroring the ``NULL_TXN`` / ``tracer is None`` discipline of the
-simulator hot path (docs/observability.md).
+as the simulator hot path allocates nothing for an instrument that is
+not attached (``tracer is None``, no ``Txn`` without a profiler; see
+docs/observability.md).
 
 Span log schema v1 (one JSON object per line in JSONL exports, written
 and read by :func:`repro.trace.write_jsonl` / :func:`repro.trace.read_jsonl`

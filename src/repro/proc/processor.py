@@ -27,14 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.config import BLOCK_SIZE, SecureProcessorConfig
-from repro.core import (
-    NULL_TXN,
-    PROFILER,
-    TRACER,
-    Component,
-    Txn,
-    slot_of,
-)
+from repro.core import PROFILER, TRACER, Component, Txn, slot_of
 from repro.core import attach as graph_attach
 from repro.mem.block import block_address
 from repro.mem.hierarchy import DataCacheSystem
@@ -165,26 +158,24 @@ class SecureProcessor(Component):
     # Per-access transactions
     # ------------------------------------------------------------------
 
-    def _begin(self, op: str, core: int, addr: int | None) -> Txn:
+    def _begin(self, op: str, core: int, addr: int | None) -> Txn | None:
         """Open the transaction for one software-visible operation.
 
         A transaction only collects latency attribution, so it exists
-        only while a profiler is attached; otherwise this returns the
-        shared no-op :data:`~repro.core.NULL_TXN` and allocates nothing,
-        traced or not.
+        only while a profiler is attached; otherwise this returns None,
+        traced or not, and no layer makes an attribution call.
         """
         if self.profiler is None:
-            return NULL_TXN
+            return None
         return Txn(op, core, addr)
 
     def _finish(self, txn: Txn, *, path: AccessPath | None, latency: int) -> None:
         """Close a transaction: report its attribution to the profiler."""
-        if txn.profiling:
-            self.profiler.on_access(
-                op=txn.op, path=path, core=txn.core, addr=txn.addr,
-                cycle=self.cycle, latency=latency, parts=txn.parts,
-                shadowed=txn.shadowed or None,
-            )
+        self.profiler.on_access(
+            op=txn.op, path=path, core=txn.core, addr=txn.addr,
+            cycle=self.cycle, latency=latency, parts=txn.parts,
+            shadowed=txn.shadowed or None,
+        )
 
     def _observed(self, latency: int) -> int:
         """Latency as software measures it (with modeled timer noise)."""
@@ -260,19 +251,20 @@ class SecureProcessor(Component):
 
         Per-call lookups are hoisted out of the loop: the L1
         ``decompose`` (L1 geometry is uniform across cores), the latency
-        constants, and one test for an attached instrument (tracer,
-        profiler or the engine's fault hook).  That test only gates the
-        instrument hooks — ``_begin``, the ``proc`` trace event,
-        ``txn.charge`` and ``_finish`` — at fixed points of each op;
-        traced and bare runs execute the same code.  An L1 hit is
-        served by ``SetAssocCache.hit``, which emits the same trace event
-        a lookup does; any other access continues in :meth:`_below_l1`.
+        constants, and two instrument tests.  The profiler test opens a
+        transaction per op (``_begin``), and every attribution call,
+        here and below, runs only on a transaction; the tracer test
+        gates the ``proc`` trace event.  Traced and bare runs execute the
+        same code.  The ``SetAssocCache.hit`` probe is the only L1
+        lookup: it serves a hit, and any other access continues in
+        :meth:`_below_l1`.
         """
         caches = self.caches
         core_caches = caches.core_caches
         decompose = core_caches[0].l1.decompose
         l1_latency = caches.hit_latency[0]
         data_size = self.layout.data_size
+        cores = len(core_caches)
         mee = self.mee
         reads = self._reads
         writes = self._writes
@@ -280,18 +272,14 @@ class SecureProcessor(Component):
         plain = self._plain
         jitter = self.config.timer_jitter_sigma > 0
         tracer = self.tracer
-        instrumented = (
-            tracer is not None
-            or self.profiler is not None
-            or mee.fault_hook is not None
-        )
-        txn = NULL_TXN
+        profiling = self.profiler is not None
+        txn = None
         results: list = []
         append = results.append
         for kind, addr, data, core in ops:
             if kind <= OP_WRITE:
-                if not 0 <= addr < data_size:
-                    self._check_data_addr(addr)
+                if not (0 <= addr < data_size and 0 <= core < cores):
+                    self._check_access(addr, core)
                 block, set_index = decompose(addr)
                 is_write = kind == OP_WRITE
                 if is_write:
@@ -301,26 +289,26 @@ class SecureProcessor(Component):
                     writes.value += 1
                 else:
                     reads.value += 1
-                if instrumented:
+                if profiling:
                     txn = self._begin(_OP_NAMES[kind], core, block)
                 if core_caches[core].l1.hit(block, set_index, is_write):
                     self.cycle += l1_latency
                     latency, path, fetched = l1_latency, _L1_HIT, None
-                    if instrumented:
+                    if txn is not None:
                         txn.charge("cache.l1_hit", l1_latency)
                 else:
                     latency, path, fetched = self._below_l1(
-                        core, block, is_write, txn
+                        core, block, set_index, is_write, txn
                     )
-                if instrumented:
-                    if tracer is not None:
-                        tracer.emit(
-                            "proc", _OP_NAMES[kind], core=core, addr=block,
-                            value=float(latency),
-                        )
+                if tracer is not None:
+                    tracer.emit(
+                        "proc", _OP_NAMES[kind], core=core, addr=block,
+                        value=float(latency),
+                    )
+                result = AccessResult(latency, path, self.cycle)
+                if txn is not None:
                     self._finish(txn, path=path, latency=latency)
-                result = AccessResult(latency, path, self.cycle,
-                                      breakdown=txn.parts)
+                    result.breakdown = txn.parts
                 if fetched is not None:
                     result.counter_hit = fetched.counter_hit
                     result.tree_levels_missed = fetched.tree_levels_missed
@@ -338,53 +326,54 @@ class SecureProcessor(Component):
                     path_counters[path].value += 1
                 append(result)
             elif kind == OP_WRITE_THROUGH:
-                if not 0 <= addr < data_size:
-                    self._check_data_addr(addr)
+                if not (0 <= addr < data_size and 0 <= core < cores):
+                    self._check_access(addr, core)
                 block = block_address(addr)
                 value = plain[block] = self._coerce_data(block, data)
                 writes.value += 1
-                if instrumented:
+                if profiling:
                     txn = self._begin("write_through", core, block)
                 caches.flush(block)  # drop any stale cached copy
                 enqueue = mee.write_data(block, value, self.cycle)
                 latency = _STORE_BUFFER_LATENCY + enqueue
                 self.cycle += latency
-                if instrumented:
-                    if tracer is not None:
-                        tracer.emit(
-                            "proc", "write_through", core=core, addr=block,
-                            value=float(latency),
-                        )
+                if tracer is not None:
+                    tracer.emit(
+                        "proc", "write_through", core=core, addr=block,
+                        value=float(latency),
+                    )
+                result = AccessResult(latency, _L1_HIT, self.cycle)
+                if txn is not None:
                     txn.charge("op.store_buffer", _STORE_BUFFER_LATENCY)
                     txn.charge("op.enqueue", enqueue)
                     self._finish(txn, path=None, latency=latency)
-                append(AccessResult(latency, _L1_HIT, self.cycle,
-                                    breakdown=txn.parts))
+                    result.breakdown = txn.parts
+                append(result)
             elif kind == OP_FLUSH:
                 self._flushes.value += 1
                 block = block_address(addr)
-                if instrumented:
+                if profiling:
                     txn = self._begin("flush", -1, block)
                 was_dirty, writebacks = caches.flush(block)
                 for writeback in writebacks:
                     self._enqueue_data_writeback(writeback)
                 self.cycle += _FLUSH_LATENCY
-                if instrumented:
-                    if tracer is not None:
-                        tracer.emit(
-                            "proc", "flush", addr=block, value=float(was_dirty)
-                        )
+                if tracer is not None:
+                    tracer.emit(
+                        "proc", "flush", addr=block, value=float(was_dirty)
+                    )
+                if txn is not None:
                     txn.charge("op.flush", _FLUSH_LATENCY)
                     self._finish(txn, path=None, latency=_FLUSH_LATENCY)
                 append(_FLUSH_LATENCY)
             else:
-                if instrumented:
+                if profiling:
                     txn = self._begin("drain", -1, None)
-                    if tracer is not None:
-                        tracer.emit("proc", "drain")
+                if tracer is not None:
+                    tracer.emit("proc", "drain")
                 self.memctrl.drain(self.cycle)
                 self.cycle += _STORE_BUFFER_LATENCY
-                if instrumented:
+                if txn is not None:
                     # The drain burst itself is posted background work;
                     # only the fence's store-buffer cost lands on the
                     # issuing core.
@@ -393,8 +382,12 @@ class SecureProcessor(Component):
                 append(None)
         return results
 
-    def _below_l1(self, core: int, block: int, is_write: bool, txn: Txn):
-        """An access that missed L1: the rest of the hierarchy, then memory.
+    def _below_l1(
+        self, core: int, block: int, set_index: int, is_write: bool,
+        txn: Txn | None,
+    ):
+        """An access that missed L1 (set ``set_index``): the rest of the
+        hierarchy, then memory.
 
         Advances the clock and returns ``(latency, path, fetched)``, where
         ``fetched`` is the engine's ``ReadOutcome`` on a full miss and
@@ -402,20 +395,23 @@ class SecureProcessor(Component):
         go to the memory controller on every path.
         """
         caches = self.caches
-        hier = caches.access(core, block, is_write=is_write)
-        for writeback in hier.writebacks:
+        level, writebacks = caches.access(core, block, set_index, is_write)
+        for writeback in writebacks:
             self._enqueue_data_writeback(writeback)
-        level = hier.hit_level
-        if level is not None:
-            self.cycle += hier.latency
-            txn.charge(_HIT_KEYS[level - 1], hier.latency)
-            return hier.latency, _HIT_PATHS[level - 1], None
-        txn.charge("cache.lookup", hier.latency)
+        if level:
+            latency = caches.hit_latency[level - 1]
+            self.cycle += latency
+            if txn is not None:
+                txn.charge(_HIT_KEYS[level - 1], latency)
+            return latency, _HIT_PATHS[level - 1], None
+        lookup = caches.miss_lookup_latency
+        if txn is not None:
+            txn.charge("cache.lookup", lookup)
         # A write miss fetches the block first: the same path as a read.
-        fetched = self.mee.read_data(block, self.cycle + hier.latency, txn=txn)
+        fetched = self.mee.read_data(block, self.cycle + lookup, txn)
         for writeback in caches.fill(core, block, dirty=is_write):
             self._enqueue_data_writeback(writeback)
-        latency = hier.latency + fetched.latency
+        latency = lookup + fetched.latency
         self.cycle += latency
         path = self._classify(fetched.counter_hit, fetched.tree_levels_missed)
         return latency, path, fetched
@@ -424,11 +420,17 @@ class SecureProcessor(Component):
     # Helpers
     # ------------------------------------------------------------------
 
-    def _check_data_addr(self, addr: int) -> None:
+    def _check_access(self, addr: int, core: int) -> None:
+        """Reject an access outside protected data or to a missing core."""
         if not self.layout.is_protected_data(addr):
             raise ValueError(
                 f"address {addr:#x} outside protected data region "
                 f"(size {self.layout.data_size:#x})"
+            )
+        if not 0 <= core < self.config.cores:
+            raise ValueError(
+                f"core {core} out of range (the machine has "
+                f"{self.config.cores} cores)"
             )
 
     def _coerce_data(self, block: int, data: bytes | None) -> bytes:

@@ -28,7 +28,7 @@ from repro.config import (
     SecureProcessorConfig,
     TreeUpdatePolicy,
 )
-from repro.core import FAULT_HOOK, NULL_TXN, TRACER, Component, Txn, adopt
+from repro.core import FAULT_HOOK, TRACER, Component, Txn, adopt
 from repro.crypto.engine import CounterModeEngine
 from repro.crypto.mac import MacEngine
 from repro.crypto.prf import keyed_prf, node_hash
@@ -50,7 +50,7 @@ class IntegrityViolation(Exception):
     """Off-chip tampering detected (MAC or integrity-tree mismatch)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadOutcome:
     """Memory-side result of servicing one LLC-missing read."""
 
@@ -225,17 +225,22 @@ class MemoryEncryptionEngine(Component):
         return self._cb_hashes[cb_index]
 
     def _refresh_cb_hash(self, cb_index: int) -> None:
-        self._cb_hashes[cb_index] = self._expected_cb_hash(cb_index)
+        # Without functional crypto every hash is 0: nothing to store.
+        if self.config.functional_crypto:
+            self._cb_hashes[cb_index] = self._expected_cb_hash(cb_index)
 
-    def _verify_counter_block(self, cb_index: int) -> None:
-        if self._stored_cb_hash(cb_index) != self._expected_cb_hash(cb_index):
+    def _verify_counter_block(self, cb_index: int, tree) -> None:
+        """Check a counter block fetched from memory against its stored
+        freshness hash (a no-op without functional crypto, where every
+        hash is 0) and against ``tree``, its domain's integrity tree."""
+        if self.config.functional_crypto and (
+            self._stored_cb_hash(cb_index) != self._expected_cb_hash(cb_index)
+        ):
             raise IntegrityViolation(
                 f"counter block {cb_index} failed freshness verification"
             )
         try:
-            self._tree_for(self._domain_of_cb(cb_index)).verify_counter_block(
-                cb_index, self.counters.counter_block_image(cb_index)
-            )
+            tree.verify_counter_block(cb_index)
         except TreeIntegrityError as exc:
             raise IntegrityViolation(str(exc)) from exc
 
@@ -243,11 +248,13 @@ class MemoryEncryptionEngine(Component):
     # Read path (Figure 5 / Algorithm 2)
     # ------------------------------------------------------------------
 
-    def read_data(self, addr: int, now: int, txn: Txn = NULL_TXN) -> ReadOutcome:
+    def read_data(
+        self, addr: int, now: int, txn: Txn | None = None
+    ) -> ReadOutcome:
         """Service an LLC-missing read of a protected data block.
 
-        ``txn`` is the per-access transaction handed down by the
-        processor; while it is profiling, the latency is charged into it
+        ``txn`` is the per-access transaction the processor hands down
+        while profiling (None otherwise); the latency is charged into it
         in per-component parts (the data/metadata fetches overlap, so the
         losing side of the ``max()`` race lands in the shadowed tally).
         See ``docs/performance.md``.
@@ -259,30 +266,32 @@ class MemoryEncryptionEngine(Component):
         crypto = self.config.crypto
         cb_addr, cb_index, mac_addr = self.decompose(block_addr)
 
-        data = txn.leg("data.")
-        data_latency = self.memctrl.read_block(block_addr, now, txn=data)
+        data = meta = None
+        if txn is not None:
+            data, meta = txn.leg("data."), txn.leg("meta.")
+        memctrl = self.memctrl
+        data_latency = memctrl.read_block(block_addr, now, data)
         if not crypto.mac_in_ecc:
             # Classical design: the MAC is a separate memory word fetched
             # on every read (constant extra latency, no state dependence).
-            data_latency += self.memctrl.read_block(
-                mac_addr, now + data_latency, txn=data
-            )
+            data_latency += memctrl.read_block(mac_addr, now + data_latency, data)
 
-        meta = txn.leg("meta.")
         counter_hit = self.meta_cache.lookup(cb_addr)
         levels_missed = 0
         if counter_hit:
             self._counter_hits.value += 1
             meta_latency = self.config.metadata_cache.hit_latency
-            meta.charge("cache_hit", meta_latency)
+            if meta is not None:
+                meta.charge("cache_hit", meta_latency)
             extra_crypto = max(0, crypto.aes_latency - data_latency)
         else:
             self._counter_misses.value += 1
-            counter_leg = meta.leg("counter.")
-            meta_latency = self.memctrl.read_block(cb_addr, now, txn=counter_leg)
-            meta.absorb(counter_leg)
+            counter_leg = None if meta is None else meta.leg("counter.")
+            meta_latency = memctrl.read_block(cb_addr, now, counter_leg)
+            if meta is not None:
+                meta.absorb(counter_leg)
             meta_latency, levels_missed = self._verify_walk(
-                cb_index, cb_addr, now, meta_latency, leg=meta
+                cb_index, cb_addr, now, meta_latency, meta
             )
             extra_crypto = crypto.aes_latency
         if self.tracer is not None:
@@ -307,23 +316,20 @@ class MemoryEncryptionEngine(Component):
         else:
             plaintext = self._decrypt_and_authenticate(block_addr)
         latency = max(data_latency, meta_latency) + extra_crypto + crypto.mac_latency
-        # The data and metadata fetches overlap; only the slower side is
-        # on the critical path.  Its leg is absorbed into the attribution,
-        # the other side's cycles land in the shadowed tally.
-        if data_latency >= meta_latency:
-            txn.absorb(data)
-            txn.shadow(meta)
-        else:
-            txn.absorb(meta)
-            txn.shadow(data)
-        txn.charge("mee.decrypt", extra_crypto)
-        txn.charge("mee.mac", crypto.mac_latency)
-        return ReadOutcome(
-            latency=latency,
-            counter_hit=counter_hit,
-            tree_levels_missed=levels_missed,
-            plaintext=plaintext,
-        )
+        if txn is not None:
+            # The data and metadata fetches overlap; only the slower side
+            # is on the critical path.  Its leg is absorbed into the
+            # attribution, the other side's cycles land in the shadowed
+            # tally.
+            if data_latency >= meta_latency:
+                txn.absorb(data)
+                txn.shadow(meta)
+            else:
+                txn.absorb(meta)
+                txn.shadow(data)
+            txn.charge("mee.decrypt", extra_crypto)
+            txn.charge("mee.mac", crypto.mac_latency)
+        return ReadOutcome(latency, counter_hit, levels_missed, plaintext)
 
     def _verify_walk(
         self,
@@ -331,14 +337,14 @@ class MemoryEncryptionEngine(Component):
         cb_addr: int,
         now: int,
         meta_latency: int,
-        leg: Txn = NULL_TXN,
+        leg: Txn | None = None,
     ) -> tuple[int, int]:
         """Algorithm 2: load tree nodes bottom-up until a cached ancestor.
 
         Returns the accumulated metadata-path latency and the number of
-        tree node blocks that had to be fetched from memory.  While
-        ``leg`` is profiling, the added cycles are charged under
-        per-level ``tree.l<level>.*`` keys within the leg's scope.
+        tree node blocks that had to be fetched from memory.  Given a
+        ``leg`` (only while profiling), the added cycles are charged
+        under per-level ``tree.l<level>.*`` keys within the leg's scope.
         """
         crypto = self.config.crypto
         domain = self._domain_of_cb(cb_index)
@@ -365,8 +371,9 @@ class MemoryEncryptionEngine(Component):
                 # only bus serialisation plus its verification hash.
                 fetch = self.config.dram.bus_latency
             meta_latency += fetch + crypto.hash_latency
-            leg.charge(f"tree.l{level}.fetch", fetch)
-            leg.charge(f"tree.l{level}.hash", crypto.hash_latency)
+            if leg is not None:
+                leg.charge(f"tree.l{level}.fetch", fetch)
+                leg.charge(f"tree.l{level}.hash", crypto.hash_latency)
             if self.fault_hook is not None:
                 self.fault_hook.on_meta_fetch("node", level, index)
             try:
@@ -375,10 +382,11 @@ class MemoryEncryptionEngine(Component):
                 raise IntegrityViolation(str(exc)) from exc
         # Verify the counter block itself against the leaf.
         meta_latency += crypto.hash_latency
-        leg.charge("counter.hash", crypto.hash_latency)
+        if leg is not None:
+            leg.charge("counter.hash", crypto.hash_latency)
         if self.fault_hook is not None:
             self.fault_hook.on_meta_fetch("counter", 0, cb_index)
-        self._verify_counter_block(cb_index)
+        self._verify_counter_block(cb_index, tree)
         # Fill the metadata cache (counter block + fetched nodes).
         self._meta_fill(cb_addr, dirty=False, now=now)
         for _, _, node_addr in missed:
@@ -387,6 +395,8 @@ class MemoryEncryptionEngine(Component):
 
     def _cache_for(self, meta_addr: int) -> SetAssocCache:
         """Which on-chip structure holds this metadata block."""
+        if self.tree_cache is self.meta_cache:
+            return self.meta_cache
         _, base_addr = self._untag(meta_addr)
         if self.layout.is_tree_addr(base_addr):
             return self.tree_cache
@@ -474,12 +484,13 @@ class MemoryEncryptionEngine(Component):
 
     def _service_write(self, block_addr: int, now: int) -> int:
         """Security work when the MC services a write (the write sink)."""
-        _, base_addr = self._untag(block_addr)
-        if self.layout.is_metadata(base_addr):
-            # Plain metadata write-back reaching DRAM; the tree absorbed it
-            # already when the block left the metadata cache.
-            return self.config.crypto.hash_latency
         if not self.layout.is_protected_data(block_addr):
+            _, base_addr = self._untag(block_addr)
+            if self.layout.is_metadata(base_addr):
+                # Plain metadata write-back reaching DRAM; the tree
+                # absorbed it already when the block left the metadata
+                # cache.
+                return self.config.crypto.hash_latency
             return 0
 
         self._writes_serviced.value += 1

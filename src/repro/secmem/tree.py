@@ -91,8 +91,9 @@ class IntegrityTree(Component, abc.ABC):
         """Absorb one update of counter block ``cb_index`` into the tree."""
 
     @abc.abstractmethod
-    def verify_counter_block(self, cb_index: int, cb_image: tuple[int, ...]) -> None:
-        """Check a counter block loaded from memory against the tree."""
+    def verify_counter_block(self, cb_index: int) -> None:
+        """Check counter block ``cb_index``, as loaded from memory, against
+        the tree."""
 
     @abc.abstractmethod
     def verify_node(self, level: int, index: int) -> None:
@@ -337,10 +338,11 @@ class CounterTree(IntegrityTree):
                 f"tree node L{level}[{index}] failed verification"
             )
 
-    def verify_counter_block(self, cb_index: int, cb_image: tuple[int, ...]) -> None:
+    def verify_counter_block(self, cb_index: int) -> None:
         """Counter blocks are authenticated by the engine's per-block hash
         bound to :meth:`leaf_parent_value`; the tree itself only needs the
         leaf minor, so this is a structural no-op kept for interface parity.
+        It reads no counter state, so a counter miss creates none.
         """
 
     # -- tamper API (tests) -------------------------------------------------
@@ -488,10 +490,12 @@ class HashTree(IntegrityTree):
 
     # -- verification --------------------------------------------------------
 
-    def verify_counter_block(self, cb_index: int, cb_image: tuple[int, ...]) -> None:
+    def verify_counter_block(self, cb_index: int) -> None:
+        """Check the counter block's current image against its leaf hash."""
         arity0 = self.layout.levels[0].arity
         node = self._node(0, cb_index // arity0)
-        if node[cb_index % arity0] != self._leaf_hash(cb_index, cb_image):
+        leaf_hash = self._leaf_hash(cb_index, self._current_leaf_image(cb_index))
+        if node[cb_index % arity0] != leaf_hash:
             raise TreeIntegrityError(
                 f"counter block {cb_index} failed hash-tree verification"
             )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.config import SecureProcessorConfig
 from repro.core import (
     FAULT_HOOK,
     KNOWN_SLOTS,
-    NULL_TXN,
     PROFILER,
     Txn,
     attach,
@@ -118,15 +118,15 @@ class TestComponentGraph:
         assert proc.instrument_slots == ("tracer", "profiler")
 
     def test_detach_restores_null_txn_fast_path(self):
+        """Without a profiler ``_begin`` opens no transaction (None)."""
         proc = _machine()
-        assert proc._begin("read", 0, 0) is NULL_TXN
+        assert proc._begin("read", 0, 0) is None
         profiler = CycleAttributor()
         proc.attach(profiler)
         txn = proc._begin("read", 0, 0)
-        assert txn is not NULL_TXN
-        assert txn.profiling
+        assert isinstance(txn, Txn)
         detach(proc, PROFILER)
-        assert proc._begin("read", 0, 0) is NULL_TXN
+        assert proc._begin("read", 0, 0) is None
         assert proc.read(0).breakdown is None
 
     def test_engine_fault_hook_spares_data_caches(self):
@@ -158,11 +158,32 @@ class TestComponentGraph:
 
 
 class TestTxn:
-    def test_null_txn_is_inert(self):
-        NULL_TXN.charge("x", 5)
-        assert NULL_TXN.leg("data.") is NULL_TXN
-        assert NULL_TXN.parts is None
-        assert not NULL_TXN.profiling
+    def test_unprofiled_access_makes_no_txn_call(self):
+        """Without a profiler no layer builds a Txn or calls into the
+        transaction module, bare, traced or hooked: every attribution
+        call sits behind ``txn is not None``."""
+        txn_module = Txn.__init__.__code__.co_filename
+        for instrument in ("bare", "tracer", "fault_hook"):
+            proc = _machine()
+            attached = _INSTRUMENTS[instrument]()
+            if attached is not None:
+                proc.attach(attached)
+            calls: list[str] = []
+
+            def watch(frame, event, arg):
+                if event == "call" and frame.f_code.co_filename == txn_module:
+                    calls.append(frame.f_code.co_name)
+
+            previous = sys.getprofile()
+            sys.setprofile(watch)
+            try:
+                _workload(proc)
+                # A full miss on a fresh page: counter fetch, tree walk.
+                result = proc.read(0x5000)
+            finally:
+                sys.setprofile(previous)
+            assert calls == [], instrument
+            assert result.breakdown is None
 
     def test_charge_prefixes_and_skips_zero(self):
         txn = Txn("read")
@@ -181,13 +202,13 @@ class TestTxn:
         assert txn.shadowed == {"data.service": 4}
 
     def test_not_profiling_builds_no_parts(self):
-        """Every instrument but the profiler leaves the executor on the
-        shared NULL_TXN: a traced or hooked access allocates no Txn."""
+        """Every instrument but the profiler leaves the executor without
+        a transaction: a traced or hooked access allocates no Txn."""
         proc = _machine()
         tracer = Tracer()
         for instrument in (tracer, FaultHook()):
             proc.attach(instrument)
-        assert proc._begin("read", 0, 0) is NULL_TXN
+        assert proc._begin("read", 0, 0) is None
         _workload(proc)
         assert proc.read(0x5000).breakdown is None
         # The processor still emits its own per-op events.

@@ -78,6 +78,23 @@ class TestAccessPaths:
             proc.read(proc.layout.data_size + 0x1000)
 
 
+class TestCounterMissState:
+    def test_counter_miss_creates_no_counter_state(self):
+        """Verifying a counter block on a counter tree reads no counter
+        state, so reading never-written pages creates none: the split
+        counters of a block are materialised by its first write."""
+        proc = make_proc(functional_crypto=False)
+        pages = 64
+        for page in range(pages):
+            result = proc.read(page * 4096)
+            assert not result.counter_hit
+        assert proc.registry.snapshot()["mee.counter_misses"] == pages
+        assert proc.mee.counters._split == {}
+        proc.write_through(0, b"x")
+        proc.drain_writes()
+        assert list(proc.mee.counters._split) == [0]
+
+
 class TestDataRoundtrip:
     def test_write_read_roundtrip_through_memory(self, proc):
         proc.write_through(0x40000, b"secret payload")

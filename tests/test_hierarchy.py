@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import KIB, CacheConfig, SecureProcessorConfig
+from repro.core import attach
 from repro.mem.hierarchy import DataCacheSystem
+from repro.trace import Tracer
 
 
 def tiny_machine(cores=2, sockets=1):
@@ -18,33 +20,65 @@ def tiny_machine(cores=2, sockets=1):
     )
 
 
+def access(caches, core, addr, is_write=False):
+    """One data access as the processor's executor makes it: the L1
+    ``hit`` probe, then the hierarchy below L1.  Returns the level that
+    served it (1, 2, 3, or 0 on a full miss) and the writebacks."""
+    l1 = caches.core_caches[core].l1
+    block, set_index = l1.decompose(addr)
+    if l1.hit(block, set_index, is_write):
+        return 1, []
+    return caches.access(core, block, set_index, is_write)
+
+
 class TestAccessPath:
     def test_miss_then_l1_hit(self):
         caches = tiny_machine()
-        result = caches.access(0, 0x1000, is_write=False)
-        assert result.hit_level is None
+        assert access(caches, 0, 0x1000) == (0, ())
         caches.fill(0, 0x1000, dirty=False)
-        assert caches.access(0, 0x1000, is_write=False).hit_level == 1
+        assert access(caches, 0, 0x1000)[0] == 1
 
     def test_other_core_hits_l3(self):
         caches = tiny_machine()
         caches.fill(0, 0x1000, dirty=False)
-        assert caches.access(1, 0x1000, is_write=False).hit_level == 3
+        assert access(caches, 1, 0x1000)[0] == 3
 
     def test_promotion_after_l3_hit(self):
         caches = tiny_machine()
         caches.fill(0, 0x1000, dirty=False)
-        caches.access(1, 0x1000, is_write=False)  # L3 hit, promotes
-        assert caches.access(1, 0x1000, is_write=False).hit_level == 1
+        access(caches, 1, 0x1000)  # L3 hit, promotes
+        assert access(caches, 1, 0x1000)[0] == 1
 
     def test_latency_accumulates_with_depth(self):
         caches = tiny_machine()
         caches.fill(0, 0x1000, dirty=False)
-        l1 = caches.access(0, 0x1000, is_write=False).latency
+        l1 = caches.hit_latency[access(caches, 0, 0x1000)[0] - 1]
         caches.core_caches[0].l1.invalidate(0x1000)
         caches.core_caches[0].l2.invalidate(0x1000)
-        l3 = caches.access(0, 0x1000, is_write=False).latency
+        l3 = caches.hit_latency[access(caches, 0, 0x1000)[0] - 1]
         assert l3 > l1
+        assert caches.miss_lookup_latency >= l3
+
+    def test_l1_miss_is_counted_and_traced_once(self):
+        """``access`` records the L1 miss it is handed without probing
+        L1 again: one miss, no hit, one ``miss`` event at L1's set."""
+        caches = tiny_machine()
+        tracer = Tracer()
+        attach(caches, tracer)
+        caches.fill(0, 0x1000, dirty=False)
+        l1 = caches.core_caches[0].l1
+        l1.invalidate(0x1000)
+        hits, misses = l1.counters.counter("hits"), l1.counters.counter("misses")
+        before = (hits.value, misses.value)
+        tracer.clear()
+        assert access(caches, 0, 0x1000)[0] == 2
+        assert (hits.value, misses.value) == (before[0], before[1] + 1)
+        l1_set = l1.set_index_of(0x1000)
+        l1_events = [
+            (event.kind, event.set_index)
+            for event in tracer.events() if event.component == "cache.L1"
+        ]
+        assert l1_events == [("miss", l1_set), ("fill", l1_set)]
 
 
 class TestInclusivity:
@@ -102,7 +136,7 @@ class TestSockets:
     def test_l3s_isolated_across_sockets(self):
         caches = tiny_machine(cores=4, sockets=2)
         caches.fill(0, 0x1000, dirty=False)
-        assert caches.access(2, 0x1000, is_write=False).hit_level is None
+        assert access(caches, 2, 0x1000)[0] == 0
 
     @pytest.mark.parametrize("dirty_in", [None, "core0.l1", "core3.l2", "l3.1"])
     def test_flush_drops_block_machine_wide(self, dirty_in):

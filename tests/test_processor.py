@@ -209,3 +209,14 @@ class TestGuards:
             proc.read(proc.layout.counter_base)
         with pytest.raises(ValueError):
             proc.write(proc.layout.levels[0].base, b"x")
+
+    @pytest.mark.parametrize("op", ["read", "write", "write_through"])
+    @pytest.mark.parametrize("core", [-1, -2, 4, 99])
+    def test_out_of_range_core_rejected(self, proc, op, core):
+        """A core the machine does not have is refused before anything
+        runs: a negative one must not reach another core's caches."""
+        assert proc.config.cores == 4
+        cycle, snapshot = proc.cycle, proc.registry.snapshot()
+        with pytest.raises(ValueError, match=rf"core {core}\b"):
+            getattr(proc, op)(0x1000, core=core)
+        assert (proc.cycle, proc.registry.snapshot()) == (cycle, snapshot)

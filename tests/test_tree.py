@@ -181,7 +181,7 @@ class TestCounterTreeTamper:
 class TestHashTree:
     def test_fresh_tree_verifies(self):
         _, layout, counters, tree = make_ht()
-        tree.verify_counter_block(0, counters.counter_block_image(0))
+        tree.verify_counter_block(0)
         for level in range(len(layout.levels)):
             tree.verify_node(level, 0)
 
@@ -189,7 +189,7 @@ class TestHashTree:
         _, layout, counters, tree = make_ht()
         counters.increment(5)
         tree.on_counter_block_update(0, counters.counter_block_image(0))
-        tree.verify_counter_block(0, counters.counter_block_image(0))
+        tree.verify_counter_block(0)
         for level in range(len(layout.levels)):
             tree.verify_node(level, layout.node_index(level, 0))
 
@@ -197,7 +197,7 @@ class TestHashTree:
         _, _, counters, tree = make_ht()
         counters.increment(5)  # change content without updating the tree
         with pytest.raises(TreeIntegrityError):
-            tree.verify_counter_block(0, counters.counter_block_image(0))
+            tree.verify_counter_block(0)
 
     def test_lazy_bumps_match_eager_update(self):
         _, layout, counters, tree = make_ht()
@@ -210,7 +210,7 @@ class TestHashTree:
             if parent is None:
                 break
             level, index = parent
-        tree.verify_counter_block(0, counters.counter_block_image(0))
+        tree.verify_counter_block(0)
         for check_level in range(len(layout.levels)):
             tree.verify_node(check_level, layout.node_index(check_level, 0))
 
