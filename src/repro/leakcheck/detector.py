@@ -30,7 +30,7 @@ from repro import obs
 from repro.config import SecureProcessorConfig
 from repro.leakcheck.victims import VictimSpec, get_victim
 from repro.proc.processor import SecureProcessor
-from repro.trace import TraceEvent, Tracer, group_by_kind
+from repro.trace.events import TraceRecord, Tracer
 from repro.utils.stats import ks_pvalue, ks_statistic
 
 # Below this many events per side, KS p-values are too coarse to trust;
@@ -161,15 +161,16 @@ def _collect_trace(
     *,
     config: SecureProcessorConfig,
     capacity: int,
-) -> tuple[list[TraceEvent], int]:
+) -> tuple[dict[tuple[str, str], list[TraceRecord]], int, int]:
+    """One traced run: its per-kind streams, event count and drop count."""
     proc = SecureProcessor(config)
     tracer = Tracer(capacity=capacity)
     proc.attach(tracer)
     spec.run(proc, secret)
-    return tracer.events(), tracer.dropped
+    return tracer.streams(), len(tracer), tracer.dropped
 
 
-def _stream_samples(events: list[TraceEvent]) -> tuple[list[float], ...]:
+def _stream_samples(events: list[TraceRecord]) -> tuple[list[float], ...]:
     """Sorted value, addr and interarrival samples of one event stream.
 
     Built column by column (``zip(*events)``) with C-level ``filter`` and
@@ -185,18 +186,19 @@ def _stream_samples(events: list[TraceEvent]) -> tuple[list[float], ...]:
     )
 
 
-def _identical_sample_sizes(events: list[TraceEvent]) -> tuple[int, ...]:
+def _identical_sample_sizes(events: list[TraceRecord]) -> tuple[int, ...]:
     """Per-dimension sample sizes :func:`_stream_samples` would produce."""
     count = len(events)
+    # Positions 7 and 4 of a record are its value and addr.
     return (
-        count - [event.value for event in events].count(None),
-        count - [event.addr for event in events].count(None),
+        count - [event[7] for event in events].count(None),
+        count - [event[4] for event in events].count(None),
         count - 1,
     )
 
 
 def _ks_results(
-    events_a: list[TraceEvent], events_b: list[TraceEvent]
+    events_a: list[TraceRecord], events_b: list[TraceRecord]
 ) -> list[tuple[str, float, float]]:
     """(dimension, KS statistic, p-value) for each dimension with enough
     samples on both sides."""
@@ -233,8 +235,8 @@ def _ks_results(
 def _compare_kind(
     component: str,
     kind: str,
-    events_a: list[TraceEvent],
-    events_b: list[TraceEvent],
+    events_a: list[TraceRecord],
+    events_b: list[TraceRecord],
     alpha: float,
 ) -> KindFinding:
     finding = KindFinding(
@@ -284,10 +286,10 @@ def run_leakcheck(
         attrs={"victim": spec.name, "seed": seed},
     ) as span:
         secret_a, secret_b = spec.secrets(seed)
-        events_a, dropped_a = _collect_trace(
+        grouped_a, count_a, dropped_a = _collect_trace(
             spec, secret_a, config=config, capacity=capacity
         )
-        events_b, dropped_b = _collect_trace(
+        grouped_b, count_b, dropped_b = _collect_trace(
             spec, secret_b, config=config, capacity=capacity
         )
         if dropped_a or dropped_b:
@@ -296,14 +298,12 @@ def run_leakcheck(
                 f"{dropped_a} and {dropped_b} events of the paired runs of "
                 f"{spec.name!r}; raise capacity to compare whole traces"
             )
-        grouped_a = group_by_kind(events_a)
-        grouped_b = group_by_kind(events_b)
         report = LeakReport(
             victim=spec.name,
             seed=seed,
             alpha=alpha,
-            events_a=len(events_a),
-            events_b=len(events_b),
+            events_a=count_a,
+            events_b=count_b,
             dropped_a=dropped_a,
             dropped_b=dropped_b,
         )

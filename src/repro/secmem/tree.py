@@ -388,8 +388,13 @@ class HashTree(IntegrityTree):
         # image — the state the whole tree logically had at boot.  Using the
         # current image here would bless content that changed behind the
         # tree's back.  The tree is constructed before any write, so the
-        # image shape captured now is the pristine one.
-        self._initial_image = tuple(0 for _ in default_leaf_image(0))
+        # image shape captured now is the pristine one.  Timing-only mode
+        # hashes no image, so it reads none: reading one creates the
+        # block's counter state.
+        self._initial_image = (
+            tuple(0 for _ in default_leaf_image(0))
+            if config.functional_crypto else ()
+        )
         # (level, index) -> list of child hashes
         self._nodes: dict[tuple[int, int], list[int]] = {}
         self._root_hashes: dict[int, int] = {}
@@ -400,6 +405,16 @@ class HashTree(IntegrityTree):
         if not self.config.functional_crypto:
             return 0
         return node_hash(self.key, "htleaf", cb_index, *cb_image)
+
+    def _current_leaf_hash(self, cb_index: int) -> int:
+        """Leaf hash of the counter block's current image.
+
+        Timing-only mode hashes every leaf to 0, so it builds no image
+        and creates no counter state for the block.
+        """
+        if not self.config.functional_crypto:
+            return 0
+        return self._leaf_hash(cb_index, self._current_leaf_image(cb_index))
 
     def _node_content_hash(self, level: int, index: int) -> int:
         if not self.config.functional_crypto:
@@ -469,9 +484,7 @@ class HashTree(IntegrityTree):
         self.updates += 1
         arity0 = self.layout.levels[0].arity
         node = self._node(0, cb_index // arity0)
-        node[cb_index % arity0] = self._leaf_hash(
-            cb_index, self._current_leaf_image(cb_index)
-        )
+        node[cb_index % arity0] = self._current_leaf_hash(cb_index)
         return TreeUpdate(levels_touched=1)
 
     def bump_node(self, level: int, index: int) -> TreeUpdate:
@@ -494,8 +507,7 @@ class HashTree(IntegrityTree):
         """Check the counter block's current image against its leaf hash."""
         arity0 = self.layout.levels[0].arity
         node = self._node(0, cb_index // arity0)
-        leaf_hash = self._leaf_hash(cb_index, self._current_leaf_image(cb_index))
-        if node[cb_index % arity0] != leaf_hash:
+        if node[cb_index % arity0] != self._current_leaf_hash(cb_index):
             raise TreeIntegrityError(
                 f"counter block {cb_index} failed hash-tree verification"
             )

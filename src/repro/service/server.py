@@ -40,7 +40,8 @@ from __future__ import annotations
 import asyncio
 import json
 import uuid
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from repro import obs
 from repro.campaign.db import CampaignDB, JobRow
@@ -80,6 +81,11 @@ _REASONS = {
 
 #: Sentinel pushed onto the queue to wake idle workers during drain.
 _STOP = None
+
+
+def _as_float(read: Callable[[], Any]) -> float:
+    """A gauge reading: ``read()`` as a float."""
+    return float(read())
 
 
 class LeakcheckService:
@@ -145,9 +151,6 @@ class LeakcheckService:
         self._c_failed = self.registry.counter("failed")
         self._c_timeout = self.registry.counter("timeout")
         self._c_cancelled = self.registry.counter("cancelled")
-        self.registry.gauge("queue_depth", lambda: float(self._queue_depth()))
-        self.registry.gauge("running", lambda: float(len(self._running)))
-        self.registry.gauge("draining", lambda: float(self._draining))
 
         self.db: CampaignDB | None = None
         self._jobs: dict[str, Job] = {}
@@ -159,10 +162,18 @@ class LeakcheckService:
         self._queue: asyncio.Queue[Job | None] = asyncio.Queue()
         self._workers: list[asyncio.Task] = []
         self._server: asyncio.base_events.Server | None = None
-        self._draining = False
+        #: Set once by begin_drain(); never cleared.
+        self._draining = asyncio.Event()
         self._drain_task: asyncio.Task | None = None
         self._stopped: asyncio.Event | None = None
         self._avg_job_s = 1.0  # EMA of job wall time, for Retry-After
+        # Each gauge reads the state it reports, not the service: a
+        # closure over ``self`` would make a cycle that keeps a closed
+        # service, its jobs and their results alive until a full
+        # collection.
+        self.registry.gauge("queue_depth", partial(_as_float, self._queue.qsize))
+        self.registry.gauge("running", partial(_as_float, self._running.__len__))
+        self.registry.gauge("draining", partial(_as_float, self._draining.is_set))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -209,9 +220,9 @@ class LeakcheckService:
 
     def begin_drain(self) -> None:
         """Enter drain mode; idempotent, safe to call from a signal handler."""
-        if self._draining:
+        if self._draining.is_set():
             return
-        self._draining = True
+        self._draining.set()
         self._drain_task = asyncio.ensure_future(self._drain())
 
     async def _drain(self) -> None:
@@ -255,6 +266,10 @@ class LeakcheckService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            # The server's protocol factory holds the bound
+            # _handle_connection, so keeping the server would make a
+            # cycle through this service.
+            self._server = None
         self._stopped.set()
 
     def drain_summary_line(self) -> str:
@@ -490,7 +505,7 @@ class LeakcheckService:
                     break
 
     def _submit(self, body: bytes) -> tuple[int, Any, dict[str, str]]:
-        if self._draining:
+        if self._draining.is_set():
             return 503, {"error": "service is draining; not admitting jobs"}, {
                 "Retry-After": "30"
             }
@@ -596,7 +611,7 @@ class LeakcheckService:
             "by_state": by_state,
             "queue_depth": self._queue_depth(),
             "capacity": self.capacity,
-            "draining": self._draining,
+            "draining": self._draining.is_set(),
         }, {}
 
     # -- HTTP plumbing -----------------------------------------------------
@@ -613,7 +628,7 @@ class LeakcheckService:
         if path == "/readyz":
             if method != "GET":
                 return 405, {"error": "GET only"}, {}, "application/json"
-            if self._draining:
+            if self._draining.is_set():
                 return 503, {"status": "draining"}, {}, "application/json"
             return 200, {
                 "status": "ready",

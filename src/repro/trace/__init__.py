@@ -7,7 +7,7 @@ read per-component tallies from ``proc.registry`` (a hierarchical
 """
 
 from repro.trace.counters import Counter, CounterRegistry, Gauge
-from repro.trace.events import TraceEvent, Tracer, group_by_kind
+from repro.trace.events import TraceEvent, Tracer
 from repro.trace.export import (
     read_jsonl,
     to_chrome_trace,
@@ -21,7 +21,6 @@ __all__ = [
     "Gauge",
     "TraceEvent",
     "Tracer",
-    "group_by_kind",
     "read_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",

@@ -1,6 +1,6 @@
 """The structured metadata event bus (``repro.trace``).
 
-A :class:`Tracer` is a bounded ring buffer of :class:`TraceEvent` records.
+A :class:`Tracer` is a bounded ring buffer of event records.
 Components hold a ``tracer`` attribute that is ``None`` by default — the
 zero-overhead-when-off contract is a single ``is not None`` test on every
 instrumented path — and :meth:`SecureProcessor.attach
@@ -13,20 +13,25 @@ cycle, issuing core (when known), emitting component, event kind, block
 address, cache set and tree level.  ``value`` is a kind-specific scalar
 (latency in cycles, walk depth, burst size).
 
-An event is a :class:`typing.NamedTuple`: fields read by name as on any
-record, and equality and hashing are those of the plain tuple.  A traced
-run emits hundreds of events per access batch, so construction cost and
-garbage-collector tracking matter; a tuple of scalars costs one
-allocation and leaves the collector's tracked set after its first
-collection.
+The ring holds each event as an exact ``tuple`` in :class:`TraceEvent`
+field order.  A traced run emits hundreds of events per access batch,
+and the garbage collector can drop exact tuples of scalars: the
+interpreter reuses them through its tuple free list, so a reused one
+does not count toward the gen-0 threshold, and a collection untracks
+them.  An instance of a tuple subclass gets neither: each new one counts
+toward the threshold and stays tracked.  :meth:`Tracer.events` and
+:meth:`Tracer.raw_events` build the named :class:`TraceEvent` view on
+read-out; :meth:`Tracer.streams` hands the records themselves, split per
+(component, kind), to the leakage detector.
 """
 
 from __future__ import annotations
 
 from collections import Counter as _TallyCounter
-from collections import deque
+from collections import defaultdict, deque
+from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 
 class TraceEvent(NamedTuple):
@@ -60,19 +65,25 @@ _REQUIRED_FIELDS = tuple(
     key for key in TraceEvent._fields if key not in TraceEvent._field_defaults
 )
 
-# ``tuple.__new__`` builds the event without the Python-level ``__new__``
-# the NamedTuple generates: one C call per emit on the traced hot path.
-_new_event = tuple.__new__
+#: A ring record: the fields of a :class:`TraceEvent`, in order, in an
+#: exact tuple.
+TraceRecord = tuple
+
+# ``tuple.__new__`` builds the named view of a record without the
+# Python-level ``__new__`` the NamedTuple generates.
+_named = partial(tuple.__new__, TraceEvent)
 _by_cycle = itemgetter(0)
+_kind_key = itemgetter(1, 2)
 
 
 class Tracer:
     """Ring-buffered event sink shared by every instrumented component.
 
-    The buffer holds the most recent ``capacity`` events; older events are
-    dropped oldest-first.  ``emitted`` counts every event offered since
-    construction or the last :meth:`clear`, and :attr:`dropped` is how
-    many of them the ring no longer holds: ``emitted - len(self)``.
+    The buffer holds the most recent ``capacity`` events as
+    :data:`TraceRecord` tuples; older events are dropped oldest-first.
+    ``emitted`` counts every event offered since construction or the
+    last :meth:`clear`, and :attr:`dropped` is how many of them the ring
+    no longer holds: ``emitted - len(self)``.
     """
 
     #: Component-graph slot this instrument occupies (``repro.core``).
@@ -83,7 +94,7 @@ class Tracer:
             raise ValueError("tracer capacity must be positive")
         self.capacity = capacity
         # A full bounded deque drops its oldest event on append, in C.
-        self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
+        self._buffer: deque[TraceRecord] = deque(maxlen=capacity)
         self.emitted = 0
         self._clock: Callable[[], int] | None = None
 
@@ -122,10 +133,9 @@ class Tracer:
         if cycle is None:
             cycle = self._clock() if self._clock is not None else 0
         self.emitted += 1
-        self._buffer.append(_new_event(
-            TraceEvent,
-            (cycle, component, kind, core, addr, set_index, level, value),
-        ))
+        self._buffer.append(
+            (cycle, component, kind, core, addr, set_index, level, value)
+        )
 
     # -- inspection --------------------------------------------------------
 
@@ -136,17 +146,32 @@ class Tracer:
         drains run "into the future" while the issuing core's clock stays
         put — so the buffer is stably sorted by cycle on the way out.
         """
-        return sorted(self._buffer, key=_by_cycle)
+        return list(map(_named, sorted(self._buffer, key=_by_cycle)))
 
     def raw_events(self) -> list[TraceEvent]:
         """Buffered events in emission order (for drop-order tests)."""
-        return list(self._buffer)
+        return list(map(_named, self._buffer))
+
+    def streams(self) -> dict[tuple[str, str], list[TraceRecord]]:
+        """Buffered records split per (component, kind), each in cycle order.
+
+        Grouped in emission order, then each stream stably sorted by
+        cycle: stream for stream, this is the per-kind split of
+        :meth:`events`, without building a :class:`TraceEvent`.
+        """
+        grouped: defaultdict[tuple[str, str], list[TraceRecord]] = (
+            defaultdict(list)
+        )
+        for record in self._buffer:
+            # record[1], record[2] are (component, kind).
+            grouped[record[1], record[2]].append(record)
+        for stream in grouped.values():
+            stream.sort(key=_by_cycle)
+        return dict(grouped)
 
     def counts(self) -> dict[tuple[str, str], int]:
         """Buffered event tally keyed by (component, kind)."""
-        return dict(
-            _TallyCounter((event.component, event.kind) for event in self._buffer)
-        )
+        return dict(_TallyCounter(map(_kind_key, self._buffer)))
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -158,19 +183,3 @@ class Tracer:
         """Drop all buffered events and reset the tallies."""
         self._buffer.clear()
         self.emitted = 0
-
-
-def group_by_kind(
-    events: Iterable[TraceEvent],
-) -> dict[tuple[str, str], list[TraceEvent]]:
-    """Split an event stream into per-(component, kind) sub-streams."""
-    grouped: dict[tuple[str, str], list[TraceEvent]] = {}
-    for event in events:
-        # event[1], event[2] are (component, kind).
-        key = event[1], event[2]
-        stream = grouped.get(key)
-        if stream is None:
-            grouped[key] = [event]
-        else:
-            stream.append(event)
-    return grouped

@@ -79,11 +79,16 @@ class TestAccessPaths:
 
 
 class TestCounterMissState:
-    def test_counter_miss_creates_no_counter_state(self):
-        """Verifying a counter block on a counter tree reads no counter
-        state, so reading never-written pages creates none: the split
-        counters of a block are materialised by its first write."""
-        proc = make_proc(functional_crypto=False)
+    @pytest.mark.parametrize("preset", ["sct", "ht"])
+    def test_counter_miss_creates_no_counter_state(self, preset):
+        """Verifying a counter block reads no counter state on a counter
+        tree, nor on a hash tree in timing-only mode, so reading
+        never-written pages creates none: the split counters of a block
+        are materialised by its first write."""
+        factory = getattr(SecureProcessorConfig, f"{preset}_default")
+        proc = SecureProcessor(
+            factory(protected_size=64 * MIB, functional_crypto=False)
+        )
         pages = 64
         for page in range(pages):
             result = proc.read(page * 4096)

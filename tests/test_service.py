@@ -10,6 +10,7 @@ server, and SIGTERM/SIGINT drain exits 0 without losing anything.
 
 import asyncio
 import contextlib
+import gc
 import http.client
 import json
 import multiprocessing
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -586,6 +588,78 @@ class TestWorkPerJob:
                 assert entry["result"] == json.loads(
                     encode_payload(record.result)
                 )
+
+
+class TestServiceLifetime:
+    """A closed service is freed by reference counting (docs/service.md)."""
+
+    def test_closed_service_is_freed_without_the_collector(self, tmp_path):
+        async def scenario():
+            service = _svc(tmp_path / "c.sqlite")
+            await service.start()
+            status, _, job = await http_request(
+                service.host, service.port, "POST", "/jobs",
+                {"kind": "leakcheck", "spec": {"victim": "const", "seed": 0}},
+            )
+            assert status == 202
+            final = await _poll_terminal(service.host, service.port, job["id"])
+            assert final["state"] == DONE
+            await service.close()
+            return weakref.ref(service)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            service_ref = asyncio.run(scenario())
+            assert service_ref() is None, "a cycle keeps the closed service"
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_gauges_report_queue_running_and_draining(
+        self, tmp_path, probe_gate
+    ):
+        names = ("queue_depth", "running", "draining")
+
+        def gauges(service):
+            snap = service.registry.snapshot()
+            return {name: snap[name] for name in names}
+
+        async def scenario():
+            service = _svc(tmp_path / "c.sqlite")
+            assert gauges(service) == dict.fromkeys(names, 0.0)
+            await service.start()
+            host, port = service.host, service.port
+            await http_request(
+                host, port, "POST", "/jobs",
+                {"kind": "probe", "spec": {"ops": FAST_OPS, "seed": 1}},
+            )
+            deadline = time.monotonic() + 10
+            while gauges(service)["running"] != 1.0:
+                assert time.monotonic() < deadline, gauges(service)
+                await asyncio.sleep(0.01)
+            await http_request(
+                host, port, "POST", "/jobs",
+                {"kind": "probe", "spec": {"ops": FAST_OPS, "seed": 2}},
+            )
+            assert gauges(service) == {
+                "queue_depth": 1.0, "running": 1.0, "draining": 0.0,
+            }
+            service.begin_drain()
+            assert gauges(service) == {
+                "queue_depth": 1.0, "running": 1.0, "draining": 1.0,
+            }
+            _, _, text = await http_request(host, port, "GET", "/metrics")
+            lines = text.splitlines()
+            assert "repro_service_running 1" in lines
+            assert "repro_service_draining 1" in lines
+            probe_gate.set()
+            await service.close()
+            assert gauges(service) == {
+                "queue_depth": 0.0, "running": 0.0, "draining": 1.0,
+            }
+
+        asyncio.run(scenario())
 
 
 # -- bench scenario --------------------------------------------------------

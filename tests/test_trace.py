@@ -1,5 +1,6 @@
 """Tests for the structured event bus (``repro.trace``)."""
 
+import gc
 import json
 
 import pytest
@@ -8,13 +9,13 @@ from repro.config import SecureProcessorConfig
 from repro.core import TRACER, detach
 from repro.proc import AccessBatch
 from repro.proc.processor import SecureProcessor
+from repro.synth import DEFENSES, compile_program, generate_program, synth_config
 from repro.trace import (
     Counter,
     CounterRegistry,
     Gauge,
     TraceEvent,
     Tracer,
-    group_by_kind,
     read_jsonl,
     to_chrome_trace,
     write_chrome_trace,
@@ -34,6 +35,17 @@ def _exercise(proc: SecureProcessor, blocks: int = 24) -> None:
     proc.drain_writes()
     for i in range(blocks):
         proc.read(i * 64)
+
+
+def _traced_program(preset: str, defense: str, seed: int) -> Tracer:
+    """The trace of one oracle side: a generated program on the machine
+    the synthesis oracle builds, run under its first secret."""
+    proc = SecureProcessor(synth_config(preset, defense))
+    tracer = Tracer()
+    proc.attach(tracer)
+    spec = compile_program(generate_program(seed))
+    spec.run(proc, spec.secrets(0)[0])
+    return tracer
 
 
 class TestTracer:
@@ -135,14 +147,47 @@ class TestTracer:
         assert tracer.emitted == 0
         assert tracer.dropped == 0
 
-    def test_group_by_kind(self):
+    def test_streams_group_by_kind(self):
         tracer = Tracer()
-        tracer.emit("a", "x", cycle=0)
-        tracer.emit("a", "y", cycle=1)
         tracer.emit("a", "x", cycle=2)
-        grouped = group_by_kind(tracer.events())
-        assert len(grouped[("a", "x")]) == 2
-        assert len(grouped[("a", "y")]) == 1
+        tracer.emit("a", "y", cycle=1)
+        tracer.emit("a", "x", cycle=0)
+        streams = tracer.streams()
+        assert list(streams) == [("a", "x"), ("a", "y")]
+        # Each stream is in cycle order, whatever the emission order.
+        assert [record[0] for record in streams[("a", "x")]] == [0, 2]
+        assert len(streams[("a", "y")]) == 1
+
+
+class TestRecords:
+    """The ring holds exact tuples; only read-out builds named events."""
+
+    def test_records_are_exact_tuples_the_collector_untracks(self):
+        tracer = _traced_program("sct", "none", 0)
+        records = [
+            record for stream in tracer.streams().values() for record in stream
+        ]
+        assert len(records) == len(tracer) > 0
+        assert all(type(record) is tuple for record in records)
+        gc.collect()
+        # A tuple subclass instance is never untracked; an exact tuple of
+        # scalars is, at the first collection that examines it.
+        assert not any(gc.is_tracked(record) for record in records)
+        assert all(type(event) is TraceEvent for event in tracer.events())
+        assert all(type(event) is TraceEvent for event in tracer.raw_events())
+
+    @pytest.mark.parametrize("defense", DEFENSES)
+    @pytest.mark.parametrize("preset", ["sct", "ht", "sgx"])
+    def test_streams_are_the_per_kind_split_of_events(self, preset, defense):
+        for seed in range(3):
+            tracer = _traced_program(preset, defense, seed)
+            reference: dict[tuple[str, str], list[tuple]] = {}
+            for event in tracer.events():
+                key = event.component, event.kind
+                reference.setdefault(key, []).append(tuple(event))
+            streams = tracer.streams()
+            assert streams == reference
+            assert sorted(streams) == sorted(tracer.counts())
 
 
 class TestCounterRegistry:
