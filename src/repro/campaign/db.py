@@ -296,17 +296,16 @@ class CampaignDB:
         return RunRow(*row) if row is not None else None
 
     @_locked
-    def runs(self, *, name: str | None = None) -> list[RunRow]:
-        """All recorded runs (optionally for one task name), oldest first."""
-        query = (
+    def runs(self, *, name_prefix: str = "") -> list[RunRow]:
+        """Recorded runs whose task name starts with ``name_prefix``,
+        oldest first (all runs by default)."""
+        cur = self._execute(
             "SELECT config_hash, git_rev, name, seed, status, attempts,"
             " elapsed, error, detail, payload, created FROM runs"
+            " WHERE substr(name, 1, ?) = ? ORDER BY id",
+            (len(name_prefix), name_prefix),
         )
-        params: tuple = ()
-        if name is not None:
-            query += " WHERE name = ?"
-            params = (name,)
-        return [RunRow(*row) for row in self._execute(query + " ORDER BY id", params)]
+        return [RunRow(*row) for row in cur]
 
     @_locked
     def counts(self) -> dict[str, int]:

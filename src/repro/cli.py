@@ -115,13 +115,15 @@ Commands
 ``synth {generate,run,minimize,corpus,verify}``
     Attack-synthesis fuzzer (docs/synth.md).  ``generate`` prints seeded
     random IR programs; ``run`` fans a fuzz batch through the campaign
-    engine against the leakcheck oracle and folds leaking programs into
-    the persistent corpus (``--expect-leaky N`` turns the tally into a
-    CI gate); ``minimize`` delta-debugs corpus finds (or a ``--program``
-    JSON) into minimal witnesses per channel target; ``corpus`` prints
-    per-(component, kind) coverage; ``verify`` re-runs checked-in
-    witness files against the oracle and exits non-zero on any that
-    went stale.
+    engine against the leakcheck oracle, which records every result in
+    the campaign DB (``--expect-leaky N`` turns the tally into a CI
+    gate); the leaking programs that DB holds are the corpus.
+    ``minimize`` delta-debugs corpus finds (or a ``--program`` JSON)
+    into minimal witnesses per channel target; ``corpus`` prints
+    per-(component, kind) coverage; both read ``--campaign-db`` (default:
+    env ``REPRO_CAMPAIGN_DB``, else the cwd default).  ``verify`` re-runs
+    checked-in witness files against the oracle and exits non-zero on
+    any that went stale.
 """
 
 from __future__ import annotations
@@ -136,10 +138,6 @@ from repro.analysis.report import format_result
 #: Default campaign DB location; override per-invocation with
 #: ``--campaign-db`` or globally with ``REPRO_CAMPAIGN_DB``.
 _DEFAULT_CAMPAIGN_DB = ".repro-campaign.sqlite"
-
-#: Default synth corpus location; override per-invocation with
-#: ``--corpus`` or globally with ``REPRO_SYNTH_CORPUS``.
-_DEFAULT_CORPUS = ".repro-corpus.sqlite"
 
 # -- shared option validation (consistent across subcommands) -------------
 
@@ -873,13 +871,6 @@ def _synth_target_choices() -> tuple[str, ...]:
     return tuple(target_names())
 
 
-def _resolve_corpus(args: argparse.Namespace) -> str:
-    """``--corpus`` > ``REPRO_SYNTH_CORPUS`` > cwd default."""
-    if getattr(args, "corpus", None):
-        return args.corpus
-    return os.environ.get("REPRO_SYNTH_CORPUS") or _DEFAULT_CORPUS
-
-
 def _gen_config(args: argparse.Namespace):
     import dataclasses
 
@@ -923,23 +914,18 @@ def _cmd_synth_generate(args: argparse.Namespace) -> int:
 def _cmd_synth_run(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.synth import Corpus, run_fuzz
+    from repro.synth import run_fuzz
 
     engine = _campaign_engine(args, reseed_base=args.seed)
-    corpus = Corpus(_resolve_corpus(args))
-    try:
-        report = run_fuzz(
-            preset=args.preset,
-            defense=args.defense,
-            budget=args.budget,
-            seed=args.seed,
-            alpha=args.alpha,
-            gen=_gen_config(args),
-            engine=engine,
-            corpus=corpus,
-        )
-    finally:
-        corpus.close()
+    report = run_fuzz(
+        preset=args.preset,
+        defense=args.defense,
+        budget=args.budget,
+        seed=args.seed,
+        alpha=args.alpha,
+        gen=_gen_config(args),
+        engine=engine,
+    )
     for line in report.summary_lines():
         print(line)
     print(engine.summary_line())
@@ -974,13 +960,26 @@ def _cmd_synth_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_corpus(args: argparse.Namespace):
+    """The corpus of the resolved campaign DB, filtered to ``--preset``
+    and ``--defense``; None when the DB file does not exist."""
+    from repro.campaign import CampaignDB
+    from repro.synth import read_corpus
+
+    path = _resolve_campaign_db(args)
+    if not os.path.exists(path):
+        return None
+    with CampaignDB(path) as db:
+        return read_corpus(db, preset=args.preset, defense=args.defense)
+
+
 def _cmd_synth_minimize(args: argparse.Namespace) -> int:
     from repro.synth import (
-        Corpus,
         MinimizationError,
         format_program,
         minimize_program,
         program_from_json,
+        resolve_target,
         write_witness,
     )
 
@@ -994,19 +993,12 @@ def _cmd_synth_minimize(args: argparse.Namespace) -> int:
         for target in targets:
             candidates[target] = program
     else:
-        from repro.synth import resolve_target
-
-        corpus = Corpus(_resolve_corpus(args))
-        try:
+        corpus = _read_corpus(args)
+        if corpus is not None:
             for target in targets:
-                entry = corpus.best_for(
-                    resolve_target(target),
-                    preset=args.preset, defense=args.defense,
-                )
+                entry = corpus.best_for(resolve_target(target))
                 if entry is not None:
                     candidates[target] = entry.program
-        finally:
-            corpus.close()
 
     status = 0
     for target in targets:
@@ -1043,26 +1035,22 @@ def _cmd_synth_minimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_corpus(args: argparse.Namespace) -> int:
-    from repro.synth import Corpus
-
-    path = _resolve_corpus(args)
-    if not os.path.exists(path):
-        print(f"error: no corpus at {path}; run 'repro synth run' first",
-              file=sys.stderr)
+    path = _resolve_campaign_db(args)
+    corpus = _read_corpus(args)
+    if corpus is None:
+        print(f"error: no campaign DB at {path}; run 'repro synth run' "
+              f"first", file=sys.stderr)
         return 2
-    with Corpus(path) as corpus:
-        for line in corpus.summary_lines():
-            print(line)
-        if args.programs:
-            for entry in corpus.entries(
-                preset=args.preset, defense=args.defense
-            ):
-                channels = ", ".join(f"{c}/{k}" for c, k in entry.channels)
-                print(
-                    f"  {entry.key[:12]}  {entry.preset}/{entry.defense} "
-                    f"gen_seed={entry.gen_seed} ops={entry.ops} "
-                    f"[{channels}]"
-                )
+    for line in corpus.summary_lines(str(path)):
+        print(line)
+    if args.programs:
+        for key, entry in corpus.entries.items():
+            channels = ", ".join(f"{c}/{k}" for c, k in entry.channels)
+            print(
+                f"  {key[:12]}  {entry.preset}/{entry.defense} "
+                f"gen_seed={entry.gen_seed} ops={len(entry.program.ops)} "
+                f"[{channels}]"
+            )
     return 0
 
 
@@ -1097,6 +1085,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.config import preset_names
+    from repro.synth import DEFENSES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1443,8 +1432,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def _synth_machine_options(sub: argparse.ArgumentParser) -> None:
-        from repro.synth import DEFENSES
-
         sub.add_argument(
             "--preset", choices=preset_names(), default="sct",
             help="machine preset the oracle runs on (default sct)",
@@ -1458,11 +1445,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="significance level for the per-kind KS tests",
         )
 
-    def _synth_corpus_option(sub: argparse.ArgumentParser) -> None:
+    def _synth_db_option(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
-            "--corpus", default=None, metavar="FILE",
-            help="corpus sqlite path (default: env REPRO_SYNTH_CORPUS, "
-            f"else {_DEFAULT_CORPUS})",
+            "--campaign-db", metavar="FILE", default=None,
+            help="campaign DB whose synth runs are the corpus (default: "
+            f"env REPRO_CAMPAIGN_DB, else {_DEFAULT_CAMPAIGN_DB})",
         )
 
     synth_generate = synth_commands.add_parser(
@@ -1490,7 +1477,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _synth_machine_options(synth_run)
     _synth_gen_options(synth_run)
-    _synth_corpus_option(synth_run)
     synth_run.add_argument(
         "--expect-leaky", type=int, default=None, metavar="N",
         help="exit non-zero unless at least N leaking programs were found "
@@ -1514,7 +1500,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: metaleak_t and metaleak_c)",
     )
     _synth_machine_options(synth_minimize)
-    _synth_corpus_option(synth_minimize)
+    _synth_db_option(synth_minimize)
     synth_minimize.add_argument(
         "--program", metavar="FILE", default=None,
         help="minimize this program JSON instead of picking from the corpus",
@@ -1530,16 +1516,16 @@ def build_parser() -> argparse.ArgumentParser:
     synth_minimize.set_defaults(func=_cmd_synth)
 
     synth_corpus = synth_commands.add_parser(
-        "corpus", help="summarize the persistent corpus of leaking programs"
+        "corpus", help="summarize the leaking programs the campaign DB holds"
     )
-    _synth_corpus_option(synth_corpus)
+    _synth_db_option(synth_corpus)
     synth_corpus.add_argument(
         "--preset", choices=preset_names(), default=None,
-        help="only entries found on this preset",
+        help="only results found on this preset",
     )
     synth_corpus.add_argument(
-        "--defense", default=None,
-        help="only entries found under this defence",
+        "--defense", choices=DEFENSES, default=None,
+        help="only results found under this defence",
     )
     synth_corpus.add_argument(
         "--programs", action="store_true",

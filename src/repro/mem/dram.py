@@ -29,10 +29,6 @@ class DramModel(Component):
     def __init__(self, config: DramConfig) -> None:
         self.config = config
         self._banks = [_BankState() for _ in range(config.banks)]
-        # Memoised pure decomposition addr -> (bank index, row).  The
-        # working set of distinct block addresses in any run is tiny
-        # compared to the access count, so the table converges fast.
-        self._decompose: dict[int, tuple[int, int]] = {}
         self.counters = CounterRegistry()
         self._reads = self.counters.counter("reads")
         self._writes = self.counters.counter("writes")
@@ -47,12 +43,8 @@ class DramModel(Component):
         return bank_of(addr, self.config.banks)
 
     def decompose(self, addr: int) -> tuple[int, int]:
-        """Pure address decomposition: (bank index, row), memoised."""
-        parts = self._decompose.get(addr)
-        if parts is None:
-            parts = (bank_of(addr, self.config.banks), addr // self.config.row_size)
-            self._decompose[addr] = parts
-        return parts
+        """Pure address decomposition: (bank index, row)."""
+        return bank_of(addr, self.config.banks), addr // self.config.row_size
 
     def access(self, addr: int, now: int, *, is_write: bool = False) -> int:
         """Perform one block access starting at cycle ``now``; return latency.

@@ -93,7 +93,7 @@ class MemoryController(Component):
         """Service a block read at cycle ``now``; return its latency.
 
         This is the timing (``charge``) step of the memory path: the DRAM
-        model decomposes the address (memoised bank/row) and mutates bank
+        model decomposes the address (bank, row) and mutates bank
         state, while every cycle the core observes is charged here.  Given
         a transaction (only while profiling), the latency is charged into
         it in parts whose sum equals the return value: ``queue`` (enqueue

@@ -98,12 +98,6 @@ class MemoryEncryptionEngine(Component):
         self._cb_hashes: dict[int, int] = {}
         # Plaintext pending in the write queue, consumed at service time.
         self._pending_plain: dict[int, bytes] = {}
-        # Memoised pure decomposition of a protected data block address
-        # into its metadata coordinates (counter-block address/index, MAC
-        # address).  Shared by the read path, the write sink and the
-        # batch tables; see the functional/timing split in
-        # docs/architecture.md.
-        self._decompose: dict[int, tuple[int, int, int]] = {}
         # Metadata-path tallies: counter hits and misses, tree-node loads,
         # overflows.  ``counters`` already names the encryption-counter
         # store, so the engine's registry is ``registry``.
@@ -179,23 +173,19 @@ class MemoryEncryptionEngine(Component):
     # ------------------------------------------------------------------
 
     def decompose(self, block_addr: int) -> tuple[int, int, int]:
-        """Metadata coordinates of a protected data block, memoised.
+        """Metadata coordinates of a protected data block.
 
         Returns ``(counter_block_addr, counter_block_index, mac_addr)``.
         ``block_addr`` must already be block-aligned protected data (the
         callers validate before decomposing).
         """
-        parts = self._decompose.get(block_addr)
-        if parts is None:
-            layout = self.layout
-            cb_index = layout.counter_block_index(block_addr)
-            parts = (
-                layout.counter_block_addr_of_index(cb_index),
-                cb_index,
-                layout.mac_addr(block_addr),
-            )
-            self._decompose[block_addr] = parts
-        return parts
+        layout = self.layout
+        cb_index = layout.counter_block_index(block_addr)
+        return (
+            layout.counter_block_addr_of_index(cb_index),
+            cb_index,
+            layout.mac_addr(block_addr),
+        )
 
     # ------------------------------------------------------------------
     # Counter-block hashing (freshness binding, Section IV-C)
@@ -351,13 +341,15 @@ class MemoryEncryptionEngine(Component):
         tree = self._tree_for(domain)
         domain_tag = domain << self._DOMAIN_SHIFT
         missed: list[tuple[int, int, int]] = []
-        # The path is a pure function of the layout — iterate the memoised
-        # decomposition table instead of re-deriving it per access.
-        for level, index, base_node_addr in self.layout.path_of(cb_index):
-            node_addr = base_node_addr | domain_tag
+        # Walk up the verification path, deriving each level's node only
+        # when the level below it missed.
+        index = cb_index
+        for geometry in self.layout.levels:
+            index //= geometry.arity
+            node_addr = (geometry.base + index * BLOCK_SIZE) | domain_tag
             if self.tree_cache.lookup(node_addr):
                 break
-            missed.append((level, index, node_addr))
+            missed.append((geometry.level, index, node_addr))
         # Fetch + verify the missed chain.
         for level, index, node_addr in missed:
             self._tree_node_loads.value += 1

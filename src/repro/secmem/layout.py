@@ -93,12 +93,6 @@ class MetadataLayout:
             covered = node_count
         self.root_entries = self.levels[-1].node_count
         self.total_size = cursor
-        # Memoised verification paths: counter-block index -> tuple of
-        # (level, node index, node block address) for every off-chip tree
-        # node on the path.  The path is a pure function of the layout, so
-        # it is computed once per counter block and shared by the tree
-        # walk, the batch tables and the attack address arithmetic.
-        self._paths: dict[int, tuple[tuple[int, int, int], ...]] = {}
 
     # ------------------------------------------------------------------
     # Region predicates
@@ -177,24 +171,19 @@ class MetadataLayout:
         return geometry.base + index * BLOCK_SIZE
 
     def path_of(self, cb_index: int) -> tuple[tuple[int, int, int], ...]:
-        """Verification path of counter block ``cb_index``, memoised.
+        """Verification path of counter block ``cb_index``.
 
         Returns ``((level, node_index, node_addr), ...)`` for every
-        off-chip tree level, leaf level first — the precomputed
-        ``decompose`` table the MEE walk and the batch API iterate.
+        off-chip tree level, leaf level first.
         """
-        path = self._paths.get(cb_index)
-        if path is None:
-            nodes = []
-            index = cb_index
-            for geometry in self.levels:
-                index //= geometry.arity
-                nodes.append(
-                    (geometry.level, index, geometry.base + index * BLOCK_SIZE)
-                )
-            path = tuple(nodes)
-            self._paths[cb_index] = path
-        return path
+        nodes = []
+        index = cb_index
+        for geometry in self.levels:
+            index //= geometry.arity
+            nodes.append(
+                (geometry.level, index, geometry.base + index * BLOCK_SIZE)
+            )
+        return tuple(nodes)
 
     def node_addr_for_data(self, data_addr: int, level: int) -> int:
         """Address of the tree node covering ``data_addr`` at ``level``."""

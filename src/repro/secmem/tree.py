@@ -100,11 +100,8 @@ class IntegrityTree(Component, abc.ABC):
         """Check a node block loaded from memory against its parent/root."""
 
     def path_nodes(self, cb_index: int) -> list[tuple[int, int]]:
-        """(level, index) of every off-chip node on a counter block's path.
-
-        Delegates to the layout's memoised :meth:`MetadataLayout.path_of`
-        table so tree walks and batch precomputation share one cache.
-        """
+        """(level, index) of every off-chip node on a counter block's path
+        (see :meth:`MetadataLayout.path_of`)."""
         return [(level, index) for level, index, _ in self.layout.path_of(cb_index)]
 
     @abc.abstractmethod

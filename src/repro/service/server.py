@@ -79,10 +79,6 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: Sentinel pushed onto the queue to wake idle workers during drain.
-_STOP = None
-
-
 def _as_float(read: Callable[[], Any]) -> float:
     """A gauge reading: ``read()`` as a float."""
     return float(read())
@@ -159,8 +155,10 @@ class LeakcheckService:
         #: forced drain cancels a worker loop, not its job thread, so
         #: close() waits on these before it closes the DB they use.
         self._executions: set[asyncio.Future] = set()
-        self._queue: asyncio.Queue[Job | None] = asyncio.Queue()
+        self._queue: asyncio.Queue[Job] = asyncio.Queue()
         self._workers: list[asyncio.Task] = []
+        #: Workers waiting in ``queue.get()``, the ones a drain cancels.
+        self._idle: set[asyncio.Task] = set()
         self._server: asyncio.base_events.Server | None = None
         #: Set once by begin_drain(); never cleared.
         self._draining = asyncio.Event()
@@ -233,7 +231,7 @@ class LeakcheckService:
         checkpointed: list[str] = []
         while not self._queue.empty():
             job = self._queue.get_nowait()
-            if job is not None and job.state == QUEUED:
+            if job.state == QUEUED:
                 self._c_drained.incr()
                 checkpointed.append(job.id)
                 # Each checkpointed job gets a final span so the drain is
@@ -241,8 +239,10 @@ class LeakcheckService:
                 self._emit_job_span(job, "checkpointed",
                                     kind="job.checkpoint",
                                     reason="graceful drain")
-        for _ in self._workers:
-            self._queue.put_nowait(_STOP)
+        # Stop the workers waiting for a job; a busy one returns once its
+        # job ends.  Nothing goes on the queue, so it only holds jobs.
+        for worker in self._idle:
+            worker.cancel()
         done, still_running = await asyncio.wait(
             self._workers, timeout=self.drain_grace
         )
@@ -256,6 +256,10 @@ class LeakcheckService:
             )
         for task in still_running:
             task.cancel()
+        # A cancelled worker keeps its CancelledError, whose traceback
+        # holds the worker's frame and so this service: keeping the
+        # tasks would make a cycle.
+        self._workers = []
         self.drain_report = {
             "event": "drain",
             "checkpointed": len(checkpointed),
@@ -308,10 +312,12 @@ class LeakcheckService:
         return self._queue.qsize()
 
     async def _worker_loop(self) -> None:
-        while True:
-            job = await self._queue.get()
-            if job is _STOP:
-                return
+        while not self._draining.is_set():
+            self._idle.add(asyncio.current_task())
+            try:
+                job = await self._queue.get()
+            finally:
+                self._idle.discard(asyncio.current_task())
             if job.state == CANCELLED:
                 continue
             if job.cancel_requested:

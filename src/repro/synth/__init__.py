@@ -3,14 +3,22 @@
 AMuLeT-style automated leak discovery on top of the existing stack: a
 seeded generator emits random attacker/victim access-pattern programs
 in a small declarative IR, the campaign engine fans them out to the
-``repro.leakcheck`` paired-secret oracle at scale, leaking programs
-accumulate in a persistent corpus with per-(component, kind) channel
-coverage, and a delta-debugging minimizer reduces any find to a small
-machine-checkable witness.  See docs/synth.md.
+``repro.leakcheck`` paired-secret oracle at scale, the campaign DB
+that records every result doubles as the corpus of leaking programs
+with per-(component, kind) channel coverage, and a delta-debugging
+minimizer reduces any find to a small machine-checkable witness.  See
+docs/synth.md.
 """
 
-from repro.synth.corpus import Corpus, CorpusEntry, corpus_key
-from repro.synth.fuzz import FuzzReport, build_fuzz_tasks, run_fuzz, task_name
+from repro.synth.fuzz import (
+    CorpusReport,
+    FuzzReport,
+    build_fuzz_tasks,
+    corpus_key,
+    read_corpus,
+    run_fuzz,
+    task_name,
+)
 from repro.synth.gen import GenConfig, generate_batch, generate_program
 from repro.synth.ir import (
     Guard,
@@ -51,8 +59,7 @@ __all__ = [
     "DEFENSES",
     "METADATA_COMPONENTS",
     "TARGETS",
-    "Corpus",
-    "CorpusEntry",
+    "CorpusReport",
     "FuzzReport",
     "GenConfig",
     "Guard",
@@ -77,6 +84,7 @@ __all__ = [
     "program_from_json",
     "program_to_dict",
     "program_to_json",
+    "read_corpus",
     "resolve_target",
     "run_fuzz",
     "strip_guards",

@@ -9,7 +9,7 @@ declarative so that
 * a program is *data* — it round-trips through the campaign payload
   codec (enums, tuples, nested dataclasses), hashes into a stable
   campaign config hash, and serialises to human-readable JSON for the
-  corpus and witness files;
+  corpus key and witness files;
 * compilation to a :class:`~repro.leakcheck.victims.VictimSpec` is
   deterministic: the same program always performs the same accesses for
   a given secret bit, so the leakcheck oracle's paired-run discipline
@@ -41,7 +41,7 @@ MAX_OPS = 64
 MAX_COUNT = 64
 MAX_STRIDE = LINES_PER_PAGE
 
-#: Witness/corpus JSON schema version.
+#: Witness JSON schema version.
 SCHEMA_VERSION = 1
 
 
@@ -157,7 +157,7 @@ def op_lines(program: Program, op: Op) -> list[int]:
     return [(base + i * step) % program.span_lines for i in range(op.count)]
 
 
-# -- human-readable JSON (corpus rows, witness files) ----------------------
+# -- human-readable JSON (corpus keys, witness files) ----------------------
 
 
 def op_to_dict(op: Op) -> dict[str, object]:

@@ -161,9 +161,9 @@ def compile_program(program: Program, *, name: str = "synth") -> VictimSpec:
 class SynthResult:
     """The oracle's verdict for one generated program.
 
-    Carries the program itself so a corpus (or a cached campaign row)
-    is self-contained: any stored result can be re-run or minimized
-    without the generator seed that produced it.
+    Carries the program itself so a recorded campaign row, which is
+    what the corpus reads, is self-contained: any stored result can be
+    re-run or minimized without the generator seed that produced it.
     """
 
     program: Program

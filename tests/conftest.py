@@ -17,4 +17,3 @@ def _isolated_campaign_db(tmp_path, monkeypatch):
     to the working directory; tests must never leave one behind there.
     """
     monkeypatch.setenv("REPRO_CAMPAIGN_DB", str(tmp_path / "campaign.sqlite"))
-    monkeypatch.setenv("REPRO_SYNTH_CORPUS", str(tmp_path / "corpus.sqlite"))

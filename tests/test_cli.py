@@ -418,21 +418,22 @@ class TestSynthCommands:
         assert all("program" in item for item in batch)
 
     def test_run_minimize_corpus_verify_pipeline(self, capsys, tmp_path):
-        corpus = str(tmp_path / "corpus.sqlite")
+        db = str(tmp_path / "k.sqlite")
         assert main([
             "synth", "run", "--seed", "0", "--budget", "4",
-            "--max-ops", "8", "--corpus", corpus, "--expect-leaky", "1",
+            "--max-ops", "8", "--campaign-db", db, "--expect-leaky", "1",
         ]) == 0
         out = capsys.readouterr().out
         assert "synth: preset=sct" in out
         assert "target metaleak_t" in out
 
-        assert main(["synth", "corpus", "--corpus", corpus]) == 0
-        assert "leaking program(s)" in capsys.readouterr().out
+        assert main(["synth", "corpus", "--campaign-db", db]) == 0
+        assert "leaking program(s) from 4 evaluated" in \
+            capsys.readouterr().out
 
         witness_dir = tmp_path / "w"
         assert main([
-            "synth", "minimize", "--corpus", corpus,
+            "synth", "minimize", "--campaign-db", db,
             "--target", "metadata", "--out", str(witness_dir),
         ]) == 0
         witness = witness_dir / "witness_metadata.json"
@@ -443,29 +444,70 @@ class TestSynthCommands:
         assert "still leaks" in capsys.readouterr().out
 
     def test_expect_leaky_gate_fails_loudly(self, capsys, tmp_path):
-        corpus = str(tmp_path / "corpus.sqlite")
         assert main([
             "synth", "run", "--seed", "0", "--budget", "1",
-            "--max-ops", "8", "--corpus", corpus,
+            "--max-ops", "8", "--campaign-db", str(tmp_path / "k.sqlite"),
             "--expect-leaky", "999",
         ]) == 1
         assert "expected at least 999" in capsys.readouterr().err
 
     def test_minimize_without_corpus_hit_fails(self, capsys, tmp_path):
-        corpus = str(tmp_path / "empty.sqlite")
-        from repro.synth import Corpus
+        from repro.campaign import CampaignDB
 
-        Corpus(corpus).close()
-        assert main([
-            "synth", "minimize", "--corpus", corpus,
-            "--out", str(tmp_path / "w"),
-        ]) == 1
-        assert "no corpus program hits" in capsys.readouterr().err
+        empty = tmp_path / "empty.sqlite"
+        CampaignDB(empty).close()
+        missing = tmp_path / "nope.sqlite"
+        for db in (empty, missing):
+            assert main([
+                "synth", "minimize", "--campaign-db", str(db),
+                "--out", str(tmp_path / "w"),
+            ]) == 1
+            assert "no corpus program hits" in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_minimize_reads_the_campaign_db_by_default(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.campaign import CampaignDB, CampaignEngine
+        from repro.synth import GenConfig, run_fuzz
+
+        monkeypatch.chdir(tmp_path)
+        # A batch recorded in the DB that REPRO_CAMPAIGN_DB names (set
+        # per test by conftest) is what minimize reads without options.
+        with CampaignDB(os.environ["REPRO_CAMPAIGN_DB"]) as db:
+            run_fuzz(budget=2, seed=0, gen=GenConfig(max_ops=8),
+                     engine=CampaignEngine(jobs=1, db=db))
+        assert main(["synth", "minimize", "--target", "any",
+                     "--max-oracle-calls", "4",
+                     "--out", str(tmp_path / "w")]) == 0
+        assert (tmp_path / "w" / "witness_any.json").exists()
 
     def test_corpus_missing_file_errors(self, capsys, tmp_path):
-        assert main(["synth", "corpus", "--corpus",
-                     str(tmp_path / "nope.sqlite")]) == 2
-        assert "no corpus" in capsys.readouterr().err
+        missing = tmp_path / "nope.sqlite"
+        assert main(["synth", "corpus", "--campaign-db", str(missing)]) == 2
+        assert f"no campaign DB at {missing}" in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_corpus_rejects_an_unknown_defense(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", "corpus", "--defense", "bogus"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_corpus_filters_the_whole_report(self, capsys, tmp_path):
+        db = str(tmp_path / "k.sqlite")
+        assert main(["synth", "run", "--seed", "0", "--budget", "2",
+                     "--max-ops", "8", "--campaign-db", db]) == 0
+        capsys.readouterr()
+        assert main(["synth", "corpus", "--campaign-db", db,
+                     "--preset", "sgx", "--programs"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        # Only the summary line: no coverage and no program lines.
+        assert out == [
+            f"corpus: 0 leaking program(s) from 0 evaluated ({db})"
+        ]
 
     def test_verify_checked_in_witnesses(self, capsys):
         import pathlib

@@ -661,6 +661,35 @@ class TestServiceLifetime:
 
         asyncio.run(scenario())
 
+    def test_drain_puts_nothing_on_the_job_queue(self, tmp_path, probe_gate):
+        """A drain stops its workers without queueing anything: with one
+        job running and none queued, the queue reads empty throughout."""
+
+        async def scenario():
+            service = _svc(tmp_path / "c.sqlite", concurrency=2)
+            await service.start()
+            host, port = service.host, service.port
+            _, _, job = await http_request(
+                host, port, "POST", "/jobs",
+                {"kind": "probe", "spec": {"ops": FAST_OPS, "seed": 1}},
+            )
+            await _poll_running(host, port, job["id"])
+            service.begin_drain()
+            for _ in range(5):
+                await asyncio.sleep(0.02)
+                assert service.registry.snapshot()["queue_depth"] == 0.0
+                _, _, listing = await http_request(host, port, "GET", "/jobs")
+                assert listing["queue_depth"] == 0
+                assert listing["by_state"] == {RUNNING: 1}
+            probe_gate.set()
+            await service.close()
+            assert service.drain_report["forced_stop"] == 0
+            return job["id"]
+
+        job_id = asyncio.run(scenario())
+        with CampaignDB(tmp_path / "c.sqlite") as db:
+            assert db.journal_get(job_id).state == DONE
+
 
 # -- bench scenario --------------------------------------------------------
 
@@ -833,3 +862,33 @@ class TestServiceSynthJob:
             await service.close()
 
         asyncio.run(scenario())
+
+    def test_synth_job_results_are_in_the_corpus(self, tmp_path, capsys):
+        from repro.cli import main
+
+        db_path = tmp_path / "c.sqlite"
+
+        async def scenario():
+            service = _svc(db_path)
+            await service.start()
+            _, _, job = await http_request(
+                service.host, service.port, "POST", "/jobs",
+                {"kind": "synth", "spec": {"budget": 3, "seed": 0}},
+            )
+            final = await _poll_terminal(service.host, service.port, job["id"])
+            await service.close()
+            return final
+
+        final = asyncio.run(scenario())
+        assert final["state"] == DONE
+        results = [task["result"]["fields"] for task in final["result"]["tasks"]]
+        leaky_seeds = [r["gen_seed"] for r in results if r["leaky"]]
+        assert leaky_seeds
+        capsys.readouterr()
+        assert main(["synth", "corpus", "--campaign-db", str(db_path),
+                     "--programs"]) == 0
+        out = capsys.readouterr().out
+        assert (f"corpus: {len(leaky_seeds)} leaking program(s) from 3 "
+                f"evaluated") in out
+        for seed in leaky_seeds:
+            assert f"sct/none gen_seed={seed} " in out

@@ -2,10 +2,10 @@
 
 Covers the IR (validation, address arithmetic, canonical JSON), the
 campaign payload codec round-trip for programs (enums, tuples, nested
-dataclasses), the seeded generator, the oracle bridge, the persistent
-corpus, the fuzz driver (including campaign-cache behaviour), the
-delta-debugging minimizer's invariants, the checked-in witness
-fixtures that re-derive both paper attacks, and the service's
+dataclasses), the seeded generator, the oracle bridge, the corpus read
+over the campaign DB, the fuzz driver (including campaign-cache
+behaviour), the delta-debugging minimizer's invariants, the checked-in
+witness fixtures that re-derive both paper attacks, and the service's
 ``synth`` job kind.
 """
 
@@ -23,7 +23,6 @@ from repro.campaign import (
     encode_payload,
 )
 from repro.synth import (
-    Corpus,
     GenConfig,
     Guard,
     MinimizationError,
@@ -42,6 +41,7 @@ from repro.synth import (
     minimize_program,
     program_from_json,
     program_to_json,
+    read_corpus,
     resolve_target,
     run_fuzz,
     strip_guards,
@@ -246,9 +246,9 @@ class TestOracle:
 
 
 def _result(program, *, leaky=True, channels=(("mee", "tree_walk"),),
-            gen_seed=0):
+            gen_seed=0, preset="sct", defense="none"):
     return SynthResult(
-        program=program, preset="sct", defense="none", alpha=0.01,
+        program=program, preset=preset, defense=defense, alpha=0.01,
         gen_seed=gen_seed, leaky=leaky,
         metadata_leaky=any(c in {"mee", "tree", "memctrl", "dram", "crypto"}
                            for c, _ in channels),
@@ -256,43 +256,114 @@ def _result(program, *, leaky=True, channels=(("mee", "tree_walk"),),
     )
 
 
+def _record(db, result, *, status="ok", payload=None):
+    """Record ``result`` the way the engine records its synth task."""
+    task = CampaignTask(
+        name=task_name(result.preset, result.defense, result.gen_seed),
+        fn=evaluate_program,
+        kwargs={"program": result.program, "preset": result.preset,
+                "defense": result.defense, "alpha": result.alpha,
+                "gen_seed": result.gen_seed},
+    )
+    if payload is None and status == "ok":
+        payload = encode_payload(result)
+    db.record_run(
+        config_hash=task.config_hash, git_rev="test", name=task.name,
+        seed=None, status=status, attempts=1, elapsed=0.0, payload=payload,
+    )
+
+
 class TestCorpus:
+    """``read_corpus``: the leaking programs among a DB's synth runs."""
+
     def test_add_stores_only_leaky_and_upserts(self, tmp_path):
-        with Corpus(tmp_path / "c.sqlite") as corpus:
-            assert corpus.add(_result(LEAKER)) is True
-            assert corpus.add(_result(LEAKER)) is False  # upsert, not dup
-            assert corpus.add(
-                _result(strip_guards(LEAKER), leaky=False, channels=())
-            ) is False
-            assert len(corpus) == 1
-            assert corpus.evaluated_total == 3
+        with CampaignDB(tmp_path / "c.sqlite") as db:
+            _record(db, _result(LEAKER))
+            _record(db, _result(LEAKER))  # a cache-less re-run
+            _record(db, _result(LEAKER, gen_seed=5))  # a re-discovery
+            _record(db, _result(strip_guards(LEAKER), leaky=False,
+                                channels=(), gen_seed=1))
+            corpus = read_corpus(db)
+        # One entry per (program, machine), the latest result wins; the
+        # clean program counts as evaluated but is not listed.
+        assert [e.gen_seed for e in corpus.entries.values()] == [5]
+        assert corpus.evaluated == 3
 
     def test_entries_smallest_first_and_best_for(self, tmp_path):
         one_op = Program(pages=1, ops=(Op(kind=OpKind.READ),))
-        with Corpus(tmp_path / "c.sqlite") as corpus:
-            corpus.add(_result(LEAKER, channels=(("memctrl", "read"),)))
-            corpus.add(_result(one_op, channels=(("mee", "tree_walk"),)))
-            entries = corpus.entries()
-            assert [e.ops for e in entries] == [1, 3]
-            best = corpus.best_for(frozenset({"mee"}))
-            assert best is not None and best.program == one_op
-            assert corpus.best_for(frozenset({"crypto"})) is None
+        one_write = Program(pages=1, ops=(Op(kind=OpKind.WRITE),))
+        with CampaignDB(tmp_path / "c.sqlite") as db:
+            _record(db, _result(LEAKER, channels=(("memctrl", "read"),)))
+            _record(db, _result(one_write, gen_seed=9,
+                                channels=(("dram", "write"),)))
+            _record(db, _result(one_op, gen_seed=4,
+                                channels=(("mee", "tree_walk"),)))
+            corpus = read_corpus(db)
+        entries = list(corpus.entries.values())
+        assert [(len(e.program.ops), e.gen_seed) for e in entries] == [
+            (1, 4), (1, 9), (3, 0),
+        ]
+        best = corpus.best_for(resolve_target("metaleak_t"))
+        assert best is not None and best.program == one_op
+        assert best.hits(resolve_target("metaleak_t"))
+        best = corpus.best_for(resolve_target("metaleak_c"))
+        assert best is not None and best.program == one_write
+        assert corpus.best_for(frozenset({"crypto"})) is None
 
     def test_coverage_counts_programs_per_channel(self, tmp_path):
-        with Corpus(tmp_path / "c.sqlite") as corpus:
-            corpus.add(_result(LEAKER,
-                               channels=(("mee", "tree_walk"),
-                                         ("dram", "read"))))
-            assert corpus.coverage() == {
-                ("mee", "tree_walk"): 1, ("dram", "read"): 1,
-            }
-            assert any("mee" in line for line in corpus.summary_lines())
+        with CampaignDB(tmp_path / "c.sqlite") as db:
+            _record(db, _result(LEAKER, channels=(("mee", "tree_walk"),
+                                                  ("dram", "read"))))
+            _record(db, _result(strip_guards(LEAKER), gen_seed=1,
+                                channels=(("dram", "read"),)))
+            corpus = read_corpus(db)
+        assert corpus.coverage() == {
+            ("mee", "tree_walk"): 1, ("dram", "read"): 2,
+        }
+        lines = corpus.summary_lines("c.sqlite")
+        assert lines[0] == (
+            "corpus: 2 leaking program(s) from 2 evaluated (c.sqlite)"
+        )
+        assert any("mee" in line for line in lines)
 
-    def test_key_depends_on_machine(self):
+    def test_key_depends_on_machine(self, tmp_path):
         assert corpus_key(LEAKER, "sct", "none") != \
             corpus_key(LEAKER, "sgx", "none")
         assert corpus_key(LEAKER, "sct", "none") != \
             corpus_key(LEAKER, "sct", "split_llc")
+        with CampaignDB(tmp_path / "c.sqlite") as db:
+            for preset, defense in (("sct", "none"), ("sgx", "none"),
+                                    ("sct", "split_llc")):
+                _record(db, _result(LEAKER, preset=preset, defense=defense))
+            assert len(read_corpus(db).entries) == 3
+            sgx = read_corpus(db, preset="sgx")
+            split = read_corpus(db, defense="split_llc")
+        assert [(e.preset, e.defense) for e in sgx.entries.values()] == [
+            ("sgx", "none"),
+        ]
+        assert sgx.evaluated == 1
+        assert [(e.preset, e.defense) for e in split.entries.values()] == [
+            ("sct", "split_llc"),
+        ]
+
+    def test_undecodable_row_is_skipped(self, tmp_path):
+        stale = encode_payload(_result(LEAKER, gen_seed=1)).replace(
+            '"events":', '"retired_field":'
+        )
+        with CampaignDB(tmp_path / "c.sqlite") as db:
+            _record(db, _result(LEAKER, gen_seed=1), payload=stale)
+            _record(db, _result(LEAKER, gen_seed=2), payload="{not json")
+            _record(db, _result(LEAKER, gen_seed=3), status="failed")
+            _record(db, _result(LEAKER, gen_seed=4))
+            db.record_run(
+                config_hash="x", git_rev="test", name="synthesis_g0",
+                seed=None, status="ok", attempts=1, elapsed=0.0,
+                payload=encode_payload(_result(LEAKER, gen_seed=6)),
+            )
+            assert len(db.runs(name_prefix="synth_")) == 4
+            corpus = read_corpus(db)
+        assert [e.gen_seed for e in corpus.entries.values()] == [4]
+        assert corpus.evaluated == 1
 
 
 # -- fuzz driver -----------------------------------------------------------
@@ -310,15 +381,39 @@ class TestFuzz:
         assert task_name("sgx", "split_llc", 9) == "synth_sgx_split_llc_g9"
 
     def test_run_fuzz_finds_leaks_and_fills_corpus(self, tmp_path):
-        with Corpus(tmp_path / "c.sqlite") as corpus:
-            report = run_fuzz(budget=4, seed=0, gen=SMALL_GEN, corpus=corpus)
-            assert report.evaluated == 4
-            assert report.failed == 0
-            assert report.leaky >= 1
-            assert report.new_in_corpus == len(corpus)
-            assert corpus.evaluated_total == 4
+        with CampaignDB(tmp_path / "c.sqlite") as db:
+            report = run_fuzz(budget=4, seed=0, gen=SMALL_GEN,
+                              engine=CampaignEngine(jobs=1, db=db))
+            corpus = read_corpus(db)
+        assert report.evaluated == 4
+        assert report.failed == 0
+        assert report.leaky >= 1
+        assert report.new_in_corpus == len(corpus.entries) >= 1
+        assert corpus.evaluated == 4
         assert any(line.startswith("synth:")
                    for line in report.summary_lines())
+
+    def test_identical_batch_adds_nothing_to_the_corpus(self, tmp_path):
+        kwargs = dict(budget=3, seed=7, gen=SMALL_GEN)
+        with CampaignDB(tmp_path / "c.sqlite") as db:
+            first = run_fuzz(engine=CampaignEngine(jobs=1, db=db), **kwargs)
+            before = read_corpus(db)
+            cached = run_fuzz(engine=CampaignEngine(jobs=1, db=db), **kwargs)
+            rerun = run_fuzz(
+                engine=CampaignEngine(jobs=1, db=db, use_cache=False),
+                **kwargs,
+            )
+            after = read_corpus(db)
+        assert first.new_in_corpus == len(before.entries) >= 1
+        assert cached.new_in_corpus == rerun.new_in_corpus == 0
+        assert after.evaluated == before.evaluated == 3
+        assert list(after.entries) == list(before.entries)
+
+    def test_run_fuzz_without_a_db_reads_nothing(self):
+        report = run_fuzz(budget=2, seed=0, gen=SMALL_GEN,
+                          engine=CampaignEngine(jobs=1))
+        assert report.leaky >= 1
+        assert report.new_in_corpus == 0
 
     def test_second_batch_served_from_campaign_cache(self, tmp_path):
         db = CampaignDB(tmp_path / "campaign.sqlite")
