@@ -11,7 +11,7 @@ from cache.  See ``docs/robustness.md``.
 """
 
 from repro.campaign.db import CampaignDB, JobRow, RunRow, config_hash
-from repro.campaign.engine import CampaignEngine, CampaignTask
+from repro.campaign.engine import CampaignEngine, CampaignTask, cached_record
 from repro.campaign.payload import (
     PayloadError,
     decode_payload,
@@ -42,6 +42,7 @@ __all__ = [
     "TEST_CRASH_ENV",
     "TEST_CRASH_EXIT",
     "TaskRecord",
+    "cached_record",
     "config_hash",
     "decode_payload",
     "encode_payload",

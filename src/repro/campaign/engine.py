@@ -25,7 +25,8 @@ Guarantees:
   ``timeout`` record — a batch is never lost wholesale.
 * **Result caching** — with a :class:`~repro.campaign.db.CampaignDB`
   attached, a task whose config hash and git revision match a stored
-  successful run is served from the DB without executing anything, and
+  successful run whose payload decodes is served from the DB without
+  executing anything (:func:`cached_record`, the one cache-hit rule), and
   every executed task's terminal outcome is recorded as it lands, so an
   interrupted batch re-run against the same DB executes only what never
   finished ``ok``.
@@ -118,6 +119,37 @@ def _fn_resolvable(fn: Callable[..., Any]) -> bool:
         if obj is None:
             return False
     return obj is fn
+
+
+def cached_record(
+    db: CampaignDB, task: CampaignTask, git_rev: str
+) -> TaskRecord | None:
+    """The record ``db`` serves for ``task`` at ``git_rev``, if any.
+
+    ``None`` when the task's function does not resolve, no successful
+    run with this config hash and revision is stored, or the stored
+    payload does not decode: a corrupt or stale row is a miss, never a
+    bad result.
+    """
+    if not _fn_resolvable(task.fn):
+        return None
+    row = db.lookup(task.config_hash, git_rev)
+    if row is None:
+        return None
+    try:
+        result = decode_payload(row.payload)
+    except PayloadError:
+        return None
+    return TaskRecord(
+        name=task.name,
+        status=STATUS_OK,
+        attempts=row.attempts,
+        elapsed=row.elapsed,
+        seed=row.seed,
+        cached=True,
+        result=result,
+        payload=row.payload,
+    )
 
 
 class _TaskState:
@@ -392,31 +424,14 @@ class CampaignEngine:
     def _cache_lookup(self, task: CampaignTask) -> TaskRecord | None:
         if self.db is None or not self.use_cache:
             return None
-        if not _fn_resolvable(task.fn):
+        record = cached_record(self.db, task, self.git_rev)
+        if record is not None:
+            self._c_cache_hits.incr()
+        elif _fn_resolvable(task.fn):
+            self._c_cache_misses.incr()
+        else:
             self._c_uncacheable.incr()
-            return None
-        row = self.db.lookup(task.config_hash, self.git_rev)
-        if row is None:
-            self._c_cache_misses.incr()
-            return None
-        try:
-            result = decode_payload(row.payload or "")
-        except (PayloadError, ValueError, KeyError, AttributeError,
-                ImportError):
-            # A corrupt or stale payload is a miss, never a bad result.
-            self._c_cache_misses.incr()
-            return None
-        self._c_cache_hits.incr()
-        return TaskRecord(
-            name=task.name,
-            status=STATUS_OK,
-            attempts=row.attempts,
-            elapsed=row.elapsed,
-            seed=row.seed,
-            cached=True,
-            result=result,
-            payload=row.payload,
-        )
+        return record
 
     def _land(self, record: TaskRecord, task: CampaignTask) -> None:
         """Finalize one record: counters, campaign DB, fail-fast, callback."""

@@ -125,5 +125,16 @@ def encode_payload(obj: Any) -> str:
 
 
 def decode_payload(text: str) -> Any:
-    """Reconstruct a task result from :func:`encode_payload` text."""
-    return _decode(json.loads(text))
+    """Reconstruct a task result from :func:`encode_payload` text.
+
+    Raises :class:`PayloadError` for any text that does not decode: bad
+    JSON, a missing key, a type that is gone or outside ``repro``, or a
+    dataclass whose fields changed since the text was written.
+    """
+    try:
+        return _decode(json.loads(text))
+    except PayloadError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError,
+            ImportError) as error:
+        raise PayloadError(f"payload does not decode: {error!r}") from error

@@ -77,7 +77,7 @@ Commands
 [--jobs N] [--timeout S] [--retries N] [--backoff S] [--drain-grace S]
 [--campaign-db FILE] [--no-spans]``
     Run the fault-tolerant leakcheck job service: an HTTP server that
-    accepts probe/leakcheck/bench jobs as JSON, journals every accepted
+    accepts probe/leakcheck/synth jobs as JSON, journals every accepted
     job in the campaign DB before acknowledging it (jobs survive
     ``kill -9`` and resume on restart), dedups repeat submissions via
     the campaign result cache, sheds overload with 429 +
@@ -1085,6 +1085,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.config import preset_names
+    from repro.service.jobs import job_kinds
     from repro.synth import DEFENSES
 
     parser = argparse.ArgumentParser(
@@ -1388,14 +1389,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="client-side concurrent submissions (default 8)",
     )
     service_load.add_argument(
-        "--kind", choices=["probe", "leakcheck", "bench", "synth"],
+        "--kind", choices=job_kinds(),
         default="probe",
         help="job kind to submit (default probe)",
     )
     service_load.add_argument(
         "--spec", default=None, metavar="JSON",
         help='job spec as JSON, e.g. \'{"ops": 300}\' or '
-        '\'{"victim": "rsa_modexp"}\'',
+        '\'{"victim": "rsa"}\'',
     )
     service_load.add_argument(
         "--same-seed", action="store_true",

@@ -128,9 +128,6 @@ class EncryptionCounterStore(Component):
             return tuple(self._mono.get(b, 0) for b in blocks)
         return tuple(self._snapshots.get(b, 0) for b in blocks)
 
-    def written_blocks(self) -> frozenset[int]:
-        return frozenset(self._written)
-
     # ------------------------------------------------------------------
     # Algorithm 1: increment with overflow handling
     # ------------------------------------------------------------------

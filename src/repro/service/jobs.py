@@ -1,16 +1,20 @@
 """Service job model: state machine, specs, and campaign-task mapping.
 
-A *job* is what the HTTP server accepts: a kind (``probe``,
-``leakcheck``, ``bench``, ``synth``), a JSON spec, and a
-server-assigned id.  A job
-expands into one or more :class:`~repro.campaign.CampaignTask` — the
-unit the campaign engine executes, retries, and caches — via
-:func:`build_job_tasks`.  ``leakcheck`` and ``synth`` jobs build their
-tasks with the same functions as ``repro leakcheck`` and ``repro synth
-run`` (:func:`~repro.leakcheck.build_leakcheck_tasks`,
+A *job* is what the HTTP server accepts: a kind (one of
+:func:`job_kinds`: ``probe``, ``leakcheck``, ``synth``), a JSON spec,
+and a server-assigned id.  A job expands into one or more
+:class:`~repro.campaign.CampaignTask` — the unit the campaign engine
+executes, retries, and caches — via :func:`build_job_tasks`, which
+dispatches on the one table of kinds.  ``leakcheck`` and ``synth`` jobs
+build their tasks with the same functions as ``repro leakcheck`` and
+``repro synth run`` (:func:`~repro.leakcheck.build_leakcheck_tasks`,
 :func:`~repro.synth.build_fuzz_tasks`), so the service and the CLI
-share those cache entries.  ``bench`` jobs do not: ``repro bench``
-passes ``repeats``, which a bench job spec does not carry.
+share those cache entries.
+
+Whether the job is live, served from the cache at admission, or read
+back from the journal (:meth:`Job.from_row`), its result is the
+:func:`summarize_records` summary, and :attr:`Job.cached` is read from
+that summary.
 
 The state machine is strict::
 
@@ -30,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.campaign.db import JobRow
 from repro.campaign.engine import CampaignTask
 from repro.campaign.payload import PayloadError, encode_payload
 from repro.campaign.records import STATUS_OK, STATUS_SKIPPED, STATUS_TIMEOUT
@@ -55,7 +60,7 @@ _ALLOWED: dict[str, frozenset[str]] = {
 }
 
 #: Guardrail on probe work so a single load-test job cannot wedge a
-#: worker for minutes; real workloads go through leakcheck/bench kinds.
+#: worker for minutes; real workloads go through leakcheck/synth kinds.
 MAX_PROBE_OPS = 1_000_000
 
 
@@ -75,13 +80,24 @@ class Job:
     updated: float = field(default_factory=time.time)
     attempts: int = 0
     resumed: bool = False
-    cached: bool = False
     cancel_requested: bool = False
     error: str = ""
     result: dict[str, Any] | None = None
     #: Fleet-tracing trace id, minted once at admission and preserved by
     #: journal resume — the same id spans every attempt of this job.
     trace_id: str = ""
+
+    @classmethod
+    def from_row(cls, row: JobRow) -> Job:
+        """The job a journal row records; stored JSON that does not parse
+        reads as an empty spec and no result."""
+        return cls(
+            id=row.id, kind=row.kind, spec=_parsed(row.spec, {}),
+            state=row.state, submitted=row.submitted, updated=row.updated,
+            attempts=row.attempts, resumed=bool(row.resumed),
+            error=row.error, result=_parsed(row.result, None),
+            trace_id=row.trace,
+        )
 
     def advance(self, new_state: str) -> None:
         """Transition to ``new_state``; raises JobStateError if illegal."""
@@ -99,6 +115,17 @@ class Job:
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
+
+    @property
+    def cached(self) -> bool:
+        """Every task of the job was served from the campaign cache, as
+        its result summary tells."""
+        summary = self.result
+        return (
+            summary is not None and summary["ok"] > 0
+            and summary["cached"] == summary["ok"]
+            and summary["failed"] == summary["timeout"] == 0
+        )
 
     def to_dict(self, *, brief: bool = False) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -118,6 +145,16 @@ class Job:
         out["error"] = self.error
         out["result"] = self.result
         return out
+
+
+def _parsed(text: str | None, default: Any) -> Any:
+    """``text`` parsed as JSON, or ``default`` if it is empty or malformed."""
+    if not text:
+        return default
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return default
 
 
 # -- probe workload --------------------------------------------------------
@@ -189,6 +226,90 @@ def _require_int(spec: dict, key: str, default: int, *, lo: int | None = None,
     return value
 
 
+def _require_alpha(spec: dict) -> float:
+    alpha = spec.get("alpha", 0.01)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise ValueError(f"spec['alpha'] must be a number, got {alpha!r}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"spec['alpha'] must be in (0, 1), got {alpha}")
+    return float(alpha)
+
+
+def _require_preset(spec: dict) -> str:
+    from repro.config import preset_names
+
+    preset = spec.get("preset", "sct")
+    if preset not in preset_names():
+        raise ValueError(
+            f"unknown preset {preset!r}; choose from {list(preset_names())}"
+        )
+    return preset
+
+
+def _probe_tasks(spec: dict) -> tuple[dict[str, Any], list[CampaignTask]]:
+    preset = _require_preset(spec)
+    ops = _require_int(spec, "ops", 400, lo=1, hi=MAX_PROBE_OPS)
+    seed = _require_int(spec, "seed", 0)
+    normalized = {"preset": preset, "ops": ops, "seed": seed}
+    task = CampaignTask(
+        name=f"probe_{preset}_o{ops}_s{seed}",
+        fn=run_probe,
+        kwargs=normalized,
+    )
+    return normalized, [task]
+
+
+def _leakcheck_tasks(spec: dict) -> tuple[dict[str, Any], list[CampaignTask]]:
+    from repro.leakcheck import build_leakcheck_tasks
+    from repro.leakcheck.victims import victim_names
+
+    victim = spec.get("victim")
+    if victim not in victim_names():
+        raise ValueError(
+            f"unknown leakcheck victim {victim!r}; "
+            f"choose from {victim_names()}"
+        )
+    seed = _require_int(spec, "seed", 0)
+    seeds = _require_int(spec, "seeds", 1, lo=1, hi=64)
+    alpha = _require_alpha(spec)
+    normalized = {"victim": victim, "seed": seed, "seeds": seeds,
+                  "alpha": alpha}
+    return normalized, build_leakcheck_tasks(
+        victim, seed=seed, seeds=seeds, alpha=alpha
+    )
+
+
+def _synth_tasks(spec: dict) -> tuple[dict[str, Any], list[CampaignTask]]:
+    from repro.synth import DEFENSES, build_fuzz_tasks
+
+    preset = _require_preset(spec)
+    defense = spec.get("defense", "none")
+    if defense not in DEFENSES:
+        raise ValueError(
+            f"unknown defense {defense!r}; choose from {list(DEFENSES)}"
+        )
+    seed = _require_int(spec, "seed", 0)
+    budget = _require_int(spec, "budget", 16, lo=1, hi=256)
+    alpha = _require_alpha(spec)
+    normalized = {
+        "preset": preset, "defense": defense, "seed": seed,
+        "budget": budget, "alpha": alpha,
+    }
+    return normalized, build_fuzz_tasks(
+        preset=preset, defense=defense, budget=budget, seed=seed,
+        alpha=alpha,
+    )
+
+
+#: Job kind -> its spec validator and task builder, in the order
+#: :func:`job_kinds` lists them.
+_KINDS = {
+    "probe": _probe_tasks,
+    "leakcheck": _leakcheck_tasks,
+    "synth": _synth_tasks,
+}
+
+
 def build_job_tasks(
     kind: str, spec: dict[str, Any]
 ) -> tuple[dict[str, Any], list[CampaignTask]]:
@@ -201,109 +322,17 @@ def build_job_tasks(
     """
     if not isinstance(spec, dict):
         raise ValueError(f"job spec must be a JSON object, got {type(spec).__name__}")
-
-    if kind == "probe":
-        from repro.config import preset_names
-
-        preset = spec.get("preset", "sct")
-        if preset not in preset_names():
-            raise ValueError(
-                f"unknown preset {preset!r}; choose from {list(preset_names())}"
-            )
-        ops = _require_int(spec, "ops", 400, lo=1, hi=MAX_PROBE_OPS)
-        seed = _require_int(spec, "seed", 0)
-        normalized = {"preset": preset, "ops": ops, "seed": seed}
-        task = CampaignTask(
-            name=f"probe_{preset}_o{ops}_s{seed}",
-            fn=run_probe,
-            kwargs=normalized,
+    builder = _KINDS.get(kind) if isinstance(kind, str) else None
+    if builder is None:
+        raise ValueError(
+            f"unknown job kind {kind!r}; choose from {job_kinds()}"
         )
-        return normalized, [task]
-
-    if kind == "leakcheck":
-        from repro.leakcheck import build_leakcheck_tasks
-        from repro.leakcheck.victims import victim_names
-
-        victim = spec.get("victim")
-        if victim not in victim_names():
-            raise ValueError(
-                f"unknown leakcheck victim {victim!r}; "
-                f"choose from {victim_names()}"
-            )
-        seed = _require_int(spec, "seed", 0)
-        seeds = _require_int(spec, "seeds", 1, lo=1, hi=64)
-        alpha = spec.get("alpha", 0.01)
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-            raise ValueError(f"spec['alpha'] must be a number, got {alpha!r}")
-        if not 0 < alpha < 1:
-            raise ValueError(f"spec['alpha'] must be in (0, 1), got {alpha}")
-        normalized = {
-            "victim": victim, "seed": seed, "seeds": seeds,
-            "alpha": float(alpha),
-        }
-        return normalized, build_leakcheck_tasks(
-            victim, seed=seed, seeds=seeds, alpha=alpha
-        )
-
-    if kind == "bench":
-        from repro.perf import bench
-
-        scenario = spec.get("scenario")
-        if scenario not in bench.scenario_names():
-            raise ValueError(
-                f"unknown bench scenario {scenario!r}; "
-                f"choose from {bench.scenario_names()}"
-            )
-        seed = _require_int(spec, "seed", 0)
-        quick = spec.get("quick", False)
-        if not isinstance(quick, bool):
-            raise ValueError(f"spec['quick'] must be a boolean, got {quick!r}")
-        normalized = {"scenario": scenario, "seed": seed, "quick": quick}
-        task = CampaignTask(
-            name=f"bench_{scenario}",
-            fn=bench.run_scenario,
-            kwargs={"name": scenario, "seed": seed, "quick": quick},
-        )
-        return normalized, [task]
-
-    if kind == "synth":
-        from repro.config import preset_names
-        from repro.synth import DEFENSES, build_fuzz_tasks
-
-        preset = spec.get("preset", "sct")
-        if preset not in preset_names():
-            raise ValueError(
-                f"unknown preset {preset!r}; choose from {list(preset_names())}"
-            )
-        defense = spec.get("defense", "none")
-        if defense not in DEFENSES:
-            raise ValueError(
-                f"unknown defense {defense!r}; choose from {list(DEFENSES)}"
-            )
-        seed = _require_int(spec, "seed", 0)
-        budget = _require_int(spec, "budget", 16, lo=1, hi=256)
-        alpha = spec.get("alpha", 0.01)
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-            raise ValueError(f"spec['alpha'] must be a number, got {alpha!r}")
-        if not 0 < alpha < 1:
-            raise ValueError(f"spec['alpha'] must be in (0, 1), got {alpha}")
-        normalized = {
-            "preset": preset, "defense": defense, "seed": seed,
-            "budget": budget, "alpha": float(alpha),
-        }
-        return normalized, build_fuzz_tasks(
-            preset=preset, defense=defense, budget=budget, seed=seed,
-            alpha=float(alpha),
-        )
-
-    raise ValueError(
-        f"unknown job kind {kind!r}; "
-        f"choose from ['probe', 'leakcheck', 'bench', 'synth']"
-    )
+    return builder(spec)
 
 
 def job_kinds() -> list[str]:
-    return ["probe", "leakcheck", "bench", "synth"]
+    """Every job kind the service accepts."""
+    return list(_KINDS)
 
 
 # -- outcome summarisation -------------------------------------------------

@@ -1,13 +1,14 @@
 """Fault-tolerant leakcheck job server (stdlib-only asyncio HTTP).
 
 ``LeakcheckService`` is the long-running layer over the campaign
-engine: it accepts leakage-check / bench / probe jobs as JSON over
-HTTP, journals every accepted job in the campaign sqlite DB *before*
-acknowledging it, dedups against the campaign result cache by blake2b
-config hash, and executes admitted jobs through per-job
-:class:`~repro.campaign.CampaignEngine` instances on a thread executor.
-Admission, the journal and every job share the service's one
-:class:`~repro.campaign.CampaignDB` connection.
+engine: it accepts the jobs :func:`~repro.service.job_kinds` lists as
+JSON over HTTP, journals every accepted job in the campaign sqlite DB
+*before* acknowledging it, dedups against the campaign result cache
+with the engine's own cache-hit rule
+(:func:`~repro.campaign.cached_record`), and executes admitted jobs
+through per-job :class:`~repro.campaign.CampaignEngine` instances on a
+thread executor.  Admission, the journal and every job share the
+service's one :class:`~repro.campaign.CampaignDB` connection.
 
 Robustness properties, in order of importance:
 
@@ -39,13 +40,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 import uuid
 from functools import partial
 from typing import Any, Callable
 
 from repro import obs
-from repro.campaign.db import CampaignDB, JobRow
-from repro.campaign.engine import CampaignEngine, CampaignTask, _fn_resolvable
+from repro.campaign.db import CampaignDB
+from repro.campaign.engine import CampaignEngine, cached_record
 from repro.obs import fleet_prometheus_text, summarize
 from repro.perf.metrics import prometheus_text
 from repro.service.jobs import (
@@ -288,20 +290,15 @@ class LeakcheckService:
         """Re-queue every journalled job that never reached a terminal state."""
         assert self.db is not None
         for row in self.db.journal_pending():
-            try:
-                spec = json.loads(row.spec)
-            except json.JSONDecodeError:
-                spec = {}
+            job = Job.from_row(row)
+            job.state = QUEUED
+            job.updated = time.time()
+            job.resumed = True
             # A resumed job keeps the trace id minted at its original
             # admission; pre-v3 rows (no trace) mint one now.
-            trace = row.trace or obs.new_trace_id()
-            job = Job(
-                id=row.id, kind=row.kind, spec=spec, state=QUEUED,
-                submitted=row.submitted, attempts=row.attempts, resumed=True,
-                trace_id=trace,
-            )
-            self.db.journal_update(row.id, state=QUEUED, resumed=1,
-                                   trace=trace)
+            job.trace_id = job.trace_id or obs.new_trace_id()
+            self.db.journal_update(job.id, state=QUEUED, resumed=1,
+                                   trace=job.trace_id)
             self._remember(job)
             self._queue.put_nowait(job)
             self._c_resumed.incr()
@@ -366,11 +363,6 @@ class LeakcheckService:
             self._avg_job_s = 0.8 * self._avg_job_s + 0.2 * max(0.01, elapsed)
             job.error = error
             job.result = summary
-            if summary is not None:
-                job.cached = (
-                    summary["ok"] > 0 and summary["cached"] == summary["ok"]
-                    and summary["failed"] == summary["timeout"] == 0
-                )
             job.advance(state)
             self._journal_terminal(job)
             job_span.set_many({"state": job.state, "cached": job.cached})
@@ -472,34 +464,6 @@ class LeakcheckService:
         estimate = backlog * self._avg_job_s / max(1, self.concurrency)
         return max(1, min(120, int(estimate) + 1))
 
-    def _try_cache_serve(
-        self, tasks: list[CampaignTask]
-    ) -> dict[str, Any] | None:
-        """Admission-time dedup: serve the whole job from the campaign DB.
-
-        Only complete hits count — if any task misses (or is uncacheable)
-        the job is queued normally and the engine re-checks per task.
-        """
-        entries = []
-        for task in tasks:
-            if not _fn_resolvable(task.fn):
-                return None
-            row = self.db.lookup(task.config_hash, self.git_rev)
-            if row is None:
-                return None
-            try:
-                result = json.loads(row.payload)
-            except (json.JSONDecodeError, TypeError):
-                return None
-            entries.append({
-                "name": task.name, "status": "ok", "attempts": row.attempts,
-                "elapsed": row.elapsed, "cached": True, "result": result,
-            })
-        return {
-            "tasks": entries, "ok": len(entries), "cached": len(entries),
-            "failed": 0, "timeout": 0, "cancelled": 0,
-        }
-
     def _remember(self, job: Job) -> None:
         self._jobs[job.id] = job
         if len(self._jobs) <= _MEMORY_JOBS:
@@ -545,19 +509,26 @@ class LeakcheckService:
         # later attempt (including after a kill -9 resume) shares it.
         job = Job(id=uuid.uuid4().hex[:12], kind=kind, spec=normalized,
                   trace_id=obs.new_trace_id())
-        cached = self._try_cache_serve(tasks)
-        if cached is not None:
+        # Admission-time dedup: only a complete hit counts.  If any task
+        # misses, the job is queued and the engine looks each task up
+        # again by the same rule.
+        served = []
+        for task in tasks:
+            record = cached_record(self.db, task, self.git_rev)
+            if record is None:
+                break
+            served.append(record)
+        else:
             # Dedup hit: journal the job already-terminal and reply 200
             # without ever queueing work.
+            _, job.result, _ = summarize_records(served)
             self.db.journal_put(
                 job_id=job.id, kind=job.kind,
                 spec=json.dumps(normalized, sort_keys=True),
-                state=DONE, result=json.dumps(cached, sort_keys=True),
+                state=DONE, result=json.dumps(job.result, sort_keys=True),
                 trace=job.trace_id,
             )
             job.advance(DONE)
-            job.cached = True
-            job.result = cached
             self._remember(job)
             self._c_admitted.incr()
             self._c_dedup.incr()
@@ -577,8 +548,17 @@ class LeakcheckService:
         self._c_admitted.incr()
         return 202, job.to_dict(), {}
 
-    def _cancel(self, job_id: str) -> tuple[int, Any, dict[str, str]]:
+    def _find_job(self, job_id: str) -> Job | None:
+        """A job by id: the one in memory, else its journal row's."""
         job = self._jobs.get(job_id)
+        if job is None:
+            row = self.db.journal_get(job_id)
+            if row is not None:
+                job = Job.from_row(row)
+        return job
+
+    def _cancel(self, job_id: str) -> tuple[int, Any, dict[str, str]]:
+        job = self._find_job(job_id)
         if job is None:
             return 404, {"error": f"unknown job {job_id!r}"}, {}
         if job.terminal:
@@ -598,14 +578,10 @@ class LeakcheckService:
         return 202, job.to_dict(), {}
 
     def _job_status(self, job_id: str) -> tuple[int, Any, dict[str, str]]:
-        job = self._jobs.get(job_id)
-        if job is not None:
-            return 200, job.to_dict(), {}
-        assert self.db is not None
-        row = self.db.journal_get(job_id)
-        if row is None:
+        job = self._find_job(job_id)
+        if job is None:
             return 404, {"error": f"unknown job {job_id!r}"}, {}
-        return 200, _row_to_dict(row), {}
+        return 200, job.to_dict(), {}
 
     def _job_list(self) -> tuple[int, Any, dict[str, str]]:
         jobs = [job.to_dict(brief=True) for job in self._jobs.values()]
@@ -781,29 +757,3 @@ class LeakcheckService:
             parts.append(f"{int(snap['drained'])} checkpointed at drain")
         return "; ".join(parts)
 
-
-def _row_to_dict(row: JobRow) -> dict[str, Any]:
-    """Journal row -> status-endpoint shape (for jobs evicted from memory)."""
-    try:
-        spec = json.loads(row.spec)
-    except json.JSONDecodeError:
-        spec = {}
-    result = None
-    if row.result:
-        try:
-            result = json.loads(row.result)
-        except json.JSONDecodeError:
-            result = None
-    return {
-        "id": row.id,
-        "kind": row.kind,
-        "state": row.state,
-        "submitted": row.submitted,
-        "updated": row.updated,
-        "attempts": row.attempts,
-        "resumed": bool(row.resumed),
-        "cached": False,
-        "spec": spec,
-        "error": row.error,
-        "result": result,
-    }

@@ -24,7 +24,7 @@ from typing import Callable
 
 from repro.campaign.db import CampaignDB
 from repro.campaign.engine import CampaignEngine, CampaignTask
-from repro.campaign.payload import decode_payload
+from repro.campaign.payload import PayloadError, decode_payload
 from repro.campaign.records import STATUS_OK, TaskRecord
 from repro.synth.gen import GenConfig, generate_batch
 from repro.synth.ir import Program, program_to_json
@@ -39,11 +39,6 @@ from repro.synth.runner import (
 #: Name prefix of every synth campaign task; the corpus read selects
 #: the campaign DB's synth runs by it.
 TASK_PREFIX = "synth_"
-
-#: What decoding a stored payload raises when the row no longer decodes:
-#: a corrupt row, or a ``Program``/``SynthResult`` whose fields changed
-#: since it was recorded (``TypeError`` from the dataclass constructor).
-_UNDECODABLE = (TypeError, ValueError, KeyError, AttributeError, ImportError)
 
 
 def task_name(preset: str, defense: str, gen_seed: int) -> str:
@@ -246,7 +241,7 @@ def read_corpus(
             continue
         try:
             result = decode_payload(row.payload or "")
-        except _UNDECODABLE:
+        except PayloadError:
             continue
         if not isinstance(result, SynthResult):
             continue

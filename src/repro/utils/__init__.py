@@ -8,7 +8,6 @@ metadata or attacks.  Higher layers (``repro.mem``, ``repro.secmem``,
 from repro.utils.bitops import (
     align_down,
     align_up,
-    bit_length_of,
     extract_bits,
     is_power_of_two,
     log2_exact,
@@ -27,7 +26,6 @@ from repro.utils.stats import (
 __all__ = [
     "align_down",
     "align_up",
-    "bit_length_of",
     "extract_bits",
     "is_power_of_two",
     "log2_exact",

@@ -55,8 +55,3 @@ def align_up(value: int, alignment: int) -> int:
     if not is_power_of_two(alignment):
         raise ValueError(f"alignment {alignment} is not a power of two")
     return (value + alignment - 1) & ~(alignment - 1)
-
-
-def bit_length_of(value: int) -> int:
-    """Number of bits needed to represent ``value`` (0 needs 1 bit here)."""
-    return max(1, value.bit_length())

@@ -83,6 +83,17 @@ def sleep_for(seconds):
     return seconds
 
 
+def make_record(name):
+    return TaskRecord(name=name, status="ok")
+
+
+def _with_extra_field(payload):
+    """``payload`` as a row stored before its dataclass lost a field."""
+    stored = json.loads(payload)
+    stored["fields"]["retired_field"] = 1
+    return json.dumps(stored)
+
+
 # -- payload codec --------------------------------------------------------
 
 
@@ -122,6 +133,16 @@ class TestPayloadCodec:
     def test_foreign_types_are_refused(self):
         with pytest.raises(PayloadError):
             encode_payload(object())
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"__repro__": "tuple"}',
+        '{"__repro__": "dataclass", "type": "repro.nope:Gone", "fields": {}}',
+        _with_extra_field(encode_payload(make_record("t"))),
+    ], ids=["bad-json", "missing-key", "missing-type", "stale-fields"])
+    def test_text_that_does_not_decode_raises_payload_error(self, text):
+        with pytest.raises(PayloadError):
+            decode_payload(text)
 
     def test_foreign_modules_are_refused_on_decode(self):
         hostile = json.dumps({
@@ -243,6 +264,23 @@ class TestEngineDeterminism:
         engine = CampaignEngine(jobs=1, db=db_path, git_rev="rev-b")
         report = engine.run(_tasks([2]))
         assert not report.records[0].cached
+        assert engine.registry.snapshot()["cache.misses"] == 1
+
+    def test_stale_payload_fields_are_a_miss(self, tmp_path):
+        """A stored result whose dataclass has since lost a field is a
+        miss: the task runs again instead of the engine raising."""
+        task = CampaignTask(name="record", fn=make_record,
+                            kwargs={"name": "r"})
+        with CampaignDB(tmp_path / "c.sqlite") as db:
+            db.record_run(
+                config_hash=task.config_hash, git_rev="r1", name=task.name,
+                seed=None, status="ok", attempts=1, elapsed=0.1,
+                payload=_with_extra_field(encode_payload(make_record("r"))),
+            )
+            engine = CampaignEngine(jobs=1, db=db, git_rev="r1")
+            record = engine.run([task]).records[0]
+        assert record.ok and not record.cached
+        assert record.result == make_record("r")
         assert engine.registry.snapshot()["cache.misses"] == 1
 
     def test_closures_never_touch_the_cache(self, tmp_path):

@@ -40,6 +40,7 @@ from repro.service import (
     build_job_tasks,
     format_load_report,
     http_request,
+    job_kinds,
     run_load,
     run_probe,
 )
@@ -176,6 +177,25 @@ class TestJobSpecs:
                 build_job_tasks(kind, spec)
         with pytest.raises(ValueError):
             build_job_tasks("probe", "not-a-dict")
+
+    def test_job_kinds_are_one_list(self):
+        """``bench`` is not a job kind, and ``service-load --kind`` offers
+        exactly the kinds the service accepts."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        for kind in ("bench", ["probe"]):
+            with pytest.raises(ValueError, match="unknown job kind"):
+                build_job_tasks(kind, {"scenario": "steady_sct"})
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        load = commands.choices["service-load"]
+        kind = next(action for action in load._actions
+                    if action.dest == "kind")
+        assert kind.choices == job_kinds() == ["probe", "leakcheck", "synth"]
 
     def test_run_probe_is_deterministic_in_simulated_columns(self):
         first = run_probe(ops=60, seed=9)
@@ -475,6 +495,101 @@ class TestServiceHTTP:
         assert final["cached"] and final["resumed"]
         with CampaignDB(db_path) as db:
             assert len(db) == 1  # served from the cache, not executed again
+
+    def test_undecodable_stored_run_is_not_served_at_admission(
+        self, tmp_path
+    ):
+        """A stored ``ok`` run whose payload does not decode is a miss at
+        admission, as it is in the engine: the job is queued and runs."""
+        db_path = tmp_path / "c.sqlite"
+        spec = {"preset": "sct", "ops": FAST_OPS, "seed": 1}
+        _, (task,) = build_job_tasks("probe", spec)
+        with CampaignDB(db_path) as db:
+            db.record_run(
+                config_hash=task.config_hash, git_rev="r1", name=task.name,
+                seed=None, status="ok", attempts=1, elapsed=0.1,
+                payload=json.dumps({"__repro__": "dataclass",
+                                    "type": "repro.nope:Gone", "fields": {}}),
+            )
+
+        async def scenario():
+            service = _svc(db_path, git_rev="r1")
+            await service.start()
+            status, _, job = await http_request(
+                service.host, service.port, "POST", "/jobs",
+                {"kind": "probe", "spec": spec},
+            )
+            assert status == 202
+            final = await _poll_terminal(service.host, service.port,
+                                         job["id"])
+            await service.close()
+            return final
+
+        final = asyncio.run(scenario())
+        assert final["state"] == DONE and not final["cached"]
+        assert final["result"]["tasks"][0]["result"] == run_probe(**spec)
+
+    def test_journal_read_back_matches_the_live_job(self, tmp_path):
+        """After a restart, ``GET`` of a finished job answers what it did
+        live, for an executed job and for a dedup-served one."""
+        db_path = tmp_path / "c.sqlite"
+        spec = {"kind": "probe", "spec": {"ops": FAST_OPS, "seed": 1}}
+
+        async def first_life():
+            service = _svc(db_path)
+            await service.start()
+            host, port = service.host, service.port
+            _, _, job = await http_request(host, port, "POST", "/jobs", spec)
+            executed = await _poll_terminal(host, port, job["id"])
+            status, _, dup = await http_request(host, port, "POST", "/jobs",
+                                                spec)
+            assert status == 200
+            _, _, served = await http_request(host, port, "GET",
+                                              f"/jobs/{dup['id']}")
+            await service.close()
+            return [executed, served]
+
+        async def second_life(job_ids):
+            service = _svc(db_path)
+            await service.start()
+            jobs = []
+            for job_id in job_ids:
+                status, _, job = await http_request(
+                    service.host, service.port, "GET", f"/jobs/{job_id}"
+                )
+                assert status == 200
+                jobs.append(job)
+            await service.close()
+            return jobs
+
+        live = asyncio.run(first_life())
+        assert [job["cached"] for job in live] == [False, True]
+        read_back = asyncio.run(second_life([job["id"] for job in live]))
+        for before, after in zip(live, read_back):
+            assert after.keys() == before.keys()
+            for key in ("trace_id", "cached", "state", "spec", "result"):
+                assert after[key] == before[key], key
+
+    def test_cancel_of_a_job_only_the_journal_holds_is_a_conflict(
+        self, tmp_path
+    ):
+        db_path = tmp_path / "c.sqlite"
+        with CampaignDB(db_path) as db:
+            db.journal_put(job_id="finished", kind="probe", spec="{}",
+                           state=DONE)
+
+        async def scenario():
+            service = _svc(db_path)
+            await service.start()
+            reply = await http_request(service.host, service.port,
+                                       "DELETE", "/jobs/finished")
+            await service.close()
+            return reply
+
+        status, _, conflict = asyncio.run(scenario())
+        assert status == 409 and conflict["job"]["state"] == DONE
+        with CampaignDB(db_path) as db:
+            assert db.journal_get("finished").state == DONE
 
     def test_load_generator_drives_all_jobs_to_done(self, tmp_path):
         async def scenario():
