@@ -53,6 +53,6 @@ def bank_of(addr: int, banks: int) -> int:
     an attacker can still pick a probe block in any chosen bank, matching
     the paper's Figure-8 same-bank setup.
     """
-    block = block_index(addr)
+    block = addr >> _BLOCK_SHIFT
     folded = block ^ (block >> 7) ^ (block >> 15) ^ (block >> 23)
     return folded % banks

@@ -14,6 +14,13 @@ the ``apply`` state transitions, and no latency lives here.  Hit/service
 cycles are charged by the callers (the hierarchy and the MEE) from their
 config tables.
 
+The state transitions work on one set: :meth:`hit`, :meth:`miss` and
+:meth:`install` take a block and set index the caller already derived,
+and the address-level :meth:`lookup` and :meth:`insert` decompose the
+address and delegate to them.  The data-cache hierarchy derives each
+level's set once per access and drops a block from a whole level by
+popping it from every cache's set (``sets``).
+
 ``config.replacement`` fixes how a set is represented:
 
 * LRU: one insertion-ordered ``dict[block, dirty]`` kept
@@ -35,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 from repro.config import CacheConfig
 from repro.core import Component
@@ -53,8 +59,7 @@ class CacheAccess:
     evicted_dirty: bool = False
 
 
-# Immutable, so the two allocation-free outcomes are shared singletons
-# (inserts are the hottest call on the miss path).
+# Immutable, so the two allocation-free outcomes are shared singletons.
 _HIT = CacheAccess(hit=True)
 _FILLED = CacheAccess(hit=False)
 
@@ -108,11 +113,13 @@ class SetAssocCache(Component):
         self.ways = config.ways
         self.replacement = config.replacement
         self._lru = config.replacement == "lru"
-        self._block_shift = log2_exact(config.block_size)
+        # A block's set is ``(block >> block_shift) % num_sets``.
+        self.block_shift = log2_exact(config.block_size)
         self._block_mask = ~(config.block_size - 1)
         # Lazily materialised sets: index -> lines, created on first fill
-        # (probes of untouched sets never allocate).
-        self._sets: dict[int, dict[int, bool]] = {}
+        # (probes of untouched sets never allocate).  Popping a block from
+        # its set drops it, under every policy.
+        self.sets: dict[int, dict[int, bool]] = {}
         self._seed = seed
         self.counters = CounterRegistry()
         self._hits = self.counters.counter("hits")
@@ -121,7 +128,7 @@ class SetAssocCache(Component):
         self._evictions = self.counters.counter("evictions")
         # Gauges read the state they report, not the cache, so the
         # machine graph stays acyclic (docs/architecture.md).
-        self.counters.gauge("occupancy", partial(_resident_blocks, self._sets))
+        self.counters.gauge("occupancy", partial(_resident_blocks, self.sets))
         # The tracer slot is created detached by the component graph;
         # attach via ``repro.core.attach``.
         self.init_component(f"cache.{config.name}")
@@ -133,59 +140,51 @@ class SetAssocCache(Component):
     def decompose(self, addr: int) -> tuple[int, int]:
         """Pure address decomposition: (block address, set index)."""
         block = addr & self._block_mask
-        return block, (block >> self._block_shift) % self.num_sets
+        return block, (block >> self.block_shift) % self.num_sets
 
     def set_index_of(self, addr: int) -> int:
         """Cache set that the block containing ``addr`` maps to."""
-        return (addr >> self._block_shift) % self.num_sets
+        return (addr >> self.block_shift) % self.num_sets
 
     # ------------------------------------------------------------------
     # Operations (the ``apply`` state transitions)
     # ------------------------------------------------------------------
 
     def lookup(self, addr: int, *, touch: bool = True) -> bool:
-        """Probe for the block at ``addr``; optionally refresh its recency."""
+        """Probe for the block at ``addr``; optionally refresh its recency.
+
+        A touching lookup is the :meth:`hit`/:meth:`miss` pair on the
+        decomposed address.  Without ``touch`` a resident block counts
+        and traces its hit but keeps its place in the set.
+        """
         block = addr & self._block_mask
-        set_index = (block >> self._block_shift) % self.num_sets
-        lines = self._sets.get(set_index)
-        if lines is not None and block in lines:
-            if touch:
-                if self._lru:
-                    lines[block] = lines.pop(block)
-                else:
-                    lines.touch(block)
+        set_index = (block >> self.block_shift) % self.num_sets
+        if touch:
+            if self.hit(block, set_index, False):
+                return True
+        elif block in self.sets.get(set_index, ()):
             self._hits.value += 1
             if self.tracer is not None:
                 self.tracer.emit(
-                    self.component_name,
-                    "hit",
-                    addr=block,
-                    set_index=set_index,
+                    self.component_name, "hit", addr=block, set_index=set_index
                 )
             return True
-        self._misses.value += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.component_name,
-                "miss",
-                addr=block,
-                set_index=set_index,
-            )
+        self.miss(block, set_index)
         return False
 
     def hit(self, block: int, set_index: int, dirty: bool) -> bool:
         """Serve a hit on an already decomposed address, if it is one.
 
-        When ``block`` is resident in set ``set_index`` this does what a
-        touching :meth:`lookup` (plus :meth:`mark_dirty` when ``dirty``)
-        does — refresh recency, count the hit, OR in the dirty bit, emit
-        the same ``hit`` trace event — and returns True.  Otherwise it
-        changes and emits nothing, not even the miss, and returns False:
-        the caller then records the miss with :meth:`miss`.  The
-        processor's executor probes L1 this way, and only this way,
-        traced or not.
+        When ``block`` is resident in set ``set_index`` this refreshes
+        recency, counts the hit, ORs in ``dirty`` and emits a ``hit``
+        trace event, and returns True.  Otherwise it changes and emits
+        nothing, not even the miss, and returns False: the caller then
+        records the miss with :meth:`miss`.  The processor's executor
+        probes L1 this way, and only this way, traced or not; the
+        hierarchy probes L2 and L3 the same way (``dirty`` False), and a
+        touching :meth:`lookup` is this call.
         """
-        lines = self._sets.get(set_index)
+        lines = self.sets.get(set_index)
         if lines is None or block not in lines:
             return False
         if self._lru:
@@ -202,8 +201,8 @@ class SetAssocCache(Component):
         return True
 
     def miss(self, block: int, set_index: int) -> None:
-        """Count and trace the miss a failed :meth:`hit` probe found: what
-        a missing :meth:`lookup` records, without probing again."""
+        """Count and trace the miss a failed :meth:`hit` probe found,
+        without probing again."""
         self._misses.value += 1
         if self.tracer is not None:
             self.tracer.emit(
@@ -213,79 +212,96 @@ class SetAssocCache(Component):
     def contains(self, addr: int) -> bool:
         """Presence check with no side effects (no LRU update, no stats)."""
         block, set_index = self.decompose(addr)
-        lines = self._sets.get(set_index)
+        lines = self.sets.get(set_index)
         return lines is not None and block in lines
 
     def insert(self, addr: int, *, dirty: bool = False) -> CacheAccess:
         """Fill the block at ``addr``, evicting a victim if needed.
 
         If the block is already present this refreshes recency (and ORs in
-        the dirty bit) instead of double-filling.
+        the dirty bit) instead of double-filling.  The address-level form
+        of :meth:`install`.
         """
         block = addr & self._block_mask
-        set_index = (block >> self._block_shift) % self.num_sets
-        lines = self._sets.get(set_index)
+        set_index = (block >> self.block_shift) % self.num_sets
+        resident = block in self.sets.get(set_index, ())
+        evicted = self.install(block, set_index, dirty)
+        if resident:
+            return _HIT
+        if evicted is None:
+            return _FILLED
+        return CacheAccess(
+            hit=False, evicted_addr=evicted[0], evicted_dirty=evicted[1]
+        )
+
+    def install(
+        self, block: int, set_index: int, dirty: bool = False
+    ) -> tuple[int, bool] | None:
+        """Fill ``block`` into set ``set_index``, both already derived
+        (:meth:`decompose`), evicting a victim if the set is full.
+
+        Returns ``(victim, victim_dirty)`` when a line was evicted, else
+        None.  A resident block is refreshed instead (recency, dirty bit
+        ORed in), with no count and no trace event.  The one fill
+        implementation: :meth:`insert`, the data-cache hierarchy and the
+        MEE's metadata fills all come here, for every replacement policy.
+        """
+        lines = self.sets.get(set_index)
         if lines is None:
             lines = {} if self._lru else _WaySlots(
                 self.ways, self.replacement, self._seed + set_index
             )
-            self._sets[set_index] = lines
+            self.sets[set_index] = lines
         if block in lines:
             if self._lru:
                 lines[block] = lines.pop(block) or dirty
             else:
                 lines[block] = lines[block] or dirty
                 lines.touch(block)
-            return _HIT
-        evicted_addr = None
-        evicted_dirty = False
+            return None
+        victim = None
+        victim_dirty = False
         if self._lru:
             if len(lines) >= self.ways:
-                evicted_addr = next(iter(lines))
-                evicted_dirty = lines.pop(evicted_addr)
+                victim = next(iter(lines))
+                victim_dirty = lines.pop(victim)
             lines[block] = dirty
         else:
-            evicted_addr, evicted_dirty = lines.fill(block, dirty)
+            victim, victim_dirty = lines.fill(block, dirty)
         self._fills.value += 1
-        if evicted_addr is not None:
-            self._evictions.value += 1
         if self.tracer is not None:
             self.tracer.emit(
-                self.component_name,
-                "fill",
-                addr=block,
-                set_index=set_index,
+                self.component_name, "fill", addr=block, set_index=set_index
             )
-            if evicted_addr is not None:
+            if victim is not None:
                 self.tracer.emit(
                     self.component_name,
                     "evict",
-                    addr=evicted_addr,
+                    addr=victim,
                     set_index=set_index,
-                    value=float(evicted_dirty),
+                    value=float(victim_dirty),
                 )
-        if evicted_addr is None:
-            return _FILLED
-        return CacheAccess(
-            hit=False, evicted_addr=evicted_addr, evicted_dirty=evicted_dirty
-        )
+        if victim is None:
+            return None
+        self._evictions.value += 1
+        return victim, victim_dirty
 
     def mark_dirty(self, addr: int) -> None:
         """Set the dirty bit of a resident block (no-op if absent)."""
         block, set_index = self.decompose(addr)
-        lines = self._sets.get(set_index)
+        lines = self.sets.get(set_index)
         if lines is not None and block in lines:
             lines[block] = True
 
     def is_dirty(self, addr: int) -> bool:
         block, set_index = self.decompose(addr)
-        lines = self._sets.get(set_index)
+        lines = self.sets.get(set_index)
         return lines is not None and lines.get(block, False)
 
     def invalidate(self, addr: int) -> tuple[bool, bool]:
         """Remove the block at ``addr``; returns (was_present, was_dirty)."""
         block = addr & self._block_mask
-        lines = self._sets.get((block >> self._block_shift) % self.num_sets)
+        lines = self.sets.get((block >> self.block_shift) % self.num_sets)
         if lines is None or block not in lines:
             return False, False
         return True, lines.pop(block)
@@ -293,7 +309,7 @@ class SetAssocCache(Component):
     def blocks_in_set(self, set_index: int) -> list[int]:
         """Resident block addresses of one set (eviction-priority first
         under LRU; fill order otherwise)."""
-        lines = self._sets.get(set_index)
+        lines = self.sets.get(set_index)
         if lines is None:
             return []
         if self._lru:
@@ -302,7 +318,7 @@ class SetAssocCache(Component):
 
     def occupancy(self) -> int:
         """Total resident blocks across all sets."""
-        return _resident_blocks(self._sets)
+        return _resident_blocks(self.sets)
 
     def state_snapshot(self) -> dict[int, tuple[tuple[int, bool], ...]]:
         """Canonical functional state: set index -> ordered (block, dirty).
@@ -313,8 +329,8 @@ class SetAssocCache(Component):
         equivalence property compares exactly this.
         """
         snapshot: dict[int, tuple[tuple[int, bool], ...]] = {}
-        for set_index in sorted(self._sets):
-            lines = self._sets[set_index]
+        for set_index in sorted(self.sets):
+            lines = self.sets[set_index]
             if lines:
                 snapshot[set_index] = tuple(
                     (block, lines[block])
@@ -323,35 +339,17 @@ class SetAssocCache(Component):
         return snapshot
 
     def __iter__(self):
-        for lines in self._sets.values():
+        for lines in self.sets.values():
             yield from lines
 
     def clear(self) -> None:
         # Matches the old eager clear(), which rebuilt set ``i`` with
         # policy seed ``i`` (not ``seed + i``): drop every set and let
         # lazy re-creation run from a zero seed base.  The set map is
-        # emptied in place: the occupancy gauge holds it.
-        self._sets.clear()
+        # emptied in place: the occupancy gauge and the hierarchy hold it.
+        self.sets.clear()
         self._seed = 0
 
 
 def _resident_blocks(sets: dict[int, dict[int, bool]]) -> int:
     return sum(map(len, sets.values()))
-
-
-def invalidate_level(caches: Sequence[SetAssocCache], addr: int) -> bool:
-    """Invalidate ``addr`` in every one of ``caches``; True if any copy
-    was dirty.
-
-    The caches must share one geometry — one level of the hierarchy, such
-    as every core's L1 — so the set index is computed once for all of them.
-    """
-    first = caches[0]
-    block = addr & first._block_mask
-    set_index = (block >> first._block_shift) % first.num_sets
-    dirty = False
-    for cache in caches:
-        lines = cache._sets.get(set_index)
-        if lines and lines.pop(block, False):
-            dirty = True
-    return dirty

@@ -42,10 +42,6 @@ class DramModel(Component):
     def bank_of(self, addr: int) -> int:
         return bank_of(addr, self.config.banks)
 
-    def decompose(self, addr: int) -> tuple[int, int]:
-        """Pure address decomposition: (bank index, row)."""
-        return bank_of(addr, self.config.banks), addr // self.config.row_size
-
     def access(self, addr: int, now: int, *, is_write: bool = False) -> int:
         """Perform one block access starting at cycle ``now``; return latency.
 
@@ -62,10 +58,13 @@ class DramModel(Component):
 
         ``sum(access_parts(...)) == access(...)`` by construction; the cycle
         attributor uses the split to separate DRAM queueing from service.
+        The bank comes from the bank hash (``repro.mem.block.bank_of``),
+        the row from the address divided by the row size.
         """
-        bank_index, row = self.decompose(addr)
+        bank_index = bank_of(addr, self.config.banks)
         bank = self._banks[bank_index]
         wait = max(0, bank.busy_until - now)
+        row = addr // self.config.row_size
         if bank.open_row == row:
             service = self.config.row_hit_latency
             self._row_hits.value += 1

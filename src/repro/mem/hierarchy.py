@@ -14,8 +14,8 @@ from typing import Sequence
 
 from repro.config import SecureProcessorConfig
 from repro.core import Component
-from repro.mem.block import block_address
-from repro.mem.cache import SetAssocCache, invalidate_level
+from repro.mem.block import BLOCK_MASK, block_address
+from repro.mem.cache import SetAssocCache
 
 #: The writebacks of a full miss, which installs nothing.
 _NO_WRITEBACKS: tuple[int, ...] = ()
@@ -41,6 +41,12 @@ class DataCacheSystem(Component):
     socket.  Inclusivity keeps the coherence story trivial while preserving
     the property the attacks rely on: a flushed or evicted block's next
     access reaches the memory controller.
+
+    Every operation derives a level's set index once from the block and
+    acts on that set: a probe is one :meth:`SetAssocCache.hit` (plus
+    :meth:`~SetAssocCache.miss`) call per level, a fill one
+    :meth:`~SetAssocCache.install` call per level, and a drop one loop
+    per level over the set maps of that level's caches.
     """
 
     def __init__(self, config: SecureProcessorConfig) -> None:
@@ -50,21 +56,25 @@ class DataCacheSystem(Component):
         self.cores_per_socket = config.cores // config.sockets
         self.core_caches = [CoreCaches(config, i) for i in range(config.cores)]
         self.l3s = [SetAssocCache(config.l3) for _ in range(config.sockets)]
-        # Caches grouped by level, machine-wide and per socket: the caches
-        # of a group share one geometry, so ``invalidate_level`` drops a
-        # block from the whole group with one set-index computation.
+        # Caches grouped by level, machine-wide and per socket.  The caches
+        # of a group share one geometry, so ``_drop`` finds a block's set
+        # once for the whole group.
         l1s = tuple(caches.l1 for caches in self.core_caches)
         l2s = tuple(caches.l2 for caches in self.core_caches)
-        self._levels = (l1s, l2s, tuple(self.l3s))
+        self._levels = (_group(l1s), _group(l2s), _group(self.l3s))
         # Each core's caches in one lookup: its L1, L2 and socket L3, and
-        # the L1s and L2s of its socket, which an L3 eviction invalidates.
+        # the groups of its socket's L1s and L2s, which an L3 eviction
+        # back-invalidates.
         per_socket = self.cores_per_socket
         self._paths = []
         for core, caches in enumerate(self.core_caches):
             first = core - core % per_socket
             self._paths.append((
                 caches.l1, caches.l2, self.l3s[self.socket_of(core)],
-                l1s[first : first + per_socket], l2s[first : first + per_socket],
+                (
+                    _group(l1s[first : first + per_socket]),
+                    _group(l2s[first : first + per_socket]),
+                ),
             ))
         # Timing table, precomputed once: cumulative lookup cost after
         # probing 1, 2 or 3 levels.  The functional probes above never
@@ -101,16 +111,16 @@ class DataCacheSystem(Component):
         on a full miss, which installs nothing; see :meth:`fill`) and the
         dirty blocks the promotion pushed out to memory.
         """
-        l1, l2, l3, _, _ = self._paths[core]
+        l1, l2, l3, _ = self._paths[core]
         l1.miss(block, l1_set)
-        if l2.lookup(block):
-            writebacks: list[int] = []
-            _install_l1(l1, l2, l3, block, is_write, writebacks)
-            return 2, writebacks
-        if l3.lookup(block):
-            writebacks = []
-            _install_private(l1, l2, l3, block, is_write, writebacks)
-            return 3, writebacks
+        l2_set = (block >> l2.block_shift) % l2.num_sets
+        if l2.hit(block, l2_set, False):
+            return 2, self._install(core, block, l1_set, is_write, 2)
+        l2.miss(block, l2_set)
+        l3_set = (block >> l3.block_shift) % l3.num_sets
+        if l3.hit(block, l3_set, False):
+            return 3, self._install(core, block, l1_set, is_write, 3)
+        l3.miss(block, l3_set)
         return 0, _NO_WRITEBACKS
 
     def fill(self, core: int, block: int, *, dirty: bool) -> list[int]:
@@ -118,17 +128,35 @@ class DataCacheSystem(Component):
 
         Returns dirty blocks evicted to memory as a side effect.
         """
-        l1, l2, l3, l1s, l2s = self._paths[core]
+        l1 = self._paths[core][0]
+        l1_set = (block >> l1.block_shift) % l1.num_sets
+        return self._install(core, block, l1_set, dirty, 0)
+
+    def _install(
+        self, core: int, block: int, l1_set: int, dirty: bool, level: int
+    ) -> list[int]:
+        """Install ``block``, served by ``level`` (2, 3, or 0 for memory),
+        in every level above it, L1 last; returns the memory writebacks.
+
+        A dirty L2 or L1 victim folds into the next level that holds it;
+        an L3 victim is dropped from the socket's private caches
+        (inclusion) and written back if any copy of it was dirty.
+        """
+        l1, l2, l3, private = self._paths[core]
         writebacks: list[int] = []
-        l3_evt = l3.insert(block)
-        victim = l3_evt.evicted_addr
-        if victim is not None:
-            # Inclusive L3: back-invalidate private copies in this socket.
-            dirty_l1 = invalidate_level(l1s, victim)
-            dirty_l2 = invalidate_level(l2s, victim)
-            if l3_evt.evicted_dirty or dirty_l1 or dirty_l2:
-                writebacks.append(victim)
-        _install_private(l1, l2, l3, block, dirty, writebacks)
+        if not level:
+            evicted = l3.install(block, (block >> l3.block_shift) % l3.num_sets)
+            if evicted is not None:
+                victim, victim_dirty = evicted
+                if _drop(private, victim) or victim_dirty:
+                    writebacks.append(victim)
+        if level != 2:
+            evicted = l2.install(block, (block >> l2.block_shift) % l2.num_sets)
+            if evicted is not None and evicted[1]:
+                _fold_dirty(evicted[0], (l3,), writebacks)
+        evicted = l1.install(block, l1_set, dirty)
+        if evicted is not None and evicted[1]:
+            _fold_dirty(evicted[0], (l2, l3), writebacks)
         return writebacks
 
     # ------------------------------------------------------------------
@@ -141,12 +169,10 @@ class DataCacheSystem(Component):
         Returns (was_dirty_anywhere, writebacks) — dirty copies must be
         written back (the processor routes them to the memory controller).
         """
-        block = block_address(addr)
-        dirty_any = False
-        for level in self._levels:
-            if invalidate_level(level, block):
-                dirty_any = True
-        return dirty_any, ([block] if dirty_any else [])
+        block = addr & BLOCK_MASK
+        if _drop(self._levels, block):
+            return True, [block]
+        return False, []
 
     def contains(self, addr: int) -> bool:
         """True if any cache in the machine holds the block (no side effects)."""
@@ -159,20 +185,24 @@ class DataCacheSystem(Component):
         )
 
 
-def _install_private(l1, l2, l3, block, dirty, writebacks) -> None:
-    """Install ``block`` in L2, then L1, appending memory writebacks."""
-    l2_evt = l2.insert(block)
-    if l2_evt.evicted_dirty:
-        _fold_dirty(l2_evt.evicted_addr, (l3,), writebacks)
-    _install_l1(l1, l2, l3, block, dirty, writebacks)
+def _group(caches: Sequence[SetAssocCache]) -> tuple[int, int, tuple]:
+    """One level's caches, which share a geometry, as
+    ``(block shift, set count, set maps)``."""
+    first = caches[0]
+    return first.block_shift, first.num_sets, tuple(c.sets for c in caches)
 
 
-def _install_l1(l1, l2, l3, block, dirty, writebacks) -> None:
-    """Install ``block`` in L1 (an L2-hit promotion, or the last step of
-    a fill), appending memory writebacks."""
-    l1_evt = l1.insert(block, dirty=dirty)
-    if l1_evt.evicted_dirty:
-        _fold_dirty(l1_evt.evicted_addr, (l2, l3), writebacks)
+def _drop(groups, block: int) -> bool:
+    """Pop ``block`` from every cache of ``groups`` (see :func:`_group`),
+    finding its set once per group; True if any copy was dirty."""
+    dirty = False
+    for shift, num_sets, set_maps in groups:
+        set_index = (block >> shift) % num_sets
+        for sets in set_maps:
+            lines = sets.get(set_index)
+            if lines and lines.pop(block, False):
+                dirty = True
+    return dirty
 
 
 def _fold_dirty(
@@ -186,7 +216,8 @@ def _fold_dirty(
     memory.
     """
     for cache in lower:
-        if cache.contains(victim):
-            cache.mark_dirty(victim)
+        lines = cache.sets.get((victim >> cache.block_shift) % cache.num_sets)
+        if lines is not None and victim in lines:
+            lines[victim] = True
             return
     writebacks.append(victim)

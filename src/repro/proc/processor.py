@@ -29,7 +29,7 @@ from functools import partial
 from repro.config import BLOCK_SIZE, SecureProcessorConfig
 from repro.core import PROFILER, TRACER, Component, Txn, slot_of
 from repro.core import attach as graph_attach
-from repro.mem.block import block_address
+from repro.mem.block import BLOCK_MASK, block_address
 from repro.mem.hierarchy import DataCacheSystem
 from repro.mem.memctrl import MemoryController
 from repro.proc.batch import (
@@ -44,6 +44,7 @@ from repro.proc.batch import (
 from repro.proc.paths import AccessPath
 from repro.secmem.engine import MemoryEncryptionEngine
 from repro.trace.counters import CounterRegistry
+from repro.utils.rng import DeterministicRng, derive_rng
 
 _FLUSH_LATENCY = 40
 _STORE_BUFFER_LATENCY = 6
@@ -126,9 +127,9 @@ class SecureProcessor(Component):
         self.init_component("proc")
         # Architectural (software-visible) values of written blocks.
         self._plain: dict[int, bytes] = {}
-        from repro.utils.rng import derive_rng
-
-        self._timer_rng = derive_rng(self.config.seed, "timer")
+        # Timer noise, seeded on the first jittered read: most machines
+        # run with ``timer_jitter_sigma`` 0 and never draw from it.
+        self._timer_rng: DeterministicRng | None = None
 
     def children(self):
         return (self.caches, self.mee)
@@ -182,6 +183,8 @@ class SecureProcessor(Component):
         sigma = self.config.timer_jitter_sigma
         if sigma <= 0:
             return latency
+        if self._timer_rng is None:
+            self._timer_rng = derive_rng(self.config.seed, "timer")
         return max(1, round(latency + self._timer_rng.gauss(0, sigma)))
 
     # ------------------------------------------------------------------
@@ -328,7 +331,7 @@ class SecureProcessor(Component):
             elif kind == OP_WRITE_THROUGH:
                 if not (0 <= addr < data_size and 0 <= core < cores):
                     self._check_access(addr, core)
-                block = block_address(addr)
+                block = addr & BLOCK_MASK
                 value = plain[block] = self._coerce_data(block, data)
                 writes.value += 1
                 if profiling:
@@ -351,7 +354,7 @@ class SecureProcessor(Component):
                 append(result)
             elif kind == OP_FLUSH:
                 self._flushes.value += 1
-                block = block_address(addr)
+                block = addr & BLOCK_MASK
                 if profiling:
                     txn = self._begin("flush", -1, block)
                 was_dirty, writebacks = caches.flush(block)

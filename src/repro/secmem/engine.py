@@ -32,7 +32,7 @@ from repro.core import FAULT_HOOK, TRACER, Component, Txn, adopt
 from repro.crypto.engine import CounterModeEngine
 from repro.crypto.mac import MacEngine
 from repro.crypto.prf import keyed_prf, node_hash
-from repro.mem.block import block_address
+from repro.mem.block import BLOCK_MASK, block_address
 from repro.mem.cache import SetAssocCache
 from repro.mem.memctrl import MemoryController
 from repro.secmem.counters import CounterEvent, EncryptionCounterStore
@@ -169,25 +169,6 @@ class MemoryEncryptionEngine(Component):
         return addr >> self._DOMAIN_SHIFT, addr & ((1 << self._DOMAIN_SHIFT) - 1)
 
     # ------------------------------------------------------------------
-    # Address decomposition (the pure ``decompose`` step)
-    # ------------------------------------------------------------------
-
-    def decompose(self, block_addr: int) -> tuple[int, int, int]:
-        """Metadata coordinates of a protected data block.
-
-        Returns ``(counter_block_addr, counter_block_index, mac_addr)``.
-        ``block_addr`` must already be block-aligned protected data (the
-        callers validate before decomposing).
-        """
-        layout = self.layout
-        cb_index = layout.counter_block_index(block_addr)
-        return (
-            layout.counter_block_addr_of_index(cb_index),
-            cb_index,
-            layout.mac_addr(block_addr),
-        )
-
-    # ------------------------------------------------------------------
     # Counter-block hashing (freshness binding, Section IV-C)
     # ------------------------------------------------------------------
 
@@ -249,12 +230,12 @@ class MemoryEncryptionEngine(Component):
         losing side of the ``max()`` race lands in the shadowed tally).
         See ``docs/performance.md``.
         """
-        block_addr = block_address(addr)
+        block_addr = addr & BLOCK_MASK
         if not self.layout.is_protected_data(block_addr):
             raise ValueError(f"address {addr:#x} is not protected data")
         self._reads.value += 1
         crypto = self.config.crypto
-        cb_addr, cb_index, mac_addr = self.decompose(block_addr)
+        cb_index, cb_addr, mac_addr = self.layout.decompose(block_addr)
 
         data = meta = None
         if txn is not None:
@@ -395,9 +376,10 @@ class MemoryEncryptionEngine(Component):
         return self.meta_cache
 
     def _meta_fill(self, meta_addr: int, *, dirty: bool, now: int) -> None:
-        event = self._cache_for(meta_addr).insert(meta_addr, dirty=dirty)
-        if event.evicted_addr is not None and event.evicted_dirty:
-            self._on_meta_writeback(event.evicted_addr, now)
+        cache = self._cache_for(meta_addr)
+        evicted = cache.install(*cache.decompose(meta_addr), dirty)
+        if evicted is not None and evicted[1]:
+            self._on_meta_writeback(evicted[0], now)
 
     def _on_meta_writeback(self, meta_addr: int, now: int) -> None:
         """A dirty metadata block left the chip (Section V's lazy scheme).
@@ -490,7 +472,7 @@ class MemoryEncryptionEngine(Component):
             self.tracer.emit("mee", "write_service", cycle=now, addr=block_addr)
         crypto = self.config.crypto
         cycles = 0
-        cb_addr, cb_index, _ = self.decompose(block_addr)
+        cb_index, cb_addr, _ = self.layout.decompose(block_addr)
 
         # The counter must be on-chip to encrypt the outgoing block.
         if not self.meta_cache.lookup(cb_addr):
@@ -523,7 +505,7 @@ class MemoryEncryptionEngine(Component):
         return cycles
 
     def layout_block_index(self, addr: int) -> int:
-        return block_address(addr) // BLOCK_SIZE
+        return addr // BLOCK_SIZE
 
     def _architectural_plaintext(self, block_addr: int) -> bytes:
         if block_addr in self._ciphertext:

@@ -121,18 +121,33 @@ class MetadataLayout:
     # Counter mapping
     # ------------------------------------------------------------------
 
+    def decompose(self, data_addr: int) -> tuple[int, int, int]:
+        """Metadata coordinates of the data block at ``data_addr``:
+        ``(counter-block index, counter-block address, MAC address)``.
+
+        The pure address step of the MEE's read and write-service paths,
+        which have already checked that ``data_addr`` is protected data.
+        """
+        block = data_addr // BLOCK_SIZE
+        cb_index = block // self.blocks_per_counter_block
+        return (
+            cb_index,
+            self.counter_base + cb_index * BLOCK_SIZE,
+            self.mac_base + block * 8,
+        )
+
     def counter_block_index(self, data_addr: int) -> int:
         """Counter-block index covering the data block at ``data_addr``."""
         if not self.is_protected_data(data_addr):
             raise ValueError(f"address {data_addr:#x} outside protected region")
-        return block_index(data_addr) // self.blocks_per_counter_block
+        return self.decompose(data_addr)[0]
 
     def counter_slot(self, data_addr: int) -> int:
         """Index of this data block's counter within its counter block."""
         return block_index(data_addr) % self.blocks_per_counter_block
 
     def counter_block_addr(self, data_addr: int) -> int:
-        return self.counter_base + self.counter_block_index(data_addr) * BLOCK_SIZE
+        return self.counter_block_addr_of_index(self.counter_block_index(data_addr))
 
     def counter_block_addr_of_index(self, cb_index: int) -> int:
         return self.counter_base + cb_index * BLOCK_SIZE
@@ -147,7 +162,7 @@ class MetadataLayout:
 
     def mac_addr(self, data_addr: int) -> int:
         """Address of the MAC word for a data block (8 bytes each)."""
-        return self.mac_base + block_index(data_addr) * 8
+        return self.decompose(data_addr)[2]
 
     # ------------------------------------------------------------------
     # Tree mapping

@@ -49,7 +49,8 @@ def derive_rng(seed: int | str | bytes, *labels: str) -> DeterministicRng:
         material = seed.encode()
     else:
         material = bytes(seed)
-    rng = DeterministicRng(material)
+    # The generator ``child`` would reach through each label, seeded once
+    # from the final material instead of once per step.
     for label in labels:
-        rng = rng.child(label)
-    return rng
+        material += b"/" + label.encode()
+    return DeterministicRng(material)

@@ -8,6 +8,7 @@ from repro.config import KIB, CacheConfig, SecureProcessorConfig
 from repro.core import attach
 from repro.mem.hierarchy import DataCacheSystem
 from repro.trace import Tracer
+from repro.trace.counters import CounterRegistry
 
 
 def tiny_machine(cores=2, sockets=1):
@@ -194,3 +195,170 @@ class TestWritebackInvariants:
                 assert writeback in dirty_ever
             for l3 in caches.l3s:
                 assert l3.occupancy() <= l3.num_sets * l3.ways
+
+
+class _AddressLevelHierarchy:
+    """Reference: the hierarchy's fill, promotion, fold and flush written
+    with address-level cache calls — ``insert`` into L3, back-invalidation
+    with one ``invalidate`` per private cache of the socket, ``insert``
+    into L2 and L1, a dirty victim folded with ``contains`` and
+    ``mark_dirty``, and a flush that invalidates every cache."""
+
+    def __init__(self, caches):
+        self.caches = caches
+
+    def _path(self, core):
+        caches = self.caches
+        per_socket = caches.cores_per_socket
+        first = core - core % per_socket
+        socket = caches.core_caches[first : first + per_socket]
+        private = [c.l1 for c in socket] + [c.l2 for c in socket]
+        own = caches.core_caches[core]
+        return own.l1, own.l2, caches.l3s[caches.socket_of(core)], private
+
+    def access(self, core, block, l1_set, is_write):
+        l1, l2, l3, _ = self._path(core)
+        l1.miss(block, l1_set)
+        writebacks = []
+        if l2.lookup(block):
+            self._install_l1(core, block, is_write, writebacks)
+            return 2, writebacks
+        if l3.lookup(block):
+            self._install_private(core, block, is_write, writebacks)
+            return 3, writebacks
+        return 0, ()
+
+    def fill(self, core, block, dirty):
+        _, _, l3, private = self._path(core)
+        writebacks = []
+        event = l3.insert(block)
+        if event.evicted_addr is not None:
+            dirty_copy = event.evicted_dirty
+            for cache in private:
+                if cache.invalidate(event.evicted_addr)[1]:
+                    dirty_copy = True
+            if dirty_copy:
+                writebacks.append(event.evicted_addr)
+        self._install_private(core, block, dirty, writebacks)
+        return writebacks
+
+    def flush(self, addr):
+        block = addr & ~63
+        dirty = False
+        everything = [c.l1 for c in self.caches.core_caches]
+        everything += [c.l2 for c in self.caches.core_caches]
+        for cache in everything + list(self.caches.l3s):
+            if cache.invalidate(block)[1]:
+                dirty = True
+        return dirty, ([block] if dirty else [])
+
+    def _install_private(self, core, block, dirty, writebacks):
+        _, l2, l3, _ = self._path(core)
+        event = l2.insert(block)
+        if event.evicted_dirty:
+            self._fold(event.evicted_addr, (l3,), writebacks)
+        self._install_l1(core, block, dirty, writebacks)
+
+    def _install_l1(self, core, block, dirty, writebacks):
+        l1, l2, l3, _ = self._path(core)
+        event = l1.insert(block, dirty=dirty)
+        if event.evicted_dirty:
+            self._fold(event.evicted_addr, (l2, l3), writebacks)
+
+    @staticmethod
+    def _fold(victim, lower, writebacks):
+        for cache in lower:
+            if cache.contains(victim):
+                cache.mark_dirty(victim)
+                return
+        writebacks.append(victim)
+
+
+def _policy_machine(policies, sockets):
+    """Small caches, so fills evict and dirty victims fold: a 4-set
+    2-way L1, an 8-set 2-way L2 and an 8-set 4-way L3, two cores a
+    socket."""
+    l1, l2, l3 = policies
+    caches = DataCacheSystem(
+        SecureProcessorConfig.sct_default(
+            cores=2 * sockets, sockets=sockets
+        ).with_overrides(
+            l1=CacheConfig("L1", 512, 2, 1, replacement=l1),
+            l2=CacheConfig("L2", 1 * KIB, 2, 10, replacement=l2),
+            l3=CacheConfig("L3", 2 * KIB, 4, 40, replacement=l3),
+        )
+    )
+    tracer = Tracer()
+    attach(caches, tracer)
+    registry = CounterRegistry()
+    for i, core in enumerate(caches.core_caches):
+        registry.mount(f"core{i}.l1", core.l1.counters)
+        registry.mount(f"core{i}.l2", core.l2.counters)
+    for s, l3_cache in enumerate(caches.l3s):
+        registry.mount(f"l3.socket{s}", l3_cache.counters)
+    return caches, tracer, registry
+
+
+def _all_caches(caches):
+    return [c.l1 for c in caches.core_caches] + [
+        c.l2 for c in caches.core_caches
+    ] + list(caches.l3s)
+
+
+_POLICIES = st.sampled_from(["lru", "plru", "random"])
+
+
+class TestPolicyReference:
+    @given(
+        st.tuples(_POLICIES, _POLICIES, _POLICIES),
+        st.sampled_from([1, 2]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["access", "fill", "flush"]),
+                st.integers(min_value=0, max_value=3),  # core (mod cores)
+                st.integers(min_value=0, max_value=47),  # block id
+                st.booleans(),  # write / dirty
+            ),
+            min_size=10,
+            max_size=120,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_address_level_reference(self, policies, sockets, ops):
+        """Every replacement policy at every level, on one and two
+        sockets: the hierarchy's per-set fills, probes and drops leave
+        every cache, tally and trace event where the address-level
+        reference does, and return the same levels and write-backs."""
+        caches, tracer, registry = _policy_machine(policies, sockets)
+        ref_caches, ref_tracer, ref_registry = _policy_machine(policies, sockets)
+        reference = _AddressLevelHierarchy(ref_caches)
+        cores = 2 * sockets
+        # Fill every block first, a third of them dirty, so the drawn ops
+        # start from full sets: fills evict, victims fold, and L3
+        # evictions back-invalidate the other core's copies.
+        warmup = [("fill", i, i, i % 3 == 0) for i in range(48)]
+        for op, core, block_id, flag in warmup + ops:
+            core %= cores
+            addr = block_id * 64
+            if op == "access":
+                l1 = caches.core_caches[core].l1
+                ref_l1 = ref_caches.core_caches[core].l1
+                block, set_index = l1.decompose(addr)
+                hit = l1.hit(block, set_index, flag)
+                assert ref_l1.hit(block, set_index, flag) == hit
+                if not hit:
+                    level, writebacks = caches.access(core, block, set_index, flag)
+                    expected = reference.access(core, block, set_index, flag)
+                    assert (level, list(writebacks)) == (
+                        expected[0], list(expected[1])
+                    )
+            elif op == "fill":
+                assert caches.fill(core, addr, dirty=flag) == reference.fill(
+                    core, addr, flag
+                )
+            else:
+                assert caches.flush(addr) == reference.flush(addr)
+            for cache, ref in zip(_all_caches(caches), _all_caches(ref_caches)):
+                assert cache.state_snapshot() == ref.state_snapshot()
+        assert registry.snapshot() == ref_registry.snapshot()
+        assert tracer.events() == ref_tracer.events()

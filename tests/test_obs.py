@@ -34,7 +34,7 @@ from repro.obs import (
     summarize,
     validate_spans,
 )
-from repro.service import DONE, QUEUED, TERMINAL_STATES, LeakcheckService, http_request
+from repro.service import DONE, QUEUED, RUNNING, TERMINAL_STATES, LeakcheckService, http_request
 from repro.trace import read_jsonl, write_jsonl
 
 
@@ -485,7 +485,7 @@ class TestServiceTracing:
         assert all(s["trace"] == original for s in spans)
 
     def test_drain_emits_a_structured_summary_and_checkpoint_spans(
-        self, tmp_path
+        self, tmp_path, probe_gate
     ):
         db_path = tmp_path / "svc.sqlite"
 
@@ -493,15 +493,22 @@ class TestServiceTracing:
             service = LeakcheckService(
                 str(db_path), port=0, concurrency=1, drain_grace=5.0)
             await service.start()
-            # Stall the single worker with one slow job, then queue a
-            # second: draining must checkpoint the queued one.
-            slow = {"kind": "probe", "spec": {"ops": 150_000, "seed": 1}}
+            # Hold the single worker on the gate with one job, then queue
+            # a second: draining must checkpoint the queued one.
+            held = {"kind": "probe", "spec": {"ops": 200, "seed": 1}}
             fast = {"kind": "probe", "spec": {"ops": 200, "seed": 2}}
             host, port = service.host, service.port
-            await http_request(host, port, "POST", "/jobs", slow)
+            _, _, running = await http_request(host, port, "POST", "/jobs", held)
+            deadline = time.monotonic() + 10
+            while running["state"] != RUNNING and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+                _, _, running = await http_request(
+                    host, port, "GET", f"/jobs/{running['id']}")
+            assert running["state"] == RUNNING
             status, _, queued = await http_request(host, port, "POST", "/jobs", fast)
             assert status == 202
-            await asyncio.sleep(0.1)
+            service.begin_drain()
+            probe_gate.set()
             await service.close()
             line = service.drain_summary_line()
             assert line.startswith("drain: ")

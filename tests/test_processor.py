@@ -202,6 +202,21 @@ class TestJitter:
         assert run(1) == run(1)
         assert run(1) != run(2)
 
+    def test_jittered_latencies_are_pinned(self):
+        """The timer noise is seeded on the first jittered read, from the
+        same material as before, so the reported latencies of a fixed
+        sequence stay what they were when every build seeded it."""
+        proc = SecureProcessor(
+            SecureProcessorConfig.sct_default(timer_jitter_sigma=4.0, seed=11)
+        )
+        observed = [proc.read(addr).latency for addr in (0x0, 0x0, 0x40, 0x1000, 0x0)]
+        proc.flush(0x0)
+        observed.append(proc.read(0x0).latency)
+        proc.write(0x2000, b"x")
+        observed.append(proc.read(0x2000).latency)
+        assert observed == [561, 4, 212, 270, 3, 173, 4]
+        assert proc.cycle == 1538
+
 
 class TestGuards:
     def test_metadata_region_not_directly_accessible(self, proc):

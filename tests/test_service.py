@@ -54,34 +54,6 @@ FAST_OPS = 200
 SLOW_OPS = 150_000
 
 
-#: The gate ``_gated_probe`` waits on; the ``probe_gate`` fixture sets a
-#: fresh one per test (a task's function must be module-level to be
-#: cacheable, so it can only reach module-level state).
-_PROBE_GATE = threading.Event()
-
-
-def _gated_probe(*, preset="sct", ops=400, seed=0):
-    """``run_probe`` that first waits for the test to open its gate."""
-    if not _PROBE_GATE.wait(timeout=60):
-        raise TimeoutError("the probe gate never opened")
-    return run_probe(preset=preset, ops=ops, seed=seed)
-
-
-@pytest.fixture
-def probe_gate(monkeypatch):
-    """Hold every probe job on a gate the test opens.
-
-    A job blocked on an event holds its worker for exactly as long as
-    the test needs, however slow the host or the interpreter mode, and
-    leaves the GIL free for the event loop the test is talking to.
-    """
-    gate = threading.Event()
-    monkeypatch.setattr(sys.modules[__name__], "_PROBE_GATE", gate)
-    monkeypatch.setattr("repro.service.jobs.run_probe", _gated_probe)
-    yield gate
-    gate.set()  # never leave a job thread blocked behind a failed test
-
-
 def _svc(db_path, **kwargs):
     kwargs.setdefault("port", 0)
     kwargs.setdefault("concurrency", 1)

@@ -105,6 +105,31 @@ class TestRng:
         assert derive_rng("seed").random() == derive_rng(b"seed").random()
         assert derive_rng(-5).random() == derive_rng(-5).random()
 
+    @pytest.mark.parametrize(
+        "seed", [0, -5, 2**70, "seed", b"\x00raw"],
+        ids=["zero", "negative", "wide", "str", "bytes"],
+    )
+    @pytest.mark.parametrize(
+        "labels", [(), ("timer",), ("campaign", "sct")], ids=["0", "1", "2"]
+    )
+    def test_matches_chained_children(self, seed, labels):
+        """``derive_rng`` seeds one generator from the material a chain of
+        ``child`` calls from the root seed reaches, and draws the same."""
+        if isinstance(seed, int):
+            material = seed.to_bytes(16, "little", signed=True)
+        elif isinstance(seed, str):
+            material = seed.encode()
+        else:
+            material = seed
+        chained = DeterministicRng(material)
+        for label in labels:
+            chained = chained.child(label)
+        rng = derive_rng(seed, *labels)
+        assert rng.seed_material == chained.seed_material
+        draws = [(r.random(), r.getrandbits(64), r.randrange(1000), r.gauss(0, 1))
+                 for r in (rng, chained)]
+        assert draws[0] == draws[1]
+
 
 class TestStats:
     def test_summarize_basic(self):
