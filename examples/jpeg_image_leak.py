@@ -7,14 +7,17 @@ shared integrity-tree nodes, whether each loop iteration of
 ``encode_one_block`` touched the ``r`` page (zero coefficient) or the
 ``nbits`` page (non-zero), then rebuilds the image from that entropy mask.
 
-Writes PGM files you can open with any image viewer:
-  /tmp/metaleak_original.pgm  /tmp/metaleak_stolen.pgm
-  /tmp/metaleak_oracle.pgm    /tmp/metaleak_activity.pgm
+Writes PGM files you can open with any image viewer, in the temporary
+directory (``tempfile.gettempdir()``, usually /tmp; ``TMPDIR`` moves it):
+  metaleak_original.pgm  metaleak_stolen.pgm
+  metaleak_oracle.pgm    metaleak_activity.pgm
 
 Run:  python examples/jpeg_image_leak.py [image] [size]
 """
 
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -37,15 +40,16 @@ def main() -> None:
     print(f"  zero-element recovery   : {outcome.zero_accuracy:.1%}")
     print(f"  detail-map correlation  : {outcome.reconstruction_correlation:.3f}")
 
-    save_pgm(outcome.original, "/tmp/metaleak_original.pgm")
-    save_pgm(outcome.reconstructed, "/tmp/metaleak_stolen.pgm")
-    save_pgm(outcome.oracle, "/tmp/metaleak_oracle.pgm")
+    out_dir = tempfile.gettempdir()
+    save_pgm(outcome.original, os.path.join(out_dir, "metaleak_original.pgm"))
+    save_pgm(outcome.reconstructed, os.path.join(out_dir, "metaleak_stolen.pgm"))
+    save_pgm(outcome.oracle, os.path.join(out_dir, "metaleak_oracle.pgm"))
     # Leaked detail map, normalised for viewing.
     diff = np.abs(outcome.reconstructed.astype(float) - 128.0)
     if diff.max() > 0:
         diff = diff * (255.0 / diff.max())
-    save_pgm(diff, "/tmp/metaleak_activity.pgm")
-    print("  wrote /tmp/metaleak_{original,stolen,oracle,activity}.pgm")
+    save_pgm(diff, os.path.join(out_dir, "metaleak_activity.pgm"))
+    print(f"  wrote {out_dir}/metaleak_{{original,stolen,oracle,activity}}.pgm")
 
 
 if __name__ == "__main__":

@@ -19,12 +19,6 @@ from repro.analysis.mbedtls_attack import (
     run_mbedtls_attack,
 )
 from repro.analysis.overhead import overhead_study
-from repro.analysis.traces import (
-    classify_by_threshold,
-    detect_bands,
-    sparkline,
-)
-from repro.analysis.visualize import figure_bar_chart, histogram, to_csv
 
 __all__ = [
     "FigureResult",
@@ -40,10 +34,4 @@ __all__ = [
     "MbedtlsAttackResult",
     "run_mbedtls_attack",
     "overhead_study",
-    "classify_by_threshold",
-    "detect_bands",
-    "sparkline",
-    "figure_bar_chart",
-    "histogram",
-    "to_csv",
 ]

@@ -15,10 +15,10 @@ machinery they are built from:
 * covert channels built on each variant (Figures 11 and 14), with an
   optional reliable framing layer (sync preambles, Hamming(7,4) + CRC-8,
   bounded ARQ) in :mod:`~repro.attacks.framing`;
-* calibration, adaptive-threshold resilience and noise utilities.
+* calibration scoring (:mod:`~repro.attacks.resilience`) and noise
+  processes (:mod:`~repro.attacks.noise`).
 """
 
-from repro.attacks.calibration import LatencyCalibrator
 from repro.attacks.covert import ChannelReport, CovertChannelC, CovertChannelT
 from repro.attacks.framing import (
     BitSymbolAdapter,
@@ -36,15 +36,13 @@ from repro.attacks.metaleak_t import MetaLeakT, TreeNodeMonitor
 from repro.attacks.noise import NoiseProcess
 from repro.attacks.resilience import (
     MIN_CALIBRATION_QUALITY,
-    AdaptiveThresholdTracker,
     BandStats,
     Calibration,
     score_calibration,
 )
-from repro.attacks.search import EvictionSetSearch, SearchOutcome
+from repro.attacks.search import EvictionSetSearch
 
 __all__ = [
-    "AdaptiveThresholdTracker",
     "BandStats",
     "BitSymbolAdapter",
     "Calibration",
@@ -53,7 +51,6 @@ __all__ = [
     "CovertChannelT",
     "EvictionSetSearch",
     "FramedReport",
-    "LatencyCalibrator",
     "MIN_CALIBRATION_QUALITY",
     "MetadataEvictor",
     "MetadataMapper",
@@ -62,7 +59,6 @@ __all__ = [
     "NoiseProcess",
     "OverflowScan",
     "ReliableChannel",
-    "SearchOutcome",
     "TreeNodeMonitor",
     "crc8",
     "decode_stream",

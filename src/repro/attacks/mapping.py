@@ -49,13 +49,6 @@ class MetadataMapper:
     def meta_set_of(self, meta_addr: int) -> int:
         return self.cache_for(meta_addr).set_index_of(meta_addr)
 
-    def verification_path(self, data_paddr: int) -> list[int]:
-        """Metadata block addresses on the full verification path."""
-        path = [self.counter_addr(data_paddr)]
-        for level in range(len(self.layout.levels)):
-            path.append(self.tree_node_addr(data_paddr, level))
-        return path
-
     # -- reverse mapping ----------------------------------------------------
 
     def iter_data_blocks_with_counter_in_set(self, set_index: int):
@@ -71,37 +64,6 @@ class MetadataMapper:
         while cb < self.layout.num_counter_blocks:
             yield cb * per_cb * BLOCK_SIZE
             cb += num_sets
-
-    def data_blocks_with_counter_in_set(
-        self,
-        set_index: int,
-        count: int,
-        *,
-        exclude_pages: frozenset[int] | set[int] = frozenset(),
-        exclude_meta: frozenset[int] | set[int] = frozenset(),
-    ) -> list[int]:
-        """First ``count`` candidates from
-        :meth:`iter_data_blocks_with_counter_in_set`, with exclusions.
-
-        ``exclude_pages`` keeps the result away from given physical pages
-        (e.g. the monitored region, so eviction traffic does not reload the
-        very node being evicted); ``exclude_meta`` skips data whose counter
-        block is one of the given metadata addresses.
-        """
-        blocks: list[int] = []
-        for data_block in self.iter_data_blocks_with_counter_in_set(set_index):
-            counter_addr = self.layout.counter_block_addr(data_block)
-            if (
-                counter_addr not in exclude_meta
-                and page_index(data_block) not in exclude_pages
-            ):
-                blocks.append(data_block)
-                if len(blocks) == count:
-                    return blocks
-        raise ValueError(
-            f"protected region too small: found {len(blocks)}/{count} "
-            f"counter blocks for metadata set {set_index}"
-        )
 
     def iter_data_blocks_with_leaf_in_set(self, set_index: int):
         """Yield data blocks whose *L0 tree node* maps to a tree-cache set.

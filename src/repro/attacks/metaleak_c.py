@@ -37,7 +37,7 @@ from repro.utils.watchdog import CycleBudget, ensure_budget
 
 # A quiet metadata-path read stays under ~1000 cycles even with queueing;
 # the smallest overflow burst (leaf level: 33 blocks re-hashed) exceeds it
-# comfortably.  Calibrate per machine via LatencyCalibrator if needed.
+# comfortably.  ``MetaLeakC(overflow_threshold=...)`` overrides it.
 DEFAULT_OVERFLOW_THRESHOLD = 1400
 
 

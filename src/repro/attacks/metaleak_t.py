@@ -23,11 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.config import PAGE_SIZE
 from repro.attacks.mapping import MetadataEvictor, MetadataMapper
-from repro.attacks.resilience import (
-    AdaptiveThresholdTracker,
-    Calibration,
-    score_calibration,
-)
+from repro.attacks.resilience import Calibration, score_calibration
 from repro.os.page_alloc import PageAllocator
 from repro.proc.processor import SecureProcessor
 
@@ -38,8 +34,6 @@ class MonitorStats:
     hits: int = 0
     evict_accesses: int = 0
     latencies: list[int] = field(default_factory=list)
-    recalibrations: int = 0
-    rejected_recalibrations: int = 0
 
 
 class TreeNodeMonitor:
@@ -55,7 +49,6 @@ class TreeNodeMonitor:
         extra_evict: tuple[int, ...] = (),
         threshold: float | None = None,
         core: int = 0,
-        adaptive: bool = False,
         calibration_samples: int = 8,
     ) -> None:
         if calibration_samples <= 0:
@@ -67,7 +60,6 @@ class TreeNodeMonitor:
         self.node_addr = node_addr
         self.probe_block = probe_block
         self.core = core
-        self._calibration_samples = calibration_samples
         mapper = evictor.mapper
         self._evict_list = (
             node_addr,
@@ -94,9 +86,6 @@ class TreeNodeMonitor:
             fast, slow, threshold=threshold
         )
         self.threshold = self.calibration.threshold
-        self.tracker: AdaptiveThresholdTracker | None = (
-            AdaptiveThresholdTracker(self.calibration) if adaptive else None
-        )
 
     def _band_samples(self, samples: int) -> tuple[list[int], list[int]]:
         """Self-profile the fast/slow reload bands on this very probe.
@@ -121,33 +110,6 @@ class TreeNodeMonitor:
             fast.append(self.proc.read(self.probe_block, core=self.core).latency)
         return fast, slow
 
-    def calibrate(self, samples: int = 8) -> float:
-        """Re-profile the bands and adopt a fresh threshold if usable.
-
-        The midpoint of the band means gives symmetric margins on both
-        sides, so measurement jitter costs the same in either direction.
-        A degenerate re-calibration (overlapping bands) is *rejected* —
-        the previous calibration stays in force and the rejection is
-        counted in :attr:`MonitorStats.rejected_recalibrations`.
-        """
-        if samples <= 0:
-            raise ValueError(f"calibration samples must be positive, got {samples}")
-        fast, slow = self._band_samples(samples)
-        fresh = score_calibration(fast, slow)
-        if fresh.ok:
-            self.calibration = fresh
-            self.threshold = fresh.threshold
-            self.stats.recalibrations += 1
-            if self.tracker is not None:
-                self.tracker.rebase(fresh)
-        else:
-            self.stats.rejected_recalibrations += 1
-            if self.tracker is not None:
-                # Restart the drift window so a bad patch of samples does
-                # not immediately re-fire the detector.
-                self.tracker.rebase(self.calibration)
-        return self.threshold
-
     def m_evict(self) -> None:
         """Step 1: push the shared node (and probe counter) off-chip."""
         self.stats.evict_accesses += self.evictor.evict(self._evict_list)
@@ -163,10 +125,6 @@ class TreeNodeMonitor:
         self.stats.hits += int(hit)
         self.stats.latencies.append(latency)
         self.last_confidence = self.calibration.confidence(latency)
-        if self.tracker is not None and self.tracker.observe(
-            latency, self.threshold
-        ):
-            self.calibrate(self._calibration_samples)
         return latency, hit
 
 
@@ -180,14 +138,12 @@ class MetaLeakT:
         *,
         core: int = 0,
         threshold: float | None = None,
-        adaptive: bool = False,
     ) -> None:
         self.proc = proc
         self.allocator = allocator
         self.core = core
         self.mapper = MetadataMapper(proc)
         self._threshold = threshold
-        self.adaptive = adaptive
         # One evictor shared by all monitors: its protected region grows as
         # monitors are added, so eviction traffic for one monitored node
         # never strays under another monitored node's subtree.
@@ -221,7 +177,6 @@ class MetaLeakT:
         *,
         level: int = 0,
         probe_frame: int | None = None,
-        adaptive: bool | None = None,
         calibration_samples: int = 8,
     ) -> TreeNodeMonitor:
         """Build a monitor for victim activity on one physical page.
@@ -264,7 +219,6 @@ class MetaLeakT:
             extra_evict=extra,
             threshold=self._threshold,
             core=self.core,
-            adaptive=self.adaptive if adaptive is None else adaptive,
             calibration_samples=calibration_samples,
         )
 

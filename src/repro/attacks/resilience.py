@@ -1,11 +1,8 @@
-"""Calibration quality scoring and adaptive threshold tracking.
+"""Calibration quality scoring and per-observation confidence.
 
-The attack layer's thresholds were historically calibrated once and
-trusted forever.  On a noisy machine that is exactly wrong: co-running
-traffic, a defense toggling mid-run, or plain drift shifts the fast/slow
-reload bands, and a threshold that silently stops separating them makes
-every attack above it emit confident garbage.  This module gives every
-monitor three things:
+A threshold that silently stops separating the fast and slow reload
+bands makes every attack above it emit confident garbage.  This module
+gives every monitor two things:
 
 * :func:`score_calibration` — a quality score over the two calibration
   bands.  Degenerate calibrations (overlapping bands, a forced threshold
@@ -14,22 +11,13 @@ monitor three things:
   a calibration reports zero confidence;
 * :class:`Calibration.confidence` — per-observation confidence from the
   latency's margin to the threshold, scaled by the calibration quality,
-  so downstream decoders can carry honest per-bit confidence;
-* :class:`AdaptiveThresholdTracker` — an online drift detector over the
-  recent reload window.  It re-runs an Otsu split over the window and
-  flags drift when the window shows two well-separated bands that the
-  current threshold fails to sit between, or when observations stray far
-  from both calibrated bands.  Monitors react by re-calibrating, and a
-  fresh calibration is only adopted if its quality is acceptable.
+  so downstream decoders can carry honest per-bit confidence.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-from repro.utils.stats import otsu_threshold
 
 #: Calibrations scoring below this are considered unusable (degraded).
 MIN_CALIBRATION_QUALITY = 0.25
@@ -125,114 +113,6 @@ def score_calibration(
     leak_rate = misclassified / (fast.count + slow.count)
     quality = separation_quality * max(0.0, 1.0 - 2.0 * leak_rate)
     return Calibration(threshold=threshold, fast=fast, slow=slow, quality=quality)
-
-
-class AdaptiveThresholdTracker:
-    """Online drift detector over a monitor's recent reload latencies.
-
-    Every ``check_every`` observations (once ``min_window`` samples are
-    buffered) two tests run:
-
-    * **band stray** — a majority of the window sits far from *both*
-      calibrated band means: the bands themselves have moved;
-    * **threshold misplacement** — an Otsu split over the window finds
-      two bands separated by at least half the calibrated separation,
-      and the current threshold does not lie between them: the bands are
-      fine but the threshold is not (stale or mis-set).
-
-    Uniform windows (an all-ones or all-zeros stretch of traffic) fire
-    neither test: Otsu refuses degenerate samples and on-band
-    observations are never strays, so legitimate one-sided payloads do
-    not trigger spurious re-calibration.
-    """
-
-    def __init__(
-        self,
-        calibration: Calibration,
-        *,
-        window: int = 32,
-        min_window: int = 12,
-        check_every: int = 8,
-        stray_tolerance: float = 4.0,
-        stray_fraction: float = 0.5,
-    ) -> None:
-        if window <= 0 or min_window <= 0 or check_every <= 0:
-            raise ValueError(
-                "window, min_window and check_every must all be positive"
-            )
-        if min_window > window:
-            raise ValueError(
-                f"min_window ({min_window}) cannot exceed window ({window})"
-            )
-        self.calibration = calibration
-        self.window = window
-        self.min_window = min_window
-        self.check_every = check_every
-        self.stray_tolerance = stray_tolerance
-        self.stray_fraction = stray_fraction
-        self._samples: deque[float] = deque(maxlen=window)
-        self._since_check = 0
-        self.checks = 0
-        self.drifts = 0
-
-    def rebase(self, calibration: Calibration) -> None:
-        """Adopt a fresh calibration and restart the observation window."""
-        self.calibration = calibration
-        self._samples.clear()
-        self._since_check = 0
-
-    def observe(self, latency: float, threshold: float) -> bool:
-        """Record one reload latency; True when drift was just detected."""
-        self._samples.append(float(latency))
-        self._since_check += 1
-        if (
-            len(self._samples) < self.min_window
-            or self._since_check < self.check_every
-        ):
-            return False
-        self._since_check = 0
-        self.checks += 1
-        drifted = self._bands_moved() or self._threshold_misplaced(threshold)
-        if drifted:
-            self.drifts += 1
-        return drifted
-
-    # ------------------------------------------------------------------
-
-    def _band_scale(self, band: BandStats) -> float:
-        return max(
-            band.spread * self.stray_tolerance,
-            abs(self.calibration.separation) / 4,
-            4.0,
-        )
-
-    def _bands_moved(self) -> bool:
-        cal = self.calibration
-        fast_scale = self._band_scale(cal.fast)
-        slow_scale = self._band_scale(cal.slow)
-        strays = sum(
-            1
-            for value in self._samples
-            if abs(value - cal.fast.mean) > fast_scale
-            and abs(value - cal.slow.mean) > slow_scale
-        )
-        return strays / len(self._samples) > self.stray_fraction
-
-    def _threshold_misplaced(self, threshold: float) -> bool:
-        try:
-            cut = otsu_threshold(list(self._samples))
-        except ValueError:
-            return False  # uniform window: nothing to split
-        low = [v for v in self._samples if v < cut]
-        high = [v for v in self._samples if v >= cut]
-        if len(low) < 3 or len(high) < 3:
-            return False
-        low_mean = sum(low) / len(low)
-        high_mean = sum(high) / len(high)
-        # Ignore micro-splits of measurement jitter within a single band.
-        if high_mean - low_mean < max(self.calibration.separation * 0.5, 8.0):
-            return False
-        return not low_mean < threshold < high_mean
 
 
 def mean_confidence(confidences: Iterable[float]) -> float:

@@ -11,41 +11,17 @@ data-access indirection of Section VI-A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import PAGE_SIZE
 from repro.os.page_alloc import PageAllocator
 from repro.proc.processor import SecureProcessor
-from repro.utils.watchdog import CycleBudget, ensure_budget
 
 
 @dataclass
 class SearchStats:
     tests: int = 0
     accesses: int = 0
-
-
-@dataclass
-class SearchOutcome:
-    """Structured result of a budgeted eviction-set search.
-
-    ``converged`` is True only when the reduction ran to a locally
-    minimal set.  A search cut short by its cycle budget returns the
-    best (still-evicting) pool found so far with ``truncated=True`` and
-    ``degraded=True`` — a usable partial result rather than a livelock
-    or an exception.  ``confidence`` is the verified eviction rate of
-    the returned set (1.0 when verification was skipped for lack of
-    budget is never claimed; it is 0.0 then, with a reason).
-    """
-
-    eviction_set: list[int]
-    converged: bool
-    confidence: float
-    tests: int
-    cycles: int
-    truncated: bool = False
-    degraded: bool = False
-    degraded_reasons: tuple[str, ...] = field(default_factory=tuple)
 
 
 class EvictionSetSearch:
@@ -132,8 +108,7 @@ class EvictionSetSearch:
 
         Classic one-out reduction: repeatedly drop a chunk and keep the
         remainder if it still evicts.  Raises if the initial pool does not
-        evict the target.  For a non-raising, cycle-budgeted variant see
-        :meth:`search`.
+        evict the target.
         """
         if max_rounds <= 0:
             raise ValueError(f"max_rounds must be positive, got {max_rounds}")
@@ -143,24 +118,11 @@ class EvictionSetSearch:
                 "candidate pool does not evict the target metadata; "
                 "grow the pool"
             )
-        pool, _ = self._reduce(pool, max_rounds, ensure_budget(self.proc, None))
-        return pool
-
-    def _reduce(
-        self, pool: list[int], max_rounds: int, budget: CycleBudget
-    ) -> tuple[list[int], bool]:
-        """One-out reduction; returns (pool, converged)."""
-        rounds = 0
         index = 0
         chunk = max(1, len(pool) // 8)
-        converged = False
-        while rounds < max_rounds:
-            if budget.expired:
-                return pool, False
-            rounds += 1
+        for _ in range(max_rounds):
             if index >= len(pool):
                 if chunk == 1:
-                    converged = True
                     break
                 chunk = max(1, chunk // 2)
                 index = 0
@@ -170,70 +132,7 @@ class EvictionSetSearch:
                 pool = trial
             else:
                 index += chunk
-        return pool, converged
-
-    def search(
-        self,
-        candidate_pages: list[int],
-        *,
-        max_rounds: int = 200,
-        verify_trials: int = 3,
-        budget: "CycleBudget | int | None" = None,
-    ) -> SearchOutcome:
-        """Budgeted search returning a structured, never-raising outcome.
-
-        Unlike :meth:`find_minimal_set` this degrades instead of raising:
-        a pool that does not evict the target, or a budget that expires
-        mid-reduction, produces a :class:`SearchOutcome` with ``degraded``
-        set and the reasons named.  The cycle budget guarantees the loop
-        terminates even when noise keeps re-filling the metadata cache.
-        """
-        if max_rounds <= 0:
-            raise ValueError(f"max_rounds must be positive, got {max_rounds}")
-        if verify_trials < 0:
-            raise ValueError(
-                f"verify_trials must be >= 0, got {verify_trials}"
-            )
-        budget = ensure_budget(self.proc, budget)
-        start = self.proc.cycle
-        tests_before = self.stats.tests
-        reasons: list[str] = []
-
-        pool = list(candidate_pages)
-        if not pool or not self.evicts(pool):
-            return SearchOutcome(
-                eviction_set=[],
-                converged=False,
-                confidence=0.0,
-                tests=self.stats.tests - tests_before,
-                cycles=self.proc.cycle - start,
-                truncated=budget.expired,
-                degraded=True,
-                degraded_reasons=("pool-does-not-evict",),
-            )
-        pool, converged = self._reduce(pool, max_rounds, budget)
-        if not converged:
-            reasons.append("reduction-incomplete")
-
-        confidence = 0.0
-        if verify_trials == 0:
-            reasons.append("unverified")
-        elif budget.expired:
-            reasons.append("unverified")
-        else:
-            confidence = self.verify(pool, trials=verify_trials)
-            if confidence < 1.0:
-                reasons.append("unreliable-eviction")
-        return SearchOutcome(
-            eviction_set=pool,
-            converged=converged,
-            confidence=confidence,
-            tests=self.stats.tests - tests_before,
-            cycles=self.proc.cycle - start,
-            truncated=budget.expired,
-            degraded=bool(reasons),
-            degraded_reasons=tuple(reasons),
-        )
+        return pool
 
     def verify(self, eviction_set: list[int], trials: int = 5) -> float:
         """Fraction of trials in which the set evicts the target."""

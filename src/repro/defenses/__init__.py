@@ -11,13 +11,12 @@
   path, not the data caches.
 """
 
-from repro.defenses.isolation import isolated_tree_config, assign_domains
+from repro.defenses.isolation import isolated_tree_config
 from repro.defenses.mirage_study import mirage_eviction_curve
 from repro.defenses.partition import partitioned_llc_config
 
 __all__ = [
     "isolated_tree_config",
-    "assign_domains",
     "mirage_eviction_curve",
     "partitioned_llc_config",
 ]

@@ -11,7 +11,6 @@ provides the functional mechanism for the ablation benchmark.
 from __future__ import annotations
 
 from repro.config import MIB, SecureProcessorConfig
-from repro.proc.processor import SecureProcessor
 
 
 def isolated_tree_config(
@@ -24,12 +23,3 @@ def isolated_tree_config(
         functional_crypto=False,
         **overrides,
     )
-
-
-def assign_domains(
-    proc: SecureProcessor, frames_by_domain: dict[int, list[int]]
-) -> None:
-    """Tag page frames with their security domains."""
-    for domain, frames in frames_by_domain.items():
-        for frame in frames:
-            proc.mee.set_page_domain(frame, domain)

@@ -6,14 +6,7 @@ banks, read/write queues) that ``repro.secmem`` and ``repro.proc`` compose
 into a secure processor.
 """
 
-from repro.mem.block import (
-    bank_of,
-    block_address,
-    block_index,
-    block_offset,
-    page_index,
-    page_offset,
-)
+from repro.mem.block import bank_of, block_address, block_index, page_index
 from repro.mem.cache import CacheAccess, SetAssocCache
 from repro.mem.dram import DramModel
 from repro.mem.hierarchy import CoreCaches, DataCacheSystem
@@ -24,9 +17,7 @@ __all__ = [
     "bank_of",
     "block_address",
     "block_index",
-    "block_offset",
     "page_index",
-    "page_offset",
     "CacheAccess",
     "SetAssocCache",
     "DramModel",

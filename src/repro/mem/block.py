@@ -13,7 +13,7 @@ from repro.utils.bitops import log2_exact
 _BLOCK_SHIFT = log2_exact(BLOCK_SIZE)
 _PAGE_SHIFT = log2_exact(PAGE_SIZE)
 # Mask form of the block alignment: this sits on every simulated access,
-# so it is a single AND rather than an ``align_down`` call.
+# so it is a single AND.
 BLOCK_MASK = ~(BLOCK_SIZE - 1)
 
 
@@ -27,19 +27,9 @@ def block_index(addr: int) -> int:
     return addr >> _BLOCK_SHIFT
 
 
-def block_offset(addr: int) -> int:
-    """Byte offset of ``addr`` within its block."""
-    return addr & (BLOCK_SIZE - 1)
-
-
 def page_index(addr: int) -> int:
     """Physical page (frame) number containing ``addr``."""
     return addr >> _PAGE_SHIFT
-
-
-def page_offset(addr: int) -> int:
-    """Byte offset of ``addr`` within its page."""
-    return addr & (PAGE_SIZE - 1)
 
 
 def bank_of(addr: int, banks: int) -> int:

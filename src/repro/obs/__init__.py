@@ -13,7 +13,6 @@ from repro.obs.spans import (
     SpanContext,
     SpanRecorder,
     active,
-    current_context,
     disable,
     enable,
     new_span_id,
@@ -41,7 +40,6 @@ __all__ = [
     "SpanContext",
     "SpanRecorder",
     "active",
-    "current_context",
     "disable",
     "enable",
     "fleet_prometheus_text",

@@ -350,14 +350,6 @@ def start_span(name: str, **kwargs: Any) -> Span | _NullSpan:
     return rec.start_span(name, **kwargs)
 
 
-def current_context() -> SpanContext | None:
-    """Context of the innermost live span in this thread/task, if any."""
-    span = _CURRENT.get()
-    if span is None or isinstance(span, _NullSpan):
-        return None
-    return span.context
-
-
 # --------------------------------------------------------------------------
 # Export / validation (span logs are JSONL through ``repro.trace.export``)
 # --------------------------------------------------------------------------

@@ -237,10 +237,6 @@ class SecureProcessor(Component):
         """Fence: force the MC write queue to service everything queued."""
         self._execute(((OP_DRAIN, None, None, -1),))
 
-    def timed_read(self, addr: int, *, core: int = 0) -> int:
-        """Read and return only the measured latency (rdtscp-style)."""
-        return self.read(addr, core=core).latency
-
     def run_batch(self, batch: AccessBatch) -> BatchResult:
         """Execute a recorded operation vector in one call."""
         return BatchResult(batch.ops, self._execute(batch.ops))

@@ -33,8 +33,3 @@ class SgxMachine:
         )
         self.enclaves.append(enclave)
         return enclave
-
-    def pages_sharing_tree_node(self, frame: int, level: int) -> range:
-        """EPC frames sharing an integrity-tree node block with ``frame``
-        at ``level`` — the Section VIII-B sharing-set formula."""
-        return self.proc.layout.pages_sharing_node(frame, level)

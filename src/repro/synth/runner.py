@@ -184,13 +184,6 @@ class SynthResult:
             return True
         return any(component in components for component, _ in self.channels)
 
-    def hit_targets(self) -> tuple[str, ...]:
-        """Named targets this program's flagged channels satisfy."""
-        return tuple(
-            name for name in target_names()
-            if TARGETS[name] and self.hits(TARGETS[name])
-        )
-
 
 def classify_report(report: LeakReport) -> tuple[tuple[str, str], ...]:
     """The flagged (component, kind) channels of one leak report."""

@@ -5,37 +5,21 @@ metadata or attacks.  Higher layers (``repro.mem``, ``repro.secmem``,
 ``repro.attacks``) build on them.
 """
 
-from repro.utils.bitops import (
-    align_down,
-    align_up,
-    extract_bits,
-    is_power_of_two,
-    log2_exact,
-    mask,
-)
+from repro.utils.bitops import align_up, is_power_of_two, log2_exact
 from repro.utils.rng import DeterministicRng, derive_rng
 from repro.utils.stats import (
     DistributionSummary,
     accuracy,
-    bit_error_rate,
-    hamming_accuracy,
-    otsu_threshold,
     summarize,
 )
 
 __all__ = [
-    "align_down",
     "align_up",
-    "extract_bits",
     "is_power_of_two",
     "log2_exact",
-    "mask",
     "DeterministicRng",
     "derive_rng",
     "DistributionSummary",
     "accuracy",
-    "bit_error_rate",
-    "hamming_accuracy",
-    "otsu_threshold",
     "summarize",
 ]

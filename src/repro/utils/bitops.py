@@ -3,30 +3,6 @@
 from __future__ import annotations
 
 
-def mask(bits: int) -> int:
-    """Return an integer with the low ``bits`` bits set.
-
-    >>> mask(3)
-    7
-    >>> mask(0)
-    0
-    """
-    if bits < 0:
-        raise ValueError(f"bit count must be non-negative, got {bits}")
-    return (1 << bits) - 1
-
-
-def extract_bits(value: int, low: int, count: int) -> int:
-    """Extract ``count`` bits of ``value`` starting at bit position ``low``.
-
-    >>> extract_bits(0b101100, 2, 3)
-    3
-    """
-    if low < 0 or count < 0:
-        raise ValueError("bit positions must be non-negative")
-    return (value >> low) & mask(count)
-
-
 def is_power_of_two(value: int) -> bool:
     """Return True when ``value`` is a positive power of two."""
     return value > 0 and (value & (value - 1)) == 0
@@ -41,13 +17,6 @@ def log2_exact(value: int) -> int:
     if not is_power_of_two(value):
         raise ValueError(f"{value} is not a power of two")
     return value.bit_length() - 1
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to a multiple of ``alignment`` (a power of two)."""
-    if not is_power_of_two(alignment):
-        raise ValueError(f"alignment {alignment} is not a power of two")
-    return value & ~(alignment - 1)
 
 
 def align_up(value: int, alignment: int) -> int:

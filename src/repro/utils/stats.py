@@ -72,16 +72,6 @@ def accuracy(predicted: Sequence[object], actual: Sequence[object]) -> float:
     return matched / len(actual)
 
 
-def bit_error_rate(predicted: Sequence[int], actual: Sequence[int]) -> float:
-    """1 - accuracy, for bit sequences.
-
-    Raises the same :class:`ValueError` as :func:`accuracy` when ``actual``
-    is empty — a BER over zero transmitted bits is meaningless, and
-    silently returning 0 or 1 would misreport a channel as perfect/broken.
-    """
-    return 1.0 - accuracy(predicted, actual)
-
-
 def edit_distance(a: Sequence[object], b: Sequence[object]) -> int:
     """Levenshtein distance (insert/delete/substitute each cost 1)."""
     if len(a) < len(b):
@@ -113,42 +103,6 @@ def aligned_accuracy(predicted: Sequence[object], actual: Sequence[object]) -> f
         raise ValueError("actual sequence must be non-empty")
     distance = edit_distance(predicted, actual)
     return max(0.0, 1.0 - distance / len(actual))
-
-
-def hamming_accuracy(predicted: int, actual: int, bits: int) -> float:
-    """Bitwise accuracy between two ``bits``-wide integers."""
-    if bits <= 0:
-        raise ValueError("bits must be positive")
-    differing = bin((predicted ^ actual) & ((1 << bits) - 1)).count("1")
-    return 1.0 - differing / bits
-
-
-@dataclass(frozen=True)
-class KsResult:
-    """Two-sample Kolmogorov-Smirnov test outcome."""
-
-    statistic: float
-    pvalue: float
-    n_a: int
-    n_b: int
-
-
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
-    """Two-sample KS test with the asymptotic Kolmogorov p-value.
-
-    The statistic is the supremum distance between the two empirical CDFs;
-    the p-value uses the standard Smirnov approximation (the same formula
-    Numerical Recipes and scipy's ``mode='asymp'`` use), which is accurate
-    for the sample sizes the leakage detector works with (dozens+) and
-    conservative below that.
-    """
-    xs = sorted(map(float, a))
-    ys = sorted(map(float, b))
-    if not xs or not ys:
-        raise ValueError("both samples must be non-empty")
-    n, m = len(xs), len(ys)
-    d = ks_statistic(xs, ys)
-    return KsResult(statistic=d, pvalue=ks_pvalue(n, m, d), n_a=n, n_b=m)
 
 
 def ks_statistic(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -200,52 +154,3 @@ def ks_pvalue(n: int, m: int, d: float) -> float:
             break
         sign = -sign
     return min(1.0, max(0.0, total))
-
-
-def otsu_threshold(values: Sequence[float], bins: int = 128) -> float:
-    """Find a threshold separating a bimodal latency sample.
-
-    Classic Otsu's method over a histogram: choose the cut that maximizes
-    between-class variance.  Used by the attack calibration step to split
-    "metadata hit" from "metadata miss" latency bands without manual tuning.
-    """
-    data = sorted(float(v) for v in values)
-    if not data:
-        raise ValueError("cannot threshold an empty sample")
-    low, high = data[0], data[-1]
-    if low == high:
-        raise ValueError(
-            f"cannot threshold a degenerate sample: all {len(data)} values "
-            f"equal {low} (one latency band, nothing to separate)"
-        )
-    width = (high - low) / bins
-    histogram = [0] * bins
-    for value in data:
-        index = min(int((value - low) / width), bins - 1)
-        histogram[index] += 1
-
-    total = len(data)
-    total_weighted = sum(i * count for i, count in enumerate(histogram))
-    best_threshold = low
-    best_variance = -1.0
-    background_count = 0
-    background_weighted = 0.0
-    for i, count in enumerate(histogram):
-        background_count += count
-        if background_count == 0:
-            continue
-        foreground_count = total - background_count
-        if foreground_count == 0:
-            break
-        background_weighted += i * count
-        mean_background = background_weighted / background_count
-        mean_foreground = (total_weighted - background_weighted) / foreground_count
-        variance = (
-            background_count
-            * foreground_count
-            * (mean_background - mean_foreground) ** 2
-        )
-        if variance > best_variance:
-            best_variance = variance
-            best_threshold = low + (i + 1) * width
-    return best_threshold

@@ -16,12 +16,11 @@ paper's leak gadgets are reproduced faithfully:
 
 from repro.victims.jpeg.encoder import JpegVictim
 from repro.victims.mbedtls import KeyLoadVictim, recover_secret_from_trace
-from repro.victims.rsa import RsaModexpVictim, recover_exponent_from_ops
+from repro.victims.rsa import RsaModexpVictim
 
 __all__ = [
     "JpegVictim",
     "KeyLoadVictim",
     "recover_secret_from_trace",
     "RsaModexpVictim",
-    "recover_exponent_from_ops",
 ]

@@ -56,21 +56,6 @@ def run_length_encode(ac_coefficients: list[int]) -> list[AcSymbol]:
     return symbols
 
 
-def run_length_decode(symbols: list[AcSymbol]) -> list[int]:
-    """Invert :func:`run_length_encode` back to 63 AC coefficients."""
-    coefficients: list[int] = []
-    for symbol in symbols:
-        if (symbol.run, symbol.size) == EOB:
-            break
-        if (symbol.run, symbol.size) == ZRL:
-            coefficients.extend([0] * 16)
-            continue
-        coefficients.extend([0] * symbol.run)
-        coefficients.append(symbol.amplitude)
-    coefficients.extend([0] * (63 - len(coefficients)))
-    return coefficients[:63]
-
-
 class HuffmanTable:
     """A canonical Huffman code built from symbol frequencies."""
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.victims.jpeg.dct import idct2
-from repro.victims.jpeg.encoder import EncodedImage
 from repro.victims.jpeg.quant import dequantize, quant_table
 from repro.victims.jpeg.zigzag import inverse_zigzag
 
@@ -43,23 +42,6 @@ def reconstruct_from_mask(
         for k, is_zero in enumerate(mask, start=1):
             if not is_zero:
                 sequence[k] = magnitude
-        coefficients = dequantize(inverse_zigzag(sequence), table)
-        pixels = idct2(coefficients) + 128.0
-        by, bx = divmod(block_index, blocks_per_row)
-        image[by * 8 : by * 8 + 8, bx * 8 : bx * 8 + 8] = pixels
-    return np.clip(image, 0, 255)
-
-
-def reconstruct_reference(encoded: EncodedImage) -> np.ndarray:
-    """Full decode of the true encoding (the paper's Oracle column)."""
-    height, width = encoded.shape
-    blocks_per_row = width // 8
-    table = quant_table(encoded.quality)
-    image = np.zeros(encoded.shape)
-    for block_index, ac in enumerate(encoded.ac_blocks):
-        sequence = np.zeros(64)
-        sequence[0] = encoded.dc[block_index]
-        sequence[1:] = ac
         coefficients = dequantize(inverse_zigzag(sequence), table)
         pixels = idct2(coefficients) + 128.0
         by, bx = divmod(block_index, blocks_per_row)

@@ -76,11 +76,6 @@ class PersistentKvStore:
         self._data[key] = bytes(value)
         yield KvStep(operation="bucket", bucket=bucket, key=key)
 
-    def put_all(self, items: dict[str, bytes]) -> Generator[KvStep, None, None]:
-        """Persist several pairs, yielding per write."""
-        for key, value in items.items():
-            yield from self.put(key, value)
-
     def get(self, key: str) -> bytes | None:
         """Read back a value (reads the bucket page)."""
         if key not in self._data:

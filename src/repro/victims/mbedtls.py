@@ -57,10 +57,6 @@ class KeyLoadVictim:
         return self.process.paddr(self.shift_page_vaddr) // 4096
 
     @property
-    def sub_frame(self) -> int:
-        return self.process.paddr(self.sub_page_vaddr) // 4096
-
-    @property
     def v_buffer_frame(self) -> int:
         return self.process.paddr(self.v_buffer_vaddr) // 4096
 
@@ -142,25 +138,12 @@ class TraceInconsistent(Exception):
     """The trace cannot have been produced by any secret value."""
 
 
-class SearchExploded(Exception):
-    """Attribution search exceeded its branch budget (see
-    :func:`recover_secret_from_operations`): single-shift runs give the
-    search no discrimination (u-v even iff v-u even), so adversarially
-    shaped traces blow up exponentially."""
-
-
 class _Congruences:
     """Accumulates V ≡ r (mod 2^t) knowledge from B·V ≡ c (mod 2^m)."""
 
     def __init__(self) -> None:
         self.residue = 0
         self.bits = 0
-
-    def copy(self) -> "_Congruences":
-        clone = _Congruences()
-        clone.residue = self.residue
-        clone.bits = self.bits
-        return clone
 
     def add(self, b: int, c: int, m: int) -> None:
         if m <= 0:
@@ -191,9 +174,6 @@ class _Congruences:
         if bits > self.bits:
             self.residue = residue
             self.bits = bits
-
-    def known(self, bit_length: int) -> bool:
-        return self.bits >= bit_length
 
 
 class _Affine:
@@ -303,91 +283,6 @@ def attribute_trace(
         else:
             raise ValueError(f"unknown operation {operation!r}")
     return details
-
-
-def recover_secret_from_operations(
-    operations: list[str],
-    e: int,
-    *,
-    modulus: int | None = None,
-    max_branches: int = 200_000,
-) -> list[int]:
-    """Recover ``phi`` candidates from the attacker-visible op stream.
-
-    Unlike :func:`recover_secret_from_trace`, this takes only what
-    MetaLeak actually measures — a flat "shift"/"sub" sequence, with no
-    which-variable labels.  Attribution is reconstructed:
-
-    * a run of shifts is entirely u-shifts or entirely v-shifts, decided
-      by the *preceding* sub (``u - v`` leaves u even and v odd, so the
-      following run shifts u; symmetrically for ``v - u``); the first run
-      shifts v (``e`` is odd);
-    * each sub's own attribution (``u >= v``?) is not observable, so the
-      recovery branches on it — and the 2-adic parity constraints from
-      subsequent shifts prune wrong branches almost immediately, keeping
-      the search near-linear in practice.
-
-    Returns every candidate consistent with the trace.  When the public
-    RSA ``modulus`` n is supplied, candidates are filtered by the factor
-    check (phi = (p-1)(q-1) ⇒ p, q are integer roots of
-    ``x^2 - (n - phi + 1)·x + n``), which in the RSA setting pins the
-    answer uniquely.
-    """
-    solutions: list[int] = []
-    branches = 0
-
-    def descend(
-        index: int,
-        u: _Affine,
-        v: _Affine,
-        congruences: _Congruences,
-        shifting: str,
-    ) -> None:
-        nonlocal branches
-        branches += 1
-        if branches > max_branches:
-            raise SearchExploded(f"more than {max_branches} branches")
-        try:
-            while index < len(operations):
-                operation = operations[index]
-                if operation == "shift":
-                    if shifting == "u":
-                        u.constrain_even(congruences)
-                        u = u.shifted()
-                    else:
-                        u.constrain_odd(congruences)
-                        v.constrain_even(congruences)
-                        v = v.shifted()
-                    index += 1
-                elif operation == "sub":
-                    u.constrain_odd(congruences)
-                    v.constrain_odd(congruences)
-                    # Branch: was this u -= v or v -= u?
-                    descend(
-                        index + 1, u.minus(v), v, congruences.copy(), "u"
-                    )
-                    descend(
-                        index + 1, u, v.minus(u), congruences.copy(), "v"
-                    )
-                    return
-                else:
-                    raise ValueError(f"unknown operation {operation!r}")
-            # Terminal state: u == 0.
-            if u.b != 0:
-                if u.a % u.b == 0:
-                    candidate = -u.a // u.b
-                    if candidate > 1:
-                        solutions.append(candidate)
-            elif u.a == 0 and congruences.bits > 0:
-                solutions.append(congruences.residue)
-        except TraceInconsistent:
-            return
-
-    descend(0, _Affine(e, 0), _Affine(0, 1), _Congruences(), "v")
-    unique = sorted(set(solutions))
-    if modulus is not None:
-        unique = [phi for phi in unique if factor_from_phi(modulus, phi)]
-    return unique
 
 
 def factor_from_phi(n: int, phi: int) -> tuple[int, int] | None:

@@ -96,31 +96,6 @@ class RsaModexpVictim:
         return result
 
 
-def recover_exponent_from_ops(operations: list[str]) -> int:
-    """Rebuild the exponent from a square/multiply operation trace.
-
-    A square followed by a multiply is a 1 bit; a square followed by
-    another square (or end of trace) is a 0 bit.  The leading bit of any
-    non-zero exponent is implicitly 1 (the loop starts at the MSB).
-    """
-    bits: list[int] = []
-    index = 0
-    while index < len(operations):
-        operation = operations[index]
-        if operation != "square":
-            raise ValueError(f"malformed trace at {index}: {operation!r}")
-        if index + 1 < len(operations) and operations[index + 1] == "multiply":
-            bits.append(1)
-            index += 2
-        else:
-            bits.append(0)
-            index += 1
-    value = 0
-    for bit in bits:
-        value = (value << 1) | bit
-    return value
-
-
 def generate_test_key(bits: int = 128, seed: int = 99) -> tuple[int, int, int]:
     """A (base, exponent, modulus) triple for experiments.
 

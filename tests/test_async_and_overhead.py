@@ -1,9 +1,8 @@
-"""Tests for the asynchronous covert channel, x-write counting, overhead."""
+"""Tests for x-write counting and the protection-overhead study."""
 
 import pytest
 
 from repro.analysis.overhead import _run_workload, overhead_study
-from repro.attacks.async_covert import AsyncCovertChannelT
 from repro.attacks.metaleak_c import MetaLeakC
 from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
 from repro.os import PageAllocator
@@ -18,41 +17,6 @@ def make_env(size=256 * MIB):
     )
     alloc = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)
     return proc, alloc
-
-
-class TestAsyncCovert:
-    def test_free_running_transmission(self):
-        proc, alloc = make_env()
-        channel = AsyncCovertChannelT(proc, alloc, spy_rounds_per_bit=3)
-        bits = [1, 0, 1, 1, 0, 0, 1, 0] * 3
-        report = channel.transmit_async(bits)
-        assert report.accuracy == 1.0
-        assert report.windows_found >= len(bits)
-
-    def test_spy_oversamples(self):
-        proc, alloc = make_env()
-        channel = AsyncCovertChannelT(proc, alloc, spy_rounds_per_bit=4)
-        report = channel.transmit_async([1, 0, 1, 0])
-        assert report.samples >= 3 * 4  # several spy rounds per bit
-
-    def test_decode_windows(self):
-        # (boundary, tx) stream: window1 has a tx hit, window2 none.
-        observations = [
-            (False, True),
-            (True, False),
-            (False, False),
-            (True, False),
-        ]
-        assert AsyncCovertChannelT._decode(observations, limit=2) == [1, 0]
-
-    def test_decode_respects_limit(self):
-        observations = [(True, True)] * 5
-        assert AsyncCovertChannelT._decode(observations, limit=2) == [1, 1]
-
-    def test_requires_oversampling(self):
-        proc, alloc = make_env()
-        with pytest.raises(ValueError):
-            AsyncCovertChannelT(proc, alloc, spy_rounds_per_bit=1)
 
 
 class TestXWriteCounting:

@@ -31,7 +31,7 @@ from repro.core import (
     slot_of,
     walk,
 )
-from repro.defenses import assign_domains, isolated_tree_config
+from repro.defenses import isolated_tree_config
 from repro.faults.hooks import FaultHook
 from repro.leakcheck import run_leakcheck
 from repro.perf import CycleAttributor
@@ -238,7 +238,7 @@ class TestLateDomainTrees:
         hook = _RecordingHook()
         attach(proc.mee, hook)
         frame = 3
-        assign_domains(proc, {1: [frame]})
+        proc.mee.set_page_domain(frame, 1)
         addr = frame * 4096
         proc.write_through(addr, b"x")
         proc.drain_writes()
@@ -256,7 +256,7 @@ class TestLateDomainTrees:
 
     def test_late_tree_without_instruments_stays_detached(self):
         proc = SecureProcessor(isolated_tree_config(protected_size=4 << 20))
-        assign_domains(proc, {1: [2]})
+        proc.mee.set_page_domain(2, 1)
         proc.write(2 * 4096, b"x")
         assert proc.mee._domain_trees[1].tracer is None
 
@@ -310,7 +310,7 @@ class TestAcyclicMachines:
         def work():
             proc = SecureProcessor(isolated_tree_config(protected_size=4 << 20))
             proc.attach(Tracer())
-            assign_domains(proc, {1: [3]})
+            proc.mee.set_page_domain(3, 1)
             proc.write_through(3 * 4096, b"x")
             proc.drain_writes()
             assert len(proc.mee._domain_trees) == 2

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import MIB, PAGE_SIZE
 from repro.defenses import (
-    assign_domains,
     isolated_tree_config,
     mirage_eviction_curve,
     partitioned_llc_config,
@@ -60,7 +59,8 @@ class TestIsolationDefense:
 
     def test_domains_get_disjoint_trees(self):
         proc = SecureProcessor(isolated_tree_config(protected_size=64 * MIB))
-        assign_domains(proc, {1: [100], 2: [200]})
+        proc.mee.set_page_domain(100, 1)
+        proc.mee.set_page_domain(200, 2)
         proc.read(100 * PAGE_SIZE)
         proc.read(200 * PAGE_SIZE)
         assert set(proc.mee._domain_trees) >= {1, 2}
@@ -68,7 +68,7 @@ class TestIsolationDefense:
 
     def test_domain_roundtrip(self):
         proc = SecureProcessor(isolated_tree_config(protected_size=64 * MIB))
-        assign_domains(proc, {1: [50]})
+        proc.mee.set_page_domain(50, 1)
         addr = 50 * PAGE_SIZE
         proc.write_through(addr, b"domain1")
         proc.drain_writes()

@@ -191,12 +191,12 @@ class TestLazyTreePropagation:
             proc.mee.flush_metadata_cache(proc.cycle)
         proc.read(probe)
         proc.flush(probe)
-        baseline = proc.timed_read(probe)
+        baseline = proc.read(probe).latency
         proc.flush(probe)
         proc.write_through(base, b"w")  # the overflowing write
         proc.drain_writes()
         proc.mee.flush_metadata_cache(proc.cycle)
-        delayed = proc.timed_read(probe)
+        delayed = proc.read(probe).latency
         assert delayed > baseline + 500
 
 

@@ -24,19 +24,53 @@ from repro.victims.jpeg import (
     zigzag,
     ZIGZAG_ORDER,
 )
+from repro.victims.jpeg.encoder import EncodedImage
 from repro.victims.jpeg.huffman import (
+    EOB,
+    ZRL,
+    AcSymbol,
     bit_category,
     encode_bitstream,
-    run_length_decode,
     run_length_encode,
 )
 from repro.victims.jpeg.reconstruct import (
     activity_map,
     feature_correlation,
     pixel_correlation,
-    reconstruct_reference,
     zero_recovery_accuracy,
 )
+
+
+def run_length_decode(symbols: list[AcSymbol]) -> list[int]:
+    """Invert :func:`run_length_encode` back to 63 AC coefficients."""
+    coefficients: list[int] = []
+    for symbol in symbols:
+        if (symbol.run, symbol.size) == EOB:
+            break
+        if (symbol.run, symbol.size) == ZRL:
+            coefficients.extend([0] * 16)
+            continue
+        coefficients.extend([0] * symbol.run)
+        coefficients.append(symbol.amplitude)
+    coefficients.extend([0] * (63 - len(coefficients)))
+    return coefficients[:63]
+
+
+def reconstruct_reference(encoded: EncodedImage) -> np.ndarray:
+    """Full decode of the true encoding (the paper's Oracle column)."""
+    height, width = encoded.shape
+    blocks_per_row = width // 8
+    table = quant_table(encoded.quality)
+    image = np.zeros(encoded.shape)
+    for block_index, ac in enumerate(encoded.ac_blocks):
+        sequence = np.zeros(64)
+        sequence[0] = encoded.dc[block_index]
+        sequence[1:] = ac
+        coefficients = dequantize(inverse_zigzag(sequence), table)
+        pixels = idct2(coefficients) + 128.0
+        by, bx = divmod(block_index, blocks_per_row)
+        image[by * 8 : by * 8 + 8, bx * 8 : bx * 8 + 8] = pixels
+    return np.clip(image, 0, 255)
 
 
 class TestDct:

@@ -50,8 +50,9 @@ class TestKvStore:
         frames.add(self.store.log_frame)
         assert len(frames) == 5
 
-    def test_put_all(self):
-        steps = self._run(self.store.put_all({"a": b"1", "b": b"2"}))
+    def test_puts_yield_log_and_bucket_steps(self):
+        steps = self._run(self.store.put("a", b"1"))
+        steps += self._run(self.store.put("b", b"2"))
         assert len(steps) == 4
         assert len(self.store) == 2
 

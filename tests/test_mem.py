@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DramConfig, MemCtrlConfig
-from repro.mem.block import (
-    bank_of,
-    block_address,
-    block_index,
-    block_offset,
-    page_index,
-    page_offset,
-)
+from repro.mem.block import bank_of, block_address, block_index, page_index
 from repro.mem.dram import DramModel
 from repro.mem.memctrl import MemoryController
 
@@ -20,11 +13,9 @@ class TestBlockHelpers:
     def test_block_decomposition(self):
         assert block_address(0x1234) == 0x1200
         assert block_index(0x1234) == 0x48
-        assert block_offset(0x1234) == 0x34
 
     def test_page_decomposition(self):
         assert page_index(0x12345) == 0x12
-        assert page_offset(0x12345) == 0x345
 
     @given(st.integers(min_value=0, max_value=2**40))
     def test_block_roundtrip(self, addr):

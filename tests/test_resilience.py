@@ -1,11 +1,10 @@
-"""Tests for the noise-resilient pipeline: adaptive calibration, ECC-framed
+"""Tests for the noise-resilient pipeline: calibration scoring, ECC-framed
 channels, graceful degradation, and watchdog cycle budgets."""
 
 import pytest
 
 from repro.analysis.kvstore_attack import run_kvstore_attack
 from repro.attacks import (
-    AdaptiveThresholdTracker,
     BitSymbolAdapter,
     CovertChannelC,
     CovertChannelT,
@@ -14,7 +13,6 @@ from repro.attacks import (
     ReliableChannel,
     score_calibration,
 )
-from repro.attacks.calibration import LatencyCalibrator
 from repro.attacks.noise import co_located_noise
 from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
 from repro.os import PageAllocator
@@ -66,42 +64,7 @@ class TestCalibrationScoring:
         assert far_away > 0.5
 
 
-class TestAdaptiveTracker:
-    def _calibration(self):
-        return score_calibration([100.0] * 16, [300.0] * 16)
-
-    def test_no_drift_on_stable_observations(self):
-        tracker = AdaptiveThresholdTracker(self._calibration(), check_every=4)
-        drifted = False
-        for _ in range(20):
-            drifted |= tracker.observe(102.0, 200.0)
-            drifted |= tracker.observe(298.0, 200.0)
-        assert not drifted
-
-    def test_detects_band_drift(self):
-        tracker = AdaptiveThresholdTracker(
-            self._calibration(), window=16, min_window=8, check_every=4
-        )
-        # The machine warmed up: both bands moved far above the threshold.
-        drifted = False
-        for _ in range(16):
-            drifted |= tracker.observe(500.0, 200.0)
-            drifted |= tracker.observe(700.0, 200.0)
-        assert drifted
-
-    def test_uniform_window_fires_neither_test(self):
-        tracker = AdaptiveThresholdTracker(
-            self._calibration(), window=16, min_window=8, check_every=4
-        )
-        assert not any(tracker.observe(102.0, 200.0) for _ in range(32))
-
-
 class TestValidation:
-    def test_calibrator_rejects_nonpositive_samples(self):
-        proc, alloc = make_env()
-        with pytest.raises(ValueError, match="samples"):
-            LatencyCalibrator(proc, alloc, samples=0)
-
     def test_monitor_rejects_nonpositive_rounds(self):
         proc, alloc = make_env()
         attack = MetaLeakT(proc, alloc, core=1)
@@ -182,18 +145,6 @@ class TestMiscalibratedAttack:
         assert "degenerate-calibration" in report.degraded_reasons
         assert report.mean_confidence < 0.5
         assert len(report.received) == len(report.sent)  # structured result
-
-    def test_recalibration_rejects_degenerate_sample(self):
-        proc, alloc = make_env()
-        attack = MetaLeakT(proc, alloc, core=1)
-        monitor = attack.monitor_for_page(64)
-        good = monitor.calibration
-        assert good.ok
-        # Re-calibrate normally: the fresh calibration is adopted.
-        monitor.calibrate(samples=4)
-        assert monitor.calibration.ok
-        assert monitor.stats.recalibrations >= 1
-
 
 class TestNoiseSweepWithEcc:
     """The ISSUE's acceptance sweep: raw BER grows with noise intensity

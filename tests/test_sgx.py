@@ -34,16 +34,17 @@ class TestSgxMachine:
         assert enclave.frame_of_vaddr(vaddr) == 100
 
     def test_sharing_sets_match_section8b(self, machine):
-        assert len(machine.pages_sharing_tree_node(20, 0)) == 1
-        assert len(machine.pages_sharing_tree_node(20, 1)) == 8
-        assert len(machine.pages_sharing_tree_node(20, 2)) == 64
+        layout = machine.proc.layout
+        assert len(layout.pages_sharing_node(20, 0)) == 1
+        assert len(layout.pages_sharing_node(20, 1)) == 8
+        assert len(layout.pages_sharing_node(20, 2)) == 64
 
     def test_colocation_through_placement(self, machine):
         """Attacker and victim pages end up under one L1 node block."""
         victim = machine.create_enclave(name="victim")
         attacker = machine.create_enclave(name="attacker", core=1)
         victim_vaddr = victim.load_page_at_frame(40)
-        group = machine.pages_sharing_tree_node(40, 1)
+        group = machine.proc.layout.pages_sharing_node(40, 1)
         attacker_vaddr = attacker.load_page_at_frame(group.start + 1)
         layout = machine.proc.layout
         assert layout.node_addr_for_data(victim.paddr(victim_vaddr), 1) == (

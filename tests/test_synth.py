@@ -23,6 +23,7 @@ from repro.campaign import (
     encode_payload,
 )
 from repro.synth import (
+    TARGETS,
     GenConfig,
     Guard,
     MinimizationError,
@@ -212,9 +213,8 @@ class TestOracle:
         result = evaluate_program(program=LEAKER)
         assert result.leaky
         assert result.metadata_leaky
-        hit = result.hit_targets()
-        assert "metaleak_t" in hit
-        assert "metaleak_c" in hit
+        assert result.hits(TARGETS["metaleak_t"])
+        assert result.hits(TARGETS["metaleak_c"])
 
     def test_unguarded_skeleton_is_clean(self):
         result = evaluate_program(program=strip_guards(LEAKER))

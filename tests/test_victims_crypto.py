@@ -13,11 +13,32 @@ from repro.victims.mbedtls import (
     generate_keypair_inputs,
     recover_secret_from_trace,
 )
-from repro.victims.rsa import (
-    RsaModexpVictim,
-    generate_test_key,
-    recover_exponent_from_ops,
-)
+from repro.victims.rsa import RsaModexpVictim, generate_test_key
+
+
+def recover_exponent_from_ops(operations: list[str]) -> int:
+    """Rebuild the exponent from a square/multiply operation trace.
+
+    A square followed by a multiply is a 1 bit; a square followed by
+    another square (or end of trace) is a 0 bit.  The leading bit of any
+    non-zero exponent is implicitly 1 (the loop starts at the MSB).
+    """
+    bits: list[int] = []
+    index = 0
+    while index < len(operations):
+        operation = operations[index]
+        if operation != "square":
+            raise ValueError(f"malformed trace at {index}: {operation!r}")
+        if index + 1 < len(operations) and operations[index + 1] == "multiply":
+            bits.append(1)
+            index += 2
+        else:
+            bits.append(0)
+            index += 1
+    value = 0
+    for bit in bits:
+        value = (value << 1) | bit
+    return value
 
 
 def make_process():
