@@ -17,14 +17,21 @@ This rediscovers both MetaLeak channels from traces alone:
 Determinism (zero timer jitter, which is the config default) means a
 constant-time victim produces *identical* streams, so the clean verdict
 is exact rather than statistical.
+
+:func:`run_leakcheck` reports every statistic of every stream.  The fuzz
+oracle needs only which streams are flagged, so :func:`leak_verdict`
+applies the same flag rule (:func:`_reasons`) and stops at each
+stream's first reason.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from operator import is_not, sub
+from typing import Iterator
 
 from repro import obs
 from repro.config import SecureProcessorConfig
@@ -170,6 +177,47 @@ def _collect_trace(
     return tracer.streams(), len(tracer), tracer.dropped
 
 
+@contextmanager
+def _traced_pair(
+    spec: VictimSpec,
+    seed: int,
+    *,
+    config: SecureProcessorConfig,
+    capacity: int,
+) -> Iterator[tuple[obs.Span, list[tuple], int, int]]:
+    """Trace ``spec`` under both of its paired secrets inside one
+    ``oracle.leakcheck`` span.
+
+    Yields the span; (component, kind, first run's events, second run's
+    events) for every stream either run emitted, in sorted order; and
+    each run's event count.  The caller compares the streams inside the
+    block and sets the span's ``leaky`` and ``events`` attributes.
+    Raises ``ValueError`` on a truncated run (see :func:`run_leakcheck`).
+    """
+    with obs.start_span(
+        "oracle.leakcheck", kind="oracle.leakcheck",
+        attrs={"victim": spec.name, "seed": seed},
+    ) as span:
+        secret_a, secret_b = spec.secrets(seed)
+        grouped_a, count_a, dropped_a = _collect_trace(
+            spec, secret_a, config=config, capacity=capacity
+        )
+        grouped_b, count_b, dropped_b = _collect_trace(
+            spec, secret_b, config=config, capacity=capacity
+        )
+        if dropped_a or dropped_b:
+            raise ValueError(
+                f"trace truncated: the capacity={capacity} ring dropped "
+                f"{dropped_a} and {dropped_b} events of the paired runs of "
+                f"{spec.name!r}; raise capacity to compare whole traces"
+            )
+        streams = [
+            (*key, grouped_a.get(key, []), grouped_b.get(key, []))
+            for key in sorted(grouped_a.keys() | grouped_b.keys())
+        ]
+        yield span, streams, count_a, count_b
+
+
 def _stream_samples(events: list[TraceRecord]) -> tuple[list[float], ...]:
     """Sorted value, addr and interarrival samples of one event stream.
 
@@ -199,24 +247,22 @@ def _identical_sample_sizes(events: list[TraceRecord]) -> tuple[int, ...]:
 
 def _ks_results(
     events_a: list[TraceRecord], events_b: list[TraceRecord]
-) -> list[tuple[str, float, float]]:
+) -> Iterator[tuple[str, float, float]]:
     """(dimension, KS statistic, p-value) for each dimension with enough
-    samples on both sides."""
+    samples on both sides, one dimension at a time."""
     if len(events_a) < _MIN_KS_SAMPLES or len(events_b) < _MIN_KS_SAMPLES:
         # No dimension has more samples than its stream has events.
-        return []
+        return
     if events_a == events_b:
         # Equal streams give equal samples, and the KS test of a sample
         # against itself is exactly statistic 0.0, p-value 1.0: nothing
         # needs building or sorting.
-        return [
-            (dimension, 0.0, 1.0)
-            for dimension, size in zip(
-                _DIMENSIONS, _identical_sample_sizes(events_a)
-            )
-            if size >= _MIN_KS_SAMPLES
-        ]
-    results = []
+        for dimension, size in zip(
+            _DIMENSIONS, _identical_sample_sizes(events_a)
+        ):
+            if size >= _MIN_KS_SAMPLES:
+                yield dimension, 0.0, 1.0
+        return
     for dimension, sample_a, sample_b in zip(
         _DIMENSIONS, _stream_samples(events_a), _stream_samples(events_b)
     ):
@@ -224,12 +270,33 @@ def _ks_results(
             continue
         if sample_a == sample_b:
             # The same exact answer as above, per dimension.
-            results.append((dimension, 0.0, 1.0))
+            yield dimension, 0.0, 1.0
             continue
         statistic = ks_statistic(sample_a, sample_b)
-        pvalue = ks_pvalue(len(sample_a), len(sample_b), statistic)
-        results.append((dimension, statistic, pvalue))
-    return results
+        yield dimension, statistic, ks_pvalue(
+            len(sample_a), len(sample_b), statistic
+        )
+
+
+def _reasons(
+    events_a: list[TraceRecord],
+    events_b: list[TraceRecord],
+    alpha: float,
+    tests: dict[str, dict[str, float]],
+) -> Iterator[str]:
+    """Why one (component, kind) stream is flagged, lazily, in report order.
+
+    This is the detector's one flag rule: the two runs' event counts
+    differ, or a KS test of a dimension has a p-value below ``alpha``.
+    A KS test runs only when the sequence is consumed past every reason
+    before it, and records its result in ``tests``.
+    """
+    if len(events_a) != len(events_b):
+        yield f"count {len(events_a)} != {len(events_b)}"
+    for dimension, statistic, pvalue in _ks_results(events_a, events_b):
+        tests[dimension] = {"statistic": statistic, "pvalue": pvalue}
+        if pvalue < alpha:
+            yield f"{dimension} KS p={pvalue:.3g} < {alpha}"
 
 
 def _compare_kind(
@@ -245,16 +312,8 @@ def _compare_kind(
         count_a=len(events_a),
         count_b=len(events_b),
     )
-    if finding.count_a != finding.count_b:
-        finding.flagged = True
-        finding.reasons.append(
-            f"count {finding.count_a} != {finding.count_b}"
-        )
-    for dimension, statistic, pvalue in _ks_results(events_a, events_b):
-        finding.tests[dimension] = {"statistic": statistic, "pvalue": pvalue}
-        if pvalue < alpha:
-            finding.flagged = True
-            finding.reasons.append(f"{dimension} KS p={pvalue:.3g} < {alpha}")
+    finding.reasons.extend(_reasons(events_a, events_b, alpha, finding.tests))
+    finding.flagged = bool(finding.reasons)
     return finding
 
 
@@ -281,46 +340,52 @@ def run_leakcheck(
     spec = victim if isinstance(victim, VictimSpec) else get_victim(victim)
     if config is None:
         config = SecureProcessorConfig.sct_default(functional_crypto=False)
-    with obs.start_span(
-        "oracle.leakcheck", kind="oracle.leakcheck",
-        attrs={"victim": spec.name, "seed": seed},
-    ) as span:
-        secret_a, secret_b = spec.secrets(seed)
-        grouped_a, count_a, dropped_a = _collect_trace(
-            spec, secret_a, config=config, capacity=capacity
-        )
-        grouped_b, count_b, dropped_b = _collect_trace(
-            spec, secret_b, config=config, capacity=capacity
-        )
-        if dropped_a or dropped_b:
-            raise ValueError(
-                f"trace truncated: the capacity={capacity} ring dropped "
-                f"{dropped_a} and {dropped_b} events of the paired runs of "
-                f"{spec.name!r}; raise capacity to compare whole traces"
-            )
+    with _traced_pair(spec, seed, config=config, capacity=capacity) as (
+        span, streams, count_a, count_b
+    ):
         report = LeakReport(
             victim=spec.name,
             seed=seed,
             alpha=alpha,
             events_a=count_a,
             events_b=count_b,
-            dropped_a=dropped_a,
-            dropped_b=dropped_b,
+            # _traced_pair raises rather than yield a truncated run.
+            dropped_a=0,
+            dropped_b=0,
+            findings=[
+                _compare_kind(component, kind, events_a, events_b, alpha)
+                for component, kind, events_a, events_b in streams
+            ],
         )
-        for key in sorted(set(grouped_a) | set(grouped_b)):
-            component, kind = key
-            report.findings.append(
-                _compare_kind(
-                    component,
-                    kind,
-                    grouped_a.get(key, []),
-                    grouped_b.get(key, []),
-                    alpha,
-                )
-            )
-        span.set_many({"leaky": report.leaky,
-                       "events": report.events_a + report.events_b})
+        span.set_many({"leaky": report.leaky, "events": count_a + count_b})
     return report
+
+
+def leak_verdict(
+    spec: VictimSpec,
+    *,
+    alpha: float,
+    capacity: int,
+    config: SecureProcessorConfig,
+) -> tuple[tuple[tuple[str, str], ...], int]:
+    """The flagged (component, kind) streams of :func:`run_leakcheck`'s
+    report at seed 0, and both runs' event count added together, without
+    the rest of the report.
+
+    Each stream stops at its first reason: one whose counts differ runs
+    no KS test, and one with equal counts stops at its first flagging
+    dimension.
+    """
+    with _traced_pair(spec, 0, config=config, capacity=capacity) as (
+        span, streams, count_a, count_b
+    ):
+        channels = tuple(
+            (component, kind)
+            for component, kind, events_a, events_b in streams
+            if next(_reasons(events_a, events_b, alpha, {}), None) is not None
+        )
+        span.set_many({"leaky": bool(channels), "events": count_a + count_b})
+    return channels, count_a + count_b
 
 
 def build_leakcheck_tasks(

@@ -31,7 +31,7 @@ from repro.config import (
     SecureProcessorConfig,
     preset_config,
 )
-from repro.leakcheck.detector import LeakReport, run_leakcheck
+from repro.leakcheck.detector import leak_verdict
 from repro.leakcheck.victims import VictimSpec
 from repro.os.page_alloc import PageAllocator
 from repro.os.process import Process
@@ -185,14 +185,6 @@ class SynthResult:
         return any(component in components for component, _ in self.channels)
 
 
-def classify_report(report: LeakReport) -> tuple[tuple[str, str], ...]:
-    """The flagged (component, kind) channels of one leak report."""
-    return tuple(
-        (finding.component, finding.kind)
-        for finding in report.flagged_findings
-    )
-
-
 def evaluate_program(
     *,
     program: Program,
@@ -209,21 +201,20 @@ def evaluate_program(
         "oracle.evaluate", kind="oracle.evaluate",
         attrs={"preset": preset, "defense": defense, "gen_seed": gen_seed},
     ) as span:
-        report = run_leakcheck(
-            spec, seed=0, alpha=alpha, capacity=capacity, config=config
+        channels, events = leak_verdict(
+            spec, alpha=alpha, capacity=capacity, config=config
         )
-        channels = classify_report(report)
-        span.set("leaky", report.leaky)
+        span.set("leaky", bool(channels))
     return SynthResult(
         program=program,
         preset=preset,
         defense=defense,
         alpha=alpha,
         gen_seed=gen_seed,
-        leaky=report.leaky,
+        leaky=bool(channels),
         metadata_leaky=any(
             component in METADATA_COMPONENTS for component, _ in channels
         ),
         channels=channels,
-        events=report.events_a + report.events_b,
+        events=events,
     )

@@ -36,7 +36,7 @@ from repro.faults.hooks import FaultHook
 from repro.leakcheck import run_leakcheck
 from repro.perf import CycleAttributor
 from repro.proc.processor import SecureProcessor
-from repro.synth import compile_program, generate_program
+from repro.synth import compile_program, evaluate_program, generate_program
 from repro.synth.runner import DEFENSES, synth_config
 from repro.trace import Tracer
 
@@ -319,6 +319,11 @@ class TestAcyclicMachines:
 
     def test_leakcheck_run(self):
         assert _cyclic_garbage(lambda: run_leakcheck("rsa")) == 0
+
+    def test_oracle_evaluation(self):
+        assert _cyclic_garbage(
+            lambda: evaluate_program(program=generate_program(7))
+        ) == 0
 
     def test_campaign_leakcheck_job(self):
         def work():

@@ -21,8 +21,15 @@ from repro.leakcheck.detector import (
     _MIN_KS_SAMPLES,
     _compare_kind,
     _stream_samples,
+    leak_verdict,
 )
-from repro.synth import compile_program, generate_program, synth_config
+from repro.synth import (
+    compile_program,
+    evaluate_program,
+    generate_program,
+    synth_config,
+)
+from repro.synth.runner import DEFENSES
 from repro.trace import TraceEvent
 from repro.utils.stats import ks_pvalue, ks_statistic
 
@@ -260,6 +267,39 @@ class TestGoldenVerdicts:
         assert digest.hexdigest() == _GOLDEN_DIGEST
 
 
+# sha256 over (gen_seed, leaky, metadata_leaky, channels, events) of the
+# fuzz oracle's results on _oracle_cases(), recorded while the oracle
+# still built the full report: the verdict path's own golden value.
+_ORACLE_DIGEST = (
+    "068a720cf499b1315b90e40bfd45853732d63b4e32b729a7b451c1b5fd504cc2"
+)
+
+
+def _oracle_cases():
+    """40 seeded fuzz programs, spread over every preset × defense."""
+    machines = [
+        (preset, defense)
+        for preset in ("sct", "ht", "sgx")
+        for defense in DEFENSES
+    ]
+    for gen_seed in range(40):
+        yield (gen_seed, *machines[gen_seed % len(machines)])
+
+
+class TestGoldenOracleResults:
+    def test_results_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for gen_seed, preset, defense in _oracle_cases():
+            result = evaluate_program(
+                program=generate_program(gen_seed), preset=preset,
+                defense=defense, gen_seed=gen_seed,
+            )
+            fields = [gen_seed, result.leaky, result.metadata_leaky,
+                      result.channels, result.events]
+            digest.update(json.dumps(fields).encode() + b"\n")
+        assert digest.hexdigest() == _ORACLE_DIGEST
+
+
 def _random_events(rng: random.Random, count: int) -> list[TraceEvent]:
     cycle = rng.randrange(100)
     events = []
@@ -313,3 +353,109 @@ class TestIdenticalStreamShortCircuit:
         # value has 3 samples, addr none, interarrival exactly the minimum.
         assert set(finding.tests) == {"interarrival"}
         assert not finding.flagged
+
+
+def _stream(cycles, *, values=None, addrs=None) -> list[TraceEvent]:
+    """One hand-built ("c", "k") stream; ``values``/``addrs`` default to
+    a value and an address per event that depend only on its index."""
+    count = len(cycles)
+    values = [float(i % 4) for i in range(count)] if values is None else values
+    addrs = [i * 64 for i in range(count)] if addrs is None else addrs
+    return [
+        TraceEvent(cycle=cycle, component="c", kind="k", addr=addr,
+                   value=value)
+        for cycle, addr, value in zip(cycles, addrs, values)
+    ]
+
+
+def _emitting_victim(events_a, events_b) -> VictimSpec:
+    """A victim whose two runs emit the given events and touch no memory."""
+
+    def run(proc, secret):
+        for event in (events_b if secret else events_a):
+            proc.tracer.emit(
+                event.component, event.kind, cycle=event.cycle,
+                addr=event.addr, value=event.value,
+            )
+
+    return VictimSpec(
+        name="emitting", description="test",
+        secrets=lambda seed: (0, 1), run=run,
+    )
+
+
+_N = 5 * _MIN_KS_SAMPLES
+_ALL = {"value", "addr", "interarrival"}
+#: case -> (first run's stream, second run's stream, the report's
+#: reasons, its tested dimensions).  Each reason is matched by prefix,
+#: since p-values follow the data.
+_BRANCHES = {
+    "counts_differ": (
+        _stream(range(_N)), _stream(range(_N + 2)),
+        [f"count {_N} != {_N + 2}"], _ALL,
+    ),
+    "identical": (_stream(range(_N)), _stream(range(_N)), [], _ALL),
+    "interarrival_only": (
+        _stream(range(_N)), _stream(range(0, 10 * _N, 10)),
+        ["interarrival KS p="], _ALL,
+    ),
+    "value_only": (
+        _stream(range(_N), values=[1.0] * _N),
+        _stream(range(_N), values=[2.0] * _N),
+        ["value KS p="], _ALL,
+    ),
+    "differ_unflagged": (
+        _stream(range(_N), values=[float(i) for i in range(_N)]),
+        _stream(range(_N), values=[float(i + 1) for i in range(_N)]),
+        [], _ALL,
+    ),
+    "below_ks_minimum": (
+        _stream(range(_MIN_KS_SAMPLES - 1),
+                values=[1.0] * (_MIN_KS_SAMPLES - 1)),
+        _stream(range(_MIN_KS_SAMPLES - 1),
+                values=[2.0] * (_MIN_KS_SAMPLES - 1)),
+        [], set(),
+    ),
+    "one_side_only": (_stream(range(_N)), [], [f"count {_N} != 0"], set()),
+}
+
+
+class TestVerdictBranches:
+    """``leak_verdict`` stops at each stream's first reason; on every
+    branch of the flag rule it must flag what the full report flags."""
+
+    @pytest.mark.parametrize("case", sorted(_BRANCHES))
+    def test_verdict_equals_report(self, case):
+        events_a, events_b, reasons, tested = _BRANCHES[case]
+        spec = _emitting_victim(events_a, events_b)
+        config = synth_config()
+        report = run_leakcheck(spec, config=config)
+        (finding,) = report.findings
+        assert set(finding.tests) == tested
+        assert len(finding.reasons) == len(reasons)
+        for got, prefix in zip(finding.reasons, reasons):
+            assert got.startswith(prefix)
+        channels, events = leak_verdict(
+            spec, alpha=0.01, capacity=1 << 18, config=config
+        )
+        assert channels == tuple(
+            (flagged.component, flagged.kind)
+            for flagged in report.flagged_findings
+        )
+        assert events == report.events_a + report.events_b == (
+            len(events_a) + len(events_b)
+        )
+
+    def test_streams_that_differ_but_pass_were_tested(self):
+        events_a, events_b, _, _ = _BRANCHES["differ_unflagged"]
+        report = run_leakcheck(_emitting_victim(events_a, events_b),
+                               config=synth_config())
+        assert report.findings[0].tests["value"]["statistic"] > 0.0
+
+    def test_truncated_run_raises(self):
+        events_a, events_b, _, _ = _BRANCHES["counts_differ"]
+        with pytest.raises(ValueError, match="capacity=16"):
+            leak_verdict(
+                _emitting_victim(events_a, events_b), alpha=0.01,
+                capacity=16, config=synth_config(),
+            )

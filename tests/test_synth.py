@@ -22,6 +22,7 @@ from repro.campaign import (
     decode_payload,
     encode_payload,
 )
+from repro.leakcheck import run_leakcheck
 from repro.synth import (
     TARGETS,
     GenConfig,
@@ -51,6 +52,7 @@ from repro.synth import (
     validate_program,
 )
 from repro.synth.ir import LINES_PER_PAGE, op_lines
+from repro.synth.runner import DEFENSES, METADATA_COMPONENTS, synth_config
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 WITNESS_DIR = REPO / "witnesses"
@@ -69,6 +71,11 @@ LEAKER = Program(
 
 #: Small generator config keeping property-test oracle runs cheap.
 SMALL_GEN = GenConfig(max_pages=2, min_ops=4, max_ops=8)
+
+#: Generated programs with a stream whose counts are equal and that a KS
+#: test flags: the first on write-service interarrival times (SCT and
+#: HT), the second on flush addresses (every preset, its only flag).
+_KS_ONLY_SEEDS = (7001 * 1_000_003 + 102, 7001 * 1_000_003 + 105)
 
 
 # -- IR --------------------------------------------------------------------
@@ -240,6 +247,38 @@ class TestOracle:
     def test_unknown_defense_rejected(self):
         with pytest.raises(ValueError):
             evaluate_program(program=LEAKER, defense="bogus")
+
+    @pytest.mark.parametrize("defense", DEFENSES)
+    @pytest.mark.parametrize("preset", ["sct", "ht", "sgx"])
+    def test_verdict_equals_full_report(self, preset, defense):
+        """The oracle stops at each stream's first reason; what it
+        returns is still exactly what the full report flags."""
+        ks_only = 0
+        for gen_seed in (*range(8), *_KS_ONLY_SEEDS):
+            program = generate_program(gen_seed)
+            result = evaluate_program(
+                program=program, preset=preset, defense=defense
+            )
+            report = run_leakcheck(
+                compile_program(program), seed=0,
+                config=synth_config(preset, defense),
+            )
+            channels = tuple(
+                (finding.component, finding.kind)
+                for finding in report.flagged_findings
+            )
+            assert result.channels == channels
+            assert result.leaky == report.leaky
+            assert result.metadata_leaky == any(
+                component in METADATA_COMPONENTS for component, _ in channels
+            )
+            assert result.events == report.events_a + report.events_b
+            ks_only += sum(
+                finding.count_a == finding.count_b
+                for finding in report.flagged_findings
+            )
+        # Some flag came from a KS test alone, so the KS path is covered.
+        assert ks_only > 0
 
 
 # -- corpus ----------------------------------------------------------------
