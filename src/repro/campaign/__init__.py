@@ -1,7 +1,7 @@
 """Crash-isolated sharded campaign engine with a persistent result cache.
 
 Every expensive workload in the repro — figure regeneration, fault
-campaigns, leakcheck seed-sweeps, the bench suite — is a batch of
+campaigns, leakcheck seed-sweeps, fuzz batches — is a batch of
 independent seeded runs.  This package executes such batches across
 worker processes with deterministic results (serial and ``--jobs N``
 runs are byte-identical), reaps crashed or hung workers and retries

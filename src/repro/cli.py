@@ -56,23 +56,6 @@ Commands
     requires every swept seed to match and turns the verdict into an
     exit code for CI gating.
 
-``bench [SCENARIO ...] [--out DIR] [--seed S] [--quick] [--repeats N]
-[--compare DIR] [--threshold F] [--min-ratio X] [--list] [--jobs N]
-[--no-cache] [--campaign-db FILE] [--timeout S] [--retries N]``
-    Run the benchmark scenario suite (all scenarios by default) and
-    write one ``BENCH_<scenario>.json`` per scenario.  Each scenario
-    runs ``--repeats`` times and reports the fastest wall time (the
-    simulated columns are asserted identical across repeats).
-    ``--compare`` checks throughput against baseline JSONs in a
-    directory, printing the old→new ratio per scenario, and exits
-    non-zero on a regression beyond ``--threshold`` or when a baseline
-    with the same seed and mode has different ``simulated_cycles`` or
-    ``accesses`` (status ``diverged``); ``--min-ratio X``
-    additionally requires every ``steady_*`` scenario to reach X times
-    its baseline throughput (the batching speedup gate).  Note that
-    cached bench results replay the stored measurement; pass
-    ``--no-cache`` when you want fresh host-throughput numbers.
-
 ``serve [--host H] [--port P] [--capacity N] [--concurrency N]
 [--jobs N] [--timeout S] [--retries N] [--backoff S] [--drain-grace S]
 [--campaign-db FILE] [--no-spans]``
@@ -102,15 +85,14 @@ Commands
     sustained jobs/sec.  Exits non-zero unless every job reached
     ``done``.
 
-``profile (--victim NAME | --scenario NAME) [--preset sct|ht|sgx]
-[--seed S] [--quick] [--collapsed FILE] [--prom FILE] [--min-share F]``
-    Run one victim — or one processor-backed bench scenario — under the
-    cycle-attribution profiler and print the hierarchical
-    where-did-the-cycles-go report (conservation-checked).  A profiled
-    machine runs the same executor as a bare one, so scenario profiles
-    attribute the same op stream the benchmark simulates.  ``--collapsed`` exports flamegraph-ready collapsed
-    stacks; ``--prom`` exports the counter registry in Prometheus text
-    format.
+``profile --victim NAME [--preset sct|ht|sgx] [--seed S]
+[--collapsed FILE] [--prom FILE] [--min-share F]``
+    Run one victim under the cycle-attribution profiler and print the
+    hierarchical where-did-the-cycles-go report (conservation-checked).
+    ``--collapsed`` exports flamegraph-ready collapsed stacks; ``--prom``
+    exports the counter registry in Prometheus text format;
+    ``--min-share`` (a fraction in [0, 1]) hides components below that
+    share of a bucket's cycles.
 
 ``synth {generate,run,minimize,corpus,verify}``
     Attack-synthesis fuzzer (docs/synth.md).  ``generate`` prints seeded
@@ -203,8 +185,21 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _fraction(value: str) -> float:
+    """A fraction in [0, 1]; ``nan`` and the infinities are not."""
+    try:
+        fraction = float(value)
+    except ValueError:
+        fraction = None
+    if fraction is None or not 0.0 <= fraction <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction in [0, 1], got {value!r}"
+        )
+    return fraction
+
+
 def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
-    """The campaign-engine flags shared by figures/faults/leakcheck/bench."""
+    """The campaign-engine flags shared by figures/faults/leakcheck/synth run."""
     parser.add_argument(
         "--jobs", type=_jobs_count, default=1, metavar="N",
         help="worker processes (0 = one per CPU core; default 1 = serial)",
@@ -545,107 +540,6 @@ def _cmd_leakcheck(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import math
-
-    from repro.perf import bench
-
-    if args.list:
-        for name in bench.scenario_names():
-            print(name)
-        return 0
-    if not (args.threshold > 0 and math.isfinite(args.threshold)):
-        raise ValueError(
-            f"--threshold must be a positive finite fraction, "
-            f"got {args.threshold!r}"
-        )
-    if args.min_ratio is not None and not (
-        args.min_ratio > 0 and math.isfinite(args.min_ratio)
-    ):
-        raise ValueError(
-            f"--min-ratio must be a positive finite multiple, "
-            f"got {args.min_ratio!r}"
-        )
-    names = args.scenarios or bench.scenario_names()
-    unknown = [name for name in names if name not in bench.scenario_names()]
-    if unknown:
-        raise ValueError(
-            f"unknown scenario(s) {unknown}; see 'python -m repro bench --list'"
-        )
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    from repro.campaign import CampaignTask
-
-    tasks = [
-        CampaignTask(
-            name=f"bench_{name}",
-            fn=bench.run_scenario,
-            kwargs={"name": name, "seed": args.seed, "quick": args.quick,
-                    "repeats": args.repeats},
-        )
-        for name in names
-    ]
-    engine = _campaign_engine(args, out_dir=out_dir)
-    batch = engine.run(tasks)
-    results = []
-    failed_tasks = False
-    for name, record in zip(names, batch.records):
-        if not record.ok:
-            failed_tasks = True
-            print(f"!! {name}: bench task {record.status}: {record.error}",
-                  file=sys.stderr)
-            continue
-        result = record.result
-        results.append(result)
-        written = bench.write_result(result, out_dir)
-        flags = "  (cached)" if record.cached else ""
-        print(
-            f"{name:<12} {result.accesses:>7} accesses  "
-            f"{result.simulated_cycles:>10} cycles  "
-            f"{result.sim_accesses_per_second:>10.0f} acc/s  "
-            f"rss={result.peak_rss_kb} KB  -> {written}{flags}"
-        )
-    print(engine.summary_line())
-    if failed_tasks:
-        return 1
-    if args.compare is None:
-        return 0
-    offenders = []
-    diverged = []
-    for outcome in bench.compare(
-        results, args.compare, threshold=args.threshold,
-        min_ratio=args.min_ratio,
-    ):
-        print(f"compare {outcome.scenario:<12} {outcome.status:<12} "
-              f"{outcome.detail}")
-        if outcome.status == "regression":
-            offenders.append(outcome)
-        elif outcome.status == "diverged":
-            diverged.append(outcome.scenario)
-    if diverged:
-        print(
-            f"FAIL: simulated columns differ from the same-seed baseline "
-            f"in {args.compare} for: {', '.join(diverged)}",
-            file=sys.stderr,
-        )
-    if offenders:
-        named = ", ".join(
-            f"{o.scenario} ({o.ratio:.2f}x)" if o.ratio is not None
-            else o.scenario
-            for o in offenders
-        )
-        print(
-            f"FAIL: throughput gate vs {args.compare} "
-            f"(allowed drop {args.threshold:.0%}"
-            + (f", required steady_* speedup {args.min_ratio:.2f}x"
-               if args.min_ratio is not None else "")
-            + f") failed for: {named}",
-            file=sys.stderr,
-        )
-    return 1 if offenders or diverged else 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
@@ -833,25 +727,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.perf import CycleAttributor, prometheus_text
     from repro.proc import SecureProcessor
 
-    if (args.victim is None) == (args.scenario is None):
-        raise ValueError("pass exactly one of --victim or --scenario")
-    if args.scenario is not None:
-        from repro.perf import bench
-
-        attributor, proc = bench.profile_scenario(
-            args.scenario, seed=args.seed, quick=args.quick
-        )
-        print(f"scenario={args.scenario} seed={args.seed}")
-    else:
-        spec = get_victim(args.victim)
-        secret, _ = spec.secrets(args.seed)
-        config = preset_config(args.preset, functional_crypto=False)
-        proc = SecureProcessor(config)
-        attributor = CycleAttributor()
-        proc.attach(attributor)
-        spec.run(proc, secret)
-        attributor.verify()
-        print(f"victim={spec.name} preset={args.preset} seed={args.seed}")
+    spec = get_victim(args.victim)
+    secret, _ = spec.secrets(args.seed)
+    config = preset_config(args.preset, functional_crypto=False)
+    proc = SecureProcessor(config)
+    attributor = CycleAttributor()
+    proc.attach(attributor)
+    spec.run(proc, secret)
+    attributor.verify()
+    print(f"victim={spec.name} preset={args.preset} seed={args.seed}")
     print(attributor.report(min_share=args.min_share))
     if args.collapsed:
         lines = attributor.write_collapsed(args.collapsed)
@@ -1205,53 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_campaign_options(leakcheck)
     leakcheck.set_defaults(func=_cmd_leakcheck)
 
-    bench = commands.add_parser(
-        "bench", help="run the benchmark suite; compare against a baseline"
-    )
-    bench.add_argument(
-        "scenarios", nargs="*", metavar="SCENARIO",
-        help="scenario names (default: all; see --list)",
-    )
-    bench.add_argument(
-        "--out", default=".", metavar="DIR",
-        help="directory for BENCH_<scenario>.json files (default: .)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed; the simulated columns (cycles, accesses, "
-        "counters) are deterministic for a fixed seed and code version, "
-        "only host wall time / throughput / RSS vary between runs",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="reduced-scale workloads (not comparable against full runs)",
-    )
-    bench.add_argument(
-        "--compare", default=None, metavar="DIR",
-        help="baseline directory of BENCH_*.json; exit non-zero on a "
-             "throughput regression or on simulated columns that differ "
-             "from a same-seed baseline",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.2,
-        help="allowed fractional throughput drop before failing (default 0.2)",
-    )
-    bench.add_argument(
-        "--min-ratio", type=float, default=None, metavar="X",
-        help="additionally require steady_* scenarios to reach at least "
-        "X times the baseline throughput (the speedup gate; default off)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="run each scenario N times and report the fastest wall time "
-        "(noise-robust; simulated columns are asserted identical; default 3)",
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="list scenarios and exit"
-    )
-    _add_campaign_options(bench)
-    bench.set_defaults(func=_cmd_bench)
-
     serve = commands.add_parser(
         "serve",
         help="run the fault-tolerant leakcheck job service (HTTP)",
@@ -1550,21 +1387,11 @@ def build_parser() -> argparse.ArgumentParser:
     profile = commands.add_parser(
         "profile", help="cycle-attribution profile of one victim run"
     )
-    profile.add_argument("--victim", choices=victim_names(), default=None)
-    from repro.perf.bench import scenario_names
-
-    profile.add_argument(
-        "--scenario", choices=scenario_names(), default=None,
-        help="profile a bench scenario's machine instead of a victim run",
-    )
+    profile.add_argument("--victim", choices=victim_names(), required=True)
     profile.add_argument("--preset", choices=preset_names(), default="sct")
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument(
-        "--quick", action="store_true",
-        help="reduced-scale workload (scenario profiling only)",
-    )
-    profile.add_argument(
-        "--min-share", type=float, default=0.0, metavar="F",
+        "--min-share", type=_fraction, default=0.0, metavar="F",
         help="hide components below this share of a bucket's cycles",
     )
     profile.add_argument(

@@ -11,9 +11,9 @@ Two layers:
   accepted job to a terminal state, and fold everything into a
   :class:`LoadReport` (sustained jobs/sec, state tally, dedup hits).
 
-The load generator is also what the ``service_jobs`` bench scenario and
-the CI smoke job run, so its report fields are part of the measured
-surface — keep them stable.
+The load generator is also what the CI ``service-smoke`` job drives, so
+its report fields (``cached``, sustained jobs/sec) are part of the
+measured surface — keep them stable.
 """
 
 from __future__ import annotations

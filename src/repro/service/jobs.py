@@ -166,9 +166,9 @@ def run_probe(*, preset: str = "sct", ops: int = 400, seed: int = 0) -> dict:
     Runs ``ops`` mixed accesses (reads, writes, occasional flushes) on a
     deliberately small machine so the job finishes in tens of
     milliseconds.  The simulated columns are deterministic per
-    ``(preset, ops, seed)``, which makes probe jobs ideal both for the
-    sustained-jobs/sec bench scenario and for exercising the campaign
-    cache (an identical resubmission is a dedup hit).
+    ``(preset, ops, seed)``, which makes probe jobs ideal both for load
+    tests (``repro service-load``) and for exercising the campaign cache
+    (an identical resubmission is a dedup hit).
     """
     from random import Random
 

@@ -42,7 +42,7 @@ TASK_PREFIX = "synth_"
 
 
 def task_name(preset: str, defense: str, gen_seed: int) -> str:
-    """Campaign task name shared by CLI, service, and bench callers."""
+    """Campaign task name shared by the CLI and service callers."""
     return f"{TASK_PREFIX}{preset}_{defense}_g{gen_seed}"
 
 

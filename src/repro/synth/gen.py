@@ -2,10 +2,10 @@
 
 Programs are drawn from :func:`~repro.utils.rng.derive_rng`-seeded
 randomness, so generation is a pure function of ``(seed, GenConfig)``:
-the fuzz driver, the service's ``synth`` job kind, and the bench
-scenario all regenerate identical programs from the same seed, which is
-what lets generated programs cache in the campaign DB like any other
-task.
+the fuzz driver, the service's ``synth`` job kind, and the repository
+benchmark's ``oracle`` workload all regenerate identical programs from
+the same seed, which is what lets generated programs cache in the
+campaign DB like any other task.
 
 The op mix is biased toward the shapes that reach the metadata path:
 flush-then-read sequences force counter fetches and tree walks

@@ -1,8 +1,8 @@
-"""Provenance helpers shared by bench results and the campaign DB.
+"""Provenance helpers shared by the campaign DB and synth witnesses.
 
-Both subsystems stamp persisted measurements with the git revision they
-were produced under, so a cached or baseline result can never be
-silently compared against — or served for — a different code version.
+Both stamp persisted results with the git revision they were produced
+under, so a cached result can never be silently served for a different
+code version, and a witness records the code that minimized it.
 
 The revision is resolved once per process, whatever the outcome: long-
 running consumers (the leakcheck service constructs one campaign engine

@@ -296,12 +296,14 @@ class TestFaultsCommand:
 class TestCampaignOptions:
     """The shared --jobs/--no-cache/--campaign-db/--timeout/--retries."""
 
-    @pytest.mark.parametrize(
-        "command", ["figures", "faults", "leakcheck", "bench"]
-    )
-    def test_every_campaign_subcommand_has_the_flags(self, command):
-        extra = ["--victim", "rsa"] if command == "leakcheck" else []
-        args = build_parser().parse_args([command, *extra, "--jobs", "3"])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["figures"], id="figures"),
+        pytest.param(["faults"], id="faults"),
+        pytest.param(["leakcheck", "--victim", "rsa"], id="leakcheck"),
+        pytest.param(["synth", "run"], id="synth-run"),
+    ])
+    def test_every_campaign_subcommand_has_the_flags(self, argv):
+        args = build_parser().parse_args([*argv, "--jobs", "3"])
         assert args.jobs == 3
         assert args.retries == 0
         assert args.timeout is None
@@ -326,12 +328,14 @@ class TestCampaignOptions:
             ["--timeout", "soon"],
         ],
     )
-    @pytest.mark.parametrize("command", ["figures", "faults", "bench"])
-    def test_bad_values_are_rejected_consistently(
-        self, command, flags, capsys
-    ):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["figures"], id="figures"),
+        pytest.param(["faults"], id="faults"),
+        pytest.param(["synth", "run"], id="synth-run"),
+    ])
+    def test_bad_values_are_rejected_consistently(self, argv, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args([command, *flags])
+            build_parser().parse_args([*argv, *flags])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert flags[0] in err or "invalid" in err

@@ -778,21 +778,6 @@ class TestServiceLifetime:
             assert db.journal_get(job_id).state == DONE
 
 
-# -- bench scenario --------------------------------------------------------
-
-
-class TestServiceBench:
-    def test_service_jobs_scenario_measures_jobs_per_second(self):
-        from repro.perf import bench
-
-        result = bench.run_scenario("service_jobs", seed=1, quick=True)
-        assert result.preset == "service"
-        assert result.accesses == 12  # completed jobs
-        assert result.sim_accesses_per_second > 0
-        assert result.counters["done"] == 12
-        assert result.counters["failed"] == 0
-
-
 # -- subprocess: kill -9 resume and graceful drain -------------------------
 
 
