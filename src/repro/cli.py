@@ -198,6 +198,42 @@ def _fraction(value: str) -> float:
     return fraction
 
 
+def _alpha(value: str) -> float:
+    """``--alpha``: a significance level strictly inside (0, 1), the
+    rule service job specs follow; ``nan`` and the infinities are not."""
+    try:
+        alpha = float(value)
+    except ValueError:
+        alpha = None
+    if alpha is None or not 0.0 < alpha < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a significance level in (0, 1), got {value!r}"
+        )
+    return alpha
+
+
+def _port(value: str, lowest: int) -> int:
+    try:
+        port = int(value)
+    except ValueError:
+        port = None
+    if port is None or not lowest <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected a port in [{lowest}, 65535], got {value!r}"
+        )
+    return port
+
+
+def _listen_port(value: str) -> int:
+    """``serve --port``: a TCP port, where 0 picks a free one."""
+    return _port(value, 0)
+
+
+def _service_port(value: str) -> int:
+    """``service-load --port``: the TCP port a service listens on."""
+    return _port(value, 1)
+
+
 def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
     """The campaign-engine flags shared by figures/faults/leakcheck/synth run."""
     parser.add_argument(
@@ -1078,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep N consecutive seeds starting at --seed (default 1)",
     )
     leakcheck.add_argument(
-        "--alpha", type=float, default=0.01,
+        "--alpha", type=_alpha, default=0.01,
         help="significance level for the per-kind KS tests",
     )
     leakcheck.add_argument("--json", help="write the full report as JSON")
@@ -1098,7 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen address (default 127.0.0.1)",
     )
     serve.add_argument(
-        "--port", type=int, default=8642,
+        "--port", type=_listen_port, default=8642,
         help="listen port; 0 picks a free port (default 8642)",
     )
     serve.add_argument(
@@ -1219,7 +1255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="service address",
     )
     service_load.add_argument(
-        "--port", type=int, required=True, help="service port",
+        "--port", type=_service_port, required=True, help="service port",
     )
     service_load.add_argument(
         "--concurrency", type=_positive_int, default=8, metavar="N",
@@ -1279,7 +1315,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="defence overlay applied to the preset (default none)",
         )
         sub.add_argument(
-            "--alpha", type=float, default=0.01,
+            "--alpha", type=_alpha, default=0.01,
             help="significance level for the per-kind KS tests",
         )
 
@@ -1379,7 +1415,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="witness JSON files to re-verify",
     )
     synth_verify.add_argument(
-        "--alpha", type=float, default=0.01,
+        "--alpha", type=_alpha, default=0.01,
         help="significance level for the per-kind KS tests",
     )
     synth_verify.set_defaults(func=_cmd_synth)

@@ -20,6 +20,12 @@ class AccessPath(enum.Enum):
     MEM_TREE_HIT = "Path-3: memory, counter miss, tree leaf cached"
     MEM_TREE_MISS = "Path-4: memory, tree node miss(es)"
 
+    # Members are singletons (pickle, deepcopy and payload decoding all
+    # return the same one), so identity is equality and the identity
+    # hash serves the per-path tallies' dict in C, where
+    # ``Enum.__hash__`` is a Python call per lookup.
+    __hash__ = object.__hash__
+
     @property
     def is_cache_hit(self) -> bool:
         return self in (AccessPath.L1_HIT, AccessPath.L2_HIT, AccessPath.L3_HIT)

@@ -62,7 +62,19 @@ _PATH_COUNTER_NAMES = tuple(
 
 @dataclass(slots=True)
 class AccessResult:
-    """What one processor-level access did and how long it took."""
+    """What one processor-level access did and how long it took.
+
+    * ``latency`` — cycles as software measures it: a read's carries the
+      modelled timer jitter, a write's is the simulated latency;
+    * ``path`` — where the access was served (:class:`AccessPath`);
+    * ``cycle`` — the machine clock once the access completed;
+    * ``counter_hit`` and ``tree_levels_missed`` — the MEE's counter and
+      tree outcome, set only on a full miss (False and 0 otherwise);
+    * ``data`` — the block's 64 bytes, set on reads only;
+    * ``breakdown`` — component -> cycles, summing exactly to the
+      pre-jitter latency, set only while a profiler is attached (see
+      ``repro.perf`` and docs/performance.md).
+    """
 
     latency: int
     path: AccessPath
@@ -70,9 +82,6 @@ class AccessResult:
     counter_hit: bool = False
     tree_levels_missed: int = 0
     data: bytes = b""
-    # Critical-path cycle attribution (populated only while a profiler is
-    # attached): component -> cycles, summing exactly to the access's
-    # pre-jitter latency.  See ``repro.perf`` / docs/performance.md.
     breakdown: dict[str, int] | None = None
 
 
@@ -91,6 +100,9 @@ class SecureProcessor(Component):
     def __init__(self, config: SecureProcessorConfig | None = None) -> None:
         self.config = config or SecureProcessorConfig.sct_default()
         self.caches = DataCacheSystem(self.config)
+        # Each core's L1 probe, bound once per machine rather than once
+        # per executor call, so a scalar access does not pay for it.
+        self._l1_hits = tuple(core.l1.hit for core in self.caches.core_caches)
         self.memctrl = MemoryController(self.config.memctrl, self.config.dram)
         self.mee = MemoryEncryptionEngine(self.config, self.memctrl)
         self.layout = self.mee.layout
@@ -248,19 +260,23 @@ class SecureProcessor(Component):
     def _execute(self, ops) -> list:
         """Run recorded ops in order; one result per op (see BatchResult).
 
-        Per-call lookups are hoisted out of the loop: the L1
-        ``decompose`` (L1 geometry is uniform across cores), the latency
-        constants, and two instrument tests.  The profiler test opens a
-        transaction per op (``_begin``), and every attribution call,
-        here and below, runs only on a transaction; the tracer test
-        gates the ``proc`` trace event.  Traced and bare runs execute the
-        same code.  The ``SetAssocCache.hit`` probe is the only L1
-        lookup: it serves a hit, and any other access continues in
+        Per-call lookups are hoisted out of the loop: the L1 block shift
+        and set count, from which each access's set index is computed
+        inline (every core builds its L1 from the one ``config.l1``),
+        each core's ``SetAssocCache.hit`` (bound once per machine), the
+        latency constants, and two instrument tests.  The profiler test
+        opens a transaction per op (``_begin``), and every attribution
+        call, here and below, runs only on a transaction; the tracer
+        test gates the ``proc`` trace event.  Traced and bare runs
+        execute the same code.  The ``hit`` probe is the only L1 lookup:
+        it serves a hit, and any other access continues in
         :meth:`_below_l1`.
         """
         caches = self.caches
         core_caches = caches.core_caches
-        decompose = core_caches[0].l1.decompose
+        l1_shift = core_caches[0].l1.block_shift
+        l1_sets = core_caches[0].l1.num_sets
+        l1_hits = self._l1_hits
         l1_latency = caches.hit_latency[0]
         data_size = self.layout.data_size
         cores = len(core_caches)
@@ -279,7 +295,8 @@ class SecureProcessor(Component):
             if kind <= OP_WRITE:
                 if not (0 <= addr < data_size and 0 <= core < cores):
                     self._check_access(addr, core)
-                block, set_index = decompose(addr)
+                block = addr & BLOCK_MASK
+                set_index = (block >> l1_shift) % l1_sets
                 is_write = kind == OP_WRITE
                 if is_write:
                     # Coerced before any cache sees the store, so a
@@ -290,7 +307,7 @@ class SecureProcessor(Component):
                     reads.value += 1
                 if profiling:
                     txn = self._begin(_OP_NAMES[kind], core, block)
-                if core_caches[core].l1.hit(block, set_index, is_write):
+                if l1_hits[core](block, set_index, is_write):
                     self.cycle += l1_latency
                     latency, path, fetched = l1_latency, _L1_HIT, None
                     if txn is not None:
@@ -304,13 +321,16 @@ class SecureProcessor(Component):
                         "proc", _OP_NAMES[kind], core=core, addr=block,
                         value=float(latency),
                     )
-                result = AccessResult(latency, path, self.cycle)
+                if fetched is None:
+                    result = AccessResult(latency, path, self.cycle)
+                else:
+                    result = AccessResult(
+                        latency, path, self.cycle, fetched.counter_hit,
+                        fetched.tree_levels_missed,
+                    )
                 if txn is not None:
                     self._finish(txn, path=path, latency=latency)
                     result.breakdown = txn.parts
-                if fetched is not None:
-                    result.counter_hit = fetched.counter_hit
-                    result.tree_levels_missed = fetched.tree_levels_missed
                 # Writes report no timer jitter, and write hits add no
                 # path count.
                 if not is_write:
@@ -437,7 +457,7 @@ class SecureProcessor(Component):
             return self._plain.get(block, _ZERO_BLOCK)
         if len(data) > BLOCK_SIZE:
             raise ValueError("data exceeds one block")
-        return bytes(data) + bytes(BLOCK_SIZE - len(data))
+        return bytes(data).ljust(BLOCK_SIZE, b"\0")
 
     def _enqueue_data_writeback(self, block: int) -> None:
         self.mee.write_data(block, self._plain.get(block, _ZERO_BLOCK), self.cycle)

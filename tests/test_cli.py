@@ -389,6 +389,63 @@ class TestCampaignOptions:
         assert "repro_campaign_workers_crashed_total" in prom
 
 
+_ALPHA_COMMANDS = [
+    pytest.param(["leakcheck", "--victim", "const"], id="leakcheck"),
+    pytest.param(["synth", "run"], id="synth-run"),
+    pytest.param(["synth", "minimize"], id="synth-minimize"),
+    pytest.param(["synth", "verify", "w.json"], id="synth-verify"),
+]
+
+
+class TestValueRanges:
+    """Flags whose range the program enforces are checked at parse time:
+    an out-of-range value exits 2 naming the flag, not a traceback or a
+    run with a meaningless setting."""
+
+    @pytest.mark.parametrize("alpha", ["2", "inf", "nan", "0", "1", "-1", "x"])
+    @pytest.mark.parametrize("argv", _ALPHA_COMMANDS)
+    def test_alpha_outside_the_open_unit_interval_is_rejected(
+        self, argv, alpha, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, "--alpha", alpha])
+        assert excinfo.value.code == 2
+        assert "argument --alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", _ALPHA_COMMANDS)
+    def test_alpha_inside_the_open_unit_interval_parses(self, argv):
+        parser = build_parser()
+        assert parser.parse_args([*argv]).alpha == 0.01
+        assert parser.parse_args([*argv, "--alpha", "0.01"]).alpha == 0.01
+        assert parser.parse_args([*argv, "--alpha", "0.5"]).alpha == 0.5
+
+    @pytest.mark.parametrize("command, port", [
+        ("serve", "-1"),
+        ("serve", "65536"),
+        ("serve", "70000"),
+        ("serve", "x"),
+        ("service-load", "0"),
+        ("service-load", "-1"),
+        ("service-load", "70000"),
+        ("service-load", "x"),
+    ])
+    def test_port_outside_its_range_is_rejected(self, command, port, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--port", port])
+        assert excinfo.value.code == 2
+        assert "argument --port" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, port", [
+        ("serve", "0"),
+        ("serve", "65535"),
+        ("service-load", "1"),
+        ("service-load", "65535"),
+    ])
+    def test_port_inside_its_range_parses(self, command, port):
+        args = build_parser().parse_args([command, "--port", port])
+        assert args.port == int(port)
+
+
 class TestLeakcheckList:
     def test_list_enumerates_victims(self, capsys):
         assert main(["leakcheck", "--list"]) == 0

@@ -7,7 +7,10 @@ hashes only leak reports, so ``TestGoldenMemoryPath`` hashes all four,
 over generated programs on every preset and defense, run bare, traced
 and profiled.  Those programs all run on core 0; ``TestGoldenScenarios``
 pins the cycle, access count and tallies of seeded multi-core steady
-mixes, the RSA victim and a covert-channel round.
+mixes, the RSA victim and a covert-channel round.  The machine state
+does not show what each op returned, so ``TestGoldenResults`` hashes
+every op's result of the steady mixes, with timer jitter and with a
+profiler too.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.leakcheck.victims import get_victim
 from repro.os.page_alloc import PageAllocator
 from repro.perf import CycleAttributor
-from repro.proc.batch import AccessBatch
-from repro.proc.processor import SecureProcessor
+from repro.proc.batch import AccessBatch, BatchResult
+from repro.proc.processor import AccessResult, SecureProcessor
 from repro.synth import compile_program, generate_program
 from repro.synth.runner import DEFENSES, synth_config
 from repro.trace import Tracer, write_jsonl
@@ -96,9 +99,11 @@ class TestGoldenMemoryPath:
 _STEADY_OPS = 4000
 
 
-def _scenario_machine(preset: str) -> tuple[SecureProcessor, PageAllocator]:
-    overrides: dict[str, object] = {"functional_crypto": False,
-                                    "timer_jitter_sigma": 0.0}
+def _scenario_machine(
+    preset: str, **overrides: object
+) -> tuple[SecureProcessor, PageAllocator]:
+    overrides = {"functional_crypto": False, "timer_jitter_sigma": 0.0,
+                 **overrides}
     if preset != "sgx":
         # The SGX preset derives its protected size from the EPC model.
         overrides["protected_size"] = 256 * MIB
@@ -110,15 +115,20 @@ def _scenario_machine(preset: str) -> tuple[SecureProcessor, PageAllocator]:
     return proc, allocator
 
 
-def _steady(preset: str, seed: int) -> tuple[SecureProcessor, int]:
+def _steady_run(
+    preset: str, seed: int, instrument: object = None, **overrides: object
+) -> tuple[SecureProcessor, BatchResult]:
     """Seeded steady-state mix: reads, writes, occasional flush + fence.
 
     The flushes keep the miss paths (counter fetch, tree walks) live, and
     reads and writes come from every core.  The mix is recorded as one
     :class:`~repro.proc.AccessBatch` and submitted in a single
-    ``run_batch`` call.
+    ``run_batch`` call, with ``instrument`` attached when given and
+    ``overrides`` applied to the preset.
     """
-    proc, allocator = _scenario_machine(preset)
+    proc, allocator = _scenario_machine(preset, **overrides)
+    if instrument is not None:
+        proc.attach(instrument)
     rng = Random(seed)
     frames = allocator.alloc_many(32, core=0)
     addrs = [frame * PAGE_SIZE + 64 * rng.randrange(PAGE_SIZE // 64)
@@ -138,8 +148,12 @@ def _steady(preset: str, seed: int) -> tuple[SecureProcessor, int]:
         else:
             batch.drain()
     batch.drain()
-    proc.run_batch(batch)
-    return proc, len(batch)
+    return proc, proc.run_batch(batch)
+
+
+def _steady(preset: str, seed: int) -> tuple[SecureProcessor, int]:
+    proc, results = _steady_run(preset, seed)
+    return proc, len(results)
 
 
 def _accesses(proc: SecureProcessor) -> int:
@@ -210,3 +224,62 @@ class TestGoldenScenarios:
         snapshot = json.dumps(proc.registry.snapshot(), sort_keys=True)
         digest = hashlib.sha256(snapshot.encode()).hexdigest()
         assert (proc.cycle, accesses, digest) == _SCENARIO_PINS[name]
+
+
+# -- per-op results ------------------------------------------------------
+
+_RESULT_RUNS = {
+    "steady_sct": lambda: _steady_run("sct", 0),
+    "steady_ht": lambda: _steady_run("ht", 0),
+    "steady_sgx": lambda: _steady_run("sgx", 0),
+    "steady_sct_jitter": lambda: _steady_run(
+        "sct", 0, timer_jitter_sigma=4.0
+    ),
+    "steady_sct_profiled": lambda: _steady_run(
+        "sct", 0, instrument=CycleAttributor()
+    ),
+}
+
+# sha256 over every op's result of each run at seed 0.  The machine
+# state the pins above hash does not show a wrong ``data``,
+# ``counter_hit`` or ``tree_levels_missed``, or jitter drawn in another
+# order; these do.
+_RESULT_PINS = {
+    "steady_sct": (
+        "836a6fe92c988ab84e03b7a900f1a62df5df0a7e2c03be5afe10579bbe34e254"
+    ),
+    "steady_ht": (
+        "ec9b9cc5a219759c971a27e3babf786f7cbd06945d02a3b3cd3a1eb2002cb4ed"
+    ),
+    "steady_sgx": (
+        "a608bbfa9f71b5d6685021e88df9e4c04725c6fc4f34ea20abcc27e7648d11ca"
+    ),
+    "steady_sct_jitter": (
+        "72c5c0ba6812980d521c4c53551b34806e35015b568063e2b4ea60325ecb3031"
+    ),
+    "steady_sct_profiled": (
+        "e2595cc8c11093c450d24df5421a36a568295c8cdce29752adad6c2b31f49a28"
+    ),
+}
+
+
+def _result_record(result: object) -> str:
+    """An access's every field, or a flush's latency or a drain's None."""
+    if not isinstance(result, AccessResult):
+        return repr(result)
+    breakdown = result.breakdown
+    return repr((
+        result.latency, result.path.name, result.cycle, result.counter_hit,
+        result.tree_levels_missed, result.data.hex(),
+        None if breakdown is None else sorted(breakdown.items()),
+    ))
+
+
+class TestGoldenResults:
+    @pytest.mark.parametrize("name", list(_RESULT_PINS))
+    def test_every_result_matches_its_pin(self, name):
+        _, results = _RESULT_RUNS[name]()
+        digest = hashlib.sha256()
+        for result in results:
+            digest.update(_result_record(result).encode() + b"\n")
+        assert digest.hexdigest() == _RESULT_PINS[name]
