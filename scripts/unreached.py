@@ -1,4 +1,5 @@
-"""List the code in ``src/`` that only tests reach.
+"""List the code in ``src/`` that only tests reach, and fail on knobs
+nobody sets.
 
 Usage::
 
@@ -8,7 +9,7 @@ The scan reads code with :mod:`ast`, so a name that appears only in a
 comment, a docstring or a string does not count as a use.  References
 count from ``src/`` (outside the referencing name's own definition and
 the ``__init__`` re-exports), ``benchmarks/``, ``examples/`` and
-``perfbench/``; ``tests/`` does not count.
+``perfbench/``; ``tests/`` does not count, except where said below.
 
 Reachability is marked from roots to a fixed point, so code that only
 unreached code uses is reported too:
@@ -26,17 +27,20 @@ Matching is by identifier, not by type: any ``x.fit`` keeps every
 method named ``fit``.  The scan can therefore miss dead code, but a name
 it reports has no use outside tests.
 
-It also reports keyword-only parameters of reached functions that no
-reached call passes.  A call matches a function by its name (a class
-name matches its ``__init__``).  Passing the caller's own parameter of
-the same name, or the attribute ``self.<name>`` it was stored in, is a
-forward: a forward counts only if what it forwards is itself passed.  A
-call with ``**kwargs`` passes every parameter, and so does any call of a
-function that reached code names other than as a callee (it may be
-called through a variable).
+It also lists keyword-only parameters with a default that no reached
+call passes, in two sections: those that no call passes, tests
+included (the scan run again with ``tests/`` counted as a caller), and
+those that only tests pass.  A call matches a function by its name (a
+class name matches its ``__init__``).  Passing the caller's own
+parameter of the same name, or the attribute ``self.<name>`` it was
+stored in, is a forward: a forward counts only if what it forwards is
+itself passed.  A call with ``**kwargs`` passes every parameter, and so
+does any call of a function that reached code names other than as a
+callee (it may be called through a variable).
 
-The exit status is 0 whether or not anything is reported: this is a
-report, not a gate.
+A parameter that no call passes, tests included, is an option with one
+value in use: make it a constant.  The exit status is 1 when the first
+section lists any, else 0; the other lists are a report.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 CALLER_DIRS = ("benchmarks", "examples", "perfbench")
+TEST_DIR = "tests"
 
 FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -283,10 +288,10 @@ def scan_src() -> tuple[list[Def], Code]:
     return defs, roots
 
 
-def scan_callers() -> Code:
-    """Everything ``benchmarks/``, ``examples/`` and ``perfbench/`` use."""
+def scan_callers(directories: tuple[str, ...]) -> Code:
+    """Everything the code in ``directories`` uses."""
     code = Code()
-    for directory in CALLER_DIRS:
+    for directory in directories:
         for path in sorted((REPO / directory).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             code.add(_collect([tree], count_imports=True))
@@ -436,11 +441,19 @@ def unpassed_keywords(defs: list[Def], reached: set[int], live: Code) -> list[tu
     ]
 
 
-def main() -> int:
-    defs, src_roots = scan_src()
-    roots = scan_callers()
+def scan(defs: list[Def], src_roots: Code, directories: tuple[str, ...]):
+    """Reached definitions, their code, and the keyword-only parameters
+    no reached call passes, with ``directories`` as the callers."""
+    roots = scan_callers(directories)
     roots.add(src_roots)
     reached, live = mark(defs, roots)
+    return reached, unpassed_keywords(defs, reached, live)
+
+
+def main() -> int:
+    defs, src_roots = scan_src()
+    reached, unpassed = scan(defs, src_roots, CALLER_DIRS)
+    _, never_passed = scan(defs, src_roots, CALLER_DIRS + (TEST_DIR,))
 
     unreached = [d for d in defs if id(d) not in reached]
     by_module: dict[Path, list[Def]] = {}
@@ -465,10 +478,17 @@ def main() -> int:
         print(f"  {d.path.relative_to(REPO)}:{d.first_line}  {d.kind} {d.label}"
               f"  ({d.lines} lines)")
     print(f"  total: {total} lines")
-    print("Keyword-only parameters that only tests pass:")
-    for d, name in unpassed_keywords(defs, reached, live):
-        print(f"  {d.path.relative_to(REPO)}:{d.node.lineno}  {d.label}({name}=)")
-    return 0
+    nobody = {(id(d), name) for d, name in never_passed}
+    for title, params in (
+        ("no call passes, tests included", never_passed),
+        ("only tests pass",
+         [(d, name) for d, name in unpassed if (id(d), name) not in nobody]),
+    ):
+        print(f"Keyword-only parameters that {title}:")
+        for d, name in params:
+            print(f"  {d.path.relative_to(REPO)}:{d.node.lineno}"
+                  f"  {d.label}({name}=)")
+    return 1 if never_passed else 0
 
 
 if __name__ == "__main__":

@@ -142,9 +142,10 @@ def table1_config() -> FigureResult:
 
 
 def _path_latency_samples(
-    proc: SecureProcessor, samples: int, *, stride_pages: int = 3
+    proc: SecureProcessor, samples: int
 ) -> dict[str, list[int]]:
-    """Collect per-path latency samples by steering metadata cache state."""
+    """Collect per-path latency samples by steering metadata cache state,
+    one address every third page."""
     layout = proc.layout
     buckets: dict[str, list[int]] = {
         "Path-1 (L1)": [],
@@ -156,7 +157,7 @@ def _path_latency_samples(
     }
     levels = len(layout.levels)
     for i in range(samples):
-        addr = (8 + i * stride_pages) * PAGE_SIZE
+        addr = (8 + i * 3) * PAGE_SIZE
         counter_addr = layout.counter_block_addr(addr)
         node_addrs = [layout.node_addr_for_data(addr, lv) for lv in range(levels)]
 

@@ -99,14 +99,13 @@ def run_jpeg_metaleak_t(
     image_name: str = "circles",
     *,
     size: int = 32,
-    quality: int = 50,
     config: SecureProcessorConfig | None = None,
     noise_reads: int = 0,
 ) -> JpegAttackResult:
-    """Full MetaLeak-T image-stealing attack (Figure 15)."""
+    """Full MetaLeak-T image-stealing attack (Figure 15), at JPEG quality 50."""
     proc, allocator, victim_process = _build_environment(config)
     _stage_victim_pages(allocator)
-    victim = JpegVictim(victim_process, quality=quality)
+    victim = JpegVictim(victim_process)
     assert victim.r_frame == _R_FRAME and victim.nbits_frame == _NBITS_FRAME
 
     attack = MetaLeakT(proc, allocator, core=1)
@@ -144,10 +143,8 @@ def run_jpeg_metaleak_t(
 
     truth = encoded.zero_masks()
     recovered = _decisions_to_masks(decisions, truth)
-    reconstructed = reconstruct_from_mask(
-        recovered, encoded.shape, quality=quality
-    )
-    oracle = reconstruct_from_mask(truth, encoded.shape, quality=quality)
+    reconstructed = reconstruct_from_mask(recovered, encoded.shape)
+    oracle = reconstruct_from_mask(truth, encoded.shape)
     mean_confidence, degraded, reasons = _confidence_summary(
         confidences,
         () if classifier.calibration_ok else ("degenerate-calibration",),
@@ -188,23 +185,22 @@ def run_jpeg_metaleak_c(
     image_name: str = "circles",
     *,
     size: int = 16,
-    quality: int = 50,
-    level: int = 1,
     config: SecureProcessorConfig | None = None,
 ) -> JpegAttackResult:
     """MetaLeak-C write monitoring of ``r`` (Section VIII-A2).
 
-    Per coefficient step: the shared tree counter on ``r``'s verification
-    path is armed one write short of saturation; after the victim's step
-    the attacker collects pending metadata updates and counts writes to
-    overflow — one bump means the victim wrote ``r`` (a zero coefficient).
+    Per coefficient step: the shared level-1 tree counter on ``r``'s
+    verification path is armed one write short of saturation; after the
+    victim's step the attacker collects pending metadata updates and
+    counts writes to overflow — one bump means the victim wrote ``r`` (a
+    zero coefficient).  The victim encodes at JPEG quality 50.
     """
     proc, allocator, victim_process = _build_environment(config)
     _stage_victim_pages(allocator)
-    victim = JpegVictim(victim_process, quality=quality)
+    victim = JpegVictim(victim_process)
 
     attack = MetaLeakC(proc, allocator, core=1)
-    handle = attack.handle_for_page(victim.r_frame, level=level)
+    handle = attack.handle_for_page(victim.r_frame)
     handle.arm_for_writes(1)
     armed_value = handle.minor_max - 1
 
@@ -215,7 +211,7 @@ def run_jpeg_metaleak_c(
     start_cycle = proc.cycle
 
     def probe(step: int, _payload: object) -> None:
-        attack.collect_victim_updates(victim.r_frame, level=level)
+        attack.collect_victim_updates(victim.r_frame)
         scan = handle.scan_to_overflow(max_bumps=3)
         if not scan.fired:
             # The counter is not where arming left it (noise swallowed the
@@ -237,8 +233,8 @@ def run_jpeg_metaleak_c(
 
     truth = encoded.zero_masks()
     recovered = _decisions_to_masks(decisions, truth)
-    reconstructed = reconstruct_from_mask(recovered, encoded.shape, quality=quality)
-    oracle = reconstruct_from_mask(truth, encoded.shape, quality=quality)
+    reconstructed = reconstruct_from_mask(recovered, encoded.shape)
+    oracle = reconstruct_from_mask(truth, encoded.shape)
     mean_confidence, degraded, reason_tuple = _confidence_summary(
         confidences, tuple(sorted(reasons))
     )

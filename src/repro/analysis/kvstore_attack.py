@@ -94,17 +94,16 @@ def run_kvstore_attack(
     keys: list[str] | None = None,
     *,
     buckets: int = 4,
-    config: SecureProcessorConfig | None = None,
     budget: CycleBudget | int | None = None,
-    monitor_log: bool = True,
 ) -> KvAttackResult:
-    """Recover which bucket each ``put`` touched through shared tree minors.
+    """Recover which bucket each ``put`` touched through shared tree minors,
+    and count the puts through the log's minor.
 
     Never raises for observation failures: missed writes, ambiguous
     multi-bucket fires, and budget expiry all land in the result's
     confidence vector and ``degraded_reasons`` instead.
     """
-    proc = SecureProcessor(config or _default_config())
+    proc = SecureProcessor(_default_config())
     allocator = PageAllocator(
         proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores
     )
@@ -136,15 +135,11 @@ def run_kvstore_attack(
     bucket_handles = [
         attack.handle_for_page(frame, level=1) for frame in bucket_frames
     ]
-    log_handle = (
-        attack.handle_for_page(log_frame, level=1) if monitor_log else None
-    )
+    log_handle = attack.handle_for_page(log_frame, level=1)
     start_cycle = proc.cycle
 
-    for handle in bucket_handles:
+    for handle in (*bucket_handles, log_handle):
         handle.arm_for_writes(1)
-    if log_handle is not None:
-        log_handle.arm_for_writes(1)
 
     keys = list(keys) if keys is not None else _default_keys(6)
     true_buckets: list[int] = []
@@ -187,15 +182,14 @@ def run_kvstore_attack(
             true_buckets.pop()
             break
 
-        if log_handle is not None:
-            attack.collect_victim_updates(log_frame, level=1)
-            log_scan = log_handle.scan_to_overflow(max_bumps=3, budget=budget)
-            if log_scan.fired:
-                if log_scan.bumps == 1:
-                    puts_observed += 1
-                _rearm(log_handle)
-            else:
-                log_handle.arm_for_writes(1)
+        attack.collect_victim_updates(log_frame, level=1)
+        log_scan = log_handle.scan_to_overflow(max_bumps=3, budget=budget)
+        if log_scan.fired:
+            if log_scan.bumps == 1:
+                puts_observed += 1
+            _rearm(log_handle)
+        else:
+            log_handle.arm_for_writes(1)
 
         if scan_failed:
             reasons.add("counter-desync")

@@ -160,7 +160,6 @@ def _recover_with_repair(
 def run_mbedtls_attack(
     *,
     secret_bits: int = 64,
-    seed: int = 5,
     config: SecureProcessorConfig | None = None,
     recover: bool = False,
     max_runs: int = 5,
@@ -176,7 +175,7 @@ def run_mbedtls_attack(
         epc_size=64 * MIB, functional_crypto=False
     )
     frames = (96, 192, 288, 384)  # distinct 8-page (L1) groups
-    e, phi, modulus = generate_rsa_key(bits=secret_bits, seed=seed)
+    e, phi, modulus = generate_rsa_key(bits=secret_bits, seed=5)
 
     all_ops: list[list[str]] = []
     all_operands: list[list[str | None]] = []

@@ -120,7 +120,6 @@ def run_rsa_attack(
     machine: str = "sgx",
     *,
     exponent_bits: int = 64,
-    seed: int = 99,
     config: SecureProcessorConfig | None = None,
 ) -> RsaAttackResult:
     """Recover an RSA exponent through MetaLeak-T (Figure 16)."""
@@ -148,7 +147,7 @@ def run_rsa_attack(
         name_b="multiply",
     )
 
-    base, exponent, modulus = generate_test_key(exponent_bits, seed=seed)
+    base, exponent, modulus = generate_test_key(exponent_bits, seed=99)
     labels: list[str] = []
     truth_ops: list[str] = []
 

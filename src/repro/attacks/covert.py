@@ -250,40 +250,28 @@ class CovertChannelT:
 
 
 class CovertChannelC:
-    """Symbol-per-overflow channel over a shared tree minor counter."""
+    """Symbol-per-overflow channel over a shared tree minor counter.
 
-    def __init__(
-        self,
-        proc: SecureProcessor,
-        allocator: PageAllocator,
-        *,
-        trojan_core: int = 0,
-        spy_core: int = 1,
-        level: int = 1,
-        noise: NoiseProcess | None = None,
-    ) -> None:
+    The trojan runs on core 0 and the spy on core 1; both bump the
+    level-1 minor that tracks one leaf node's subtree.
+    """
+
+    def __init__(self, proc: SecureProcessor, allocator: PageAllocator) -> None:
         self.proc = proc
-        self.noise = noise
-        factory_spy = MetaLeakC(proc, allocator, core=spy_core)
-        factory_trojan = MetaLeakC(proc, allocator, core=trojan_core)
+        factory_spy = MetaLeakC(proc, allocator, core=1)
+        factory_trojan = MetaLeakC(proc, allocator, core=0)
         # Pick an anchor frame; both parties claim pages in its subtree.
-        anchor = self._find_anchor(proc, allocator, level)
-        self.spy_handle: SharedCounterHandle = factory_spy.handle_for_page(
-            anchor, level=level, bump_page_count=8
-        )
+        anchor = self._find_anchor(proc, allocator)
+        self.spy_handle: SharedCounterHandle = factory_spy.handle_for_page(anchor)
         self.trojan_handle: SharedCounterHandle = factory_trojan.handle_for_page(
-            anchor, level=level, bump_page_count=8
+            anchor
         )
         self.symbol_bits = proc.config.tree.minor_bits
         self.max_symbol = self.spy_handle.minor_max - 1
 
     @staticmethod
-    def _find_anchor(
-        proc: SecureProcessor, allocator: PageAllocator, level: int
-    ) -> int:
-        group_pages = len(proc.layout.pages_sharing_node(0, level - 1)) if level > 1 else len(
-            proc.layout.data_pages_under_node(0, 0)
-        )
+    def _find_anchor(proc: SecureProcessor, allocator: PageAllocator) -> int:
+        group_pages = len(proc.layout.data_pages_under_node(0, 0))
         total = proc.layout.data_size // PAGE_SIZE
         for frame in range(0, total, group_pages):
             if not allocator.is_allocated(frame):
@@ -340,8 +328,6 @@ class CovertChannelC:
                 break
             for _ in range(symbol):
                 self.trojan_handle.bump()
-            if self.noise is not None:
-                self.noise.step()
             scan = self.spy_handle.scan_to_overflow(budget=budget)
             if scan.fired:
                 received.append(saturate - scan.bumps)

@@ -34,8 +34,11 @@ from repro.utils.watchdog import CycleBudget, ensure_budget
 #: reception does not alias back onto a frame start.
 PREAMBLE: tuple[int, ...] = (1, 0, 1, 1, 0, 1, 0, 0)
 
-#: Payload nibbles per frame (16 payload bits with the default 4).
+#: Payload nibbles per frame (16 payload bits).
 DEFAULT_PAYLOAD_NIBBLES = 4
+
+#: Bits :class:`BitSymbolAdapter` packs into one MetaLeak-C symbol.
+_BITS_PER_SYMBOL = 6
 
 SEQ_BITS = 4
 _SEQ_SPACE = 1 << SEQ_BITS
@@ -83,12 +86,12 @@ def hamming74_decode(codeword: Sequence[int]) -> tuple[int, bool]:
 # ---------------------------------------------------------------------------
 
 
-def crc8(bits: Sequence[int], *, poly: int = 0x07, init: int = 0x00) -> int:
-    """Bit-serial CRC-8 (poly ``x^8 + x^2 + x + 1`` by default)."""
-    crc = init
+def crc8(bits: Sequence[int]) -> int:
+    """Bit-serial CRC-8 (poly ``x^8 + x^2 + x + 1``, initial value 0)."""
+    crc = 0
     for bit in bits:
         crc ^= (bit & 1) << 7
-        crc = ((crc << 1) ^ poly if crc & 0x80 else crc << 1) & 0xFF
+        crc = ((crc << 1) ^ 0x07 if crc & 0x80 else crc << 1) & 0xFF
     return crc
 
 
@@ -106,14 +109,9 @@ def frame_payload_bits(payload_nibbles: int = DEFAULT_PAYLOAD_NIBBLES) -> int:
     return 4 * payload_nibbles
 
 
-def encode_frame(
-    seq: int,
-    payload: Sequence[int],
-    *,
-    payload_nibbles: int = DEFAULT_PAYLOAD_NIBBLES,
-) -> list[int]:
+def encode_frame(seq: int, payload: Sequence[int]) -> list[int]:
     """Encode one frame: preamble, then Hamming-coded seq/payload/CRC."""
-    capacity = frame_payload_bits(payload_nibbles)
+    capacity = frame_payload_bits()
     if len(payload) > capacity:
         raise ValueError(
             f"frame payload of {len(payload)} bits exceeds capacity {capacity}"
@@ -157,11 +155,7 @@ def _find_preamble(bits: Sequence[int], start: int) -> int:
     return -1
 
 
-def decode_stream(
-    bits: Sequence[int],
-    *,
-    payload_nibbles: int = DEFAULT_PAYLOAD_NIBBLES,
-) -> list[DecodedFrame]:
+def decode_stream(bits: Sequence[int]) -> list[DecodedFrame]:
     """Scan a reception for frames, re-syncing on each preamble.
 
     Dropped or corrupted symbols before or between frames are skipped by
@@ -169,7 +163,7 @@ def decode_stream(
     exercise by truncating the head of the reception.
     """
     bits = [b & 1 for b in bits]
-    body_nibbles = 1 + payload_nibbles + 2
+    body_nibbles = 1 + DEFAULT_PAYLOAD_NIBBLES + 2
     frames: list[DecodedFrame] = []
     position = 0
     while True:
@@ -190,12 +184,12 @@ def decode_stream(
             nibbles.append(nibble)
             corrected += int(fixed)
         checked_bits: list[int] = []
-        for nibble in nibbles[: 1 + payload_nibbles]:
+        for nibble in nibbles[: 1 + DEFAULT_PAYLOAD_NIBBLES]:
             checked_bits.extend((nibble >> shift) & 1 for shift in (3, 2, 1, 0))
         checksum = (nibbles[-2] << 4) | nibbles[-1]
         crc_ok = crc8(checked_bits) == checksum
         payload: list[int] = []
-        for nibble in nibbles[1 : 1 + payload_nibbles]:
+        for nibble in nibbles[1 : 1 + DEFAULT_PAYLOAD_NIBBLES]:
             payload.extend((nibble >> shift) & 1 for shift in (3, 2, 1, 0))
         frames.append(
             DecodedFrame(
@@ -287,22 +281,8 @@ class ReliableChannel:
     standard covert-channel assumption of a quiet reverse channel.
     """
 
-    def __init__(
-        self,
-        channel: _BitChannel,
-        *,
-        payload_nibbles: int = DEFAULT_PAYLOAD_NIBBLES,
-    ) -> None:
-        if payload_nibbles <= 0:
-            raise ValueError(
-                f"payload_nibbles must be positive, got {payload_nibbles}"
-            )
+    def __init__(self, channel: _BitChannel) -> None:
         self.channel = channel
-        self.payload_nibbles = payload_nibbles
-
-    @property
-    def _frame_bits(self) -> int:
-        return frame_payload_bits(self.payload_nibbles)
 
     def send(
         self,
@@ -330,7 +310,7 @@ class ReliableChannel:
             proc = self.channel.channel.proc  # type: ignore[attr-defined]
         budget = ensure_budget(proc, budget)
 
-        per_frame = self._frame_bits
+        per_frame = frame_payload_bits()
         chunks = [payload[i : i + per_frame] for i in range(0, len(payload), per_frame)]
         pending = list(range(len(chunks)))
         received_chunks: dict[int, tuple[int, ...]] = {}
@@ -350,13 +330,7 @@ class ReliableChannel:
             wire: list[int] = []
             frame_of_seq: list[tuple[int, int]] = []  # (seq, chunk index)
             for chunk_index in pending:
-                wire.extend(
-                    encode_frame(
-                        chunk_index,
-                        chunks[chunk_index],
-                        payload_nibbles=self.payload_nibbles,
-                    )
-                )
+                wire.extend(encode_frame(chunk_index, chunks[chunk_index]))
                 frame_of_seq.append((chunk_index % _SEQ_SPACE, chunk_index))
             channel_report = self.channel.transmit(
                 wire, budget=budget, **transmit_kwargs
@@ -374,9 +348,7 @@ class ReliableChannel:
                 report.truncated = True
 
             confidences = list(getattr(channel_report, "confidences", []) or [])
-            for frame in decode_stream(
-                received, payload_nibbles=self.payload_nibbles
-            ):
+            for frame in decode_stream(received):
                 report.corrected_bits += frame.corrected_bits
                 if not frame.crc_ok:
                     report.crc_failures += 1
@@ -384,7 +356,7 @@ class ReliableChannel:
                 for position, (seq, chunk_index) in enumerate(frame_of_seq):
                     if seq == frame.seq and chunk_index in pending:
                         received_chunks[chunk_index] = frame.payload
-                        body = frame_wire_bits(self.payload_nibbles)
+                        body = frame_wire_bits()
                         window = confidences[frame.start : frame.start + body]
                         chunk_confidence[chunk_index] = (
                             sum(window) / len(window) if window else 1.0
@@ -424,28 +396,24 @@ class ReliableChannel:
 class BitSymbolAdapter:
     """Present ``CovertChannelC``'s symbol interface as a bit channel.
 
-    Packs ``bits_per_symbol`` bits into one counter symbol (MSB first).
-    Symbols the spy failed to decode (reported as ``-1``) unpack to zero
-    bits with zero confidence; the framing CRC catches the corruption
-    and ARQ retransmits the affected frames.
+    Packs 6 bits into one counter symbol (MSB first), so every symbol
+    fits a 7-bit minor's largest value.  Symbols the spy failed to
+    decode (reported as ``-1``) unpack to zero bits with zero
+    confidence; the framing CRC catches the corruption and ARQ
+    retransmits the affected frames.
     """
 
-    def __init__(self, channel: object, *, bits_per_symbol: int = 6) -> None:
+    def __init__(self, channel: object) -> None:
         max_symbol = getattr(channel, "max_symbol", None)
-        if bits_per_symbol <= 0:
+        if max_symbol is not None and (1 << _BITS_PER_SYMBOL) - 1 > max_symbol:
             raise ValueError(
-                f"bits_per_symbol must be positive, got {bits_per_symbol}"
-            )
-        if max_symbol is not None and (1 << bits_per_symbol) - 1 > max_symbol:
-            raise ValueError(
-                f"{bits_per_symbol} bits per symbol exceeds the channel's "
+                f"{_BITS_PER_SYMBOL} bits per symbol exceeds the channel's "
                 f"maximum symbol value {max_symbol}"
             )
         self.channel = channel
-        self.bits_per_symbol = bits_per_symbol
 
     def transmit(self, bits: Sequence[int], **kwargs: object) -> object:
-        width = self.bits_per_symbol
+        width = _BITS_PER_SYMBOL
         bits = [b & 1 for b in bits]
         padded = bits + [0] * (-len(bits) % width)
         symbols = [

@@ -37,8 +37,8 @@ from repro.utils.watchdog import CycleBudget, ensure_budget
 
 # A quiet metadata-path read stays under ~1000 cycles even with queueing;
 # the smallest overflow burst (leaf level: 33 blocks re-hashed) exceeds it
-# comfortably.  ``MetaLeakC(overflow_threshold=...)`` overrides it.
-DEFAULT_OVERFLOW_THRESHOLD = 1400
+# comfortably.
+OVERFLOW_THRESHOLD = 1400
 
 
 @dataclass
@@ -77,7 +77,6 @@ class SharedCounterHandle:
         level: int,
         node_index: int,
         bump_pages: list[int],
-        overflow_threshold: float,
         core: int = 0,
     ) -> None:
         self.proc = proc
@@ -86,7 +85,6 @@ class SharedCounterHandle:
         self.level = level
         self.node_index = node_index
         self.bump_pages = list(bump_pages)
-        self.overflow_threshold = overflow_threshold
         self.core = core
         self.minor_max = (1 << proc.config.tree.minor_bits) - 1
         self._rotation = 0
@@ -118,7 +116,7 @@ class SharedCounterHandle:
             return self._timed_probe()
         max_latency = self._propagate(addr)
         self.last_bump_latency = max_latency
-        overflowed = max_latency > self.overflow_threshold
+        overflowed = max_latency > OVERFLOW_THRESHOLD
         if overflowed:
             self.stats.overflows_observed += 1
         return overflowed
@@ -150,7 +148,7 @@ class SharedCounterHandle:
         self.proc.read(probe, core=self.core)
         self.proc.flush(probe)
         latency = self.proc.read(probe, core=self.core).latency
-        overflowed = latency > self.overflow_threshold
+        overflowed = latency > OVERFLOW_THRESHOLD
         if overflowed:
             self.stats.overflows_observed += 1
         return overflowed
@@ -182,7 +180,7 @@ class SharedCounterHandle:
                 return OverflowScan(fired=True, bumps=spent)
         return OverflowScan(fired=False, bumps=limit)
 
-    def reset(self, *, max_bumps: int | None = None) -> int:
+    def reset(self) -> int:
         """mPreset phase 1: bump until overflow; counter is then known.
 
         After the observed overflow the minor holds exactly 1 (the
@@ -190,7 +188,7 @@ class SharedCounterHandle:
         number of bumps spent.
         """
         self.stats.resets += 1
-        scan = self.scan_to_overflow(max_bumps=max_bumps)
+        scan = self.scan_to_overflow()
         if not scan.fired:
             raise RuntimeError(
                 f"no overflow after {scan.bumps} bumps: counter not shared "
@@ -270,12 +268,10 @@ class MetaLeakC:
         allocator: PageAllocator,
         *,
         core: int = 0,
-        overflow_threshold: float = DEFAULT_OVERFLOW_THRESHOLD,
     ) -> None:
         self.proc = proc
         self.allocator = allocator
         self.core = core
-        self.overflow_threshold = overflow_threshold
         self.mapper = MetadataMapper(proc)
         self._collect_evictor: MetadataEvictor | None = None
 
@@ -284,14 +280,13 @@ class MetaLeakC:
         victim_frame: int,
         *,
         level: int = 1,
-        bump_page_count: int = 8,
     ) -> SharedCounterHandle:
         """Build a handle on the tree minor shared with ``victim_frame``.
 
         The target is the level-``level`` minor tracking the victim's
         level-``level - 1`` subtree (its counter block for level 1).  The
-        attacker claims ``bump_page_count`` free pages *inside that same
-        child subtree* so its writes advance the very counter the victim's
+        attacker claims up to 8 free pages *inside that same child
+        subtree* so its writes advance the very counter the victim's
         writes advance.
         """
         if level < 1:
@@ -316,7 +311,7 @@ class MetaLeakC:
             if frame == victim_frame or self.allocator.is_allocated(frame):
                 continue
             bump_pages.append(self.allocator.alloc_specific(frame))
-            if len(bump_pages) == bump_page_count:
+            if len(bump_pages) == 8:
                 break
         if not bump_pages:
             raise RuntimeError("no free pages share the target subtree")
@@ -331,7 +326,6 @@ class MetaLeakC:
             level=level,
             node_index=node_index,
             bump_pages=bump_pages,
-            overflow_threshold=self.overflow_threshold,
             core=self.core,
         )
 

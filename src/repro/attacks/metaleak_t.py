@@ -47,14 +47,8 @@ class TreeNodeMonitor:
         node_addr: int,
         probe_block: int,
         extra_evict: tuple[int, ...] = (),
-        threshold: float | None = None,
         core: int = 0,
-        calibration_samples: int = 8,
     ) -> None:
-        if calibration_samples <= 0:
-            raise ValueError(
-                f"calibration_samples must be positive, got {calibration_samples}"
-            )
         self.proc = proc
         self.evictor = evictor
         self.node_addr = node_addr
@@ -76,19 +70,15 @@ class TreeNodeMonitor:
         )
         self.stats = MonitorStats()
         self.last_confidence = 0.0
-        # The bands are always profiled, even under a caller-supplied
-        # threshold: a forced threshold that does not sit between the
-        # measured bands scores quality 0, and every reload scored
-        # against it reports zero confidence instead of fabricated
-        # certainty.
-        fast, slow = self._band_samples(calibration_samples)
-        self.calibration: Calibration = score_calibration(
-            fast, slow, threshold=threshold
-        )
+        # The reload threshold is the midpoint of the bands profiled on
+        # this very probe; bands that do not separate score quality 0,
+        # and every reload scored against them reports zero confidence.
+        self.calibration: Calibration = score_calibration(*self._band_samples())
         self.threshold = self.calibration.threshold
 
-    def _band_samples(self, samples: int) -> tuple[list[int], list[int]]:
-        """Self-profile the fast/slow reload bands on this very probe.
+    def _band_samples(self) -> tuple[list[int], list[int]]:
+        """Self-profile the fast/slow reload bands on this very probe,
+        eight reloads each.
 
         The attacker produces both node states itself: a full mEvict makes
         the next reload slow (node fetched from memory); a reload right
@@ -99,7 +89,7 @@ class TreeNodeMonitor:
         """
         fast: list[int] = []
         slow: list[int] = []
-        for _ in range(samples):
+        for _ in range(8):
             self.evictor.evict(self._evict_list)
             self.proc.flush(self.probe_block)
             self.proc.quiesce()
@@ -137,33 +127,23 @@ class MetaLeakT:
         allocator: PageAllocator,
         *,
         core: int = 0,
-        threshold: float | None = None,
     ) -> None:
         self.proc = proc
         self.allocator = allocator
         self.core = core
         self.mapper = MetadataMapper(proc)
-        self._threshold = threshold
         # One evictor shared by all monitors: its protected region grows as
         # monitors are added, so eviction traffic for one monitored node
         # never strays under another monitored node's subtree.
         self.evictor = MetadataEvictor(proc, allocator, core=core)
 
-    @property
-    def threshold(self) -> float | None:
-        """Fixed reload threshold, or None for per-monitor self-calibration."""
-        return self._threshold
-
-    def claim_probe_page(
-        self, victim_frame: int, level: int, *, exclude: set[int] | None = None
-    ) -> int:
+    def claim_probe_page(self, victim_frame: int, level: int) -> int:
         """Allocate an attacker page sharing the victim's level-``level``
         tree node (Section VIII-B co-location).  Returns the frame number.
         """
-        exclude = exclude or set()
         group = self.proc.layout.pages_sharing_node(victim_frame, level)
         for frame in group:
-            if frame == victim_frame or frame in exclude:
+            if frame == victim_frame:
                 continue
             if not self.allocator.is_allocated(frame):
                 return self.allocator.alloc_specific(frame)
@@ -177,7 +157,6 @@ class MetaLeakT:
         *,
         level: int = 0,
         probe_frame: int | None = None,
-        calibration_samples: int = 8,
     ) -> TreeNodeMonitor:
         """Build a monitor for victim activity on one physical page.
 
@@ -217,8 +196,6 @@ class MetaLeakT:
             node_addr=node_addr,
             probe_block=probe_paddr,
             extra_evict=extra,
-            threshold=self._threshold,
             core=self.core,
-            calibration_samples=calibration_samples,
         )
 

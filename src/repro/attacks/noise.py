@@ -67,11 +67,10 @@ class ConflictingNoiseProcess(NoiseProcess):
     A generic :class:`NoiseProcess` working set rarely lands in the one
     metadata-cache set a monitor depends on, so its interference is
     mostly queueing delay.  The worst-case neighbour is one whose
-    metadata footprint *collides*: each of its accesses has a chance of
-    evicting a monitored tree node between the victim's access and the
-    attacker's reload, flipping observed 1-bits to 0.  ``conflict_rate``
-    is the per-access probability that the neighbour's traffic sweeps a
-    conflicting set (modelled with the mEvict primitive, since only the
+    metadata footprint *collides*: each of its accesses has a 5% chance
+    of evicting a monitored tree node between the victim's access and
+    the attacker's reload, flipping observed 1-bits to 0 (the sweep of a
+    conflicting set is modelled with the mEvict primitive, since only the
     caching side-effect matters); the rest of the step is ordinary
     random reads.  Error intensity therefore grows smoothly with
     ``reads_per_step`` — the knob the noise sweeps turn.
@@ -83,28 +82,22 @@ class ConflictingNoiseProcess(NoiseProcess):
         allocator: PageAllocator,
         *,
         conflict_addrs: tuple[int, ...],
-        conflict_rate: float = 0.05,
         **kwargs: object,
     ) -> None:
         super().__init__(proc, allocator, **kwargs)
         if not conflict_addrs:
             raise ValueError("conflict_addrs must name at least one address")
-        if not 0.0 <= conflict_rate <= 1.0:
-            raise ValueError(
-                f"conflict_rate must be in [0, 1], got {conflict_rate}"
-            )
         # Deferred import: mapping imports noise's sibling modules.
         from repro.attacks.mapping import MetadataEvictor
 
         self.conflict_addrs = tuple(conflict_addrs)
-        self.conflict_rate = conflict_rate
         self.conflicts_issued = 0
         self._evictor = MetadataEvictor(proc, allocator, core=self.core)
 
     def step(self) -> None:
         self.steps += 1
         for _ in range(self.reads_per_step):
-            if self.rng.random() < self.conflict_rate:
+            if self.rng.random() < 0.05:
                 self._evictor.evict(self.conflict_addrs)
                 self.conflicts_issued += 1
                 continue
@@ -121,13 +114,10 @@ def co_located_noise(
     allocator: PageAllocator,
     *,
     reads_per_step: int,
-    conflict_rate: float = 0.05,
-    pages: int = 32,
-    core: int = 2,
-    seed: int = 7,
 ) -> ConflictingNoiseProcess:
     """Worst-case co-runner for a ``CovertChannelT``: its working set
-    conflicts with the channel's transmission node.
+    of 32 pages, read from core 2, conflicts with the channel's
+    transmission node.
 
     The boundary node is left alone, so frame synchronisation survives
     while payload bits degrade — exactly the regime the ECC framing
@@ -137,9 +127,6 @@ def co_located_noise(
         channel.proc,  # type: ignore[attr-defined]
         allocator,
         conflict_addrs=(channel.tx_monitor.node_addr,),  # type: ignore[attr-defined]
-        conflict_rate=conflict_rate,
         reads_per_step=reads_per_step,
-        pages=pages,
-        core=core,
-        seed=seed,
+        pages=32,
     )

@@ -4,11 +4,11 @@ A threshold that silently stops separating the fast and slow reload
 bands makes every attack above it emit confident garbage.  This module
 gives every monitor two things:
 
-* :func:`score_calibration` — a quality score over the two calibration
-  bands.  Degenerate calibrations (overlapping bands, a forced threshold
-  that does not even sit between the band means) score 0 instead of
-  producing a meaningless threshold, and every reload scored against such
-  a calibration reports zero confidence;
+* :func:`score_calibration` — a threshold at the midpoint of the two
+  calibration bands, and a quality score over them.  Degenerate
+  calibrations (inverted bands) score 0 instead of producing a
+  meaningless threshold, and every reload scored against such a
+  calibration reports zero confidence;
 * :class:`Calibration.confidence` — per-observation confidence from the
   latency's margin to the threshold, scaled by the calibration quality,
   so downstream decoders can carry honest per-bit confidence.
@@ -75,33 +75,24 @@ class Calibration:
 
 
 def score_calibration(
-    fast_samples: Sequence[float],
-    slow_samples: Sequence[float],
-    *,
-    threshold: float | None = None,
+    fast_samples: Sequence[float], slow_samples: Sequence[float]
 ) -> Calibration:
     """Score a (fast, slow) calibration sample pair.
 
-    With ``threshold=None`` the midpoint of the band means is used (the
-    symmetric-margin choice the monitors have always made).  Passing an
-    explicit threshold scores *that* threshold against the measured
-    bands — the honesty check for caller-supplied thresholds.
+    The threshold is the midpoint of the band means (the symmetric-margin
+    choice the monitors make).  Quality components:
 
-    Quality components:
-
-    * ordering — the slow band must actually be slower;
-    * placement — the threshold must sit strictly between the band means;
+    * ordering — the slow band must actually be slower, with the
+      threshold strictly between the band means;
     * separation — band distance relative to the within-band spreads;
     * leakage — calibration samples already falling on the wrong side of
       the threshold are evidence of overlap and discount the score.
     """
     fast = BandStats.from_samples(fast_samples)
     slow = BandStats.from_samples(slow_samples)
-    if threshold is None:
-        threshold = (fast.mean + slow.mean) / 2
-    threshold = float(threshold)
+    threshold = (fast.mean + slow.mean) / 2
 
-    if slow.mean <= fast.mean or not fast.mean < threshold < slow.mean:
+    if not fast.mean < threshold < slow.mean:
         return Calibration(threshold=threshold, fast=fast, slow=slow, quality=0.0)
 
     separation = slow.mean - fast.mean

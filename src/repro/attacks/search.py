@@ -40,7 +40,6 @@ class EvictionSetSearch:
         allocator: PageAllocator,
         *,
         target_block: int,
-        threshold: float | None = None,
         core: int = 0,
     ) -> None:
         self.proc = proc
@@ -50,10 +49,8 @@ class EvictionSetSearch:
         self.stats = SearchStats()
         # Reload-latency bands are address-specific (bank conflicts between
         # the data fetch and metadata fetches), so calibrate on the actual
-        # target unless the caller provides a threshold.
-        self.threshold = (
-            threshold if threshold is not None else self._calibrate()
-        )
+        # target.
+        self.threshold = self._calibrate()
 
     def _calibrate(self, samples: int = 6) -> float:
         fast, slow = [], []
@@ -101,17 +98,13 @@ class EvictionSetSearch:
 
     # -- group-testing reduction --------------------------------------------
 
-    def find_minimal_set(
-        self, candidate_pages: list[int], *, max_rounds: int = 200
-    ) -> list[int]:
+    def find_minimal_set(self, candidate_pages: list[int]) -> list[int]:
         """Reduce a working candidate pool to a minimal eviction set.
 
         Classic one-out reduction: repeatedly drop a chunk and keep the
-        remainder if it still evicts.  Raises if the initial pool does not
-        evict the target.
+        remainder if it still evicts, for at most 200 rounds.  Raises if
+        the initial pool does not evict the target.
         """
-        if max_rounds <= 0:
-            raise ValueError(f"max_rounds must be positive, got {max_rounds}")
         pool = list(candidate_pages)
         if not self.evicts(pool):
             raise ValueError(
@@ -120,7 +113,7 @@ class EvictionSetSearch:
             )
         index = 0
         chunk = max(1, len(pool) // 8)
-        for _ in range(max_rounds):
+        for _ in range(200):
             if index >= len(pool):
                 if chunk == 1:
                     break

@@ -41,6 +41,10 @@ from repro.campaign.payload import PayloadError, encode_payload
 
 SCHEMA_VERSION = 3
 
+#: Seconds sqlite itself blocks on another connection's lock
+#: (``PRAGMA busy_timeout``) before it reports SQLITE_BUSY.
+_BUSY_TIMEOUT_S = 5.0
+
 #: Transient-lock retry policy: attempts beyond the first, and the base
 #: of the exponential sleep between them.  Combined with sqlite's own
 #: ``busy_timeout`` (which blocks inside the C library first), a writer
@@ -182,28 +186,20 @@ class CampaignDB:
     thread will use it again.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike[str],
-        *,
-        busy_timeout: float = 5.0,
-    ) -> None:
-        if busy_timeout < 0:
-            raise ValueError("busy_timeout must be non-negative")
+    def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = os.fspath(path)
-        self.busy_timeout = busy_timeout
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(
-            self.path, timeout=busy_timeout, check_same_thread=False,
+            self.path, timeout=_BUSY_TIMEOUT_S, check_same_thread=False,
         )
         self._conn.execute("PRAGMA journal_mode=WAL")
         # Block inside sqlite itself while another connection commits;
         # the _execute/_commit retry loop backs this up for the (rare)
         # cases sqlite still surfaces SQLITE_BUSY, e.g. a competing
         # writer upgrading to an exclusive lock.
-        self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout * 1000)}")
+        self._conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")
         # WAL + NORMAL keeps commits durable across process crashes
         # (kill -9) while skipping the per-commit fsync; an OS-level
         # power loss may drop the last few commits, which the service
@@ -329,18 +325,16 @@ class CampaignDB:
         kind: str,
         spec: str,
         state: str,
-        resumed: int = 0,
-        error: str = "",
         result: str | None = None,
         trace: str = "",
     ) -> None:
-        """Journal a newly accepted job *before* acknowledging it."""
+        """Journal a newly accepted job *before* acknowledging it (never
+        resumed, no error yet)."""
         now = time.time()
         self._execute(
             f"INSERT INTO jobs ({_JOB_COLUMNS})"
             " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (job_id, kind, spec, state, now, now, 0, resumed, error, result,
-             trace),
+            (job_id, kind, spec, state, now, now, 0, 0, "", result, trace),
         )
         self._commit()
 
@@ -427,8 +421,7 @@ class CampaignDB:
         return count
 
     @_locked
-    def spans(self, trace_id: str | None = None,
-              *, limit: int = 0) -> list[dict[str, Any]]:
+    def spans(self, trace_id: str | None = None) -> list[dict[str, Any]]:
         """Stored spans as schema-v1 dicts, oldest first."""
         query = ("SELECT span_id, trace_id, parent_id, name, kind, start,"
                  " end, outcome, pid, attrs FROM spans")
@@ -437,8 +430,6 @@ class CampaignDB:
             query += " WHERE trace_id = ?"
             params = (trace_id,)
         query += " ORDER BY start, span_id"
-        if limit:
-            query += f" LIMIT {int(limit)}"
         out = []
         for row in self._execute(query, params):
             try:

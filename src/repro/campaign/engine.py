@@ -64,7 +64,12 @@ from repro.campaign.records import (
     BatchReport,
     TaskRecord,
 )
-from repro.campaign.worker import _accepts_seed, run_attempt, worker_main
+from repro.campaign.worker import (
+    _accepts_seed,
+    check_seconds,
+    run_attempt,
+    worker_main,
+)
 from repro.trace.counters import CounterRegistry
 from repro.utils.provenance import git_rev as _git_rev
 
@@ -255,7 +260,6 @@ class CampaignEngine:
         use_cache: bool = True,
         fail_fast: bool = False,
         heartbeat_timeout: float = 30.0,
-        registry: CounterRegistry | None = None,
         git_rev: str | None = None,
         span_parent: "obs.SpanContext | None" = None,
     ) -> None:
@@ -263,10 +267,9 @@ class CampaignEngine:
             raise ValueError("jobs must be a positive worker count")
         if retries < 0:
             raise ValueError("retries must be non-negative")
-        if backoff < 0:
-            raise ValueError("backoff must be non-negative")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
+        check_seconds("backoff", backoff, positive=False)
+        if timeout is not None:
+            check_seconds("timeout", timeout)
         if heartbeat_timeout <= 0:
             raise ValueError("heartbeat_timeout must be positive")
         self.jobs = jobs
@@ -303,7 +306,7 @@ class CampaignEngine:
         # reseed_base keeps test campaigns reproducible.
         self._backoff_rng = random.Random(reseed_base)
 
-        self.registry = registry if registry is not None else CounterRegistry()
+        self.registry = CounterRegistry()
         self._c_tasks = self.registry.counter("tasks")
         self._c_executed = self.registry.counter("executed")
         self._c_ok = self.registry.counter("ok")

@@ -80,6 +80,27 @@ def _accepts_seed(fn: Callable[..., Any]) -> bool:
     return False
 
 
+#: Longest wait in seconds: ``signal.setitimer`` overflows the platform's
+#: ``time_t`` above this on some hosts (a 32-bit signed count of seconds
+#: is the portable bound), so the engine, the service and the CLI refuse
+#: a longer task timeout, or retry backoff, before any task runs.
+MAX_TIMEOUT_S = 2**31 - 1
+
+
+def check_seconds(name: str, value: float, *, positive: bool = True) -> float:
+    """``value`` if it is a finite wait in seconds up to
+    :data:`MAX_TIMEOUT_S` that is positive (or, unless ``positive``,
+    zero); otherwise ``ValueError`` naming ``name``.  ``nan`` and the
+    infinities are refused: ``setitimer`` cannot arm them, and an
+    infinite retry backoff never schedules the retry."""
+    if not (0 < value if positive else 0 <= value) or not value <= MAX_TIMEOUT_S:
+        low = "(0" if positive else "[0"
+        raise ValueError(
+            f"{name} must be in {low}, {MAX_TIMEOUT_S}] seconds, got {value!r}"
+        )
+    return value
+
+
 def _call_with_timeout(
     fn: Callable[..., Any], kwargs: dict[str, Any], timeout: float | None
 ) -> Any:

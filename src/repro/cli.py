@@ -37,7 +37,7 @@ Commands
     One ECC-framed covert transmission under a conflicting co-runner:
     the noisy-channel smoke test.  Prints raw vs post-ECC accuracy,
     goodput and degradation flags; exits non-zero if the framed payload
-    accuracy falls below ``--gate``.
+    accuracy falls below ``--gate`` (a fraction in [0, 1]).
 
 ``trace --victim NAME [--secret a|b] [--seed S] [--out FILE]
 [--chrome FILE] [--capacity N]``
@@ -156,19 +156,29 @@ def _retries_count(value: str) -> int:
     return retries
 
 
-def _timeout_seconds(value: str) -> float:
-    """``--timeout``: a positive number of seconds."""
+def _seconds(value: str, *, positive: bool) -> float:
+    """A wait the campaign engine accepts
+    (:func:`repro.campaign.worker.check_seconds`): finite, at most
+    ``MAX_TIMEOUT_S``, and positive or, unless ``positive``, zero."""
+    from repro.campaign.worker import MAX_TIMEOUT_S, check_seconds
+
     try:
-        timeout = float(value)
+        return check_seconds("seconds", float(value), positive=positive)
     except ValueError:
+        low = "(0" if positive else "[0"
         raise argparse.ArgumentTypeError(
-            f"--timeout must be a number of seconds, got {value!r}"
+            f"expected seconds in {low}, {MAX_TIMEOUT_S}], got {value!r}"
         ) from None
-    if not timeout > 0:
-        raise argparse.ArgumentTypeError(
-            f"--timeout must be positive, got {timeout!r}"
-        )
-    return timeout
+
+
+def _timeout_seconds(value: str) -> float:
+    """``--timeout`` and the other waits: positive seconds."""
+    return _seconds(value, positive=True)
+
+
+def _backoff_seconds(value: str) -> float:
+    """``serve --backoff``: seconds, zero included."""
+    return _seconds(value, positive=False)
 
 
 def _positive_int(value: str) -> int:
@@ -252,7 +262,8 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout", type=_timeout_seconds, default=None, metavar="S",
-        help="wall-clock budget per task in seconds (default: none)",
+        help="wall-clock budget per task in seconds, at most 2**31 - 1 "
+        "(default: none)",
     )
     parser.add_argument(
         "--retries", type=_retries_count, default=0, metavar="N",
@@ -1073,8 +1084,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cycle budget for the whole exchange (default: unlimited)",
     )
     channel.add_argument(
-        "--gate", type=float, default=0.99,
-        help="minimum framed payload accuracy; below it exits non-zero",
+        "--gate", type=_fraction, default=0.99, metavar="ACC",
+        help="minimum framed payload accuracy, a fraction in [0, 1]; "
+        "below it exits non-zero (default 0.99)",
     )
     channel.add_argument("--seed", type=int, default=21)
     channel.set_defaults(func=_cmd_channel)
@@ -1153,15 +1165,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--timeout", type=_timeout_seconds, default=None, metavar="S",
-        help="wall-clock budget per task within a job (default: none)",
+        help="wall-clock budget per task within a job, in seconds up to "
+        "2**31 - 1 (default: none)",
     )
     serve.add_argument(
         "--retries", type=_retries_count, default=0, metavar="N",
         help="retry failed/crashed tasks up to N times with backoff",
     )
     serve.add_argument(
-        "--backoff", type=float, default=0.5, metavar="S",
-        help="base retry backoff in seconds, full jitter (default 0.5)",
+        "--backoff", type=_backoff_seconds, default=0.5, metavar="S",
+        help="base retry backoff in seconds (>= 0), full jitter "
+        "(default 0.5)",
     )
     serve.add_argument(
         "--drain-grace", type=_timeout_seconds, default=30.0, metavar="S",

@@ -26,26 +26,18 @@ def mirage_eviction_curve(
     *,
     trials: int = 40,
     cache_size: int = 256 * 1024,
-    base_ways: int = 8,
-    extra_ways: int = 6,
-    seed: int = 3,
 ) -> list[EvictionPoint]:
     """Probability the target block is evicted after N random accesses.
 
     Mirrors the paper's experiment against the MIRAGE open-source model:
     default secure configuration, two skews, 8+6 ways per skew, 256 KiB.
     """
-    rng = derive_rng(seed, "mirage-study")
+    rng = derive_rng(3, "mirage-study")
     points = []
     for accesses in access_counts:
         evicted = 0
         for trial in range(trials):
-            cache = MirageCache(
-                cache_size,
-                base_ways=base_ways,
-                extra_ways=extra_ways,
-                seed=seed * 1000 + trial,
-            )
+            cache = MirageCache(cache_size, seed=3000 + trial)
             # Warm the data store to capacity (a cold cache absorbs fills
             # without evicting anything).
             for _ in range(cache.data_capacity + 64):

@@ -41,11 +41,11 @@ class VictimSpec:
     run: Callable[[SecureProcessor, object], None]
 
 
-def _make_process(proc: SecureProcessor, *, cleanse: bool = True) -> Process:
+def _make_process(proc: SecureProcessor) -> Process:
     allocator = PageAllocator(
         proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores
     )
-    return Process(proc, allocator, core=0, cleanse=cleanse, name="victim")
+    return Process(proc, allocator, core=0, cleanse=True, name="victim")
 
 
 # ----------------------------------------------------------------------

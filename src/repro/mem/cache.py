@@ -107,7 +107,7 @@ class _WaySlots(dict):
 class SetAssocCache(Component):
     """A classic set-associative cache."""
 
-    def __init__(self, config: CacheConfig, *, seed: int = 0) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.num_sets = config.num_sets
         self.ways = config.ways
@@ -120,7 +120,6 @@ class SetAssocCache(Component):
         # (probes of untouched sets never allocate).  Popping a block from
         # its set drops it, under every policy.
         self.sets: dict[int, dict[int, bool]] = {}
-        self._seed = seed
         self.counters = CounterRegistry()
         self._hits = self.counters.counter("hits")
         self._misses = self.counters.counter("misses")
@@ -150,24 +149,12 @@ class SetAssocCache(Component):
     # Operations (the ``apply`` state transitions)
     # ------------------------------------------------------------------
 
-    def lookup(self, addr: int, *, touch: bool = True) -> bool:
-        """Probe for the block at ``addr``; optionally refresh its recency.
-
-        A touching lookup is the :meth:`hit`/:meth:`miss` pair on the
-        decomposed address.  Without ``touch`` a resident block counts
-        and traces its hit but keeps its place in the set.
-        """
+    def lookup(self, addr: int) -> bool:
+        """Probe for the block at ``addr``, refreshing its recency: the
+        :meth:`hit`/:meth:`miss` pair on the decomposed address."""
         block = addr & self._block_mask
         set_index = (block >> self.block_shift) % self.num_sets
-        if touch:
-            if self.hit(block, set_index, False):
-                return True
-        elif block in self.sets.get(set_index, ()):
-            self._hits.value += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.component_name, "hit", addr=block, set_index=set_index
-                )
+        if self.hit(block, set_index, False):
             return True
         self.miss(block, set_index)
         return False
@@ -249,7 +236,7 @@ class SetAssocCache(Component):
         lines = self.sets.get(set_index)
         if lines is None:
             lines = {} if self._lru else _WaySlots(
-                self.ways, self.replacement, self._seed + set_index
+                self.ways, self.replacement, set_index
             )
             self.sets[set_index] = lines
         if block in lines:

@@ -18,36 +18,32 @@ from repro.config import BLOCK_SIZE
 from repro.utils.bitops import log2_exact
 from repro.utils.rng import derive_rng
 
+#: MIRAGE's default secure configuration: two skews of 8 base ways plus
+#: 6 extra (invalid-tag) ways each.
+SKEWS = 2
+BASE_WAYS = 8
+EXTRA_WAYS = 6
+
+_BLOCK_SHIFT = log2_exact(BLOCK_SIZE)
+
 
 class MirageCache:
     """Two-skew randomized tag store over a globally-evicted data store."""
 
-    def __init__(
-        self,
-        size_bytes: int = 256 * 1024,
-        *,
-        base_ways: int = 8,
-        extra_ways: int = 6,
-        skews: int = 2,
-        block_size: int = BLOCK_SIZE,
-        seed: int = 1,
-    ) -> None:
-        self.block_size = block_size
-        self._block_shift = log2_exact(block_size)
-        self.data_capacity = size_bytes // block_size
-        self.skews = skews
-        self.ways_per_skew = base_ways + extra_ways
+    def __init__(self, size_bytes: int = 256 * 1024, *, seed: int = 1) -> None:
+        self.data_capacity = size_bytes // BLOCK_SIZE
+        self.ways_per_skew = BASE_WAYS + EXTRA_WAYS
         # Tag capacity per skew equals data capacity (so the provisioned
         # extra ways show up as extra sets' worth of invalid tags).
-        sets_total = self.data_capacity // base_ways
-        self.sets_per_skew = max(1, sets_total // skews)
+        sets_total = self.data_capacity // BASE_WAYS
+        self.sets_per_skew = max(1, sets_total // SKEWS)
         self._skew_keys = [
-            derive_rng(seed, f"skew-{i}").getrandbits(64) for i in range(skews)
+            derive_rng(seed, f"skew-{i}").getrandbits(64) for i in range(SKEWS)
         ]
         self._rng = derive_rng(seed, "gle")
         # skew -> set -> {addr}
         self._tags: list[list[set[int]]] = [
-            [set() for _ in range(self.sets_per_skew)] for _ in range(skews)
+            [set() for _ in range(self.sets_per_skew)] for _ in range(SKEWS)
         ]
         self._resident: set[int] = set()
         # Parallel list + index map for O(1) uniform random eviction.
@@ -62,7 +58,7 @@ class MirageCache:
     # ------------------------------------------------------------------
 
     def _block(self, addr: int) -> int:
-        return addr >> self._block_shift
+        return addr >> _BLOCK_SHIFT
 
     def _set_index(self, skew: int, block: int) -> int:
         digest = hashlib.blake2b(
@@ -97,10 +93,10 @@ class MirageCache:
             self.global_evictions += 1
         # Power-of-two-choices skew selection: prefer the emptier set.
         candidates = [
-            (skew, self._set_index(skew, block)) for skew in range(self.skews)
+            (skew, self._set_index(skew, block)) for skew in range(SKEWS)
         ]
         loads = [len(self._tags[skew][s]) for skew, s in candidates]
-        best = min(range(self.skews), key=lambda i: loads[i])
+        best = min(range(SKEWS), key=lambda i: loads[i])
         skew, set_index = candidates[best]
         tag_set = self._tags[skew][set_index]
         if len(tag_set) >= self.ways_per_skew:

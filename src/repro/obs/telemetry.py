@@ -51,13 +51,12 @@ class FleetSummary:
     queued: int = 0
 
 
-def summarize(spans: list[dict[str, Any]], *, straggler_factor: float = 4.0,
-              min_straggler_s: float = 0.05) -> FleetSummary:
+def summarize(spans: list[dict[str, Any]]) -> FleetSummary:
     """Aggregate spans into a :class:`FleetSummary`.
 
-    A span is a straggler when its duration exceeds ``straggler_factor``
-    × the median for its kind and is at least ``min_straggler_s`` long
-    (sub-50 ms phases are never worth chasing).
+    A span is a straggler when its duration exceeds 4 × the median for
+    its kind and is at least 50 ms long (shorter phases are never worth
+    chasing).
     """
     summary = FleetSummary(spans=len(spans))
     durations: dict[str, list[float]] = {}
@@ -102,7 +101,7 @@ def summarize(spans: list[dict[str, Any]], *, straggler_factor: float = 4.0,
             continue
         median = percentile(vals, 0.5)
         dur = max(0.0, float(span.get("end", 0.0)) - float(span.get("start", 0.0)))
-        if dur >= min_straggler_s and median > 0 and dur > straggler_factor * median:
+        if dur >= 0.05 and median > 0 and dur > 4.0 * median:
             attrs = span.get("attrs") or {}
             summary.stragglers.append({
                 "name": span.get("name"),

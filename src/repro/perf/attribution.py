@@ -195,11 +195,9 @@ class CycleAttributor:
                     stacks[frames] = stacks.get(frames, 0) + value
         return [f"{frames} {value}" for frames, value in sorted(stacks.items())]
 
-    def write_collapsed(
-        self, path: str | pathlib.Path, *, include_shadowed: bool = False
-    ) -> int:
+    def write_collapsed(self, path: str | pathlib.Path) -> int:
         """Write the collapsed-stack export; returns the number of lines."""
-        lines = self.collapsed_stacks(include_shadowed=include_shadowed)
+        lines = self.collapsed_stacks()
         pathlib.Path(path).write_text("\n".join(lines) + "\n")
         return len(lines)
 

@@ -79,10 +79,9 @@ class IntegrityTree(Component, abc.ABC):
         # tracer's bound clock.
         self.init_component("tree")
 
-    def _trace(self, kind: str, *, level: int | None = None,
-               index: int | None = None, value: float | None = None) -> None:
+    def _trace(self, kind: str, *, level: int, index: int) -> None:
         if self.tracer is not None:
-            self.tracer.emit("tree", kind, addr=index, level=level, value=value)
+            self.tracer.emit("tree", kind, addr=index, level=level)
 
     @abc.abstractmethod
     def on_counter_block_update(

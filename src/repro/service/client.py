@@ -26,6 +26,12 @@ from typing import Any
 
 from repro.service.jobs import CANCELLED, DONE, FAILED, TERMINAL_STATES, TIMEOUT
 
+#: Seconds :func:`http_request` waits for the connection and each read.
+_IO_TIMEOUT_S = 30.0
+
+#: Shed (429) submissions of one job the load generator retries.
+_MAX_SHED_RETRIES = 50
+
 
 class ServiceClientError(RuntimeError):
     """The service could not be reached or spoke something unexpected."""
@@ -37,8 +43,6 @@ async def http_request(
     method: str,
     path: str,
     body: dict[str, Any] | None = None,
-    *,
-    timeout: float = 30.0,
 ) -> tuple[int, dict[str, str], Any]:
     """One HTTP/1.1 request; returns ``(status, headers, decoded_body)``."""
     raw = b""
@@ -46,7 +50,7 @@ async def http_request(
         raw = json.dumps(body, sort_keys=True).encode("utf-8")
     try:
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout=timeout
+            asyncio.open_connection(host, port), timeout=_IO_TIMEOUT_S
         )
     except (OSError, asyncio.TimeoutError) as error:
         raise ServiceClientError(
@@ -63,7 +67,7 @@ async def http_request(
         writer.write(head.encode("latin-1") + raw)
         await writer.drain()
         status_line = await asyncio.wait_for(
-            reader.readline(), timeout=timeout
+            reader.readline(), timeout=_IO_TIMEOUT_S
         )
         parts = status_line.decode("latin-1").split()
         if len(parts) < 2 or not parts[1].isdigit():
@@ -73,12 +77,14 @@ async def http_request(
         status = int(parts[1])
         headers: dict[str, str] = {}
         while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=timeout)
+            line = await asyncio.wait_for(
+                reader.readline(), timeout=_IO_TIMEOUT_S
+            )
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        payload = await asyncio.wait_for(reader.read(), timeout=timeout)
+        payload = await asyncio.wait_for(reader.read(), timeout=_IO_TIMEOUT_S)
         if headers.get("content-type", "").startswith("application/json"):
             try:
                 decoded: Any = json.loads(payload.decode("utf-8") or "null")
@@ -181,12 +187,11 @@ async def _drive_one(
     lock: asyncio.Lock,
     *,
     poll_interval: float,
-    job_deadline: float,
-    max_shed_retries: int,
 ) -> None:
-    """Submit one job (retrying shed submissions) and poll it terminal."""
+    """Submit one job (retrying shed submissions) and poll it terminal,
+    for at most two minutes."""
     job: dict[str, Any] | None = None
-    for attempt in range(max_shed_retries + 1):
+    for attempt in range(_MAX_SHED_RETRIES + 1):
         status, headers, data = await http_request(
             host, port, "POST", "/jobs", {"kind": kind, "spec": spec}
         )
@@ -198,7 +203,7 @@ async def _drive_one(
         if status == 429:
             async with lock:
                 report.shed += 1
-            if attempt == max_shed_retries:
+            if attempt == _MAX_SHED_RETRIES:
                 async with lock:
                     report.states["shed_gave_up"] = (
                         report.states.get("shed_gave_up", 0) + 1
@@ -225,7 +230,7 @@ async def _drive_one(
             if job.get("cached"):
                 report.cached += 1
         return
-    deadline = time.monotonic() + job_deadline
+    deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
         await asyncio.sleep(poll_interval)
         status, _, data = await http_request(
@@ -259,8 +264,6 @@ async def run_load(
     spec: dict[str, Any] | None = None,
     distinct_seeds: bool = True,
     poll_interval: float = 0.05,
-    job_deadline: float = 120.0,
-    max_shed_retries: int = 50,
 ) -> LoadReport:
     """Submit ``jobs`` jobs with bounded concurrency; poll all terminal.
 
@@ -286,8 +289,7 @@ async def run_load(
         async with sem:
             await _drive_one(
                 host, port, job_spec, kind, report, lock,
-                poll_interval=poll_interval, job_deadline=job_deadline,
-                max_shed_retries=max_shed_retries,
+                poll_interval=poll_interval,
             )
 
     started = time.monotonic()

@@ -48,6 +48,7 @@ from typing import Any, Callable
 from repro import obs
 from repro.campaign.db import CampaignDB
 from repro.campaign.engine import CampaignEngine, cached_record
+from repro.campaign.worker import check_seconds
 from repro.obs import fleet_prometheus_text, summarize
 from repro.perf.metrics import prometheus_text
 from repro.service.jobs import (
@@ -102,7 +103,6 @@ class LeakcheckService:
         backoff: float = 0.5,
         engine_jobs: int = 1,
         drain_grace: float = 30.0,
-        registry: CounterRegistry | None = None,
         git_rev: str | None = None,
         spans: bool = True,
     ) -> None:
@@ -114,10 +114,11 @@ class LeakcheckService:
             raise ValueError("engine_jobs must be a positive shard count")
         if drain_grace <= 0:
             raise ValueError("drain_grace must be positive seconds")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ValueError("job_timeout must be positive (or None)")
+        if job_timeout is not None:
+            check_seconds("job_timeout", job_timeout)
         if retries < 0:
             raise ValueError("retries must be non-negative")
+        check_seconds("backoff", backoff, positive=False)
         self.db_path = str(db_path)
         self.host = host
         self.port = port
@@ -137,7 +138,7 @@ class LeakcheckService:
         #: the ``drain:`` line the CLI renders from this).
         self.drain_report: dict[str, Any] | None = None
 
-        self.registry = registry if registry is not None else CounterRegistry()
+        self.registry = CounterRegistry()
         self._c_requests = self.registry.counter("requests")
         self._c_admitted = self.registry.counter("admitted")
         self._c_shed = self.registry.counter("shed")

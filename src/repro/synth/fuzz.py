@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.campaign.db import CampaignDB
 from repro.campaign.engine import CampaignEngine, CampaignTask
 from repro.campaign.payload import PayloadError, decode_payload
-from repro.campaign.records import STATUS_OK, TaskRecord
+from repro.campaign.records import STATUS_OK
 from repro.synth.gen import GenConfig, generate_batch
 from repro.synth.ir import Program, program_to_json
 from repro.synth.runner import (
@@ -136,7 +135,6 @@ def run_fuzz(
     alpha: float = 0.01,
     gen: GenConfig | None = None,
     engine: CampaignEngine | None = None,
-    on_record: Callable[[TaskRecord], None] | None = None,
 ) -> FuzzReport:
     """Run one fuzz batch through the campaign engine and classify it.
 
@@ -159,7 +157,7 @@ def run_fuzz(
     report = FuzzReport(
         preset=preset, defense=defense, seed=seed, budget=budget
     )
-    batch = engine.run(tasks, on_record=on_record)
+    batch = engine.run(tasks)
     for record in batch.records:
         if not record.ok or not isinstance(record.result, SynthResult):
             report.failed += 1

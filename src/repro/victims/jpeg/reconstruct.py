@@ -19,29 +19,23 @@ from repro.victims.jpeg.zigzag import inverse_zigzag
 
 
 def reconstruct_from_mask(
-    masks: list[list[bool]],
-    shape: tuple[int, int],
-    *,
-    quality: int = 50,
-    magnitude: float = 1.0,
-    dc: list[int] | None = None,
+    masks: list[list[bool]], shape: tuple[int, int]
 ) -> np.ndarray:
     """Rebuild an image from per-position zero masks.
 
     ``masks[b][k]`` is True when block ``b``'s AC coefficient ``k+1`` (in
-    zigzag order) was zero.  ``dc`` may carry the (non-secret) DC terms; a
-    flat mid-gray is assumed otherwise.
+    zigzag order) was zero.  Each non-zero position gets one quantisation
+    step of the quality-50 table, and every DC term is a flat mid-gray.
     """
     height, width = shape
     blocks_per_row = width // 8
-    table = quant_table(quality)
+    table = quant_table(50)
     image = np.zeros(shape)
     for block_index, mask in enumerate(masks):
         sequence = np.zeros(64)
-        sequence[0] = dc[block_index] if dc is not None else 0.0
         for k, is_zero in enumerate(mask, start=1):
             if not is_zero:
-                sequence[k] = magnitude
+                sequence[k] = 1.0
         coefficients = dequantize(inverse_zigzag(sequence), table)
         pixels = idct2(coefficients) + 128.0
         by, bx = divmod(block_index, blocks_per_row)

@@ -204,9 +204,7 @@ class _Affine:
         )
 
 
-def recover_secret_from_trace(
-    details: list[str], e: int, *, max_bits: int = 8192
-) -> int:
+def recover_secret_from_trace(details: list[str], e: int) -> int:
     """Recover ``phi`` from a perfect binary-GCD operation trace.
 
     ``details`` is the per-step which-variable trace ("shift_u",
@@ -245,8 +243,8 @@ def recover_secret_from_trace(
             return candidate
     if congruences.bits == 0:
         raise TraceInconsistent("trace carries no information")
-    if congruences.bits > max_bits:
-        raise TraceInconsistent("secret larger than max_bits")
+    if congruences.bits > 8192:
+        raise TraceInconsistent("secret larger than 8192 bits")
     return congruences.residue
 
 

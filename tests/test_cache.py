@@ -221,13 +221,12 @@ class _ListLru:
                 return lines, i
         return lines, None
 
-    def lookup(self, block, touch):
+    def lookup(self, block):
         lines, i = self._find(block)
         if i is None:
             self.misses += 1
             return False
-        if touch:
-            lines.append(lines.pop(i))
+        lines.append(lines.pop(i))
         self.hits += 1
         return True
 
@@ -300,7 +299,7 @@ class TestLruReferenceModel:
                     model.insert(block, flag)
                 )
             elif op == "lookup":
-                assert cache.lookup(block, touch=flag) == model.lookup(block, flag)
+                assert cache.lookup(block) == model.lookup(block)
             elif op == "hit":
                 _, set_index = cache.decompose(block)
                 assert cache.hit(block, set_index, flag) == model.hit(block, flag)

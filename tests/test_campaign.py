@@ -30,7 +30,12 @@ from repro.campaign import (
 )
 from repro.campaign import engine as engine_mod
 from repro.campaign.engine import _fn_resolvable
-from repro.campaign.worker import TaskTimeout, _accepts_seed, _call_with_timeout
+from repro.campaign.worker import (
+    MAX_TIMEOUT_S,
+    TaskTimeout,
+    _accepts_seed,
+    _call_with_timeout,
+)
 
 
 # -- module-level task functions (picklable across the worker pipe) -------
@@ -508,6 +513,14 @@ class TestEngineDegradations:
             CampaignEngine(timeout=0.0)
         with pytest.raises(ValueError):
             CampaignEngine(heartbeat_timeout=0.0)
+        # setitimer cannot arm an infinite or over-long timeout; an
+        # infinite backoff never scheduled the retry, and nan retried at
+        # once.
+        for bad in (float("inf"), float("nan"), MAX_TIMEOUT_S + 1):
+            with pytest.raises(ValueError, match="timeout"):
+                CampaignEngine(timeout=bad)
+            with pytest.raises(ValueError, match="backoff"):
+                CampaignEngine(backoff=bad)
 
     def test_prometheus_export_covers_campaign_counters(self, tmp_path):
         from repro.perf import prometheus_text
@@ -605,6 +618,12 @@ class TestInProcessAttempts:
             CampaignEngine(retries=-1)
         with pytest.raises(ValueError):
             CampaignEngine(backoff=-0.1)
+
+    def test_timeout_and_backoff_at_the_ceiling_are_accepted(self):
+        engine = CampaignEngine(
+            jobs=1, timeout=MAX_TIMEOUT_S, backoff=MAX_TIMEOUT_S
+        )
+        assert engine.timeout == engine.backoff == MAX_TIMEOUT_S
 
     def test_status_levels(self):
         assert BatchReport(records=[]).status == "pass"
@@ -753,14 +772,12 @@ class TestBusyRetry:
             db.lookup("h", "r")
         assert flaky.attempts == 1
 
-    def test_busy_timeout_is_validated_and_applied(self, tmp_path):
-        with pytest.raises(ValueError):
-            CampaignDB(tmp_path / "c.sqlite", busy_timeout=-1.0)
-        with CampaignDB(tmp_path / "c.sqlite", busy_timeout=2.5) as db:
+    def test_busy_timeout_is_applied(self, tmp_path):
+        with CampaignDB(tmp_path / "c.sqlite") as db:
             (timeout_ms,) = db._conn.execute(
                 "PRAGMA busy_timeout"
             ).fetchone()
-            assert timeout_ms == 2500
+            assert timeout_ms == 5000
 
     def test_concurrent_connections_do_not_lose_writes(self, tmp_path):
         db_path = tmp_path / "c.sqlite"

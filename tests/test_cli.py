@@ -326,12 +326,18 @@ class TestCampaignOptions:
             ["--timeout", "0"],
             ["--timeout", "-3"],
             ["--timeout", "soon"],
+            # setitimer cannot arm these: `leakcheck --timeout inf` used
+            # to exit 1 with an OverflowError from inside the task.
+            ["--timeout", "inf"],
+            ["--timeout", "1e300"],
         ],
     )
     @pytest.mark.parametrize("argv", [
         pytest.param(["figures"], id="figures"),
         pytest.param(["faults"], id="faults"),
         pytest.param(["synth", "run"], id="synth-run"),
+        pytest.param(["leakcheck", "--victim", "rsa"], id="leakcheck"),
+        pytest.param(["serve"], id="serve"),
     ])
     def test_bad_values_are_rejected_consistently(self, argv, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -444,6 +450,42 @@ class TestValueRanges:
     def test_port_inside_its_range_parses(self, command, port):
         args = build_parser().parse_args([command, "--port", port])
         assert args.port == int(port)
+
+    @pytest.mark.parametrize("gate", ["nan", "-1", "2", "inf", "x"])
+    def test_gate_outside_the_unit_interval_is_rejected(self, gate, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["channel", "--gate", gate])
+        assert excinfo.value.code == 2
+        assert "argument --gate" in capsys.readouterr().err
+
+    def test_gate_inside_the_unit_interval_parses(self):
+        parser = build_parser()
+        assert parser.parse_args(["channel"]).gate == 0.99
+        assert parser.parse_args(["channel", "--gate", "0"]).gate == 0.0
+        assert parser.parse_args(["channel", "--gate", "1"]).gate == 1.0
+
+    @pytest.mark.parametrize("backoff", ["-1", "nan", "inf", "1e300", "x"])
+    def test_backoff_that_is_not_finite_seconds_is_rejected(
+        self, backoff, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--backoff", backoff])
+        assert excinfo.value.code == 2
+        assert "argument --backoff" in capsys.readouterr().err
+
+    def test_backoff_of_zero_or_more_seconds_parses(self):
+        parser = build_parser()
+        assert parser.parse_args(["serve"]).backoff == 0.5
+        assert parser.parse_args(["serve", "--backoff", "0"]).backoff == 0.0
+        assert parser.parse_args(["serve", "--backoff", "2.5"]).backoff == 2.5
+
+    def test_timeout_up_to_the_ceiling_parses(self):
+        from repro.campaign.worker import MAX_TIMEOUT_S
+
+        args = build_parser().parse_args(
+            ["figures", "--timeout", str(MAX_TIMEOUT_S)]
+        )
+        assert args.timeout == MAX_TIMEOUT_S
 
 
 class TestLeakcheckList:

@@ -32,7 +32,7 @@ class TestMirageCache:
 
     def test_set_assoc_evictions_rare(self):
         """MIRAGE's whole point: SAE should (almost) never happen."""
-        cache = MirageCache(64 * 1024, base_ways=8, extra_ways=6)
+        cache = MirageCache(64 * 1024)
         for i in range(4000):
             cache.access(i * 64)
         assert cache.set_assoc_evictions == 0

@@ -66,7 +66,7 @@ class TestPolicyFactory:
 class TestPolicyCaches:
     def _cache(self, replacement):
         return SetAssocCache(
-            CacheConfig("t", 4 * 64, 4, 1, replacement=replacement), seed=1
+            CacheConfig("t", 4 * 64, 4, 1, replacement=replacement)
         )
 
     @pytest.mark.parametrize("replacement", ["lru", "plru", "random"])

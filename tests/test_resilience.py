@@ -5,11 +5,12 @@ import pytest
 
 from repro.analysis.kvstore_attack import run_kvstore_attack
 from repro.attacks import (
+    BandStats,
     BitSymbolAdapter,
+    Calibration,
     CovertChannelC,
     CovertChannelT,
     EvictionSetSearch,
-    MetaLeakT,
     ReliableChannel,
     score_calibration,
 )
@@ -52,10 +53,6 @@ class TestCalibrationScoring:
         assert cal.quality == 0.0
         assert not cal.ok
 
-    def test_misplaced_threshold_is_rejected(self):
-        cal = score_calibration([100.0] * 8, [300.0] * 8, threshold=350.0)
-        assert cal.quality == 0.0
-
     def test_confidence_scales_with_margin(self):
         cal = score_calibration([100.0] * 8, [300.0] * 8)
         on_threshold = cal.confidence(cal.threshold)
@@ -65,12 +62,6 @@ class TestCalibrationScoring:
 
 
 class TestValidation:
-    def test_monitor_rejects_nonpositive_rounds(self):
-        proc, alloc = make_env()
-        attack = MetaLeakT(proc, alloc, core=1)
-        with pytest.raises(ValueError, match="positive"):
-            attack.monitor_for_page(64, calibration_samples=0)
-
     def test_verify_rejects_nonpositive_trials(self):
         proc, alloc = make_env()
         target = alloc.alloc_specific(96) * PAGE_SIZE
@@ -134,8 +125,11 @@ class TestMiscalibratedAttack:
         # Sabotage both monitors: thresholds far below every real latency,
         # so every reload reads as a miss and quality collapses.
         for monitor in (channel.tx_monitor, channel.bd_monitor):
-            monitor.calibration = score_calibration(
-                [10.0] * 8, [20.0] * 8, threshold=1.0
+            monitor.calibration = Calibration(
+                threshold=1.0,
+                fast=BandStats.from_samples([10.0] * 8),
+                slow=BandStats.from_samples([20.0] * 8),
+                quality=0.0,
             )
             monitor.threshold = 1.0
         start = proc.cycle
@@ -157,7 +151,7 @@ class TestNoiseSweepWithEcc:
         channel = CovertChannelT(proc, alloc)
         if reads_per_step:
             channel.noise = co_located_noise(
-                channel, alloc, reads_per_step=reads_per_step, conflict_rate=0.08
+                channel, alloc, reads_per_step=reads_per_step
             )
         return ReliableChannel(channel).send(payload, max_retries=8, votes=3)
 

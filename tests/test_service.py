@@ -47,11 +47,13 @@ from repro.service import (
 
 _SRC = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
-#: Probe sizes calibrated against the simulator's ~70k accesses/s:
-#: FAST finishes in well under 100 ms, SLOW holds a worker for seconds —
-#: long enough to reliably kill or drain the server mid-job.
+#: Probe sizes calibrated against the probe's ~600k accesses/s on a
+#: 2-vCPU VM: FAST finishes in well under 100 ms, SLOW (the largest probe
+#: a job spec admits) holds a worker for over a second — long enough to
+#: reliably kill or drain the server mid-job, or to outlast a 0.3 s job
+#: timeout.
 FAST_OPS = 200
-SLOW_OPS = 150_000
+SLOW_OPS = 1_000_000
 
 
 def _svc(db_path, **kwargs):
@@ -586,6 +588,11 @@ class TestServiceHTTP:
         for kwargs in (
             {"capacity": 0}, {"concurrency": 0}, {"engine_jobs": 0},
             {"drain_grace": 0.0}, {"job_timeout": 0.0}, {"retries": -1},
+            # Waits its engines would refuse: a service with backoff -1
+            # used to start and then fail every job.
+            {"backoff": -1.0}, {"backoff": float("nan")},
+            {"backoff": float("inf")}, {"job_timeout": float("inf")},
+            {"job_timeout": 1e10},
         ):
             with pytest.raises(ValueError):
                 LeakcheckService(str(tmp_path / "c.sqlite"), **kwargs)
