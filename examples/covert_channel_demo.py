@@ -21,7 +21,7 @@ def build_machine():
         protected_size=256 * MIB, functional_crypto=False, timer_jitter_sigma=11
     )
     proc = SecureProcessor(config)
-    return proc, PageAllocator(proc.layout.data_size // 4096, cores=4)
+    return proc, PageAllocator.for_machine(proc)
 
 
 def main() -> None:

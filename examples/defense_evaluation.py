@@ -15,16 +15,20 @@ Run:  python examples/defense_evaluation.py
 """
 
 from repro.attacks import CovertChannelT
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
-from repro.defenses import (
-    isolated_tree_config,
-    mirage_eviction_curve,
-    partitioned_llc_config,
-)
+from repro.config import MIB, preset_config
+from repro.defenses import mirage_eviction_curve
 from repro.os import PageAllocator
 from repro.proc import SecureProcessor
 
 BITS = [1, 0, 1, 1, 0, 0, 1, 0] * 5
+
+
+def machine(defense: str) -> tuple[SecureProcessor, PageAllocator]:
+    """The SCT preset under one of ``repro.config.DEFENSES``."""
+    proc = SecureProcessor(preset_config(
+        "sct", defense=defense, protected_size=256 * MIB, functional_crypto=False
+    ))
+    return proc, PageAllocator.for_machine(proc)
 
 
 def covert_accuracy(proc, allocator, **channel_kwargs) -> float:
@@ -35,16 +39,10 @@ def covert_accuracy(proc, allocator, **channel_kwargs) -> float:
 def main() -> None:
     print(f"Transmitting {len(BITS)} bits through the metadata channel\n")
 
-    config = SecureProcessorConfig.sct_default(
-        protected_size=256 * MIB, functional_crypto=False
-    )
-    proc = SecureProcessor(config)
-    allocator = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)
+    proc, allocator = machine("none")
     print(f"1. baseline SCT               : {covert_accuracy(proc, allocator):.1%}")
 
-    config = partitioned_llc_config(protected_size=256 * MIB)
-    proc = SecureProcessor(config)
-    allocator = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)
+    proc, allocator = machine("split_llc")
     acc = covert_accuracy(proc, allocator, trojan_core=0, spy_core=2)
     print(f"2. disjoint LLCs (2 sockets)  : {acc:.1%}   <- partitioning "
           "data caches does not help")
@@ -54,9 +52,7 @@ def main() -> None:
     print(f"3. MIRAGE randomized cache    : target evicted anyway "
           f"({curve} random accesses)")
 
-    config = isolated_tree_config(protected_size=256 * MIB)
-    proc = SecureProcessor(config)
-    allocator = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)
+    proc, allocator = machine("isolated_trees")
     channel = CovertChannelT(proc, allocator)
     # The trojan's pages belong to another security domain.
     proc.mee.set_page_domain(channel._trojan_tx, 1)

@@ -22,7 +22,7 @@ def main() -> None:
         protected_size=128 * MIB, functional_crypto=False
     )
     proc = SecureProcessor(config)
-    allocator = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)
+    allocator = PageAllocator.for_machine(proc)
 
     target_frame = allocator.alloc_specific(1000)
     target = target_frame * PAGE_SIZE

@@ -11,7 +11,7 @@ Run:  python examples/kv_store_leak.py
 """
 
 from repro.attacks import MetaLeakC
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, SecureProcessorConfig
 from repro.os import PageAllocator, Process
 from repro.proc import SecureProcessor
 from repro.sgx.sgx_step import SgxStep
@@ -25,7 +25,7 @@ def main() -> None:
         protected_size=256 * MIB, functional_crypto=False
     )
     proc = SecureProcessor(config)
-    allocator = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)
+    allocator = PageAllocator.for_machine(proc)
 
     # Attacker stages the bucket pages into distant leaf groups so each
     # gets its own shared tree counter (log page first, LIFO order).

@@ -27,11 +27,12 @@ Matching is by identifier, not by type: any ``x.fit`` keeps every
 method named ``fit``.  The scan can therefore miss dead code, but a name
 it reports has no use outside tests.
 
-It also lists keyword-only parameters with a default that no reached
-call passes, in two sections: those that no call passes, tests
-included (the scan run again with ``tests/`` counted as a caller), and
-those that only tests pass.  A call matches a function by its name (a
-class name matches its ``__init__``).  Passing the caller's own
+It also lists parameters with a default, positional or keyword-only,
+that no reached call passes, in two sections: those that no call
+passes, tests included (the scan run again with ``tests/`` counted as a
+caller), and those that only tests pass.  A call matches a function by
+its name (a class name matches its ``__init__``) and passes the
+parameters its positional arguments reach.  Passing the caller's own
 parameter of the same name, or the attribute ``self.<name>`` it was
 stored in, is a forward: a forward counts only if what it forwards is
 itself passed.  A call with ``**kwargs`` passes every parameter, and so
@@ -367,8 +368,9 @@ def _forward_sources(value: ast.expr, name: str, call: CallSite):
     return sources
 
 
-def unpassed_keywords(defs: list[Def], reached: set[int], live: Code) -> list[tuple[Def, str]]:
-    """Keyword-only parameters of reached functions that no reached call passes."""
+def unpassed_parameters(defs: list[Def], reached: set[int], live: Code) -> list[tuple[Def, str]]:
+    """Parameters with a default, of reached functions, that no reached
+    call passes."""
     functions = [d for d in defs if id(d) in reached and isinstance(d.node, FunctionNode)]
     inits = {d.owner.name: d.node for d in functions if d.name == "__init__"}
     subclasses: dict[str, set[str]] = {}
@@ -436,18 +438,18 @@ def unpassed_keywords(defs: list[Def], reached: set[int], live: Code) -> list[tu
     return [
         (d, arg.arg)
         for d in functions
-        for arg in d.node.args.kwonlyargs
+        for arg in _all_args(d.node)
         if passed.get((id(d.node), arg.arg)) is False
     ]
 
 
 def scan(defs: list[Def], src_roots: Code, directories: tuple[str, ...]):
-    """Reached definitions, their code, and the keyword-only parameters
-    no reached call passes, with ``directories`` as the callers."""
+    """Reached definitions, their code, and the parameters with a default
+    that no reached call passes, with ``directories`` as the callers."""
     roots = scan_callers(directories)
     roots.add(src_roots)
     reached, live = mark(defs, roots)
-    return reached, unpassed_keywords(defs, reached, live)
+    return reached, unpassed_parameters(defs, reached, live)
 
 
 def main() -> int:
@@ -484,7 +486,7 @@ def main() -> int:
         ("only tests pass",
          [(d, name) for d, name in unpassed if (id(d), name) not in nobody]),
     ):
-        print(f"Keyword-only parameters that {title}:")
+        print(f"Parameters with a default that {title}:")
         for d, name in params:
             print(f"  {d.path.relative_to(REPO)}:{d.node.lineno}"
                   f"  {d.label}({name}=)")

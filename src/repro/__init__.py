@@ -13,7 +13,7 @@ Quick start::
     from repro.config import MIB, SecureProcessorConfig
 
     proc = SecureProcessor(SecureProcessorConfig.sct_default(protected_size=256 * MIB))
-    alloc = PageAllocator(proc.layout.data_size // 4096, cores=4)
+    alloc = PageAllocator.for_machine(proc)
     monitor = MetaLeakT(proc, alloc, core=1).monitor_for_page(alloc.alloc_specific(100))
     monitor.m_evict()
     # ... victim runs ...

@@ -50,9 +50,7 @@ from repro.config import (
     TreeUpdatePolicy,
     preset_config,
 )
-from repro.defenses.isolation import isolated_tree_config
 from repro.defenses.mirage_study import mirage_eviction_curve
-from repro.defenses.partition import partitioned_llc_config
 from repro.os.page_alloc import PageAllocator
 from repro.proc.processor import SecureProcessor
 from repro.utils.rng import derive_rng
@@ -67,10 +65,8 @@ _DEFAULT_SIZE = 256 * MIB
 def _machine(
     preset: str = "sct", *, jitter: float = 0.0, **overrides: object
 ) -> tuple[SecureProcessor, PageAllocator]:
-    size = overrides.pop("protected_size", _DEFAULT_SIZE)
-    if preset != "sgx":
-        # The SGX preset derives its protected size from the EPC model.
-        overrides["protected_size"] = size
+    """``preset`` with functional crypto off; ``overrides`` (a ``defense``
+    among them) go to :func:`preset_config`."""
     config = preset_config(
         preset,
         functional_crypto=False,
@@ -78,10 +74,7 @@ def _machine(
         **overrides,
     )
     proc = SecureProcessor(config)
-    allocator = PageAllocator(
-        proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores
-    )
-    return proc, allocator
+    return proc, PageAllocator.for_machine(proc)
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +337,8 @@ def fig8_overflow_bands(cycles: int = 4) -> FigureResult:
 # ----------------------------------------------------------------------
 
 
-def _random_bits(count: int, seed: int = 11) -> list[int]:
-    rng = derive_rng(seed, "covert-bits")
+def _random_bits(count: int) -> list[int]:
+    rng = derive_rng(11, "covert-bits")
     return [rng.randint(0, 1) for _ in range(count)]
 
 
@@ -363,7 +356,7 @@ def fig11_covert_t(bits: int = 1000) -> FigureResult:
     proc, allocator = _machine("sgx", jitter=SGX_JITTER)
     sit_report = CovertChannelT(proc, allocator, level=1).transmit(payload)
 
-    proc, allocator = _machine("sct", cores=4, sockets=2)
+    proc, allocator = _machine("sct", defense="split_llc")
     cross_report = CovertChannelT(
         proc, allocator, trojan_core=0, spy_core=2
     ).transmit(payload[:200])
@@ -767,17 +760,13 @@ def ablation_defenses(bits: int = 80) -> FigureResult:
     baseline = CovertChannelT(proc, allocator).transmit(payload)
     result.add("baseline (no defense)", baseline.accuracy, "~1.0")
 
-    config = partitioned_llc_config(protected_size=_DEFAULT_SIZE)
-    proc = SecureProcessor(config)
-    allocator = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)
+    proc, allocator = _machine("sct", defense="split_llc")
     cross = CovertChannelT(
         proc, allocator, trojan_core=0, spy_core=2
     ).transmit(payload)
     result.add("disjoint LLCs (cross-socket)", cross.accuracy, "~1.0 (ineffective)")
 
-    config = isolated_tree_config(protected_size=_DEFAULT_SIZE)
-    proc = SecureProcessor(config)
-    allocator = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)
+    proc, allocator = _machine("sct", defense="isolated_trees")
     channel = CovertChannelT(proc, allocator)
     # Trojan pages belong to domain 1, spy (and its probes) to domain 0.
     proc.mee.set_page_domain(channel._trojan_tx, 1)
@@ -875,7 +864,7 @@ def ablation_split_caches(bits: int = 60) -> FigureResult:
     )
     for label, config in (("combined 256K", combined), ("split 128K+128K", split)):
         proc = SecureProcessor(config)
-        allocator = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)
+        allocator = PageAllocator.for_machine(proc)
         channel = CovertChannelT(proc, allocator)
         report = channel.transmit(payload)
         result.add(f"{label}: accuracy", report.accuracy, ">= 0.95")

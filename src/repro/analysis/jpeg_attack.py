@@ -20,7 +20,7 @@ from repro.analysis.classify import PairClassifier
 from repro.attacks.metaleak_c import MetaLeakC
 from repro.attacks.metaleak_t import MetaLeakT
 from repro.attacks.noise import NoiseProcess
-from repro.config import PAGE_SIZE, SecureProcessorConfig
+from repro.config import SecureProcessorConfig
 from repro.os.page_alloc import PageAllocator
 from repro.os.process import Process
 from repro.proc.processor import SecureProcessor
@@ -81,9 +81,7 @@ def _build_environment(
             protected_size=256 * 1024 * 1024, functional_crypto=False
         )
     )
-    allocator = PageAllocator(
-        proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores
-    )
+    allocator = PageAllocator.for_machine(proc)
     victim_process = Process(proc, allocator, core=0, cleanse=True, name="jpeg")
     return proc, allocator, victim_process
 

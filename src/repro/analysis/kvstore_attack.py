@@ -104,9 +104,7 @@ def run_kvstore_attack(
     confidence vector and ``degraded_reasons`` instead.
     """
     proc = SecureProcessor(_default_config())
-    allocator = PageAllocator(
-        proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores
-    )
+    allocator = PageAllocator.for_machine(proc)
     budget = ensure_budget(proc, budget)
 
     # Free-list staging (LIFO): the store allocates log first, buckets in

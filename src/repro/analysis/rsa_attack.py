@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.classify import PairClassifier
 from repro.attacks.metaleak_t import MetaLeakT
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, SecureProcessorConfig
 from repro.os.page_alloc import PageAllocator
 from repro.os.process import Process
 from repro.proc.processor import SecureProcessor
@@ -95,7 +95,7 @@ def _sct_environment(
             protected_size=256 * MIB, functional_crypto=False
         )
     )
-    allocator = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores)
+    allocator = PageAllocator.for_machine(proc)
     process = Process(proc, allocator, core=0, cleanse=True, name="libgcrypt")
     return proc, allocator, process, 0  # monitor at leaf level
 

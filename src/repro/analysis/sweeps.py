@@ -24,7 +24,6 @@ from repro.attacks.noise import NoiseProcess, co_located_noise
 from repro.config import (
     KIB,
     MIB,
-    PAGE_SIZE,
     CacheConfig,
     SecureProcessorConfig,
     TreeConfig,
@@ -38,12 +37,6 @@ from repro.utils.rng import derive_rng
 def _bits(count: int) -> list[int]:
     rng = derive_rng(21, "sweep-bits")
     return [rng.randint(0, 1) for _ in range(count)]
-
-
-def _machine(config: SecureProcessorConfig) -> tuple[SecureProcessor, PageAllocator]:
-    proc = SecureProcessor(config)
-    allocator = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)
-    return proc, allocator
 
 
 def sweep_metadata_cache_size(
@@ -63,7 +56,8 @@ def sweep_metadata_cache_size(
         ).with_overrides(
             metadata_cache=CacheConfig("MetaCache", size_kib * KIB, 8, 2)
         )
-        proc, allocator = _machine(config)
+        proc = SecureProcessor(config)
+        allocator = PageAllocator.for_machine(proc)
         channel = CovertChannelT(proc, allocator)
         report = channel.transmit(payload)
         evict_cost = channel.tx_monitor.stats.evict_accesses / max(
@@ -98,7 +92,8 @@ def sweep_replacement_policy(bits: int = 40) -> FigureResult:
                 "MetaCache", 256 * KIB, 8, 2, replacement=policy
             )
         )
-        proc, allocator = _machine(config)
+        proc = SecureProcessor(config)
+        allocator = PageAllocator.for_machine(proc)
         report = CovertChannelT(proc, allocator).transmit(payload)
         result.add(f"{policy} accuracy", report.accuracy, None)
         result.claim(f"{policy} accuracy >= {floor}", report.accuracy >= floor)
@@ -127,7 +122,8 @@ def sweep_minor_counter_bits(
                 minor_bits=bits,
             )
         )
-        proc, allocator = _machine(config)
+        proc = SecureProcessor(config)
+        allocator = PageAllocator.for_machine(proc)
         attack = MetaLeakC(proc, allocator, core=1)
         handle = attack.handle_for_page(0, level=1)
         spent = handle.reset()
@@ -170,7 +166,8 @@ def sweep_step_interval(
         config = SecureProcessorConfig.sct_default(
             protected_size=256 * MIB, functional_crypto=False
         )
-        proc, allocator = _machine(config)
+        proc = SecureProcessor(config)
+        allocator = PageAllocator.for_machine(proc)
         process = Process(proc, allocator, core=0, cleanse=True)
         allocator.stage_for_next_alloc(50 * 32, core=0)
         allocator.stage_for_next_alloc(10 * 32, core=0)
@@ -223,7 +220,8 @@ def sweep_noise_intensity(
         config = SecureProcessorConfig.sct_default(
             protected_size=256 * MIB, functional_crypto=False
         )
-        proc, allocator = _machine(config)
+        proc = SecureProcessor(config)
+        allocator = PageAllocator.for_machine(proc)
         noise = (
             NoiseProcess(proc, allocator, reads_per_step=reads_per_step)
             if reads_per_step
@@ -265,7 +263,8 @@ def sweep_noise_ecc(
         config = SecureProcessorConfig.sct_default(
             protected_size=128 * MIB, functional_crypto=False
         )
-        proc, allocator = _machine(config)
+        proc = SecureProcessor(config)
+        allocator = PageAllocator.for_machine(proc)
         channel = CovertChannelT(proc, allocator)
         if reads_per_step:
             channel.noise = co_located_noise(
@@ -290,7 +289,8 @@ def sweep_noise_ecc(
         config = SecureProcessorConfig.sct_default(
             protected_size=128 * MIB, functional_crypto=False
         )
-        proc, allocator = _machine(config)
+        proc = SecureProcessor(config)
+        allocator = PageAllocator.for_machine(proc)
         channel_c = CovertChannelC(proc, allocator)
         framed_c = ReliableChannel(BitSymbolAdapter(channel_c)).send(
             payload[:16], max_retries=2

@@ -17,6 +17,7 @@ from repro.mem.block import block_address, page_index
 from repro.os.page_alloc import PageAllocator
 from repro.proc.batch import AccessBatch
 from repro.proc.processor import SecureProcessor
+from repro.secmem.engine import DOMAIN_SHIFT
 
 # Extra eviction-set entries beyond the associativity: a single in-order
 # pass over ways+slack blocks reliably pushes the target out under LRU.
@@ -44,7 +45,7 @@ class MetadataMapper:
         return self.proc.mee._cache_for(meta_addr)
 
     def is_tree_target(self, meta_addr: int) -> bool:
-        return self.layout.is_tree_addr(meta_addr & ((1 << 44) - 1))
+        return self.layout.is_tree_addr(meta_addr & ((1 << DOMAIN_SHIFT) - 1))
 
     def meta_set_of(self, meta_addr: int) -> int:
         return self.cache_for(meta_addr).set_index_of(meta_addr)

@@ -52,10 +52,11 @@ class EvictionSetSearch:
         # target.
         self.threshold = self._calibrate()
 
-    def _calibrate(self, samples: int = 6) -> float:
+    def _calibrate(self) -> float:
+        """Midpoint of the fast and slow reload bands, six samples each."""
         fast, slow = [], []
         leaf_addr = self.proc.layout.node_addr_for_data(self.target_block, 0)
-        for _ in range(samples):
+        for _ in range(6):
             self._prime_target()
             self.proc.flush(self.target_block)
             self.proc.quiesce()

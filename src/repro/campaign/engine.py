@@ -5,7 +5,7 @@ scheduling loop and aggregates the outcomes into
 :class:`~repro.campaign.records.TaskRecord` /
 :class:`~repro.campaign.records.BatchReport`.  Every attempt is placed
 by one rule: it runs in the coordinator process only when ``jobs == 1``
-and the task has no timeout (there is nothing to isolate, so nothing is
+and the engine has no timeout (there is nothing to isolate, so nothing is
 forked), or when the task cannot be pickled.  Every other attempt goes
 to a worker process (:mod:`repro.campaign.worker`), so a timeout always
 means SIGALRM inside a worker, backed by the watchdog's kill.
@@ -95,8 +95,6 @@ class CampaignTask:
     name: str
     fn: Callable[..., Any]
     kwargs: dict[str, Any] = field(default_factory=dict)
-    timeout: float | None = None  # overrides the engine default
-    retries: int | None = None  # overrides the engine default
 
     @functools.cached_property
     def config_hash(self) -> str:
@@ -162,12 +160,11 @@ class _TaskState:
 
     __slots__ = (
         "task", "attempts", "eligible_at", "started", "last_status",
-        "last_error", "last_detail", "seed", "timeout", "retries",
-        "span", "queued_wall", "started_wall",
+        "last_error", "last_detail", "seed", "span", "queued_wall",
+        "started_wall",
     )
 
-    def __init__(self, task: CampaignTask, *, timeout: float | None,
-                 retries: int) -> None:
+    def __init__(self, task: CampaignTask) -> None:
         self.task = task
         self.attempts = 0
         self.eligible_at = 0.0
@@ -176,8 +173,6 @@ class _TaskState:
         self.last_error = ""
         self.last_detail = ""
         self.seed: int | None = None
-        self.timeout = timeout
-        self.retries = retries
         # Fleet tracing + queue-wait bookkeeping (wall clock, not the
         # monotonic clock `started` uses for elapsed).
         self.span: Any = obs.NULL_SPAN
@@ -419,11 +414,6 @@ class CampaignEngine:
         cap = self.backoff * (2 ** max(0, attempts - 1))
         return self._backoff_rng.uniform(0.0, cap)
 
-    def _effective(self, task: CampaignTask) -> tuple[float | None, int]:
-        timeout = task.timeout if task.timeout is not None else self.timeout
-        retries = task.retries if task.retries is not None else self.retries
-        return timeout, retries
-
     def _cache_lookup(self, task: CampaignTask) -> TaskRecord | None:
         if self.db is None or not self.use_cache:
             return None
@@ -507,8 +497,7 @@ class CampaignEngine:
         tracing = obs.active() is not None
         pending: list[_TaskState] = []
         for task in tasks:
-            timeout, retries = self._effective(task)
-            state = _TaskState(task, timeout=timeout, retries=retries)
+            state = _TaskState(task)
             if tracing:
                 state.span = obs.start_span(
                     "campaign.task", kind="campaign.task",
@@ -664,7 +653,7 @@ class CampaignEngine:
             if self._stop_requested or self._abort:
                 return
             # Retries exhausted -> terminal failed/timeout record.
-            if state.attempts > state.retries:
+            if state.attempts > self.retries:
                 pending.remove(state)
                 self._land(self._finalize_state(state), state.task)
                 continue
@@ -709,9 +698,9 @@ class CampaignEngine:
             worker.state = state
             worker.assigned_wall = time.time()
             worker.deadline = (
-                time.monotonic() + state.timeout * _DEADLINE_SLACK
+                time.monotonic() + self.timeout * _DEADLINE_SLACK
                 + _DEADLINE_GRACE
-                if state.timeout is not None and state.timeout > 0 else None
+                if self.timeout is not None and self.timeout > 0 else None
             )
 
     def _worker_message(
@@ -720,9 +709,9 @@ class CampaignEngine:
         """The pickled attempt for a worker, or ``None`` to run it here.
 
         An attempt stays in the coordinator only when ``jobs == 1`` and
-        the task has no timeout, or when the task cannot be pickled.
+        the engine has no timeout, or when the task cannot be pickled.
         """
-        if self.jobs == 1 and state.timeout is None:
+        if self.jobs == 1 and self.timeout is None:
             return None
         span_ctx = None
         if state.span is not obs.NULL_SPAN:
@@ -730,7 +719,7 @@ class CampaignEngine:
                             attempt=state.attempts)
         try:
             return ForkingPickler.dumps(
-                (state.task.name, state.task.fn, kwargs, state.timeout,
+                (state.task.name, state.task.fn, kwargs, self.timeout,
                  span_ctx)
             )
         except (pickle.PicklingError, AttributeError, TypeError):
@@ -745,7 +734,7 @@ class CampaignEngine:
         try:
             self._in_process = True
             raw = run_attempt(state.task.name, state.task.fn, kwargs,
-                              state.timeout, state.span, state.attempts)
+                              self.timeout, state.span, state.attempts)
         except KeyboardInterrupt:
             # Ctrl-C stopped the attempt: cancel it like any in-flight
             # task; the loop cancels the rest and re-raises.
@@ -800,7 +789,7 @@ class CampaignEngine:
         state.last_detail = raw.get("detail", "")
         if (
             raw["status"] == STATUS_OK
-            or state.attempts > state.retries
+            or state.attempts > self.retries
             or self._stop_requested
         ):
             # Done — ok, retries exhausted, or a drain in progress, in

@@ -406,7 +406,7 @@ def _cmd_channel(args: argparse.Namespace) -> int:
     from repro.attacks.covert import CovertChannelT
     from repro.attacks.framing import ReliableChannel
     from repro.attacks.noise import co_located_noise
-    from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+    from repro.config import MIB, SecureProcessorConfig
     from repro.os import PageAllocator
     from repro.proc import SecureProcessor
     from repro.utils.rng import derive_rng
@@ -418,9 +418,7 @@ def _cmd_channel(args: argparse.Namespace) -> int:
             protected_size=128 * MIB, functional_crypto=False
         )
     )
-    allocator = PageAllocator(
-        proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores
-    )
+    allocator = PageAllocator.for_machine(proc)
     channel = CovertChannelT(proc, allocator)
     if args.noise:
         channel.noise = co_located_noise(
@@ -1015,9 +1013,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.config import preset_names
+    from repro.config import DEFENSES, preset_names
     from repro.service.jobs import job_kinds
-    from repro.synth import DEFENSES
 
     parser = argparse.ArgumentParser(
         prog="repro",

@@ -303,15 +303,49 @@ PRESET_FACTORIES: dict[str, "staticmethod"] = {
     "sgx": SecureProcessorConfig.sgx_default,
 }
 
+# The Section IX mitigations, as the fields each one sets on any preset.
+# Every consumer of a ``--defense``-style name (ablation A3, the fuzzer,
+# the service) builds its machine through :func:`preset_config`.
+#
+# * ``isolated_trees`` (IX-C): mutually distrusting domains get disjoint
+#   integrity trees in disjoint node address spaces, so no non-root node
+#   is shared.  MetaLeak-T's mReload of an attacker probe can no longer
+#   observe a victim-domain node, and MetaLeak-C's counters are never
+#   shared.  Pages join a domain through ``mee.set_page_domain``.
+# * ``split_llc`` (IX-A): way/set partitioning of the data caches (DAWG,
+#   CATalyst) blocks data-cache contention but leaves the metadata cache
+#   and tree shared at the memory controller, which is where MetaLeak
+#   lives.  Its strongest form is physically disjoint LLCs, i.e. attacker
+#   and victim on different sockets, and the channel still works there
+#   (Section VI-A).
+DEFENSES: dict[str, dict[str, object]] = {
+    "none": {},
+    "isolated_trees": {"isolated_trees": True},
+    "split_llc": {"sockets": 2},
+}
+
 
 def preset_names() -> tuple[str, ...]:
     return tuple(PRESET_FACTORIES)
 
 
-def preset_config(name: str, **overrides: object) -> SecureProcessorConfig:
-    """Build the named preset, forwarding ``overrides`` to its factory."""
-    factory = PRESET_FACTORIES.get(name)
-    if factory is None:
-        valid = ", ".join(sorted(PRESET_FACTORIES))
-        raise ValueError(f"unknown preset {name!r} (valid presets: {valid})")
-    return factory(**overrides)
+def _lookup(table: dict[str, object], name: object, what: str) -> object:
+    entry = table.get(name) if isinstance(name, str) else None
+    if entry is None:
+        valid = ", ".join(sorted(table))
+        raise ValueError(f"unknown {what} {name!r} (valid {what}s: {valid})")
+    return entry
+
+
+def preset_config(
+    name: str, *, defense: str = "none", **overrides: object
+) -> SecureProcessorConfig:
+    """Build the named preset under the named defense.
+
+    The defense's fields (:data:`DEFENSES`) are applied first, so an
+    explicit override of the same field wins.  An unknown preset or
+    defense raises :class:`ValueError` naming the valid choices.
+    """
+    factory = _lookup(PRESET_FACTORIES, name, "preset")
+    fields = _lookup(DEFENSES, defense, "defense")
+    return factory(**{**fields, **overrides})

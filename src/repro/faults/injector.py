@@ -103,10 +103,9 @@ class FaultInjector(FaultHook):
             _undo=lambda: self.mee.tamper_flip_data_bit(addr, bit),
         )
 
-    def flip_mac_bit(self, addr: int, bit: int | None = None) -> InjectionHandle:
-        """Flip one bit of the stored MAC of the block at ``addr``."""
-        if bit is None:
-            bit = self.rng.randrange(8 * 8)
+    def flip_mac_bit(self, addr: int) -> InjectionHandle:
+        """Flip one random bit of the stored MAC of the block at ``addr``."""
+        bit = self.rng.randrange(8 * 8)
         self.mee.tamper_flip_mac_bit(addr, bit)
         return InjectionHandle(
             site=FaultSite.MAC_BIT,
@@ -114,10 +113,10 @@ class FaultInjector(FaultHook):
             _undo=lambda: self.mee.tamper_flip_mac_bit(addr, bit),
         )
 
-    def corrupt_counter(self, block: int, delta: int | None = None) -> InjectionHandle:
-        """Perturb the DRAM-resident encryption counter of a data block."""
-        if not delta:
-            delta = 1 + self.rng.randrange(7)
+    def corrupt_counter(self, block: int) -> InjectionHandle:
+        """Raise the DRAM-resident encryption counter of a data block by a
+        random 1..7."""
+        delta = 1 + self.rng.randrange(7)
         counters = self.mee.counters
         old = counters.tamper_counter(block, 0)
         counters.tamper_counter(block, old + delta)
@@ -127,12 +126,10 @@ class FaultInjector(FaultHook):
             _undo=lambda: counters.tamper_counter(block, old),
         )
 
-    def corrupt_tree_node(
-        self, level: int, index: int, slot: int, delta: int | None = None
-    ) -> InjectionHandle:
-        """Perturb one stored word of an integrity-tree node block."""
-        if not delta:
-            delta = 1 + self.rng.randrange(7)
+    def corrupt_tree_node(self, level: int, index: int, slot: int) -> InjectionHandle:
+        """Raise one stored word of an integrity-tree node block by a random
+        1..7."""
+        delta = 1 + self.rng.randrange(7)
         tree = self.mee.tree
         old = tree.tamper_node(level, index, slot, 0)
         tree.tamper_node(level, index, slot, old + delta)
@@ -146,13 +143,10 @@ class FaultInjector(FaultHook):
     # Armed corruptions (fire from hook callbacks)
     # ------------------------------------------------------------------
 
-    def arm_meta_fill_corruption(
-        self, cb_index: int, block: int, delta: int | None = None
-    ) -> InjectionHandle:
-        """Corrupt ``block``'s counter the next time counter block
-        ``cb_index`` is fetched from memory (a corrupted cache fill)."""
-        if not delta:
-            delta = 1 + self.rng.randrange(7)
+    def arm_meta_fill_corruption(self, cb_index: int, block: int) -> InjectionHandle:
+        """Raise ``block``'s counter by a random 1..7 the next time counter
+        block ``cb_index`` is fetched from memory (a corrupted cache fill)."""
+        delta = 1 + self.rng.randrange(7)
         counters = self.mee.counters
         handle = InjectionHandle(
             site=FaultSite.META_FILL,

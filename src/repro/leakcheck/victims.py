@@ -42,9 +42,7 @@ class VictimSpec:
 
 
 def _make_process(proc: SecureProcessor) -> Process:
-    allocator = PageAllocator(
-        proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores
-    )
+    allocator = PageAllocator.for_machine(proc)
     return Process(proc, allocator, core=0, cleanse=True, name="victim")
 
 

@@ -33,8 +33,8 @@ popping it from every cache's set (``sets``).
 Sets are materialised lazily, on the first fill: a machine-sized L3 has
 thousands of sets, but a typical workload touches a handful.
 Materialising an LRU set costs one empty dict.  A PLRU/RANDOM set
-allocates its way slots and its policy, seeded with ``seed + set_index``,
-so replacement behaviour (including seeded RANDOM) does not depend on
+allocates its way slots and its policy, seeded with its set index, so
+replacement behaviour (including seeded RANDOM) does not depend on
 when a set is first touched.
 """
 
@@ -95,7 +95,7 @@ class _WaySlots(dict):
         if None in tags:
             way = tags.index(None)
         else:
-            way = self.policy.victim([True] * len(tags))
+            way = self.policy.victim()
             victim = tags[way]
             victim_dirty = self.pop(victim)
         tags[way] = block
@@ -330,12 +330,9 @@ class SetAssocCache(Component):
             yield from lines
 
     def clear(self) -> None:
-        # Matches the old eager clear(), which rebuilt set ``i`` with
-        # policy seed ``i`` (not ``seed + i``): drop every set and let
-        # lazy re-creation run from a zero seed base.  The set map is
-        # emptied in place: the occupancy gauge and the hierarchy hold it.
+        # Emptied in place: the occupancy gauge and the hierarchy hold the
+        # set map.
         self.sets.clear()
-        self._seed = 0
 
 
 def _resident_blocks(sets: dict[int, dict[int, bool]]) -> int:

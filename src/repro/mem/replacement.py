@@ -31,7 +31,7 @@ class ReplacementPolicy(abc.ABC):
         """A way was (re)filled."""
 
     @abc.abstractmethod
-    def victim(self, occupied: list[bool]) -> int:
+    def victim(self) -> int:
         """Choose the way to evict (all ways occupied)."""
 
 
@@ -64,7 +64,7 @@ class TreePlruPolicy(ReplacementPolicy):
     def on_fill(self, way: int) -> None:
         self._walk_update(way)
 
-    def victim(self, occupied: list[bool]) -> int:
+    def victim(self) -> int:
         node = 0
         base = 0
         span = self.ways
@@ -91,7 +91,7 @@ class RandomPolicy(ReplacementPolicy):
     def on_fill(self, way: int) -> None:  # pragma: no cover - trivial
         pass
 
-    def victim(self, occupied: list[bool]) -> int:
+    def victim(self) -> int:
         return self._rng.randrange(self.ways)
 
 

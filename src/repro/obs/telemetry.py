@@ -117,8 +117,7 @@ def summarize(spans: list[dict[str, Any]]) -> FleetSummary:
     return summary
 
 
-def fleet_prometheus_text(summary: FleetSummary,
-                          namespace: str = "repro_obs") -> str:
+def fleet_prometheus_text(summary: FleetSummary) -> str:
     """Render a summary in Prometheus text format under ``repro_obs_*``.
 
     Uses the shared label-escaping helpers from :mod:`repro.perf.metrics`
@@ -127,46 +126,46 @@ def fleet_prometheus_text(summary: FleetSummary,
     from repro.perf.metrics import prom_header, prom_sample
 
     lines: list[str] = []
-    lines += prom_header(f"{namespace}_spans_total", "counter",
+    lines += prom_header("repro_obs_spans_total", "counter",
                          "Finished spans in this summary window.")
-    lines.append(prom_sample(f"{namespace}_spans_total", None, summary.spans))
-    lines += prom_header(f"{namespace}_traces_total", "counter",
+    lines.append(prom_sample("repro_obs_spans_total", None, summary.spans))
+    lines += prom_header("repro_obs_traces_total", "counter",
                          "Distinct trace ids seen.")
-    lines.append(prom_sample(f"{namespace}_traces_total", None, summary.traces))
-    lines += prom_header(f"{namespace}_retries_total", "counter",
+    lines.append(prom_sample("repro_obs_traces_total", None, summary.traces))
+    lines += prom_header("repro_obs_retries_total", "counter",
                          "Task attempts beyond the first.")
-    lines.append(prom_sample(f"{namespace}_retries_total", None, summary.retries))
-    lines += prom_header(f"{namespace}_cache_hits_total", "counter",
+    lines.append(prom_sample("repro_obs_retries_total", None, summary.retries))
+    lines += prom_header("repro_obs_cache_hits_total", "counter",
                          "Spans served from a cache.")
-    lines.append(prom_sample(f"{namespace}_cache_hits_total", None,
+    lines.append(prom_sample("repro_obs_cache_hits_total", None,
                              summary.cache_hits))
-    lines += prom_header(f"{namespace}_stragglers_total", "counter",
+    lines += prom_header("repro_obs_stragglers_total", "counter",
                          "Spans slower than straggler-factor x kind median.")
-    lines.append(prom_sample(f"{namespace}_stragglers_total", None,
+    lines.append(prom_sample("repro_obs_stragglers_total", None,
                              len(summary.stragglers)))
-    lines += prom_header(f"{namespace}_queue_wait_seconds_max", "gauge",
+    lines += prom_header("repro_obs_queue_wait_seconds_max", "gauge",
                          "Longest observed queue-wait phase.")
-    lines.append(prom_sample(f"{namespace}_queue_wait_seconds_max", None,
+    lines.append(prom_sample("repro_obs_queue_wait_seconds_max", None,
                              round(summary.queue_wait_max_s, 6)))
 
-    lines += prom_header(f"{namespace}_outcome_total", "counter",
+    lines += prom_header("repro_obs_outcome_total", "counter",
                          "Finished spans by outcome.")
     for outcome, count in sorted(summary.outcomes.items()):
-        lines.append(prom_sample(f"{namespace}_outcome_total",
+        lines.append(prom_sample("repro_obs_outcome_total",
                                  {"outcome": outcome}, count))
 
-    lines += prom_header(f"{namespace}_phase_seconds", "gauge",
+    lines += prom_header("repro_obs_phase_seconds", "gauge",
                          "Per-kind span latency quantiles.")
     for kind, stats in summary.phases.items():
         for quantile, value in (("0.5", stats.p50_s), ("0.95", stats.p95_s),
                                 ("max", stats.max_s)):
             lines.append(prom_sample(
-                f"{namespace}_phase_seconds",
+                "repro_obs_phase_seconds",
                 {"kind": kind, "quantile": quantile}, round(value, 6)))
-    lines += prom_header(f"{namespace}_phase_spans_total", "counter",
+    lines += prom_header("repro_obs_phase_spans_total", "counter",
                          "Finished spans per kind.")
     for kind, stats in summary.phases.items():
-        lines.append(prom_sample(f"{namespace}_phase_spans_total",
+        lines.append(prom_sample("repro_obs_phase_spans_total",
                                  {"kind": kind}, stats.count))
     return "\n".join(lines) + "\n"
 

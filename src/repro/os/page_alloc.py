@@ -9,6 +9,9 @@ crafted frame on the victim's core immediately before the victim allocates
 
 from __future__ import annotations
 
+from repro.config import PAGE_SIZE
+from repro.proc.processor import SecureProcessor
+
 
 class PageAllocator:
     """Tracks frames of a protected region; LIFO per-core free lists."""
@@ -21,6 +24,12 @@ class PageAllocator:
         self._free_lists: list[list[int]] = [[] for _ in range(cores)]
         self._allocated: set[int] = set()
         self._next_fresh = 0
+
+    @classmethod
+    def for_machine(cls, proc: SecureProcessor) -> PageAllocator:
+        """An allocator over every protected data frame of ``proc``, with
+        one free list per core."""
+        return cls(proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores)
 
     # ------------------------------------------------------------------
 

@@ -45,6 +45,11 @@ from repro.trace.counters import CounterRegistry
 REENCRYPT_BLOCK_COST = 120
 REHASH_BLOCK_COST = 60
 
+# Under isolated trees, node addresses of domain d are tagged at bit 44+:
+# far above any physical structure, while leaving metadata-cache set
+# indices and the layout's per-level arithmetic intact after untagging.
+DOMAIN_SHIFT = 44
+
 
 class IntegrityViolation(Exception):
     """Off-chip tampering detected (MAC or integrity-tree mismatch)."""
@@ -129,11 +134,6 @@ class MemoryEncryptionEngine(Component):
     # Per-domain isolated trees (Section IX-C mitigation)
     # ------------------------------------------------------------------
 
-    # Node addresses of domain d are tagged at bit 44+: far above any
-    # physical structure, while leaving metadata-cache set indices and the
-    # layout's per-level arithmetic intact after untagging.
-    _DOMAIN_SHIFT = 44
-
     def set_page_domain(self, frame: int, domain: int) -> None:
         """Assign a protected page to a security domain (default 0)."""
         if domain < 0:
@@ -163,10 +163,10 @@ class MemoryEncryptionEngine(Component):
         return self._page_domain.get(page, 0)
 
     def _tag_node_addr(self, addr: int, domain: int) -> int:
-        return addr | (domain << self._DOMAIN_SHIFT)
+        return addr | (domain << DOMAIN_SHIFT)
 
     def _untag(self, addr: int) -> tuple[int, int]:
-        return addr >> self._DOMAIN_SHIFT, addr & ((1 << self._DOMAIN_SHIFT) - 1)
+        return addr >> DOMAIN_SHIFT, addr & ((1 << DOMAIN_SHIFT) - 1)
 
     # ------------------------------------------------------------------
     # Counter-block hashing (freshness binding, Section IV-C)
@@ -320,7 +320,7 @@ class MemoryEncryptionEngine(Component):
         crypto = self.config.crypto
         domain = self._domain_of_cb(cb_index)
         tree = self._tree_for(domain)
-        domain_tag = domain << self._DOMAIN_SHIFT
+        domain_tag = domain << DOMAIN_SHIFT
         missed: list[tuple[int, int, int]] = []
         # Walk up the verification path, deriving each level's node only
         # when the level below it missed.

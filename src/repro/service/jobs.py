@@ -183,9 +183,7 @@ def run_probe(*, preset: str = "sct", ops: int = 400, seed: int = 0) -> dict:
         overrides["protected_size"] = 8 * MIB
     config = preset_config(preset, **overrides)
     proc = SecureProcessor(config)
-    allocator = PageAllocator(
-        proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores
-    )
+    allocator = PageAllocator.for_machine(proc)
     rng = Random(seed)
     frames = allocator.alloc_many(8, core=0)
     addrs = [
@@ -236,13 +234,10 @@ def _require_alpha(spec: dict) -> float:
 
 
 def _require_preset(spec: dict) -> str:
-    from repro.config import preset_names
+    from repro.config import preset_config
 
     preset = spec.get("preset", "sct")
-    if preset not in preset_names():
-        raise ValueError(
-            f"unknown preset {preset!r}; choose from {list(preset_names())}"
-        )
+    preset_config(preset)  # raises ValueError naming the valid presets
     return preset
 
 
@@ -280,14 +275,10 @@ def _leakcheck_tasks(spec: dict) -> tuple[dict[str, Any], list[CampaignTask]]:
 
 
 def _synth_tasks(spec: dict) -> tuple[dict[str, Any], list[CampaignTask]]:
-    from repro.synth import DEFENSES, build_fuzz_tasks
+    from repro.synth import build_fuzz_tasks
 
-    preset = _require_preset(spec)
+    preset = spec.get("preset", "sct")
     defense = spec.get("defense", "none")
-    if defense not in DEFENSES:
-        raise ValueError(
-            f"unknown defense {defense!r}; choose from {list(DEFENSES)}"
-        )
     seed = _require_int(spec, "seed", 0)
     budget = _require_int(spec, "budget", 16, lo=1, hi=256)
     alpha = _require_alpha(spec)
@@ -295,6 +286,7 @@ def _synth_tasks(spec: dict) -> tuple[dict[str, Any], list[CampaignTask]]:
         "preset": preset, "defense": defense, "seed": seed,
         "budget": budget, "alpha": alpha,
     }
+    # build_fuzz_tasks rejects an unknown preset or defense.
     return normalized, build_fuzz_tasks(
         preset=preset, defense=defense, budget=budget, seed=seed,
         alpha=alpha,

@@ -373,7 +373,7 @@ class LeakcheckService:
             self._persist_spans(job.trace_id)
 
     def _execute_job(
-        self, job: Job, span_parent: "obs.SpanContext | None" = None
+        self, job: Job, span_parent: "obs.SpanContext | None"
     ) -> tuple[str, dict[str, Any] | None, str]:
         """Run one job through a fresh campaign engine (executor thread).
 

@@ -34,12 +34,12 @@ class Enclave(Process):
     ) -> None:
         super().__init__(proc, allocator, core=core, cleanse=True, name=name)
 
-    def load_page_at_frame(self, frame: int, vpage: int | None = None) -> int:
-        """OS-controlled EADD: back a new enclave page with ``frame``.
+    def load_page_at_frame(self, frame: int) -> int:
+        """OS-controlled EADD: back the next enclave page with ``frame``.
 
         Returns the virtual address of the mapped page.
         """
-        vpage = self.map_page(vpage=vpage, frame=frame)
+        vpage = self.map_page(frame=frame)
         return vpage * PAGE_SIZE
 
     def frame_of_vaddr(self, vaddr: int) -> int:

@@ -19,9 +19,7 @@ class SgxMachine:
     def __init__(self, config: SecureProcessorConfig | None = None) -> None:
         self.config = config or SecureProcessorConfig.sgx_default()
         self.proc = SecureProcessor(self.config)
-        self.allocator = PageAllocator(
-            self.proc.layout.data_size // 4096, cores=self.config.cores
-        )
+        self.allocator = PageAllocator.for_machine(self.proc)
         self.enclaves: list[Enclave] = []
 
     def create_enclave(self, *, core: int = 0, name: str | None = None) -> Enclave:

@@ -44,7 +44,6 @@ from repro.synth.minimize import (
     write_witness,
 )
 from repro.synth.runner import (
-    DEFENSES,
     METADATA_COMPONENTS,
     TARGETS,
     SynthResult,
@@ -56,7 +55,6 @@ from repro.synth.runner import (
 )
 
 __all__ = [
-    "DEFENSES",
     "METADATA_COMPONENTS",
     "TARGETS",
     "CorpusReport",

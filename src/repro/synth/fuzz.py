@@ -28,10 +28,10 @@ from repro.campaign.records import STATUS_OK
 from repro.synth.gen import GenConfig, generate_batch
 from repro.synth.ir import Program, program_to_json
 from repro.synth.runner import (
-    DEFENSES,
     TARGETS,
     SynthResult,
     evaluate_program,
+    synth_config,
     target_names,
 )
 
@@ -60,11 +60,12 @@ def build_fuzz_tasks(
     alpha: float = 0.01,
     gen: GenConfig | None = None,
 ) -> list[CampaignTask]:
-    """The campaign tasks of one fuzz batch (deterministic in ``seed``)."""
-    if defense not in DEFENSES:
-        raise ValueError(
-            f"unknown synth defense {defense!r}; choose from {list(DEFENSES)}"
-        )
+    """The campaign tasks of one fuzz batch (deterministic in ``seed``).
+
+    Raises :class:`ValueError` naming the valid choices for an unknown
+    preset or defense, before any task is built.
+    """
+    synth_config(preset, defense)
     return [
         CampaignTask(
             name=task_name(preset, defense, gen_seed),

@@ -24,13 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.config import (
-    BLOCK_SIZE,
-    MIB,
-    PAGE_SIZE,
-    SecureProcessorConfig,
-    preset_config,
-)
+from repro.config import BLOCK_SIZE, MIB, SecureProcessorConfig, preset_config
 from repro.leakcheck.detector import leak_verdict
 from repro.leakcheck.victims import VictimSpec
 from repro.os.page_alloc import PageAllocator
@@ -57,9 +51,6 @@ TARGETS: dict[str, frozenset[str]] = {
     "any": frozenset(),  # empty = any flagged kind counts
 }
 
-#: Defense knobs applied on top of a preset (Section IX mitigations).
-DEFENSES = ("none", "isolated_trees", "split_llc")
-
 
 def target_names() -> list[str]:
     return sorted(TARGETS)
@@ -77,29 +68,23 @@ def resolve_target(name: str) -> frozenset[str]:
 def synth_config(
     preset: str = "sct", defense: str = "none", **overrides: object
 ) -> SecureProcessorConfig:
-    """The machine a synthesized program runs on.
+    """The machine a synthesized program runs on: ``preset`` under
+    ``defense`` (:data:`repro.config.DEFENSES`).
 
     Functional crypto is off (the oracle reads event streams, not
     plaintexts) and the timer is jitter-free so the paired runs are
     exactly reproducible; the protected size is scaled down because a
-    synth program's footprint is at most ``MAX_PAGES`` pages.
+    synth program's footprint is at most ``MAX_PAGES`` pages.  Explicit
+    ``overrides`` win over all of these.
     """
-    if defense not in DEFENSES:
-        raise ValueError(
-            f"unknown synth defense {defense!r}; choose from {list(DEFENSES)}"
-        )
     base: dict[str, object] = {
         "functional_crypto": False,
         "timer_jitter_sigma": 0.0,
     }
     if preset != "sgx":
         base["protected_size"] = 64 * MIB
-    if defense == "isolated_trees":
-        base["isolated_trees"] = True
-    elif defense == "split_llc":
-        base["sockets"] = 2
     base.update(overrides)
-    return preset_config(preset, **base)
+    return preset_config(preset, defense=defense, **base)
 
 
 def _execute(proc: SecureProcessor, program: Program, secret: object) -> None:
@@ -110,9 +95,7 @@ def _execute(proc: SecureProcessor, program: Program, secret: object) -> None:
     stream is identical to per-op execution.
     """
     bit = int(secret) & 1  # type: ignore[call-overload]
-    allocator = PageAllocator(
-        proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores
-    )
+    allocator = PageAllocator.for_machine(proc)
     process = Process(
         proc, allocator, core=0, cleanse=program.cleanse, name="synth"
     )

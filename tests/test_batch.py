@@ -15,11 +15,11 @@ from random import Random
 
 import pytest
 
-from repro.config import PAGE_SIZE
+from repro.config import DEFENSES, PAGE_SIZE
 from repro.faults import FaultHook
 from repro.perf import CycleAttributor
 from repro.proc import AccessBatch, SecureProcessor
-from repro.synth.runner import DEFENSES, synth_config
+from repro.synth.runner import synth_config
 from repro.trace import Tracer
 
 PRESETS = ("sct", "ht", "sgx")
@@ -120,7 +120,7 @@ class TestBatchScalarEquivalence:
         """Same state, counters, cycles and results on bare machines."""
         scalar_proc = _machine(preset, defense)
         batch_proc = _machine(preset, defense)
-        seed = 100 * PRESETS.index(preset) + DEFENSES.index(defense)
+        seed = 100 * PRESETS.index(preset) + list(DEFENSES).index(defense)
         vector = _op_vector(scalar_proc, seed=seed)
         scalar_results = _run_scalar(scalar_proc, vector)
         batch_result = batch_proc.run_batch(_as_batch(vector))

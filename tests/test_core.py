@@ -20,7 +20,7 @@ import sys
 import pytest
 
 from repro.campaign import CampaignEngine, CampaignTask
-from repro.config import SecureProcessorConfig
+from repro.config import DEFENSES, SecureProcessorConfig, preset_config
 from repro.core import (
     FAULT_HOOK,
     KNOWN_SLOTS,
@@ -31,13 +31,12 @@ from repro.core import (
     slot_of,
     walk,
 )
-from repro.defenses import isolated_tree_config
 from repro.faults.hooks import FaultHook
 from repro.leakcheck import run_leakcheck
 from repro.perf import CycleAttributor
 from repro.proc.processor import SecureProcessor
 from repro.synth import compile_program, evaluate_program, generate_program
-from repro.synth.runner import DEFENSES, synth_config
+from repro.synth.runner import synth_config
 from repro.trace import Tracer
 
 
@@ -230,9 +229,16 @@ class TestTxn:
 # ----------------------------------------------------------------------
 
 
+def _isolated_trees_machine() -> SecureProcessor:
+    return SecureProcessor(preset_config(
+        "sct", defense="isolated_trees", protected_size=4 << 20,
+        functional_crypto=False,
+    ))
+
+
 class TestLateDomainTrees:
     def test_tree_built_after_attach_inherits_instruments(self):
-        proc = SecureProcessor(isolated_tree_config(protected_size=4 << 20))
+        proc = _isolated_trees_machine()
         tracer = Tracer()
         proc.attach(tracer)
         hook = _RecordingHook()
@@ -255,7 +261,7 @@ class TestLateDomainTrees:
         assert kinds & {"bump_leaf", "bump_node"}
 
     def test_late_tree_without_instruments_stays_detached(self):
-        proc = SecureProcessor(isolated_tree_config(protected_size=4 << 20))
+        proc = _isolated_trees_machine()
         proc.mee.set_page_domain(2, 1)
         proc.write(2 * 4096, b"x")
         assert proc.mee._domain_trees[1].tracer is None
@@ -308,7 +314,7 @@ class TestAcyclicMachines:
 
     def test_machine_with_late_domain_tree(self):
         def work():
-            proc = SecureProcessor(isolated_tree_config(protected_size=4 << 20))
+            proc = _isolated_trees_machine()
             proc.attach(Tracer())
             proc.mee.set_page_domain(3, 1)
             proc.write_through(3 * 4096, b"x")

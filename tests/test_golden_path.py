@@ -22,14 +22,14 @@ from random import Random
 import pytest
 
 from repro.attacks.covert import CovertChannelT
-from repro.config import MIB, PAGE_SIZE, preset_config
+from repro.config import DEFENSES, MIB, PAGE_SIZE, preset_config
 from repro.leakcheck.victims import get_victim
 from repro.os.page_alloc import PageAllocator
 from repro.perf import CycleAttributor
 from repro.proc.batch import AccessBatch, BatchResult
 from repro.proc.processor import AccessResult, SecureProcessor
 from repro.synth import compile_program, generate_program
-from repro.synth.runner import DEFENSES, synth_config
+from repro.synth.runner import synth_config
 from repro.trace import Tracer, write_jsonl
 
 PRESETS = ("sct", "ht", "sgx")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import DEFENSES
 from repro.leakcheck import (
     KindFinding,
     LeakReport,
@@ -29,7 +30,6 @@ from repro.synth import (
     generate_program,
     synth_config,
 )
-from repro.synth.runner import DEFENSES
 from repro.trace import TraceEvent
 from repro.utils.stats import ks_pvalue, ks_statistic
 

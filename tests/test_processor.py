@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import BLOCK_SIZE, MIB, SecureProcessorConfig
+from repro.config import BLOCK_SIZE, DEFENSES, MIB, SecureProcessorConfig
 from repro.proc import AccessPath, SecureProcessor
 from repro.synth import generate_program
-from repro.synth.runner import DEFENSES, compile_program, synth_config
+from repro.synth.runner import compile_program, synth_config
 
 
 @pytest.fixture()

@@ -19,7 +19,7 @@ class TestTreePlru:
         for way in range(4):
             policy.on_fill(way)
         policy.on_access(3)
-        assert policy.victim([True] * 4) != 3
+        assert policy.victim() != 3
 
     @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=60))
     @settings(max_examples=50)
@@ -29,27 +29,24 @@ class TestTreePlru:
             policy.on_fill(way)
         for way in accesses:
             policy.on_access(way)
-        assert policy.victim([True] * 8) != accesses[-1]
+        assert policy.victim() != accesses[-1]
 
     def test_victim_in_range(self):
         policy = TreePlruPolicy(8)
         for way in range(8):
             policy.on_fill(way)
-        assert 0 <= policy.victim([True] * 8) < 8
+        assert 0 <= policy.victim() < 8
 
 
 class TestRandomPolicy:
     def test_deterministic_under_seed(self):
         a = make_policy("random", 8, seed=3)
         b = make_policy("random", 8, seed=3)
-        occupied = [True] * 8
-        assert [a.victim(occupied) for _ in range(10)] == [
-            b.victim(occupied) for _ in range(10)
-        ]
+        assert [a.victim() for _ in range(10)] == [b.victim() for _ in range(10)]
 
     def test_spread(self):
         policy = RandomPolicy(8)
-        victims = {policy.victim([True] * 8) for _ in range(200)}
+        victims = {policy.victim() for _ in range(200)}
         assert len(victims) == 8
 
 

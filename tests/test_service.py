@@ -274,6 +274,16 @@ class TestServiceHTTP:
                 host, port, "POST", "/jobs", {"kind": "probe", "spec": {"ops": 0}}
             )
             assert status == 400 and "ops" in err["error"]
+            for spec, valid in (
+                ({"preset": "enigma"}, "valid presets: ht, sct, sgx"),
+                ({"defense": "moat"},
+                 "valid defenses: isolated_trees, none, split_llc"),
+                ({"defense": ["none"]}, "valid defenses"),
+            ):
+                status, _, err = await http_request(
+                    host, port, "POST", "/jobs", {"kind": "synth", "spec": spec}
+                )
+                assert status == 400 and valid in err["error"], err
             status, _, err = await http_request(host, port, "GET", "/jobs/ghost")
             assert status == 404
             status, _, err = await http_request(host, port, "PUT", "/jobs")

@@ -22,6 +22,7 @@ from repro.campaign import (
     decode_payload,
     encode_payload,
 )
+from repro.config import DEFENSES
 from repro.leakcheck import run_leakcheck
 from repro.synth import (
     TARGETS,
@@ -52,7 +53,7 @@ from repro.synth import (
     validate_program,
 )
 from repro.synth.ir import LINES_PER_PAGE, op_lines
-from repro.synth.runner import DEFENSES, METADATA_COMPONENTS, synth_config
+from repro.synth.runner import METADATA_COMPONENTS, synth_config
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 WITNESS_DIR = REPO / "witnesses"

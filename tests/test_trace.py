@@ -5,11 +5,11 @@ import json
 
 import pytest
 
-from repro.config import SecureProcessorConfig
+from repro.config import DEFENSES, SecureProcessorConfig
 from repro.core import TRACER, detach
 from repro.proc import AccessBatch
 from repro.proc.processor import SecureProcessor
-from repro.synth import DEFENSES, compile_program, generate_program, synth_config
+from repro.synth import compile_program, generate_program, synth_config
 from repro.trace import (
     Counter,
     CounterRegistry,

@@ -1,5 +1,6 @@
-"""The knob gate: ``scripts/unreached.py`` exits 1 when a keyword-only
-parameter of ``src/`` has a default that no call passes, tests included.
+"""The knob gate: ``scripts/unreached.py`` exits 1 when a parameter of
+``src/``, positional or keyword-only, has a default that no call passes,
+tests included.
 
 Such a parameter is an option with one value in use; make it a constant
 at its use instead.  The scan's other lists (code and parameters that
@@ -20,6 +21,6 @@ def test_no_keyword_only_parameter_goes_unpassed():
     )
     report = run.stdout.partition("no call passes, tests included:")[2]
     assert run.returncode == 0, (
-        "keyword-only parameters no call passes, tests included:"
-        + report.partition("Keyword-only")[0] + run.stderr
+        "parameters with a default no call passes, tests included:"
+        + report.partition("Parameters with a default")[0] + run.stderr
     )
