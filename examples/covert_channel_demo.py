@@ -11,14 +11,14 @@ Run:  python examples/covert_channel_demo.py
 """
 
 from repro.attacks import CovertChannelC, CovertChannelT
-from repro.config import MIB, SecureProcessorConfig
+from repro.config import MIB, preset_config
 from repro.os import PageAllocator
 from repro.proc import SecureProcessor
 
 
 def build_machine():
-    config = SecureProcessorConfig.sct_default(
-        protected_size=256 * MIB, functional_crypto=False, timer_jitter_sigma=11
+    config = preset_config(
+        "sct", protected_size=256 * MIB, functional_crypto=False, timer_jitter_sigma=11
     )
     proc = SecureProcessor(config)
     return proc, PageAllocator.for_machine(proc)

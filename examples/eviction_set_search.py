@@ -12,14 +12,14 @@ Run:  python examples/eviction_set_search.py
 import time
 
 from repro.attacks.search import EvictionSetSearch
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.os import PageAllocator
 from repro.proc import SecureProcessor
 
 
 def main() -> None:
-    config = SecureProcessorConfig.sct_default(
-        protected_size=128 * MIB, functional_crypto=False
+    config = preset_config(
+        "sct", protected_size=128 * MIB, functional_crypto=False
     )
     proc = SecureProcessor(config)
     allocator = PageAllocator.for_machine(proc)

@@ -11,7 +11,7 @@ Run:  python examples/kv_store_leak.py
 """
 
 from repro.attacks import MetaLeakC
-from repro.config import MIB, SecureProcessorConfig
+from repro.config import MIB, preset_config
 from repro.os import PageAllocator, Process
 from repro.proc import SecureProcessor
 from repro.sgx.sgx_step import SgxStep
@@ -21,8 +21,8 @@ BUCKETS = 4
 
 
 def main() -> None:
-    config = SecureProcessorConfig.sct_default(
-        protected_size=256 * MIB, functional_crypto=False
+    config = preset_config(
+        "sct", protected_size=256 * MIB, functional_crypto=False
     )
     proc = SecureProcessor(config)
     allocator = PageAllocator.for_machine(proc)

@@ -9,13 +9,13 @@ Shows the three things everything else builds on:
 Run:  python examples/quickstart.py
 """
 
-from repro.config import MIB, SecureProcessorConfig
+from repro.config import MIB, preset_config
 from repro.proc import SecureProcessor
 from repro.secmem.engine import IntegrityViolation
 
 
 def main() -> None:
-    config = SecureProcessorConfig.sct_default(protected_size=128 * MIB)
+    config = preset_config("sct", protected_size=128 * MIB)
     proc = SecureProcessor(config)
     print("Machine:", config.name, "| integrity tree:", config.tree.kind.value)
     print(proc.layout.describe())

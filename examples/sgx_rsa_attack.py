@@ -12,7 +12,7 @@ Run:  python examples/sgx_rsa_attack.py [bits]
 import sys
 
 from repro.analysis import run_rsa_attack
-from repro.config import MIB, SecureProcessorConfig
+from repro.config import MIB, preset_config
 
 
 def bits_to_str(bits, limit=48):
@@ -22,8 +22,8 @@ def bits_to_str(bits, limit=48):
 
 def main() -> None:
     bits = int(sys.argv[1]) if len(sys.argv) > 1 else 96
-    config = SecureProcessorConfig.sgx_default(
-        epc_size=64 * MIB, functional_crypto=False, timer_jitter_sigma=88
+    config = preset_config(
+        "sgx", protected_size=64 * MIB, functional_crypto=False, timer_jitter_sigma=88
     )
     print(f"Recovering a {bits}-bit exponent from an SGX enclave ...")
     outcome = run_rsa_attack("sgx", exponent_bits=bits, config=config)
@@ -36,8 +36,8 @@ def main() -> None:
     print(f"  sample reload latencies   : square-page={square}, multiply-page={multiply}")
 
     print("\nSame attack on the simulated academic design (SCT):")
-    sct_config = SecureProcessorConfig.sct_default(
-        protected_size=256 * MIB, functional_crypto=False, timer_jitter_sigma=11
+    sct_config = preset_config(
+        "sct", protected_size=256 * MIB, functional_crypto=False, timer_jitter_sigma=11
     )
     sct = run_rsa_attack("sct", exponent_bits=bits, config=sct_config)
     print(f"  exponent bit accuracy     : {sct.bit_accuracy:.1%}  (paper: 95.1%)")

@@ -10,14 +10,19 @@ applications, defenses, and a harness regenerating every paper figure.
 Quick start::
 
     from repro import MetaLeakT, PageAllocator, SecureProcessor
-    from repro.config import MIB, SecureProcessorConfig
+    from repro.config import preset_config
 
-    proc = SecureProcessor(SecureProcessorConfig.sct_default(protected_size=256 * MIB))
+    proc = SecureProcessor(preset_config("sct"))
     alloc = PageAllocator.for_machine(proc)
     monitor = MetaLeakT(proc, alloc, core=1).monitor_for_page(alloc.alloc_specific(100))
     monitor.m_evict()
     # ... victim runs ...
     latency, victim_accessed = monitor.m_reload()
+
+A machine is named one way, ``preset_config(preset, defense=...,
+**overrides)``: one of the Table-I presets (``sct``, ``ht``, ``sgx``;
+``repro.config.PRESETS``) under one of the Section IX defenses
+(``repro.config.DEFENSES``), with any field overridden.
 
 See DESIGN.md for the system inventory, EXPERIMENTS.md for paper-vs-
 measured results, and ``python -m repro list`` for the figure harness.

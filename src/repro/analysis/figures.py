@@ -28,7 +28,12 @@ from repro.analysis.jpeg_attack import run_jpeg_metaleak_c, run_jpeg_metaleak_t
 from repro.analysis.kvstore_attack import run_kvstore_attack
 from repro.analysis.mbedtls_attack import run_mbedtls_attack
 from repro.analysis.overhead import overhead_study
-from repro.analysis.report import FULL, FigureResult
+from repro.analysis.report import (
+    FULL,
+    FigureResult,
+    experiment_config,
+    experiment_machine,
+)
 from repro.analysis.rsa_attack import run_rsa_attack
 from repro.analysis.sweeps import (
     sweep_metadata_cache_size,
@@ -44,14 +49,12 @@ from repro.config import (
     KIB,
     MIB,
     PAGE_SIZE,
+    PRESETS,
     CounterScheme,
-    SecureProcessorConfig,
     TreeKind,
     TreeUpdatePolicy,
-    preset_config,
 )
 from repro.defenses.mirage_study import mirage_eviction_curve
-from repro.os.page_alloc import PageAllocator
 from repro.proc.processor import SecureProcessor
 from repro.utils.rng import derive_rng
 from repro.utils.stats import summarize
@@ -59,22 +62,11 @@ from repro.utils.stats import summarize
 SCT_JITTER = 11.0
 SGX_JITTER = 88.0
 
-_DEFAULT_SIZE = 256 * MIB
-
-
-def _machine(
-    preset: str = "sct", *, jitter: float = 0.0, **overrides: object
-) -> tuple[SecureProcessor, PageAllocator]:
-    """``preset`` with functional crypto off; ``overrides`` (a ``defense``
-    among them) go to :func:`preset_config`."""
-    config = preset_config(
-        preset,
-        functional_crypto=False,
-        timer_jitter_sigma=jitter,
-        **overrides,
-    )
-    proc = SecureProcessor(config)
-    return proc, PageAllocator.for_machine(proc)
+# The SGX machine of the Figure 16 and 17 case studies: a 64 MiB EPC
+# under SGX-scale timer noise.
+_SGX_CASE_STUDY = experiment_config(
+    "sgx", timer_jitter_sigma=SGX_JITTER, protected_size=64 * MIB
+)
 
 
 # ----------------------------------------------------------------------
@@ -84,9 +76,7 @@ def _machine(
 
 def table1_config() -> FigureResult:
     """Table I: the shipped presets implement the paper's parameters."""
-    sct = SecureProcessorConfig.sct_default()
-    ht = SecureProcessorConfig.ht_default()
-    sgx = SecureProcessorConfig.sgx_default()
+    sct, ht, sgx = PRESETS["sct"], PRESETS["ht"], PRESETS["sgx"]
     result = FigureResult(figure="Table I", title="Machine configurations")
     result.add("cores", sct.cores, 4)
     result.add("L1", sct.l1.size_bytes // KIB, 32, "KiB, 8-way")
@@ -182,7 +172,7 @@ _ALL_MISS = "Path-4 (all levels missed)"
 
 
 def _path_medians(preset: str, samples: int) -> dict[str, float]:
-    proc, _ = _machine(preset)
+    proc, _ = experiment_machine(preset)
     return {
         label: summarize(latencies).median
         for label, latencies in _path_latency_samples(proc, samples).items()
@@ -283,7 +273,7 @@ def fig8_overflow_bands(cycles: int = 4) -> FigureResult:
     """
     from repro.attacks.mapping import MetadataEvictor
 
-    proc, allocator = _machine("sct")
+    proc, allocator = experiment_machine("sct")
     page = allocator.alloc_specific(64)
     base = page * PAGE_SIZE
     cb_addr = proc.layout.counter_block_addr(base)
@@ -350,13 +340,13 @@ def fig11_covert_t(bits: int = 1000) -> FigureResult:
     """
     payload = _random_bits(bits)
 
-    proc, allocator = _machine("sct", jitter=SCT_JITTER)
+    proc, allocator = experiment_machine("sct", timer_jitter_sigma=SCT_JITTER)
     sct_report = CovertChannelT(proc, allocator).transmit(payload)
 
-    proc, allocator = _machine("sgx", jitter=SGX_JITTER)
+    proc, allocator = experiment_machine("sgx", timer_jitter_sigma=SGX_JITTER)
     sit_report = CovertChannelT(proc, allocator, level=1).transmit(payload)
 
-    proc, allocator = _machine("sct", defense="split_llc")
+    proc, allocator = experiment_machine("sct", defense="split_llc")
     cross_report = CovertChannelT(
         proc, allocator, trojan_core=0, spy_core=2
     ).transmit(payload[:200])
@@ -387,7 +377,7 @@ def fig11_covert_t(bits: int = 1000) -> FigureResult:
 def fig14_covert_c(symbols: int = 150) -> FigureResult:
     """Figure 14: MetaLeak-C covert channel (7-bit symbols)."""
     rng = derive_rng(14, "covert-symbols")
-    proc, allocator = _machine("sct", jitter=SCT_JITTER)
+    proc, allocator = experiment_machine("sct", timer_jitter_sigma=SCT_JITTER)
     channel = CovertChannelC(proc, allocator)
     payload = [rng.randint(0, channel.max_symbol) for _ in range(symbols)]
     report = channel.transmit(payload)
@@ -426,7 +416,7 @@ def fig12_tree_levels(
     )
     # A level-3 node covers 512 MiB, so this experiment runs on a larger
     # protected region (all simulator structures are sparse).
-    proc, allocator = _machine("sct", protected_size=2 * 1024 * MIB)
+    proc, allocator = experiment_machine("sct", protected_size=2 * 1024 * MIB)
     victim_frame = allocator.alloc_specific(7 * 32 * 16)
     attack = MetaLeakT(proc, allocator, core=1)
     intervals: list[float] = []
@@ -489,11 +479,7 @@ def fig15_jpeg(
         title="libjpeg image stealing (MetaLeak-T) and zero-element "
         "recovery (MetaLeak-C)",
     )
-    config = SecureProcessorConfig.sct_default(
-        protected_size=_DEFAULT_SIZE,
-        functional_crypto=False,
-        timer_jitter_sigma=SCT_JITTER,
-    )
+    config = experiment_config("sct", timer_jitter_sigma=SCT_JITTER)
     accuracies = []
     for name in images:
         outcome = run_jpeg_metaleak_t(
@@ -546,16 +532,12 @@ def fig15_jpeg(
 
 def fig16_rsa(exponent_bits: int = 192) -> FigureResult:
     """Figure 16: RSA exponent recovery from libgcrypt square-and-multiply."""
-    sgx_config = SecureProcessorConfig.sgx_default(
-        epc_size=64 * MIB, functional_crypto=False, timer_jitter_sigma=SGX_JITTER
+    sgx = run_rsa_attack("sgx", exponent_bits=exponent_bits, config=_SGX_CASE_STUDY)
+    sct = run_rsa_attack(
+        "sct",
+        exponent_bits=exponent_bits,
+        config=experiment_config("sct", timer_jitter_sigma=SCT_JITTER),
     )
-    sct_config = SecureProcessorConfig.sct_default(
-        protected_size=_DEFAULT_SIZE,
-        functional_crypto=False,
-        timer_jitter_sigma=SCT_JITTER,
-    )
-    sgx = run_rsa_attack("sgx", exponent_bits=exponent_bits, config=sgx_config)
-    sct = run_rsa_attack("sct", exponent_bits=exponent_bits, config=sct_config)
     result = FigureResult(
         figure="Figure 16",
         title="Secret-exponent recovery from square-and-multiply",
@@ -583,11 +565,11 @@ def fig17_mbedtls(
     secret phi is recovered *exactly* and verified against the public
     modulus (the computational recovery the paper cites as [91],[93],[94]).
     """
-    config = SecureProcessorConfig.sgx_default(
-        epc_size=64 * MIB, functional_crypto=False, timer_jitter_sigma=SGX_JITTER
-    )
     outcome = run_mbedtls_attack(
-        secret_bits=secret_bits, config=config, recover=recover, max_runs=max_runs
+        secret_bits=secret_bits,
+        config=_SGX_CASE_STUDY,
+        recover=recover,
+        max_runs=max_runs,
     )
     result = FigureResult(
         figure="Figure 17",
@@ -696,13 +678,11 @@ def ablation_counter_schemes() -> FigureResult:
         (CounterScheme.MONOLITHIC, 7, "all written blocks"),
         (CounterScheme.SPLIT, 7, "one page group"),
     ):
-        config = SecureProcessorConfig.sct_default(
+        proc, _ = experiment_machine(
+            "sct",
             protected_size=64 * MIB,
-            functional_crypto=False,
-        ).with_overrides(
-            counters=CounterConfig(scheme=scheme, minor_bits=7, monolithic_bits=bits)
+            counters=CounterConfig(scheme=scheme, minor_bits=7, monolithic_bits=bits),
         )
-        proc = SecureProcessor(config)
         # Eight writes to distant pages, three to neighbours of the block
         # that will overflow: GC/MoC must re-encrypt all eleven, SC only
         # the three sharing the spun block's page group.
@@ -738,7 +718,7 @@ def ablation_update_policy(bits: int = 80) -> FigureResult:
         title="MetaLeak-T covert accuracy: lazy vs eager tree updates",
     )
     for policy in (TreeUpdatePolicy.LAZY, TreeUpdatePolicy.EAGER):
-        proc, allocator = _machine("sct", tree_update_policy=policy)
+        proc, allocator = experiment_machine("sct", tree_update_policy=policy)
         report = CovertChannelT(proc, allocator).transmit(payload)
         result.add(f"{policy.value} policy accuracy", report.accuracy, 1.0)
         result.claim(f"{policy.value} policy accuracy >= 0.95", report.accuracy >= 0.95)
@@ -756,17 +736,17 @@ def ablation_defenses(bits: int = 80) -> FigureResult:
             "per-domain isolated trees collapse the channel to chance"
         ),
     )
-    proc, allocator = _machine("sct")
+    proc, allocator = experiment_machine("sct")
     baseline = CovertChannelT(proc, allocator).transmit(payload)
     result.add("baseline (no defense)", baseline.accuracy, "~1.0")
 
-    proc, allocator = _machine("sct", defense="split_llc")
+    proc, allocator = experiment_machine("sct", defense="split_llc")
     cross = CovertChannelT(
         proc, allocator, trojan_core=0, spy_core=2
     ).transmit(payload)
     result.add("disjoint LLCs (cross-socket)", cross.accuracy, "~1.0 (ineffective)")
 
-    proc, allocator = _machine("sct", defense="isolated_trees")
+    proc, allocator = experiment_machine("sct", defense="isolated_trees")
     channel = CovertChannelT(proc, allocator)
     # Trojan pages belong to domain 1, spy (and its probes) to domain 0.
     proc.mee.set_page_domain(channel._trojan_tx, 1)
@@ -796,7 +776,7 @@ def ablation_tree_designs(bits: int = 80) -> FigureResult:
         ("ht", 0, "HT (hash tree / BMT)"),
         ("sgx", 1, "SIT (SGX tree)"),
     ):
-        proc, allocator = _machine(preset)
+        proc, allocator = experiment_machine(preset)
         report = CovertChannelT(proc, allocator, level=level).transmit(payload)
         result.add(label, report.accuracy, ">= 0.95")
         result.claim(f"{label} accuracy >= 0.95", report.accuracy >= 0.95)
@@ -819,7 +799,7 @@ def ablation_mac_placement(bits: int = 60) -> FigureResult:
     )
     baselines: dict[bool, int] = {}
     for mac_in_ecc, label in ((True, "MAC in ECC (Synergy)"), (False, "separate MAC read")):
-        proc, allocator = _machine(
+        proc, allocator = experiment_machine(
             "sct", crypto=CryptoConfig(mac_in_ecc=mac_in_ecc)
         )
         # Path-2 baseline (counter cached): here the data+MAC fetch is the
@@ -854,17 +834,13 @@ def ablation_split_caches(bits: int = 60) -> FigureResult:
         figure="Ablation A6",
         title="MetaLeak-T under combined vs split metadata caches",
     )
-    combined = SecureProcessorConfig.sct_default(
-        protected_size=1 * GIB, functional_crypto=False
-    )
-    split = combined.with_overrides(
-        split_metadata_caches=True,
-        metadata_cache=CacheConfig("CtrCache", 128 * KIB, 8, 2),
-        tree_cache=CacheConfig("TreeCache", 128 * KIB, 8, 2),
-    )
-    for label, config in (("combined 256K", combined), ("split 128K+128K", split)):
-        proc = SecureProcessor(config)
-        allocator = PageAllocator.for_machine(proc)
+    split = {
+        "split_metadata_caches": True,
+        "metadata_cache": CacheConfig("CtrCache", 128 * KIB, 8, 2),
+        "tree_cache": CacheConfig("TreeCache", 128 * KIB, 8, 2),
+    }
+    for label, caches in (("combined 256K", {}), ("split 128K+128K", split)):
+        proc, allocator = experiment_machine("sct", protected_size=1 * GIB, **caches)
         channel = CovertChannelT(proc, allocator)
         report = channel.transmit(payload)
         result.add(f"{label}: accuracy", report.accuracy, ">= 0.95")
@@ -932,7 +908,7 @@ def perf_attribution(samples: int = 20) -> FigureResult:
     """
     from repro.perf import CycleAttributor
 
-    proc, _ = _machine("sct")
+    proc, _ = experiment_machine("sct")
     attributor = CycleAttributor()
     proc.attach(attributor)
     _path_latency_samples(proc, samples)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.classify import PairClassifier
+from repro.analysis.report import experiment_config
 from repro.attacks.metaleak_c import MetaLeakC
 from repro.attacks.metaleak_t import MetaLeakT
 from repro.attacks.noise import NoiseProcess
@@ -75,12 +76,7 @@ def _confidence_summary(
 def _build_environment(
     config: SecureProcessorConfig | None,
 ) -> tuple[SecureProcessor, PageAllocator, Process]:
-    proc = SecureProcessor(
-        config
-        or SecureProcessorConfig.sct_default(
-            protected_size=256 * 1024 * 1024, functional_crypto=False
-        )
-    )
+    proc = SecureProcessor(config or experiment_config("sct"))
     allocator = PageAllocator.for_machine(proc)
     victim_process = Process(proc, allocator, core=0, cleanse=True, name="jpeg")
     return proc, allocator, victim_process

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.report import experiment_machine
 from repro.attacks.metaleak_c import MetaLeakC, SharedCounterHandle
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig, TreeConfig, TreeKind
-from repro.os.page_alloc import PageAllocator
+from repro.config import PAGE_SIZE, TreeConfig, TreeKind
 from repro.os.process import Process
-from repro.proc.processor import SecureProcessor
 from repro.utils.watchdog import CycleBudget, ensure_budget
 from repro.victims.kvstore import PersistentKvStore
 
@@ -62,25 +61,6 @@ class KvAttackResult:
         return sum(self.confidences) / len(self.confidences)
 
 
-def _default_config() -> SecureProcessorConfig:
-    # 5-bit tree minors keep per-put re-arming cheap (the paper's 7-bit
-    # default works identically, ~4x slower — Sweep S3 measures the cost
-    # curve); the channel itself is width-independent.
-    # 256 MiB (not the experiment-default 128) because this attack runs
-    # one MetadataEvictor per monitored page: each needs a full set of
-    # free same-set pages, which a smaller pool cannot supply.
-    return SecureProcessorConfig.sct_default(
-        protected_size=256 * MIB, functional_crypto=False
-    ).with_overrides(
-        tree=TreeConfig(
-            kind=TreeKind.SPLIT_COUNTER,
-            arities=(32, 16, 16, 16, 16, 16),
-            major_bits=56,
-            minor_bits=5,
-        )
-    )
-
-
 def _default_keys(count: int) -> list[str]:
     return [f"user:{index:04d}" for index in range(count)]
 
@@ -103,8 +83,22 @@ def run_kvstore_attack(
     multi-bucket fires, and budget expiry all land in the result's
     confidence vector and ``degraded_reasons`` instead.
     """
-    proc = SecureProcessor(_default_config())
-    allocator = PageAllocator.for_machine(proc)
+    # 5-bit tree minors keep per-put re-arming cheap (the paper's 7-bit
+    # default works identically, ~4x slower — Sweep S3 measures the cost
+    # curve); the channel itself is width-independent.  The machine keeps
+    # the experiment default of 256 MiB (not the 128 MiB some sweeps use)
+    # because this attack runs one MetadataEvictor per monitored page:
+    # each needs a full set of free same-set pages, which a smaller pool
+    # cannot supply.
+    proc, allocator = experiment_machine(
+        "sct",
+        tree=TreeConfig(
+            kind=TreeKind.SPLIT_COUNTER,
+            arities=(32, 16, 16, 16, 16, 16),
+            major_bits=56,
+            minor_bits=5,
+        ),
+    )
     budget = ensure_budget(proc, budget)
 
     # Free-list staging (LIFO): the store allocates log first, buckets in

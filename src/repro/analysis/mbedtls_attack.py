@@ -14,12 +14,15 @@ deterministic sequence every time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.classify import PairClassifier
+from repro.analysis.report import experiment_config
 from repro.attacks.metaleak_t import MetaLeakT
 from repro.config import MIB, SecureProcessorConfig
-from repro.sgx.machine import SgxMachine
+from repro.os.page_alloc import PageAllocator
+from repro.proc.processor import SecureProcessor
+from repro.sgx.enclave import Enclave
 from repro.sgx.sgx_step import SgxStep
 from repro.utils.stats import accuracy
 from repro.victims.mbedtls import (
@@ -49,21 +52,27 @@ class MbedtlsAttackResult:
 
 
 def _one_run(
-    machine: SgxMachine, e: int, phi: int, *, frames: tuple[int, int, int, int]
+    config: SecureProcessorConfig,
+    e: int,
+    phi: int,
+    *,
+    frames: tuple[int, int, int, int],
 ) -> tuple[list[str], list[str | None], list[str], list[tuple[int, int]]]:
-    """Execute key loading once under monitoring.
+    """Execute key loading once under monitoring, on a fresh machine.
 
     Returns (op_labels, operand_labels, truth_details, op_latencies).
     """
     shift_frame, sub_frame, u_frame, v_frame = frames
-    enclave = machine.create_enclave(core=0, name="mbedtls-enclave")
+    proc = SecureProcessor(config)
+    allocator = PageAllocator.for_machine(proc)
+    enclave = Enclave(proc, allocator, core=0, name="mbedtls-enclave")
     for frame in (v_frame, u_frame, sub_frame, shift_frame):
-        machine.allocator.stage_for_next_alloc(frame, core=0)
+        allocator.stage_for_next_alloc(frame, core=0)
     victim = KeyLoadVictim(enclave)
     assert victim.shift_frame == shift_frame
     assert victim.v_buffer_frame == v_frame
 
-    attack = MetaLeakT(machine.proc, machine.allocator, core=1)
+    attack = MetaLeakT(proc, allocator, core=1)
     op_classifier = PairClassifier(
         attack.monitor_for_page(shift_frame, level=1),
         attack.monitor_for_page(sub_frame, level=1),
@@ -85,7 +94,7 @@ def _one_run(
         # Force pending victim stores to service *before* the eviction
         # pass: a posted write draining mid-step would re-load its tree
         # node and masquerade as the victim's current access.
-        machine.proc.drain_writes()
+        proc.drain_writes()
         op_classifier.m_evict()
         operand_classifier.m_evict()
 
@@ -171,9 +180,7 @@ def run_mbedtls_attack(
     buffers, runs the 2-adic recovery and verifies the candidate ``phi``
     against the public modulus — stopping early once verification passes.
     """
-    machine_config = config or SecureProcessorConfig.sgx_default(
-        epc_size=64 * MIB, functional_crypto=False
-    )
+    machine_config = config or experiment_config("sgx", protected_size=64 * MIB)
     frames = (96, 192, 288, 384)  # distinct 8-page (L1) groups
     e, phi, modulus = generate_rsa_key(bits=secret_bits, seed=5)
 
@@ -187,11 +194,11 @@ def run_mbedtls_attack(
     for run_index in range(total_runs):
         # Fresh noise per repetition (a fixed seed would replay identical
         # jitter and make majority voting pointless).
-        machine = SgxMachine(
-            machine_config.with_overrides(seed=machine_config.seed + run_index)
-        )
         op_labels, operand_labels, truth, run_latencies = _one_run(
-            machine, e, phi, frames=frames
+            replace(machine_config, seed=machine_config.seed + run_index),
+            e,
+            phi,
+            frames=frames,
         )
         runs += 1
         all_ops.append(op_labels)

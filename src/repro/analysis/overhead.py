@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.report import FigureResult
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.analysis.report import FigureResult, experiment_config
+from repro.config import MIB, PAGE_SIZE, CacheConfig, CryptoConfig
 from repro.proc.processor import SecureProcessor
 from repro.utils.rng import derive_rng
 
@@ -65,26 +65,6 @@ def _run_workload(
     return WorkloadResult(name=pattern, cycles=proc.cycle - start, accesses=accesses)
 
 
-class _InsecureBaseline:
-    """The same machine with the security engine's costs zeroed out."""
-
-    @staticmethod
-    def config() -> SecureProcessorConfig:
-        from repro.config import CryptoConfig
-
-        return SecureProcessorConfig.sct_default(
-            protected_size=64 * MIB, functional_crypto=False
-        ).with_overrides(
-            crypto=CryptoConfig(aes_latency=0, hash_latency=0, mac_latency=0),
-            # A huge metadata cache makes every counter access a hit, so
-            # no verification walks happen after warm-up: this approximates
-            # a conventional (unprotected) memory system.
-            metadata_cache=SecureProcessorConfig.sct_default().metadata_cache.__class__(
-                "MetaCache", 16 * MIB, 16, 0
-            ),
-        )
-
-
 def overhead_study(
     accesses: int = 300,
     patterns: tuple[str, ...] = ("seq-read", "stride-read", "rand-read", "seq-write"),
@@ -100,14 +80,21 @@ def overhead_study(
             "because this work is state-dependent"
         ),
     )
-    baseline_proc = SecureProcessor(_InsecureBaseline.config())
+    # The insecure baseline is the SCT machine with the security engine's
+    # costs zeroed and a metadata cache so large that every counter
+    # access hits, so no verification walk happens after warm-up: this
+    # approximates a conventional (unprotected) memory system.
+    baseline_proc = SecureProcessor(
+        experiment_config(
+            "sct",
+            protected_size=64 * MIB,
+            crypto=CryptoConfig(aes_latency=0, hash_latency=0, mac_latency=0),
+            metadata_cache=CacheConfig("MetaCache", 16 * MIB, 16, 0),
+        )
+    )
     designs = {
-        "HT": SecureProcessorConfig.ht_default(
-            protected_size=64 * MIB, functional_crypto=False
-        ),
-        "SCT": SecureProcessorConfig.sct_default(
-            protected_size=64 * MIB, functional_crypto=False
-        ),
+        "HT": experiment_config("ht", protected_size=64 * MIB),
+        "SCT": experiment_config("sct", protected_size=64 * MIB),
     }
     slowdowns: dict[str, float] = {}
     for pattern in patterns:

@@ -1,8 +1,13 @@
-"""Reporting structures shared by the figure-regeneration harness."""
+"""Reporting structures shared by the figure-regeneration harness, and
+the machine its experiments run on."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.config import SecureProcessorConfig, preset_config
+from repro.os.page_alloc import PageAllocator
+from repro.proc.processor import SecureProcessor
 
 #: Claim scales, smallest first: a ``quick`` claim holds at the registry's
 #: quick kwargs, a ``full`` claim only at the figure function's defaults.
@@ -94,3 +99,19 @@ def format_result(result: FigureResult) -> str:
         verdict = "ok" if claim.holds else "FAIL"
         lines.append(f"claim {verdict:<4} [{claim.scale}] {claim.name}")
     return "\n".join(lines)
+
+
+def experiment_config(preset: str, **overrides: object) -> SecureProcessorConfig:
+    """``preset`` with functional crypto off (experiments measure timing,
+    not ciphertext); ``overrides`` (a ``defense`` among them) go to
+    :func:`~repro.config.preset_config`."""
+    return preset_config(preset, functional_crypto=False, **overrides)
+
+
+def experiment_machine(
+    preset: str, **overrides: object
+) -> tuple[SecureProcessor, PageAllocator]:
+    """A machine of :func:`experiment_config` and an allocator over all
+    of its frames."""
+    proc = SecureProcessor(experiment_config(preset, **overrides))
+    return proc, PageAllocator.for_machine(proc)

@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.classify import PairClassifier
+from repro.analysis.report import experiment_config
 from repro.attacks.metaleak_t import MetaLeakT
 from repro.config import MIB, SecureProcessorConfig
 from repro.os.page_alloc import PageAllocator
 from repro.os.process import Process
 from repro.proc.processor import SecureProcessor
-from repro.sgx.machine import SgxMachine
+from repro.sgx.enclave import Enclave
 from repro.sgx.sgx_step import SgxStep
 from repro.utils.stats import accuracy, aligned_accuracy
 from repro.victims.rsa import RsaModexpVictim, generate_test_key
@@ -86,51 +87,34 @@ def _exponent_bits(exponent: int) -> list[int]:
     return [int(b) for b in bin(exponent)[2:]]
 
 
-def _sct_environment(
-    config: SecureProcessorConfig | None,
-) -> tuple[SecureProcessor, PageAllocator, Process, int]:
-    proc = SecureProcessor(
-        config
-        or SecureProcessorConfig.sct_default(
-            protected_size=256 * MIB, functional_crypto=False
-        )
-    )
-    allocator = PageAllocator.for_machine(proc)
-    process = Process(proc, allocator, core=0, cleanse=True, name="libgcrypt")
-    return proc, allocator, process, 0  # monitor at leaf level
-
-
-def _sgx_environment(
-    config: SecureProcessorConfig | None,
-) -> tuple[SecureProcessor, PageAllocator, Process, int]:
-    machine = SgxMachine(
-        config
-        or SecureProcessorConfig.sgx_default(
-            epc_size=64 * MIB, functional_crypto=False
-        )
-    )
-    enclave = machine.create_enclave(core=0, name="libgcrypt-enclave")
-    # L0 in SGX maps to exactly one page and cannot be shared; the attack
-    # targets L1 (Section VIII-B), so the OS places the victim's two code
-    # pages in distinct 8-page groups.
-    return machine.proc, machine.allocator, enclave, 1
-
-
 def run_rsa_attack(
     machine: str = "sgx",
     *,
     exponent_bits: int = 64,
     config: SecureProcessorConfig | None = None,
 ) -> RsaAttackResult:
-    """Recover an RSA exponent through MetaLeak-T (Figure 16)."""
+    """Recover an RSA exponent through MetaLeak-T (Figure 16).
+
+    Without ``config`` the SGX machine has a 64 MiB EPC and the SCT
+    machine is the experiment default.
+    """
     if machine == "sgx":
-        proc, allocator, process, level = _sgx_environment(config)
-        square_frame, multiply_frame = 80, 160
+        config = config or experiment_config("sgx", protected_size=64 * MIB)
     elif machine == "sct":
-        proc, allocator, process, level = _sct_environment(config)
-        square_frame, multiply_frame = 10 * 32, 50 * 32
+        config = config or experiment_config("sct")
     else:
         raise ValueError("machine must be 'sgx' or 'sct'")
+    proc = SecureProcessor(config)
+    allocator = PageAllocator.for_machine(proc)
+    if machine == "sgx":
+        process = Enclave(proc, allocator, core=0, name="libgcrypt-enclave")
+        # L0 in SGX maps to exactly one page and cannot be shared; the
+        # attack targets L1 (Section VIII-B), so the OS places the
+        # victim's two code pages in distinct 8-page groups.
+        level, square_frame, multiply_frame = 1, 80, 160
+    else:
+        process = Process(proc, allocator, core=0, cleanse=True, name="libgcrypt")
+        level, square_frame, multiply_frame = 0, 10 * 32, 50 * 32  # leaf level
 
     # Victim page placement (privileged attacker / free-list staging).
     allocator.stage_for_next_alloc(multiply_frame, core=process.core)

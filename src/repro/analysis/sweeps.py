@@ -16,21 +16,12 @@ sweeps turn those claims into experiments:
 
 from __future__ import annotations
 
-from repro.analysis.report import FigureResult
+from repro.analysis.report import FigureResult, experiment_machine
 from repro.attacks.covert import CovertChannelC, CovertChannelT
 from repro.attacks.framing import BitSymbolAdapter, ReliableChannel
 from repro.attacks.metaleak_c import MetaLeakC
 from repro.attacks.noise import NoiseProcess, co_located_noise
-from repro.config import (
-    KIB,
-    MIB,
-    CacheConfig,
-    SecureProcessorConfig,
-    TreeConfig,
-    TreeKind,
-)
-from repro.os.page_alloc import PageAllocator
-from repro.proc.processor import SecureProcessor
+from repro.config import KIB, MIB, CacheConfig, TreeConfig, TreeKind
 from repro.utils.rng import derive_rng
 
 
@@ -51,13 +42,9 @@ def sweep_metadata_cache_size(
     payload = _bits(bits)
     accuracies = []
     for size_kib in sizes_kib:
-        config = SecureProcessorConfig.sct_default(
-            protected_size=256 * MIB, functional_crypto=False
-        ).with_overrides(
-            metadata_cache=CacheConfig("MetaCache", size_kib * KIB, 8, 2)
+        proc, allocator = experiment_machine(
+            "sct", metadata_cache=CacheConfig("MetaCache", size_kib * KIB, 8, 2)
         )
-        proc = SecureProcessor(config)
-        allocator = PageAllocator.for_machine(proc)
         channel = CovertChannelT(proc, allocator)
         report = channel.transmit(payload)
         evict_cost = channel.tx_monitor.stats.evict_accesses / max(
@@ -85,15 +72,12 @@ def sweep_replacement_policy(bits: int = 40) -> FigureResult:
     payload = _bits(bits)
     # Randomized replacement may cost a little accuracy, never the channel.
     for policy, floor in (("lru", 0.9), ("plru", 0.8), ("random", 0.6)):
-        config = SecureProcessorConfig.sct_default(
-            protected_size=256 * MIB, functional_crypto=False
-        ).with_overrides(
+        proc, allocator = experiment_machine(
+            "sct",
             metadata_cache=CacheConfig(
                 "MetaCache", 256 * KIB, 8, 2, replacement=policy
-            )
+            ),
         )
-        proc = SecureProcessor(config)
-        allocator = PageAllocator.for_machine(proc)
         report = CovertChannelT(proc, allocator).transmit(payload)
         result.add(f"{policy} accuracy", report.accuracy, None)
         result.claim(f"{policy} accuracy >= {floor}", report.accuracy >= floor)
@@ -112,18 +96,16 @@ def sweep_minor_counter_bits(
     )
     exact = True
     for bits in widths:
-        config = SecureProcessorConfig.sct_default(
-            protected_size=128 * MIB, functional_crypto=False
-        ).with_overrides(
+        proc, allocator = experiment_machine(
+            "sct",
+            protected_size=128 * MIB,
             tree=TreeConfig(
                 kind=TreeKind.SPLIT_COUNTER,
                 arities=(32, 16, 16, 16, 16, 16),
                 major_bits=56,
                 minor_bits=bits,
-            )
+            ),
         )
-        proc = SecureProcessor(config)
-        allocator = PageAllocator.for_machine(proc)
         attack = MetaLeakC(proc, allocator, core=1)
         handle = attack.handle_for_page(0, level=1)
         spent = handle.reset()
@@ -163,11 +145,7 @@ def sweep_step_interval(
     )
     accuracies = []
     for interval in intervals:
-        config = SecureProcessorConfig.sct_default(
-            protected_size=256 * MIB, functional_crypto=False
-        )
-        proc = SecureProcessor(config)
-        allocator = PageAllocator.for_machine(proc)
+        proc, allocator = experiment_machine("sct")
         process = Process(proc, allocator, core=0, cleanse=True)
         allocator.stage_for_next_alloc(50 * 32, core=0)
         allocator.stage_for_next_alloc(10 * 32, core=0)
@@ -217,11 +195,7 @@ def sweep_noise_intensity(
     payload = _bits(bits)
     accuracies = []
     for reads_per_step in intensities:
-        config = SecureProcessorConfig.sct_default(
-            protected_size=256 * MIB, functional_crypto=False
-        )
-        proc = SecureProcessor(config)
-        allocator = PageAllocator.for_machine(proc)
+        proc, allocator = experiment_machine("sct")
         noise = (
             NoiseProcess(proc, allocator, reads_per_step=reads_per_step)
             if reads_per_step
@@ -260,11 +234,7 @@ def sweep_noise_ecc(
     )
     payload = _bits(bits)
     for reads_per_step in intensities:
-        config = SecureProcessorConfig.sct_default(
-            protected_size=128 * MIB, functional_crypto=False
-        )
-        proc = SecureProcessor(config)
-        allocator = PageAllocator.for_machine(proc)
+        proc, allocator = experiment_machine("sct", protected_size=128 * MIB)
         channel = CovertChannelT(proc, allocator)
         if reads_per_step:
             channel.noise = co_located_noise(
@@ -286,11 +256,7 @@ def sweep_noise_ecc(
             None,
         )
     if include_c:
-        config = SecureProcessorConfig.sct_default(
-            protected_size=128 * MIB, functional_crypto=False
-        )
-        proc = SecureProcessor(config)
-        allocator = PageAllocator.for_machine(proc)
+        proc, allocator = experiment_machine("sct", protected_size=128 * MIB)
         channel_c = CovertChannelC(proc, allocator)
         framed_c = ReliableChannel(BitSymbolAdapter(channel_c)).send(
             payload[:16], max_retries=2

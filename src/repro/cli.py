@@ -141,19 +141,19 @@ def _jobs_count(value: str) -> int:
     return jobs
 
 
-def _retries_count(value: str) -> int:
-    """``--retries``: a non-negative integer."""
+def _count(value: str) -> int:
+    """A non-negative integer: ``--retries`` and ``channel --noise``."""
     try:
-        retries = int(value)
+        number = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"--retries must be an integer, got {value!r}"
+            f"expected a non-negative integer, got {value!r}"
         ) from None
-    if retries < 0:
+    if number < 0:
         raise argparse.ArgumentTypeError(
-            f"--retries must be non-negative, got {retries}"
+            f"expected a non-negative integer, got {number}"
         )
-    return retries
+    return number
 
 
 def _seconds(value: str, *, positive: bool) -> float:
@@ -266,7 +266,7 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
         "(default: none)",
     )
     parser.add_argument(
-        "--retries", type=_retries_count, default=0, metavar="N",
+        "--retries", type=_count, default=0, metavar="N",
         help="retry failed/crashed tasks up to N times with backoff",
     )
     parser.add_argument(
@@ -403,22 +403,16 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_channel(args: argparse.Namespace) -> int:
+    from repro.analysis.report import experiment_machine
     from repro.attacks.covert import CovertChannelT
     from repro.attacks.framing import ReliableChannel
     from repro.attacks.noise import co_located_noise
-    from repro.config import MIB, SecureProcessorConfig
-    from repro.os import PageAllocator
-    from repro.proc import SecureProcessor
+    from repro.config import MIB
     from repro.utils.rng import derive_rng
 
     rng = derive_rng(args.seed, "cli-channel")
     payload = [rng.randint(0, 1) for _ in range(args.bits)]
-    proc = SecureProcessor(
-        SecureProcessorConfig.sct_default(
-            protected_size=128 * MIB, functional_crypto=False
-        )
-    )
-    allocator = PageAllocator.for_machine(proc)
+    proc, allocator = experiment_machine("sct", protected_size=128 * MIB)
     channel = CovertChannelT(proc, allocator)
     if args.noise:
         channel.noise = co_located_noise(
@@ -454,12 +448,10 @@ def _cmd_channel(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignTask
-    from repro.config import preset_names
+    from repro.config import PRESETS
     from repro.faults import campaign_figure_result, run_campaign
 
-    if args.sites <= 0:
-        raise ValueError(f"--sites must be a positive integer, got {args.sites}")
-    presets = list(preset_names()) if args.preset == "all" else [args.preset]
+    presets = list(PRESETS) if args.preset == "all" else [args.preset]
     tasks = [
         CampaignTask(
             name=f"faults_{preset}",
@@ -497,7 +489,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.config import SecureProcessorConfig
+    from repro.config import preset_config
     from repro.leakcheck import get_victim
     from repro.proc import SecureProcessor
     from repro.trace import Tracer, write_chrome_trace, write_jsonl
@@ -505,9 +497,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     spec = get_victim(args.victim)
     secrets = spec.secrets(args.seed)
     secret = secrets[0] if args.secret == "a" else secrets[1]
-    proc = SecureProcessor(
-        SecureProcessorConfig.sct_default(functional_crypto=False)
-    )
+    proc = SecureProcessor(preset_config("sct", functional_crypto=False))
     tracer = Tracer(capacity=args.capacity)
     proc.attach(tracer)
     spec.run(proc, secret)
@@ -1013,7 +1003,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.config import DEFENSES, preset_names
+    from repro.config import DEFENSES, PRESETS
     from repro.service.jobs import job_kinds
 
     parser = argparse.ArgumentParser(
@@ -1024,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     info = commands.add_parser("info", help="describe a machine preset")
-    info.add_argument("--preset", choices=preset_names(), default="sct")
+    info.add_argument("--preset", choices=PRESETS, default="sct")
     info.set_defaults(func=_cmd_info)
 
     listing = commands.add_parser("list", help="list regenerable figures")
@@ -1049,10 +1039,11 @@ def build_parser() -> argparse.ArgumentParser:
         "faults", help="run tamper-detection fault-injection campaigns"
     )
     faults.add_argument(
-        "--preset", choices=(*preset_names(), "all"), default="all"
+        "--preset", choices=(*PRESETS, "all"), default="all"
     )
     faults.add_argument(
-        "--sites", type=int, default=200, help="injection sites per preset"
+        "--sites", type=_positive_int, default=200,
+        help="injection sites per preset",
     )
     faults.add_argument("--seed", type=int, default=2024)
     _add_campaign_options(faults)
@@ -1062,22 +1053,22 @@ def build_parser() -> argparse.ArgumentParser:
         "channel", help="run one ECC-framed covert transmission under noise"
     )
     channel.add_argument(
-        "--bits", type=int, default=32, help="payload length in bits"
+        "--bits", type=_positive_int, default=32, help="payload length in bits"
     )
     channel.add_argument(
-        "--noise", type=int, default=2, metavar="READS",
+        "--noise", type=_count, default=2, metavar="READS",
         help="conflicting co-runner intensity in reads/step (0 = quiet)",
     )
     channel.add_argument(
-        "--votes", type=int, default=3,
+        "--votes", type=_positive_int, default=3,
         help="majority-vote repetitions per wire bit",
     )
     channel.add_argument(
-        "--retries", type=int, default=8,
+        "--retries", type=_count, default=8,
         help="maximum ARQ retransmission rounds",
     )
     channel.add_argument(
-        "--budget", type=int, default=None, metavar="CYCLES",
+        "--budget", type=_positive_int, default=None, metavar="CYCLES",
         help="cycle budget for the whole exchange (default: unlimited)",
     )
     channel.add_argument(
@@ -1104,7 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chrome", help="Chrome trace_event JSON output path (Perfetto)"
     )
     trace.add_argument(
-        "--capacity", type=int, default=1 << 18,
+        "--capacity", type=_positive_int, default=1 << 18,
         help="tracer ring-buffer capacity in events",
     )
     trace.set_defaults(func=_cmd_trace)
@@ -1166,7 +1157,7 @@ def build_parser() -> argparse.ArgumentParser:
         "2**31 - 1 (default: none)",
     )
     serve.add_argument(
-        "--retries", type=_retries_count, default=0, metavar="N",
+        "--retries", type=_count, default=0, metavar="N",
         help="retry failed/crashed tasks up to N times with backoff",
     )
     serve.add_argument(
@@ -1318,7 +1309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _synth_machine_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
-            "--preset", choices=preset_names(), default="sct",
+            "--preset", choices=PRESETS, default="sct",
             help="machine preset the oracle runs on (default sct)",
         )
         sub.add_argument(
@@ -1405,7 +1396,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _synth_db_option(synth_corpus)
     synth_corpus.add_argument(
-        "--preset", choices=preset_names(), default=None,
+        "--preset", choices=PRESETS, default=None,
         help="only results found on this preset",
     )
     synth_corpus.add_argument(
@@ -1435,7 +1426,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help="cycle-attribution profile of one victim run"
     )
     profile.add_argument("--victim", choices=victim_names(), required=True)
-    profile.add_argument("--preset", choices=preset_names(), default="sct")
+    profile.add_argument("--preset", choices=PRESETS, default="sct")
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument(
         "--min-share", type=_fraction, default=0.0, metavar="F",

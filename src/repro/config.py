@@ -1,17 +1,21 @@
 """Configuration dataclasses and the Table-I presets from the paper.
 
 Every component of the simulated secure processor is parameterised through
-these frozen dataclasses.  The two headline presets mirror Table I of the
-paper:
+these frozen dataclasses.  :data:`PRESETS` holds the machines of Table I
+by name:
 
-* :func:`SecureProcessorConfig.sct_default` — the simulated academic design
-  with split-counter encryption (SC) and a split-counter integrity tree
-  (SCT, VAULT-style: 32-ary L0, 16-ary L1..L5).
-* :func:`SecureProcessorConfig.ht_default` — the same machine with an 8-ary
-  Bonsai-Merkle hash tree (HT).
-* :func:`SecureProcessorConfig.sgx_default` — the SGX hardware model: 56-bit
-  monolithic encryption counters and the 8-ary 4-level SGX integrity tree
-  (SIT) with its distinct (higher) latency profile.
+* ``sct`` — the simulated academic design with split-counter encryption
+  (SC) and a split-counter integrity tree (SCT, VAULT-style: 32-ary L0,
+  16-ary L1..L5).
+* ``ht`` — the same machine with an 8-ary Bonsai-Merkle hash tree (HT).
+* ``sgx`` — the SGX hardware model: 56-bit monolithic encryption counters
+  and the 8-ary 4-level SGX integrity tree (SIT) with its distinct
+  (higher) latency profile.
+
+:data:`DEFENSES` holds the Section IX mitigations as the fields each one
+sets, and :func:`preset_config` is the one way to name a machine: a
+preset under a defense, any field overridden.  A variant of a config in
+hand is ``dataclasses.replace(config, ...)``.
 """
 
 from __future__ import annotations
@@ -215,92 +219,51 @@ class SecureProcessorConfig:
     timer_jitter_sigma: float = 0.0
     seed: int = 2024
 
-    def with_overrides(self, **kwargs: object) -> "SecureProcessorConfig":
-        """Return a copy with selected fields replaced."""
-        return replace(self, **kwargs)
 
-    # ------------------------------------------------------------------
-    # Table-I presets
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def sct_default(
-        protected_size: int = 256 * MIB, **overrides: object
-    ) -> "SecureProcessorConfig":
-        """Simulated academic design with the split-counter tree (VAULT).
-
-        Table I geometry.  The default protected size is scaled down from
-        64 GiB so experiments stay laptop-fast; pass
-        ``protected_size=64 * GIB`` for the full Table-I footprint (all
-        structures are sparse, so this works, just with deeper effective
-        trees).
-        """
-        config = SecureProcessorConfig(
-            name="SCT",
-            counters=CounterConfig(scheme=CounterScheme.SPLIT),
-            tree=TreeConfig(
-                kind=TreeKind.SPLIT_COUNTER,
-                arities=(32, 16, 16, 16, 16, 16),
-                major_bits=56,
-                minor_bits=7,
-            ),
-            protected_size=protected_size,
-        )
-        return config.with_overrides(**overrides) if overrides else config
-
-    @staticmethod
-    def ht_default(
-        protected_size: int = 256 * MIB, **overrides: object
-    ) -> "SecureProcessorConfig":
-        """Simulated academic design with an 8-ary Bonsai Merkle hash tree."""
-        config = SecureProcessorConfig(
-            name="HT",
-            counters=CounterConfig(scheme=CounterScheme.SPLIT),
-            tree=TreeConfig(kind=TreeKind.HASH, arities=(8,) * 6),
-            protected_size=protected_size,
-        )
-        return config.with_overrides(**overrides) if overrides else config
-
-    @staticmethod
-    def sgx_default(
-        epc_size: int = 93 * MIB + 512 * KIB, **overrides: object
-    ) -> "SecureProcessorConfig":
-        """SGX hardware model: i7-9700K-style MEE with the SIT.
-
-        56-bit monolithic encryption counters, an 8-ary 4-level counter tree
-        whose top (L3) is on-chip, and the higher latency profile observed in
-        Figure 7 (reads between ~150 and ~700 cycles).
-        """
-        config = SecureProcessorConfig(
-            name="SGX",
-            cores=8,
-            l2=CacheConfig("L2", 256 * KIB, 4, 12),
-            l3=CacheConfig("L3", 12 * MIB, 16, 42),
-            metadata_cache=CacheConfig("MEECache", 64 * KIB, 8, 2),
-            dram=DramConfig(
-                row_hit_latency=80, row_miss_latency=110, bus_latency=14
-            ),
-            crypto=CryptoConfig(aes_latency=40, hash_latency=30, mac_latency=30),
-            parallel_tree_fetch=False,
-            counters=CounterConfig(
-                scheme=CounterScheme.MONOLITHIC, monolithic_bits=56
-            ),
-            tree=TreeConfig(
-                kind=TreeKind.SGX, arities=(8, 8, 8), monolithic_bits=56
-            ),
-            protected_size=epc_size - (epc_size % PAGE_SIZE),
-        )
-        return config.with_overrides(**overrides) if overrides else config
-
-
-# Named machine presets.  The single source of truth for every consumer
-# that accepts a ``--preset``-style name (CLI, figure harness, fault
-# campaigns); look up through :func:`preset_config` for a friendly error
-# instead of a bare ``KeyError``.
-PRESET_FACTORIES: dict[str, "staticmethod"] = {
-    "sct": SecureProcessorConfig.sct_default,
-    "ht": SecureProcessorConfig.ht_default,
-    "sgx": SecureProcessorConfig.sgx_default,
+# The machines of Table I, by the name every ``--preset``-style option
+# takes; build one through :func:`preset_config`.  ``sct`` and ``ht``
+# protect 256 MiB instead of Table I's 64 GiB so experiments stay
+# laptop-fast (every structure is sparse, so ``protected_size=64 * GIB``
+# works too, with deeper effective trees).
+PRESETS: dict[str, SecureProcessorConfig] = {
+    # The simulated academic design with split encryption counters and
+    # the split-counter tree (SCT, VAULT-style: 32-ary L0, 16-ary L1..L5).
+    "sct": SecureProcessorConfig(
+        name="SCT",
+        counters=CounterConfig(scheme=CounterScheme.SPLIT),
+        tree=TreeConfig(
+            kind=TreeKind.SPLIT_COUNTER,
+            arities=(32, 16, 16, 16, 16, 16),
+            major_bits=56,
+            minor_bits=7,
+        ),
+        protected_size=256 * MIB,
+    ),
+    # The same machine with an 8-ary Bonsai Merkle hash tree (HT).
+    "ht": SecureProcessorConfig(
+        name="HT",
+        counters=CounterConfig(scheme=CounterScheme.SPLIT),
+        tree=TreeConfig(kind=TreeKind.HASH, arities=(8,) * 6),
+        protected_size=256 * MIB,
+    ),
+    # The SGX hardware model (Section VIII-B): an i7-9700K-style MEE over
+    # a 93.5 MiB EPC, 56-bit monolithic encryption counters, the 8-ary
+    # 4-level SGX integrity tree (SIT) whose top (L3) is on-chip, and the
+    # higher latency profile of Figure 7 (reads between ~150 and ~700
+    # cycles).
+    "sgx": SecureProcessorConfig(
+        name="SGX",
+        cores=8,
+        l2=CacheConfig("L2", 256 * KIB, 4, 12),
+        l3=CacheConfig("L3", 12 * MIB, 16, 42),
+        metadata_cache=CacheConfig("MEECache", 64 * KIB, 8, 2),
+        dram=DramConfig(row_hit_latency=80, row_miss_latency=110, bus_latency=14),
+        crypto=CryptoConfig(aes_latency=40, hash_latency=30, mac_latency=30),
+        parallel_tree_fetch=False,
+        counters=CounterConfig(scheme=CounterScheme.MONOLITHIC, monolithic_bits=56),
+        tree=TreeConfig(kind=TreeKind.SGX, arities=(8, 8, 8), monolithic_bits=56),
+        protected_size=93 * MIB + 512 * KIB,
+    ),
 }
 
 # The Section IX mitigations, as the fields each one sets on any preset.
@@ -325,10 +288,6 @@ DEFENSES: dict[str, dict[str, object]] = {
 }
 
 
-def preset_names() -> tuple[str, ...]:
-    return tuple(PRESET_FACTORIES)
-
-
 def _lookup(table: dict[str, object], name: object, what: str) -> object:
     entry = table.get(name) if isinstance(name, str) else None
     if entry is None:
@@ -346,6 +305,6 @@ def preset_config(
     explicit override of the same field wins.  An unknown preset or
     defense raises :class:`ValueError` naming the valid choices.
     """
-    factory = _lookup(PRESET_FACTORIES, name, "preset")
+    preset = _lookup(PRESETS, name, "preset")
     fields = _lookup(DEFENSES, defense, "defense")
-    return factory(**{**fields, **overrides})
+    return replace(preset, **{**fields, **overrides})

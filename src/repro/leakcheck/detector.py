@@ -34,7 +34,7 @@ from operator import is_not, sub
 from typing import Iterator
 
 from repro import obs
-from repro.config import SecureProcessorConfig
+from repro.config import SecureProcessorConfig, preset_config
 from repro.leakcheck.victims import VictimSpec, get_victim
 from repro.proc.processor import SecureProcessor
 from repro.trace.events import TraceRecord, Tracer
@@ -339,7 +339,7 @@ def run_leakcheck(
     """
     spec = victim if isinstance(victim, VictimSpec) else get_victim(victim)
     if config is None:
-        config = SecureProcessorConfig.sct_default(functional_crypto=False)
+        config = preset_config("sct", functional_crypto=False)
     with _traced_pair(spec, seed, config=config, capacity=capacity) as (
         span, streams, count_a, count_b
     ):

@@ -97,8 +97,8 @@ class SecureProcessor(Component):
 
     instrument_slots = (TRACER, PROFILER)
 
-    def __init__(self, config: SecureProcessorConfig | None = None) -> None:
-        self.config = config or SecureProcessorConfig.sct_default()
+    def __init__(self, config: SecureProcessorConfig) -> None:
+        self.config = config
         self.caches = DataCacheSystem(self.config)
         # Each core's L1 probe, bound once per machine rather than once
         # per executor call, so a scalar access does not pay for it.

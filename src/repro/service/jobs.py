@@ -293,12 +293,13 @@ def _synth_tasks(spec: dict) -> tuple[dict[str, Any], list[CampaignTask]]:
     )
 
 
-#: Job kind -> its spec validator and task builder, in the order
-#: :func:`job_kinds` lists them.
+#: Job kind -> the spec keys it takes (those of its normalized spec, in
+#: order) and its spec validator and task builder; :func:`job_kinds`
+#: lists the kinds in this order.
 _KINDS = {
-    "probe": _probe_tasks,
-    "leakcheck": _leakcheck_tasks,
-    "synth": _synth_tasks,
+    "probe": (("preset", "ops", "seed"), _probe_tasks),
+    "leakcheck": (("victim", "seed", "seeds", "alpha"), _leakcheck_tasks),
+    "synth": (("preset", "defense", "seed", "budget", "alpha"), _synth_tasks),
 }
 
 
@@ -308,16 +309,25 @@ def build_job_tasks(
     """Validate a job spec and expand it into campaign tasks.
 
     Returns ``(normalized_spec, tasks)``; raises :class:`ValueError` for
-    anything malformed, which the server maps to HTTP 400.  Leakcheck
-    and synth tasks come from the builders the CLI uses, so those jobs
-    share the CLI's campaign-cache entries.
+    anything malformed, which the server maps to HTTP 400 — a key the
+    kind does not take among it, so a job never runs on another machine
+    than the one it names.  Leakcheck and synth tasks come from the
+    builders the CLI uses, so those jobs share the CLI's campaign-cache
+    entries.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"job spec must be a JSON object, got {type(spec).__name__}")
-    builder = _KINDS.get(kind) if isinstance(kind, str) else None
-    if builder is None:
+    entry = _KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         raise ValueError(
             f"unknown job kind {kind!r}; choose from {job_kinds()}"
+        )
+    keys, builder = entry
+    unknown = [key for key in spec if key not in keys]
+    if unknown:
+        raise ValueError(
+            f"unknown {kind} spec key(s) {', '.join(map(repr, unknown))} "
+            f"(a {kind} spec takes {', '.join(keys)})"
         )
     return builder(spec)
 

@@ -488,6 +488,13 @@ class LeakcheckService:
         if not isinstance(data, dict):
             self._c_rejected.incr()
             return 400, {"error": "request body must be a JSON object"}, {}
+        unknown = [key for key in data if key not in ("kind", "spec")]
+        if unknown:
+            self._c_rejected.incr()
+            return 400, {
+                "error": f"unknown job key(s) {', '.join(map(repr, unknown))} "
+                "(a job takes kind, spec)"
+            }, {}
         kind = data.get("kind")
         spec = data.get("spec", {})
         try:

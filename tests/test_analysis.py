@@ -80,20 +80,20 @@ class TestJpegCaseStudy:
 
 class TestRsaCaseStudy:
     def test_sct_noiseless_recovers_exponent(self):
-        from repro.config import MIB, SecureProcessorConfig
+        from repro.config import MIB, preset_config
 
-        config = SecureProcessorConfig.sct_default(
-            protected_size=256 * MIB, functional_crypto=False
+        config = preset_config(
+            "sct", protected_size=256 * MIB, functional_crypto=False
         )
         outcome = run_rsa_attack("sct", exponent_bits=48, config=config)
         assert outcome.bit_accuracy == 1.0
         assert outcome.recovered_bits == outcome.true_bits
 
     def test_sgx_noiseless_recovers_exponent(self):
-        from repro.config import MIB, SecureProcessorConfig
+        from repro.config import MIB, preset_config
 
-        config = SecureProcessorConfig.sgx_default(
-            epc_size=64 * MIB, functional_crypto=False
+        config = preset_config(
+            "sgx", protected_size=64 * MIB, functional_crypto=False
         )
         outcome = run_rsa_attack("sgx", exponent_bits=48, config=config)
         assert outcome.bit_accuracy == 1.0
@@ -105,10 +105,10 @@ class TestRsaCaseStudy:
 
 class TestMbedtlsCaseStudy:
     def test_noiseless_detection_perfect(self):
-        from repro.config import MIB, SecureProcessorConfig
+        from repro.config import MIB, preset_config
 
-        config = SecureProcessorConfig.sgx_default(
-            epc_size=64 * MIB, functional_crypto=False
+        config = preset_config(
+            "sgx", protected_size=64 * MIB, functional_crypto=False
         )
         outcome = run_mbedtls_attack(secret_bits=48, config=config)
         assert outcome.op_accuracy == 1.0

@@ -4,15 +4,15 @@ import pytest
 
 from repro.analysis.overhead import _run_workload, overhead_study
 from repro.attacks.metaleak_c import MetaLeakC
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.os import PageAllocator
 from repro.proc import SecureProcessor
 
 
 def make_env(size=256 * MIB):
     proc = SecureProcessor(
-        SecureProcessorConfig.sct_default(
-            protected_size=size, functional_crypto=False
+        preset_config(
+            "sct", protected_size=size, functional_crypto=False
         )
     )
     alloc = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)

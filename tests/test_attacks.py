@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.attacks import (
     CovertChannelC,
     CovertChannelT,
@@ -20,7 +20,7 @@ from repro.proc import SecureProcessor
 
 def make_env(**overrides):
     overrides.setdefault("protected_size", 128 * MIB)
-    proc = SecureProcessor(SecureProcessorConfig.sct_default(**overrides))
+    proc = SecureProcessor(preset_config("sct", **overrides))
     alloc = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores)
     return proc, alloc
 
@@ -207,7 +207,7 @@ class TestMetaLeakC:
 
     def test_hash_tree_rejected(self):
         proc = SecureProcessor(
-            SecureProcessorConfig.ht_default(protected_size=128 * MIB)
+            preset_config("ht", protected_size=128 * MIB)
         )
         alloc = PageAllocator(proc.layout.data_size // PAGE_SIZE)
         attack = MetaLeakC(proc, alloc)

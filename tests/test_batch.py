@@ -134,8 +134,8 @@ class TestBatchScalarEquivalence:
 
         def machine():
             config = synth_config("sct")
-            return SecureProcessor(config.with_overrides(
-                l1=replace(config.l1, replacement=replacement)
+            return SecureProcessor(replace(
+                config, l1=replace(config.l1, replacement=replacement)
             ))
 
         scalar_proc, batch_proc = machine(), machine()

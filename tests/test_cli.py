@@ -284,8 +284,10 @@ class TestFaultsCommand:
         assert "false positives" in output
 
     def test_invalid_sites_exit_code(self, capsys):
-        assert main(["faults", "--preset", "sct", "--sites", "0"]) == 2
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["faults", "--preset", "sct", "--sites", "0"])
+        assert excinfo.value.code == 2
+        assert "argument --sites" in capsys.readouterr().err
 
     def test_parser_accepts_all_presets(self):
         args = build_parser().parse_args(["faults", "--preset", "all"])
@@ -463,6 +465,29 @@ class TestValueRanges:
         assert parser.parse_args(["channel"]).gate == 0.99
         assert parser.parse_args(["channel", "--gate", "0"]).gate == 0.0
         assert parser.parse_args(["channel", "--gate", "1"]).gate == 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["channel", "--bits", "0"],
+        ["channel", "--bits", "-4"],
+        ["channel", "--votes", "0"],
+        ["channel", "--budget", "0"],
+        ["channel", "--noise", "-1"],
+        ["channel", "--noise", "x"],
+        ["channel", "--retries", "-1"],
+        ["trace", "--victim", "rsa", "--capacity", "0"],
+        ["faults", "--sites", "-1"],
+    ], ids=" ".join)
+    def test_count_outside_its_range_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+    def test_quiet_channel_without_retries_parses(self):
+        args = build_parser().parse_args(
+            ["channel", "--noise", "0", "--retries", "0"]
+        )
+        assert (args.noise, args.retries) == (0, 0)
 
     @pytest.mark.parametrize("backoff", ["-1", "nan", "inf", "1e300", "x"])
     def test_backoff_that_is_not_finite_seconds_is_rejected(

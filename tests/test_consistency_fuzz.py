@@ -17,7 +17,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.config import MIB, SecureProcessorConfig, TreeUpdatePolicy, preset_config
+from repro.config import MIB, TreeUpdatePolicy, preset_config
 from repro.proc import SecureProcessor
 from repro.secmem.engine import IntegrityViolation
 
@@ -46,11 +46,11 @@ class SecureMemoryMachine(RuleBasedStateMachine):
     def setup(self, policy, minor_bits):
         from repro.config import CounterConfig, CounterScheme
 
-        config = SecureProcessorConfig.sct_default(
+        config = preset_config(
+            "sct",
             protected_size=16 * MIB,
             tree_update_policy=policy,
-        ).with_overrides(
-            counters=CounterConfig(scheme=CounterScheme.SPLIT, minor_bits=minor_bits)
+            counters=CounterConfig(scheme=CounterScheme.SPLIT, minor_bits=minor_bits),
         )
         self.proc = SecureProcessor(config)
         self.reference = {}

@@ -20,7 +20,7 @@ import sys
 import pytest
 
 from repro.campaign import CampaignEngine, CampaignTask
-from repro.config import DEFENSES, SecureProcessorConfig, preset_config
+from repro.config import DEFENSES, preset_config
 from repro.core import (
     FAULT_HOOK,
     KNOWN_SLOTS,
@@ -42,7 +42,7 @@ from repro.trace import Tracer
 
 def _machine() -> SecureProcessor:
     return SecureProcessor(
-        SecureProcessorConfig.sct_default(functional_crypto=False)
+        preset_config("sct", functional_crypto=False)
     )
 
 

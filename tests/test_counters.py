@@ -8,7 +8,7 @@ from repro.config import (
     CounterConfig,
     CounterScheme,
     MIB,
-    SecureProcessorConfig,
+    preset_config,
 )
 from repro.secmem.counters import EncryptionCounterStore
 from repro.secmem.layout import MetadataLayout
@@ -16,9 +16,7 @@ from repro.secmem.layout import MetadataLayout
 
 def make_store(scheme, **counter_kwargs):
     counters = CounterConfig(scheme=scheme, **counter_kwargs)
-    config = SecureProcessorConfig.sct_default(
-        protected_size=16 * MIB
-    ).with_overrides(counters=counters)
+    config = preset_config("sct", protected_size=16 * MIB, counters=counters)
     layout = MetadataLayout(config)
     return EncryptionCounterStore(counters, layout)
 

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.attacks import CovertChannelC, CovertChannelT
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.os import PageAllocator
 from repro.proc import SecureProcessor
 
 
 def make_env():
     proc = SecureProcessor(
-        SecureProcessorConfig.sct_default(
-            protected_size=256 * MIB, functional_crypto=False
+        preset_config(
+            "sct", protected_size=256 * MIB, functional_crypto=False
         )
     )
     alloc = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)

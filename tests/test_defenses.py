@@ -1,11 +1,12 @@
 """Tests for the defense models (MIRAGE, isolated trees, partitioning)."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from repro.attacks.mapping import MetadataMapper
-from repro.config import DEFENSES, MIB, PAGE_SIZE, preset_config, preset_names
+from repro.config import DEFENSES, MIB, PAGE_SIZE, PRESETS, preset_config
 from repro.defenses import mirage_eviction_curve
 from repro.mem.mirage import MirageCache
 from repro.proc import SecureProcessor
@@ -16,6 +17,22 @@ DEFENSE_SPEC = {
     "none": {},
     "isolated_trees": {"isolated_trees": True},
     "split_llc": {"sockets": 2},
+}
+
+#: sha256 of ``repr(preset_config(preset, defense=defense))`` for every
+#: preset × defense.  The reprs read the same on every CPython of the CI
+#: matrix (dataclasses, ints, floats, tuples and plain ``Enum`` members),
+#: so a digest moves only when a Table-I parameter or a defense's fields do.
+MACHINE_DIGESTS = {
+    ("sct", "none"): "e22ca6df9931140358ccbfe2c097add5e48f03e73741cf1edbc29ea97789212f",
+    ("sct", "isolated_trees"): "ecafdec3546535c79ca37bcb04606b9635f56d727177fc68601c8a0295796844",
+    ("sct", "split_llc"): "0b6c798cb599aac097bbb0041ff74eb2b24e977536462f6592e4610fccf71b16",
+    ("ht", "none"): "0eeccf37e19b3fc5ee5223949f71c4825c8ef8039b9f9fd6cdb15a1e9807a4f3",
+    ("ht", "isolated_trees"): "680070de7e6bc83162444853d9a35c9c8a67d9dc53587585dc73d13ce80f10d9",
+    ("ht", "split_llc"): "0041d07c034db50b1748e93e62801b775eb5d23501a5cc309073b3c2d1a04d1c",
+    ("sgx", "none"): "09d897bbc50d7fcdc11f44c62d29dee9c11c30cfeac06c0024ff30860c14c6f8",
+    ("sgx", "isolated_trees"): "e20f9cc38295bf79bb6354c8c55d1473675277b3b98e309adf9457a095fa6024",
+    ("sgx", "split_llc"): "373c9bc3d908e097055de3600c58c846babfa3699f55618ad7d7cd1ee93cdaac",
 }
 
 
@@ -71,7 +88,7 @@ class TestDefenseTable:
         assert DEFENSES == DEFENSE_SPEC
 
     @pytest.mark.parametrize("defense", DEFENSES)
-    @pytest.mark.parametrize("preset", preset_names())
+    @pytest.mark.parametrize("preset", PRESETS)
     def test_defense_changes_exactly_its_fields(self, preset, defense):
         plain = preset_config(preset)
         defended = preset_config(preset, defense=defense)
@@ -81,7 +98,7 @@ class TestDefenseTable:
             if getattr(defended, f.name) != getattr(plain, f.name)
         }
         assert changed == DEFENSE_SPEC[defense]
-        proc = SecureProcessor(defended.with_overrides(functional_crypto=False))
+        proc = SecureProcessor(dataclasses.replace(defended, functional_crypto=False))
         assert len(proc.caches.l3s) == defended.sockets
 
     def test_explicit_override_wins(self):
@@ -100,6 +117,19 @@ class TestDefenseTable:
             match=r"unknown defense .*\(valid defenses: isolated_trees, none, split_llc\)",
         ):
             preset_config("sct", defense=name)
+
+
+class TestMachinePins:
+    def test_every_machine_is_pinned(self):
+        assert set(MACHINE_DIGESTS) == {
+            (preset, defense) for preset in PRESETS for defense in DEFENSES
+        }
+
+    @pytest.mark.parametrize("preset, defense", list(MACHINE_DIGESTS))
+    def test_machine_has_its_pinned_fields(self, preset, defense):
+        config = preset_config(preset, defense=defense)
+        digest = hashlib.sha256(repr(config).encode()).hexdigest()
+        assert digest == MACHINE_DIGESTS[preset, defense]
 
 
 class TestIsolationDefense:
@@ -135,10 +165,8 @@ class TestIsolationDefense:
         assert not mapper.is_tree_target(counter_block)
 
     def test_domain_requires_flag(self):
-        from repro.config import SecureProcessorConfig
-
         proc = SecureProcessor(
-            SecureProcessorConfig.sct_default(protected_size=64 * MIB)
+            preset_config("sct", protected_size=64 * MIB)
         )
         with pytest.raises(ValueError):
             proc.mee.set_page_domain(10, 1)

@@ -8,8 +8,8 @@ import pytest
 
 from repro.config import (
     MIB,
-    SecureProcessorConfig,
     TreeUpdatePolicy,
+    preset_config,
 )
 from repro.proc import AccessPath, SecureProcessor
 from repro.secmem.engine import IntegrityViolation
@@ -17,7 +17,7 @@ from repro.secmem.engine import IntegrityViolation
 
 def make_proc(**overrides):
     overrides.setdefault("protected_size", 64 * MIB)
-    return SecureProcessor(SecureProcessorConfig.sct_default(**overrides))
+    return SecureProcessor(preset_config("sct", **overrides))
 
 
 @pytest.fixture()
@@ -85,9 +85,8 @@ class TestCounterMissState:
         tree, nor on a hash tree in timing-only mode, so reading
         never-written pages creates none: the split counters of a block
         are materialised by its first write."""
-        factory = getattr(SecureProcessorConfig, f"{preset}_default")
         proc = SecureProcessor(
-            factory(protected_size=64 * MIB, functional_crypto=False)
+            preset_config(preset, protected_size=64 * MIB, functional_crypto=False)
         )
         pages = 64
         for page in range(pages):
@@ -217,7 +216,7 @@ class TestEncryptionCounterOverflow:
 
     def test_monolithic_mode_no_page_overflow(self):
         proc = SecureProcessor(
-            SecureProcessorConfig.sgx_default(epc_size=16 * MIB)
+            preset_config("sgx", protected_size=16 * MIB)
         )
         for _ in range(200):
             proc.write_through(0x1000, b"x")
@@ -299,7 +298,7 @@ class TestPolicies:
 
     def test_ht_processor_roundtrip(self):
         proc = SecureProcessor(
-            SecureProcessorConfig.ht_default(protected_size=64 * MIB)
+            preset_config("ht", protected_size=64 * MIB)
         )
         proc.write_through(0x40000, b"hashtree")
         proc.drain_writes()
@@ -309,7 +308,7 @@ class TestPolicies:
 
     def test_ht_paths_distinguishable(self):
         proc = SecureProcessor(
-            SecureProcessorConfig.ht_default(protected_size=64 * MIB)
+            preset_config("ht", protected_size=64 * MIB)
         )
         deep = proc.read(0x40000).latency
         proc.flush(0x40000)

@@ -12,14 +12,14 @@ These pin down the relationships everything else is built on:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.proc import SecureProcessor
 
 
 def make_proc(**overrides):
     overrides.setdefault("protected_size", 32 * MIB)
     overrides.setdefault("functional_crypto", False)
-    return SecureProcessor(SecureProcessorConfig.sct_default(**overrides))
+    return SecureProcessor(preset_config("sct", **overrides))
 
 
 class TestLeafCountingProperty:

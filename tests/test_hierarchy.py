@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import KIB, CacheConfig, SecureProcessorConfig
+from repro.config import KIB, CacheConfig, preset_config
 from repro.core import attach
 from repro.mem.hierarchy import DataCacheSystem
 from repro.trace import Tracer
@@ -13,7 +13,10 @@ from repro.trace.counters import CounterRegistry
 
 def tiny_machine(cores=2, sockets=1):
     return DataCacheSystem(
-        SecureProcessorConfig.sct_default(cores=cores, sockets=sockets).with_overrides(
+        preset_config(
+            "sct",
+            cores=cores,
+            sockets=sockets,
             l1=CacheConfig("L1", 2 * KIB, 2, 1),
             l2=CacheConfig("L2", 4 * KIB, 2, 10),
             l3=CacheConfig("L3", 8 * KIB, 2, 40),
@@ -280,9 +283,10 @@ def _policy_machine(policies, sockets):
     socket."""
     l1, l2, l3 = policies
     caches = DataCacheSystem(
-        SecureProcessorConfig.sct_default(
-            cores=2 * sockets, sockets=sockets
-        ).with_overrides(
+        preset_config(
+            "sct",
+            cores=2 * sockets,
+            sockets=sockets,
             l1=CacheConfig("L1", 512, 2, 1, replacement=l1),
             l2=CacheConfig("L2", 1 * KIB, 2, 10, replacement=l2),
             l3=CacheConfig("L3", 2 * KIB, 4, 40, replacement=l3),

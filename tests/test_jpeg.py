@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.os import PageAllocator, Process
 from repro.proc import SecureProcessor
 from repro.victims.jpeg import (
@@ -253,8 +253,8 @@ class TestReconstruction:
 class TestJpegVictim:
     def setup_method(self):
         self.proc = SecureProcessor(
-            SecureProcessorConfig.sct_default(
-                protected_size=64 * MIB, functional_crypto=False
+            preset_config(
+                "sct", protected_size=64 * MIB, functional_crypto=False
             )
         )
         self.alloc = PageAllocator(self.proc.layout.data_size // PAGE_SIZE)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import MIB, SecureProcessorConfig
+from repro.config import MIB, preset_config
 from repro.victims.mbedtls import (
     KeyLoadVictim,
     attribute_trace,
@@ -94,8 +94,8 @@ class TestEndToEnd:
     def test_noiseless_single_run_recovery(self):
         from repro.analysis.mbedtls_attack import run_mbedtls_attack
 
-        config = SecureProcessorConfig.sgx_default(
-            epc_size=64 * MIB, functional_crypto=False
+        config = preset_config(
+            "sgx", protected_size=64 * MIB, functional_crypto=False
         )
         outcome = run_mbedtls_attack(
             secret_bits=48, config=config, recover=True, max_runs=2
@@ -108,8 +108,8 @@ class TestEndToEnd:
     def test_noisy_recovery_with_majority_voting(self):
         from repro.analysis.mbedtls_attack import run_mbedtls_attack
 
-        config = SecureProcessorConfig.sgx_default(
-            epc_size=64 * MIB,
+        config = preset_config(
+            "sgx", protected_size=64 * MIB,
             functional_crypto=False,
             timer_jitter_sigma=60,
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attacks.search import EvictionSetSearch
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.os import PageAllocator, Process
 from repro.proc import SecureProcessor
 from repro.victims.kvstore import PersistentKvStore
@@ -11,8 +11,8 @@ from repro.victims.kvstore import PersistentKvStore
 
 def make_env(size=128 * MIB):
     proc = SecureProcessor(
-        SecureProcessorConfig.sct_default(
-            protected_size=size, functional_crypto=False
+        preset_config(
+            "sct", protected_size=size, functional_crypto=False
         )
     )
     alloc = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)

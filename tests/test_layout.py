@@ -8,19 +8,19 @@ from repro.config import (
     BLOCK_SIZE,
     MIB,
     PAGE_SIZE,
-    SecureProcessorConfig,
+    preset_config,
 )
 from repro.secmem.layout import MetadataLayout
 
 
 @pytest.fixture(scope="module")
 def sct_layout():
-    return MetadataLayout(SecureProcessorConfig.sct_default(protected_size=256 * MIB))
+    return MetadataLayout(preset_config("sct", protected_size=256 * MIB))
 
 
 @pytest.fixture(scope="module")
 def sgx_layout():
-    return MetadataLayout(SecureProcessorConfig.sgx_default())
+    return MetadataLayout(preset_config("sgx"))
 
 
 class TestRegions:
@@ -58,7 +58,7 @@ class TestRegions:
     def test_unaligned_size_rejected(self):
         with pytest.raises(ValueError):
             MetadataLayout(
-                SecureProcessorConfig.sct_default(protected_size=PAGE_SIZE + 1)
+                preset_config("sct", protected_size=PAGE_SIZE + 1)
             )
 
     def test_describe_mentions_all_levels(self, sct_layout):
@@ -167,7 +167,7 @@ class TestTreeMapping:
     @given(st.integers(min_value=0, max_value=256 * MIB - 1))
     @settings(max_examples=50, deadline=None)
     def test_path_is_consistent_chain(self, data_addr):
-        layout = MetadataLayout(SecureProcessorConfig.sct_default(protected_size=256 * MIB))
+        layout = MetadataLayout(preset_config("sct", protected_size=256 * MIB))
         cb = layout.counter_block_index(data_addr)
         prev = None
         for level in range(len(layout.levels)):

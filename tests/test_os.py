@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.os import AddressSpace, PageAllocator, Process
 from repro.proc import SecureProcessor
 
@@ -119,7 +119,7 @@ class TestAddressSpace:
 class TestProcess:
     def setup_method(self):
         self.proc = SecureProcessor(
-            SecureProcessorConfig.sct_default(protected_size=64 * MIB)
+            preset_config("sct", protected_size=64 * MIB)
         )
         self.alloc = PageAllocator(self.proc.layout.data_size // PAGE_SIZE)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import BLOCK_SIZE, DEFENSES, MIB, SecureProcessorConfig
+from repro.config import BLOCK_SIZE, DEFENSES, MIB, preset_config
 from repro.proc import AccessPath, SecureProcessor
 from repro.synth import generate_program
 from repro.synth.runner import compile_program, synth_config
@@ -13,7 +13,7 @@ from repro.synth.runner import compile_program, synth_config
 @pytest.fixture()
 def proc():
     return SecureProcessor(
-        SecureProcessorConfig.sct_default(protected_size=64 * MIB)
+        preset_config("sct", protected_size=64 * MIB)
     )
 
 
@@ -170,15 +170,15 @@ class TestJitter:
         results = []
         for _ in range(2):
             proc = SecureProcessor(
-                SecureProcessorConfig.sct_default(protected_size=64 * MIB)
+                preset_config("sct", protected_size=64 * MIB)
             )
             results.append(proc.read(0x1000).latency)
         assert results[0] == results[1]
 
     def test_jitter_perturbs_reported_only(self):
         proc = SecureProcessor(
-            SecureProcessorConfig.sct_default(
-                protected_size=64 * MIB, timer_jitter_sigma=30
+            preset_config(
+                "sct", protected_size=64 * MIB, timer_jitter_sigma=30
             )
         )
         latencies = set()
@@ -193,8 +193,8 @@ class TestJitter:
     def test_jitter_seed_deterministic(self):
         def run(seed):
             proc = SecureProcessor(
-                SecureProcessorConfig.sct_default(
-                    protected_size=64 * MIB, timer_jitter_sigma=20, seed=seed
+                preset_config(
+                    "sct", protected_size=64 * MIB, timer_jitter_sigma=20, seed=seed
                 )
             )
             return [proc.read(0x1000 + i * 64).latency for i in range(5)]
@@ -207,7 +207,7 @@ class TestJitter:
         same material as before, so the reported latencies of a fixed
         sequence stay what they were when every build seeded it."""
         proc = SecureProcessor(
-            SecureProcessorConfig.sct_default(timer_jitter_sigma=4.0, seed=11)
+            preset_config("sct", timer_jitter_sigma=4.0, seed=11)
         )
         observed = [proc.read(addr).latency for addr in (0x0, 0x0, 0x40, 0x1000, 0x0)]
         proc.flush(0x0)

@@ -15,7 +15,7 @@ from repro.attacks import (
     score_calibration,
 )
 from repro.attacks.noise import co_located_noise
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.os import PageAllocator
 from repro.proc import SecureProcessor
 from repro.utils.rng import derive_rng
@@ -25,7 +25,7 @@ from repro.utils.watchdog import BudgetExceeded, CycleBudget, ensure_budget
 def make_env(**overrides):
     overrides.setdefault("protected_size", 128 * MIB)
     overrides.setdefault("functional_crypto", False)
-    proc = SecureProcessor(SecureProcessorConfig.sct_default(**overrides))
+    proc = SecureProcessor(preset_config("sct", **overrides))
     alloc = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores)
     return proc, alloc
 

@@ -85,6 +85,13 @@ async def _poll_running(host, port, job_id, deadline_s=10.0):
 
 # -- job model -------------------------------------------------------------
 
+#: The keys each job kind's spec takes, as its errors list them.
+_SPEC_KEYS = {
+    "probe": "preset, ops, seed",
+    "leakcheck": "victim, seed, seeds, alpha",
+    "synth": "preset, defense, seed, budget, alpha",
+}
+
 
 class TestJobStateMachine:
     def test_normal_lifecycle(self):
@@ -151,6 +158,35 @@ class TestJobSpecs:
                 build_job_tasks(kind, spec)
         with pytest.raises(ValueError):
             build_job_tasks("probe", "not-a-dict")
+
+    @pytest.mark.parametrize("kind, spec, key", [
+        ("probe", {"defense": "moat", "ops": 5}, "defense"),
+        ("probe", {"victim": "const"}, "victim"),
+        ("leakcheck", {"victim": "const", "preset": "enigma"}, "preset"),
+        ("leakcheck", {"victim": "const", "defense": "isolated_trees"},
+         "defense"),
+        ("synth", {"preset": "sct", "ops": 5}, "ops"),
+        ("synth", {"victim": "rsa", "budget": 2}, "victim"),
+    ])
+    def test_a_key_the_kind_does_not_take_is_rejected(self, kind, spec, key):
+        """A spec runs what it names: a key the kind does not take (a
+        probe's defense, a leakcheck's preset) is an error naming it and
+        the kind's keys, not a job on the default machine."""
+        with pytest.raises(ValueError) as excinfo:
+            build_job_tasks(kind, spec)
+        message = str(excinfo.value)
+        assert repr(key) in message
+        assert _SPEC_KEYS[kind] in message
+
+    @pytest.mark.parametrize("kind, spec", [
+        ("probe", {}),
+        ("leakcheck", {"victim": "const"}),
+        ("synth", {"budget": 1}),
+    ])
+    def test_a_kind_takes_the_keys_of_its_normalized_spec(self, kind, spec):
+        normalized, _ = build_job_tasks(kind, spec)
+        assert ", ".join(normalized) == _SPEC_KEYS[kind]
+        assert build_job_tasks(kind, normalized)[0] == normalized
 
     def test_job_kinds_are_one_list(self):
         """``bench`` is not a job kind, and ``service-load --kind`` offers
@@ -284,6 +320,17 @@ class TestServiceHTTP:
                     host, port, "POST", "/jobs", {"kind": "synth", "spec": spec}
                 )
                 assert status == 400 and valid in err["error"], err
+            for body, key, keys in (
+                ({"kind": "probe", "spec": {"ops": 300, "defense": "moat"}},
+                 "'defense'", _SPEC_KEYS["probe"]),
+                ({"kind": "probe", "spec": {"ops": 300}, "priority": 1},
+                 "'priority'", "kind, spec"),
+            ):
+                status, _, err = await http_request(
+                    host, port, "POST", "/jobs", body
+                )
+                assert status == 400, err
+                assert key in err["error"] and keys in err["error"], err
             status, _, err = await http_request(host, port, "GET", "/jobs/ghost")
             assert status == 404
             status, _, err = await http_request(host, port, "PUT", "/jobs")

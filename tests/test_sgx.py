@@ -2,61 +2,70 @@
 
 import pytest
 
-from repro.config import MIB, SecureProcessorConfig
-from repro.sgx import SgxMachine, SgxStep
+from repro.config import MIB, preset_config
+from repro.os import PageAllocator
+from repro.proc import SecureProcessor
+from repro.sgx import Enclave, SgxStep
 
 
 @pytest.fixture()
-def machine():
-    return SgxMachine(SecureProcessorConfig.sgx_default(epc_size=32 * MIB))
+def proc():
+    return SecureProcessor(preset_config("sgx", protected_size=32 * MIB))
+
+
+@pytest.fixture()
+def allocator(proc):
+    return PageAllocator.for_machine(proc)
 
 
 class TestSgxMachine:
-    def test_preset_is_sit(self, machine):
-        assert machine.config.tree.kind.value == "SIT"
-        assert [g.arity for g in machine.proc.layout.levels] == [8, 8, 8]
+    """The ``sgx`` preset, with enclaves over an allocator of its EPC."""
 
-    def test_enclave_roundtrip(self, machine):
-        enclave = machine.create_enclave()
+    def test_preset_is_sit(self, proc):
+        assert proc.config.tree.kind.value == "SIT"
+        assert [g.arity for g in proc.layout.levels] == [8, 8, 8]
+
+    def test_enclave_roundtrip(self, proc, allocator):
+        enclave = Enclave(proc, allocator)
         base = enclave.alloc()
         enclave.write(base, b"enclave secret")
         assert enclave.read(base).data[:14] == b"enclave secret"
 
-    def test_enclave_accesses_are_cleansed(self, machine):
-        enclave = machine.create_enclave()
+    def test_enclave_accesses_are_cleansed(self, proc, allocator):
+        enclave = Enclave(proc, allocator)
         base = enclave.alloc()
         enclave.read(base)
         assert not enclave.read(base).path.is_cache_hit
 
-    def test_os_controlled_frame_placement(self, machine):
-        enclave = machine.create_enclave()
+    def test_os_controlled_frame_placement(self, proc, allocator):
+        enclave = Enclave(proc, allocator)
         vaddr = enclave.load_page_at_frame(100)
         assert enclave.frame_of_vaddr(vaddr) == 100
 
-    def test_sharing_sets_match_section8b(self, machine):
-        layout = machine.proc.layout
+    def test_sharing_sets_match_section8b(self, proc):
+        layout = proc.layout
         assert len(layout.pages_sharing_node(20, 0)) == 1
         assert len(layout.pages_sharing_node(20, 1)) == 8
         assert len(layout.pages_sharing_node(20, 2)) == 64
 
-    def test_colocation_through_placement(self, machine):
+    def test_colocation_through_placement(self, proc, allocator):
         """Attacker and victim pages end up under one L1 node block."""
-        victim = machine.create_enclave(name="victim")
-        attacker = machine.create_enclave(name="attacker", core=1)
+        victim = Enclave(proc, allocator, name="victim")
+        attacker = Enclave(proc, allocator, core=1, name="attacker")
         victim_vaddr = victim.load_page_at_frame(40)
-        group = machine.proc.layout.pages_sharing_node(40, 1)
+        group = proc.layout.pages_sharing_node(40, 1)
         attacker_vaddr = attacker.load_page_at_frame(group.start + 1)
-        layout = machine.proc.layout
+        layout = proc.layout
         assert layout.node_addr_for_data(victim.paddr(victim_vaddr), 1) == (
             layout.node_addr_for_data(attacker.paddr(attacker_vaddr), 1)
         )
 
-    def test_sgx_latency_profile_wider_than_sct(self, machine):
+    def test_sgx_latency_profile_wider_than_sct(self, proc, allocator):
         """Figure 7: the SIT walk is serial, stretching the range."""
-        enclave = machine.create_enclave()
+        enclave = Enclave(proc, allocator)
         base = enclave.alloc()
         deep = enclave.read(base).latency  # all levels missed
-        machine.proc.quiesce()
+        proc.quiesce()
         shallow = enclave.read(base).latency  # metadata now cached
         assert deep > shallow + 250
 

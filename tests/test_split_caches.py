@@ -8,19 +8,21 @@ from repro.config import (
     KIB,
     PAGE_SIZE,
     CacheConfig,
-    SecureProcessorConfig,
+    preset_config,
 )
 from repro.os import PageAllocator
 from repro.proc import SecureProcessor
 
 
 def split_machine(protected_size=1 * GIB):
-    config = SecureProcessorConfig.sct_default(
+    config = preset_config(
+        "sct",
         protected_size=protected_size,
         functional_crypto=False,
         split_metadata_caches=True,
         tree_cache=CacheConfig("TreeCache", 128 * KIB, 8, 2),
-    ).with_overrides(metadata_cache=CacheConfig("CtrCache", 128 * KIB, 8, 2))
+        metadata_cache=CacheConfig("CtrCache", 128 * KIB, 8, 2),
+    )
     proc = SecureProcessor(config)
     allocator = PageAllocator(proc.layout.data_size // PAGE_SIZE, cores=4)
     return proc, allocator
@@ -33,7 +35,7 @@ class TestSplitStructure:
 
     def test_combined_default_shares_object(self):
         proc = SecureProcessor(
-            SecureProcessorConfig.sct_default(protected_size=64 * 1024 * 1024)
+            preset_config("sct", protected_size=64 * 1024 * 1024)
         )
         assert proc.tree_metadata_cache is proc.metadata_cache
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.config import DEFENSES, SecureProcessorConfig
+from repro.config import DEFENSES, preset_config
 from repro.core import TRACER, detach
 from repro.proc import AccessBatch
 from repro.proc.processor import SecureProcessor
@@ -25,7 +25,7 @@ from repro.trace import (
 
 def _machine() -> SecureProcessor:
     return SecureProcessor(
-        SecureProcessorConfig.sct_default(functional_crypto=False)
+        preset_config("sct", functional_crypto=False)
     )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import MIB, SecureProcessorConfig
+from repro.config import MIB, preset_config
 from repro.crypto.prf import keyed_prf
 from repro.secmem.counters import EncryptionCounterStore
 from repro.secmem.layout import MetadataLayout
@@ -17,7 +17,7 @@ KEY = keyed_prf(b"test", "tree", out_len=32)
 
 
 def make_sct(protected_size=16 * MIB):
-    config = SecureProcessorConfig.sct_default(protected_size=protected_size)
+    config = preset_config("sct", protected_size=protected_size)
     layout = MetadataLayout(config)
     counters = EncryptionCounterStore(config.counters, layout)
     tree = CounterTree(config, layout, KEY)
@@ -25,7 +25,7 @@ def make_sct(protected_size=16 * MIB):
 
 
 def make_sit():
-    config = SecureProcessorConfig.sgx_default(epc_size=16 * MIB)
+    config = preset_config("sgx", protected_size=16 * MIB)
     layout = MetadataLayout(config)
     counters = EncryptionCounterStore(config.counters, layout)
     tree = CounterTree(config, layout, KEY)
@@ -33,7 +33,7 @@ def make_sit():
 
 
 def make_ht(protected_size=16 * MIB):
-    config = SecureProcessorConfig.ht_default(protected_size=protected_size)
+    config = preset_config("ht", protected_size=protected_size)
     layout = MetadataLayout(config)
     counters = EncryptionCounterStore(config.counters, layout)
     tree = HashTree(config, layout, KEY, counters.counter_block_image)

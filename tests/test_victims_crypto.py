@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.os import PageAllocator, Process
 from repro.proc import SecureProcessor
 from repro.victims.mbedtls import (
@@ -43,8 +43,8 @@ def recover_exponent_from_ops(operations: list[str]) -> int:
 
 def make_process():
     proc = SecureProcessor(
-        SecureProcessorConfig.sct_default(
-            protected_size=64 * MIB, functional_crypto=False
+        preset_config(
+            "sct", protected_size=64 * MIB, functional_crypto=False
         )
     )
     alloc = PageAllocator(proc.layout.data_size // PAGE_SIZE)
