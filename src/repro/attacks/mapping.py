@@ -42,7 +42,7 @@ class MetadataMapper:
 
     def cache_for(self, meta_addr: int):
         """The on-chip cache structure holding this metadata block."""
-        return self.proc.mee._cache_for(meta_addr)
+        return self.proc.mee.cache_for(meta_addr)
 
     def is_tree_target(self, meta_addr: int) -> bool:
         return self.layout.is_tree_addr(meta_addr & ((1 << DOMAIN_SHIFT) - 1))

@@ -7,7 +7,7 @@ into a secure processor.
 """
 
 from repro.mem.block import bank_of, block_address, block_index, page_index
-from repro.mem.cache import CacheAccess, SetAssocCache
+from repro.mem.cache import SetAssocCache
 from repro.mem.dram import DramModel
 from repro.mem.hierarchy import CoreCaches, DataCacheSystem
 from repro.mem.memctrl import MemoryController, WriteQueueEntry
@@ -18,7 +18,6 @@ __all__ = [
     "block_address",
     "block_index",
     "page_index",
-    "CacheAccess",
     "SetAssocCache",
     "DramModel",
     "CoreCaches",

@@ -9,17 +9,19 @@ available for the ablation sweeps (see ``repro.mem.replacement``).
 
 Functional/timing split (docs/architecture.md): the cache is a purely
 *functional* component — :meth:`decompose` is the pure address step
-(block, set index), :meth:`lookup`/:meth:`insert`/:meth:`invalidate` are
-the ``apply`` state transitions, and no latency lives here.  Hit/service
-cycles are charged by the callers (the hierarchy and the MEE) from their
-config tables.
+(block, set index), the probe, fill and drop below are the ``apply``
+state transitions, and no latency lives here.  Hit/service cycles are
+charged by the callers (the hierarchy and the MEE) from their config
+tables.
 
-The state transitions work on one set: :meth:`hit`, :meth:`miss` and
-:meth:`install` take a block and set index the caller already derived,
-and the address-level :meth:`lookup` and :meth:`insert` decompose the
-address and delegate to them.  The data-cache hierarchy derives each
-level's set once per access and drops a block from a whole level by
-popping it from every cache's set (``sets``).
+Each operation has one entry, and the probe and the fill work on one
+set, whose index the caller derives once and carries from the probe to
+the fill: a probe is :meth:`hit`, then :meth:`miss` when it fails, a
+fill is :meth:`install`, a drop is :meth:`invalidate`, and
+:meth:`contains` looks without touching anything.  The data-cache
+hierarchy and the MEE both probe and fill this way, and the hierarchy
+drops a block from a whole level by popping it from every cache's set
+(``sets``).
 
 ``config.replacement`` fixes how a set is represented:
 
@@ -40,7 +42,6 @@ when a set is first touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from repro.config import CacheConfig
@@ -48,20 +49,6 @@ from repro.core import Component
 from repro.mem.replacement import make_policy
 from repro.trace.counters import CounterRegistry
 from repro.utils.bitops import log2_exact
-
-
-@dataclass(frozen=True)
-class CacheAccess:
-    """Outcome of one cache operation."""
-
-    hit: bool
-    evicted_addr: int | None = None
-    evicted_dirty: bool = False
-
-
-# Immutable, so the two allocation-free outcomes are shared singletons.
-_HIT = CacheAccess(hit=True)
-_FILLED = CacheAccess(hit=False)
 
 
 class _WaySlots(dict):
@@ -149,16 +136,6 @@ class SetAssocCache(Component):
     # Operations (the ``apply`` state transitions)
     # ------------------------------------------------------------------
 
-    def lookup(self, addr: int) -> bool:
-        """Probe for the block at ``addr``, refreshing its recency: the
-        :meth:`hit`/:meth:`miss` pair on the decomposed address."""
-        block = addr & self._block_mask
-        set_index = (block >> self.block_shift) % self.num_sets
-        if self.hit(block, set_index, False):
-            return True
-        self.miss(block, set_index)
-        return False
-
     def hit(self, block: int, set_index: int, dirty: bool) -> bool:
         """Serve a hit on an already decomposed address, if it is one.
 
@@ -168,8 +145,8 @@ class SetAssocCache(Component):
         nothing, not even the miss, and returns False: the caller then
         records the miss with :meth:`miss`.  The processor's executor
         probes L1 this way, and only this way, traced or not; the
-        hierarchy probes L2 and L3 the same way (``dirty`` False), and a
-        touching :meth:`lookup` is this call.
+        hierarchy probes L2 and L3, and the MEE its metadata caches, the
+        same way (``dirty`` False).
         """
         lines = self.sets.get(set_index)
         if lines is None or block not in lines:
@@ -202,25 +179,6 @@ class SetAssocCache(Component):
         lines = self.sets.get(set_index)
         return lines is not None and block in lines
 
-    def insert(self, addr: int, *, dirty: bool = False) -> CacheAccess:
-        """Fill the block at ``addr``, evicting a victim if needed.
-
-        If the block is already present this refreshes recency (and ORs in
-        the dirty bit) instead of double-filling.  The address-level form
-        of :meth:`install`.
-        """
-        block = addr & self._block_mask
-        set_index = (block >> self.block_shift) % self.num_sets
-        resident = block in self.sets.get(set_index, ())
-        evicted = self.install(block, set_index, dirty)
-        if resident:
-            return _HIT
-        if evicted is None:
-            return _FILLED
-        return CacheAccess(
-            hit=False, evicted_addr=evicted[0], evicted_dirty=evicted[1]
-        )
-
     def install(
         self, block: int, set_index: int, dirty: bool = False
     ) -> tuple[int, bool] | None:
@@ -229,9 +187,9 @@ class SetAssocCache(Component):
 
         Returns ``(victim, victim_dirty)`` when a line was evicted, else
         None.  A resident block is refreshed instead (recency, dirty bit
-        ORed in), with no count and no trace event.  The one fill
-        implementation: :meth:`insert`, the data-cache hierarchy and the
-        MEE's metadata fills all come here, for every replacement policy.
+        ORed in), with no count and no trace event.  The one fill: the
+        data-cache hierarchy and the MEE's metadata fills all come here,
+        for every replacement policy.
         """
         lines = self.sets.get(set_index)
         if lines is None:

@@ -1,9 +1,11 @@
 """Open-row DRAM bank timing model.
 
 Latency of an access = bus transfer + (row hit | row miss) + any wait for
-the bank to become free.  Banks can be marked *busy* for long stretches —
-that is how counter-overflow re-encryption bursts (Section V, Figure 8)
-delay concurrent reads and become observable.
+the bank to become free.  :meth:`DramModel.access_parts` is the one
+access and returns that latency as two parts, the wait and the rest, for
+the memory controller to charge.  Banks can be marked *busy* for long
+stretches — that is how counter-overflow re-encryption bursts (Section
+V, Figure 8) delay concurrent reads and become observable.
 """
 
 from __future__ import annotations
@@ -42,24 +44,18 @@ class DramModel(Component):
     def bank_of(self, addr: int) -> int:
         return bank_of(addr, self.config.banks)
 
-    def access(self, addr: int, now: int, *, is_write: bool = False) -> int:
-        """Perform one block access starting at cycle ``now``; return latency.
-
-        The returned latency includes any stall waiting for the target bank
-        to finish earlier work (e.g. a re-encryption burst).
-        """
-        wait, service = self.access_parts(addr, now, is_write=is_write)
-        return wait + service
-
     def access_parts(
         self, addr: int, now: int, *, is_write: bool = False
     ) -> tuple[int, int]:
-        """One block access, split into (bank-queue wait, service + bus).
+        """Perform one block access starting at cycle ``now``; return its
+        latency split into (bank-queue wait, service + bus).
 
-        ``sum(access_parts(...)) == access(...)`` by construction; the cycle
-        attributor uses the split to separate DRAM queueing from service.
-        The bank comes from the bank hash (``repro.mem.block.bank_of``),
-        the row from the address divided by the row size.
+        The one DRAM access: the wait is any stall for the target bank to
+        finish earlier work (e.g. a re-encryption burst), and the memory
+        controller charges the two parts separately to a read and adds
+        them up on a write drain.  The bank comes from the bank hash
+        (``repro.mem.block.bank_of``), the row from the address divided
+        by the row size.
         """
         bank_index = bank_of(addr, self.config.banks)
         bank = self._banks[bank_index]

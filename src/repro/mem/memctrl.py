@@ -11,6 +11,11 @@ explicitly:
   forces a drain (redundant writes / explicit flush), and the drain burst
   makes banks busy, delaying concurrently timed reads.
 
+Reads and writes take block addresses: every caller has already
+aligned the address it sends (the MEE aligns the classical design's MAC
+word, the one address on the memory path that is not a block address),
+so the controller aligns nothing.
+
 Security work done at write-service time (encryption, counter increment,
 possible overflow handling) is delegated to a ``write_sink`` callback
 installed by the memory encryption engine, keeping this module free of
@@ -89,8 +94,9 @@ class MemoryController(Component):
     # Reads
     # ------------------------------------------------------------------
 
-    def read_block(self, addr: int, now: int, txn: Txn | None = None) -> int:
-        """Service a block read at cycle ``now``; return its latency.
+    def read_block(self, block: int, now: int, txn: Txn | None = None) -> int:
+        """Service a read of the block at address ``block`` (block-aligned)
+        at cycle ``now``; return its latency.
 
         This is the timing (``charge``) step of the memory path: the DRAM
         model decomposes the address (bank, row) and mutates bank
@@ -100,7 +106,6 @@ class MemoryController(Component):
         plus bank wait), ``service`` (DRAM row service plus bus transfer)
         and ``forward`` (store-to-load forward out of the write queue).
         """
-        block = block_address(addr)
         if block in self._write_queue:
             if txn is not None:
                 txn.charge("forward", _FORWARD_LATENCY)
@@ -126,9 +131,9 @@ class MemoryController(Component):
     # Writes
     # ------------------------------------------------------------------
 
-    def enqueue_write(self, addr: int, now: int) -> int:
-        """Post a block write; returns the (small) cycles the core observes."""
-        block = block_address(addr)
+    def enqueue_write(self, block: int, now: int) -> int:
+        """Post a write of the block at address ``block`` (block-aligned);
+        returns the (small) cycles the core observes."""
         entry = self._write_queue.get(block)
         if entry is not None:
             if self.config.write_merge:
@@ -175,7 +180,7 @@ class MemoryController(Component):
                 "memctrl", "drain", cycle=now, value=len(entries)
             )
         for entry in entries:
-            t += self.dram.access(entry.addr, t, is_write=True)
+            t += sum(self.dram.access_parts(entry.addr, t, is_write=True))
             self._writes_serviced.value += 1
             if sink is not None:
                 t += sink(entry.addr, t)

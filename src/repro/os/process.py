@@ -8,7 +8,10 @@ configuration (SCT / HT / SGX presets).
 The ``cleanse`` flag models the threat-model assumption of Section III that
 the victim's accesses of interest reach the LLC/memory controller (cache
 cleansing between security-domain switches, or persistent-memory style
-write-through): when set, every access is followed by a flush of the line.
+write-through): when set, a read is followed by a flush of the line and a
+write is a write-through.  :class:`ProcessBatch` applies that rule, and
+the scalar :meth:`Process.read`/``write``/``flush`` calls are one-op
+batches, as the processor's scalar calls are.
 """
 
 from __future__ import annotations
@@ -90,21 +93,13 @@ class Process:
         return self.address_space.map_page(vpage, frame)
 
     def read(self, vaddr: int) -> AccessResult:
-        paddr = self.address_space.translate(vaddr)
-        result = self.proc.read(paddr, core=self.core)
-        if self.cleanse:
-            self.proc.flush(paddr)
-        return result
+        return self.batch().read(vaddr).run()[0]
 
     def write(self, vaddr: int, data: bytes | None = None) -> AccessResult:
-        paddr = self.address_space.translate(vaddr)
-        if self.cleanse:
-            # Cleansed/persistent writes go straight to the MC.
-            return self.proc.write_through(paddr, data, core=self.core)
-        return self.proc.write(paddr, data, core=self.core)
+        return self.batch().write(vaddr, data).run()[0]
 
     def flush(self, vaddr: int) -> None:
-        self.proc.flush(self.address_space.translate(vaddr))
+        self.batch().flush(vaddr).run()
 
     def paddr(self, vaddr: int) -> int:
         return self.address_space.translate(vaddr)
@@ -115,13 +110,14 @@ class Process:
 
 
 class ProcessBatch:
-    """Batched counterpart of the :class:`Process` access methods.
+    """A recorded access sequence of one :class:`Process`, which its
+    scalar calls run as one-op batches.
 
-    Records the same operation sequence the scalar calls would issue —
-    translation happens at record time, and the process's ``cleanse``
+    Translation happens at record time, and the process's ``cleanse``
     policy expands each access into its access+flush (or write-through)
-    form — then submits everything through ``SecureProcessor.run_batch``
-    in one call.  ``run()`` returns the :class:`BatchResult`.
+    form, here and only here; ``run()`` submits everything through
+    ``SecureProcessor.run_batch`` in one call and returns the
+    :class:`BatchResult`.
     """
 
     __slots__ = ("process", "batch")
@@ -145,6 +141,7 @@ class ProcessBatch:
         process = self.process
         paddr = process.address_space.translate(vaddr)
         if process.cleanse:
+            # Cleansed/persistent writes go straight to the MC.
             self.batch.write_through(paddr, data, core=process.core)
         else:
             self.batch.write(paddr, data, core=process.core)

@@ -180,15 +180,11 @@ class MemoryEncryptionEngine(Component):
             self._tree_key,
             "cb",
             cb_index,
-            self._leaf_parent_value(cb_index),
+            self._tree_for(self._domain_of_cb(cb_index)).leaf_parent_value(
+                cb_index
+            ),
             *self.counters.counter_block_image(cb_index),
         )
-
-    def _leaf_parent_value(self, cb_index: int) -> int:
-        tree = self._tree_for(self._domain_of_cb(cb_index))
-        if hasattr(tree, "leaf_parent_value"):
-            return tree.leaf_parent_value(cb_index)
-        return 0  # hash tree binds the full image instead
 
     def _stored_cb_hash(self, cb_index: int) -> int:
         if cb_index not in self._cb_hashes:
@@ -244,10 +240,15 @@ class MemoryEncryptionEngine(Component):
         data_latency = memctrl.read_block(block_addr, now, data)
         if not crypto.mac_in_ecc:
             # Classical design: the MAC is a separate memory word fetched
-            # on every read (constant extra latency, no state dependence).
-            data_latency += memctrl.read_block(mac_addr, now + data_latency, data)
+            # on every read (constant extra latency, no state dependence),
+            # in the block that holds it.
+            data_latency += memctrl.read_block(
+                mac_addr & BLOCK_MASK, now + data_latency, data
+            )
 
-        counter_hit = self.meta_cache.lookup(cb_addr)
+        meta_cache = self.meta_cache
+        cb_set = (cb_addr >> meta_cache.block_shift) % meta_cache.num_sets
+        counter_hit = meta_cache.hit(cb_addr, cb_set, False)
         levels_missed = 0
         if counter_hit:
             self._counter_hits.value += 1
@@ -256,13 +257,14 @@ class MemoryEncryptionEngine(Component):
                 meta.charge("cache_hit", meta_latency)
             extra_crypto = max(0, crypto.aes_latency - data_latency)
         else:
+            meta_cache.miss(cb_addr, cb_set)
             self._counter_misses.value += 1
             counter_leg = None if meta is None else meta.leg("counter.")
             meta_latency = memctrl.read_block(cb_addr, now, counter_leg)
             if meta is not None:
                 meta.absorb(counter_leg)
             meta_latency, levels_missed = self._verify_walk(
-                cb_index, cb_addr, now, meta_latency, meta
+                cb_index, cb_addr, cb_set, now, meta_latency, meta
             )
             extra_crypto = crypto.aes_latency
         if self.tracer is not None:
@@ -306,33 +308,41 @@ class MemoryEncryptionEngine(Component):
         self,
         cb_index: int,
         cb_addr: int,
+        cb_set: int,
         now: int,
         meta_latency: int,
         leg: Txn | None = None,
     ) -> tuple[int, int]:
         """Algorithm 2: load tree nodes bottom-up until a cached ancestor.
 
-        Returns the accumulated metadata-path latency and the number of
-        tree node blocks that had to be fetched from memory.  Given a
-        ``leg`` (only while profiling), the added cycles are charged
-        under per-level ``tree.l<level>.*`` keys within the leg's scope.
+        The counter block missed in ``meta_cache`` set ``cb_set``; each
+        node's ``tree_cache`` set is derived at its probe, and both fills
+        at the end reuse those sets.  Returns the accumulated
+        metadata-path latency and the number of tree node blocks that
+        had to be fetched from memory.  Given a ``leg`` (only while
+        profiling), the added cycles are charged under per-level
+        ``tree.l<level>.*`` keys within the leg's scope.
         """
         crypto = self.config.crypto
         domain = self._domain_of_cb(cb_index)
         tree = self._tree_for(domain)
         domain_tag = domain << DOMAIN_SHIFT
-        missed: list[tuple[int, int, int]] = []
+        tree_cache = self.tree_cache
+        shift, num_sets = tree_cache.block_shift, tree_cache.num_sets
+        missed: list[tuple[int, int, int, int]] = []
         # Walk up the verification path, deriving each level's node only
         # when the level below it missed.
         index = cb_index
         for geometry in self.layout.levels:
             index //= geometry.arity
             node_addr = (geometry.base + index * BLOCK_SIZE) | domain_tag
-            if self.tree_cache.lookup(node_addr):
+            node_set = (node_addr >> shift) % num_sets
+            if tree_cache.hit(node_addr, node_set, False):
                 break
-            missed.append((geometry.level, index, node_addr))
+            tree_cache.miss(node_addr, node_set)
+            missed.append((geometry.level, index, node_addr, node_set))
         # Fetch + verify the missed chain.
-        for level, index, node_addr in missed:
+        for level, index, node_addr, _ in missed:
             self._tree_node_loads.value += 1
             if self.tracer is not None:
                 self.tracer.emit(
@@ -360,26 +370,26 @@ class MemoryEncryptionEngine(Component):
         if self.fault_hook is not None:
             self.fault_hook.on_meta_fetch("counter", 0, cb_index)
         self._verify_counter_block(cb_index, tree)
-        # Fill the metadata cache (counter block + fetched nodes).
-        self._meta_fill(cb_addr, dirty=False, now=now)
-        for _, _, node_addr in missed:
-            self._meta_fill(node_addr, dirty=False, now=now)
+        # Fill the metadata caches (counter block + fetched nodes).
+        self._fill(self.meta_cache, cb_addr, cb_set, False, now)
+        for _, _, node_addr, node_set in missed:
+            self._fill(tree_cache, node_addr, node_set, False, now)
         return meta_latency, len(missed)
 
-    def _cache_for(self, meta_addr: int) -> SetAssocCache:
-        """Which on-chip structure holds this metadata block."""
-        if self.tree_cache is self.meta_cache:
-            return self.meta_cache
-        _, base_addr = self._untag(meta_addr)
-        if self.layout.is_tree_addr(base_addr):
-            return self.tree_cache
-        return self.meta_cache
-
-    def _meta_fill(self, meta_addr: int, *, dirty: bool, now: int) -> None:
-        cache = self._cache_for(meta_addr)
-        evicted = cache.install(*cache.decompose(meta_addr), dirty)
+    def _fill(
+        self, cache: SetAssocCache, block: int, set_index: int, dirty: bool,
+        now: int,
+    ) -> None:
+        """Install a metadata block (a counter block into ``meta_cache``, a
+        node into ``tree_cache``); a dirty victim is written back."""
+        evicted = cache.install(block, set_index, dirty)
         if evicted is not None and evicted[1]:
             self._on_meta_writeback(evicted[0], now)
+
+    def _fill_dirty_node(self, node_addr: int, now: int) -> None:
+        """Fill a tree node that now holds newer state than memory."""
+        cache = self.tree_cache
+        self._fill(cache, node_addr, cache.set_index_of(node_addr), True, now)
 
     def _on_meta_writeback(self, meta_addr: int, now: int) -> None:
         """A dirty metadata block left the chip (Section V's lazy scheme).
@@ -408,7 +418,7 @@ class MemoryEncryptionEngine(Component):
                 self.layout.node_addr(0, cb_index // self.layout.levels[0].arity),
                 domain,
             )
-            self._meta_fill(leaf_addr, dirty=True, now=now)
+            self._fill_dirty_node(leaf_addr, now)
         elif self.layout.is_tree_addr(base_addr):
             level, index = self.layout.node_of_addr(base_addr)
             update = self._tree_for(domain).bump_node(level, index)
@@ -418,7 +428,7 @@ class MemoryEncryptionEngine(Component):
                 parent_addr = self._tag_node_addr(
                     self.layout.node_addr(*parent), domain
                 )
-                self._meta_fill(parent_addr, dirty=True, now=now)
+                self._fill_dirty_node(parent_addr, now)
 
     def _apply_tree_update(self, update, now: int) -> int:
         """Account for a tree update's bursts; returns engine cycles."""
@@ -473,11 +483,14 @@ class MemoryEncryptionEngine(Component):
         crypto = self.config.crypto
         cycles = 0
         cb_index, cb_addr, _ = self.layout.decompose(block_addr)
+        meta_cache = self.meta_cache
+        cb_set = (cb_addr >> meta_cache.block_shift) % meta_cache.num_sets
 
         # The counter must be on-chip to encrypt the outgoing block.
-        if not self.meta_cache.lookup(cb_addr):
+        if not meta_cache.hit(cb_addr, cb_set, False):
+            meta_cache.miss(cb_addr, cb_set)
             cycles += self.memctrl.read_block(cb_addr, now)
-            walk_latency, _ = self._verify_walk(cb_index, cb_addr, now, 0)
+            walk_latency, _ = self._verify_walk(cb_index, cb_addr, cb_set, now, 0)
             cycles += walk_latency
 
         # Resolve the value to write *before* the counter moves: a write-back
@@ -487,7 +500,7 @@ class MemoryEncryptionEngine(Component):
         if plaintext is None:
             plaintext = self._architectural_plaintext(block_addr)
 
-        event = self.counters.increment(self.layout_block_index(block_addr))
+        event = self.counters.increment(block_addr // BLOCK_SIZE)
         if event.overflowed:
             cycles += self._handle_encryption_overflow(event, now)
 
@@ -496,16 +509,13 @@ class MemoryEncryptionEngine(Component):
         self._refresh_cb_hash(cb_index)
 
         if self.config.tree_update_policy is TreeUpdatePolicy.EAGER:
-            cycles += self._update_tree_eager(cb_index, cb_addr, now)
+            cycles += self._update_tree_eager(cb_index, cb_addr, cb_set, now)
         else:
             # Lazy scheme: the counter block is dirtied on-chip; the tree
             # absorbs the update when it is eventually written back.
-            self._meta_fill(cb_addr, dirty=True, now=now)
+            self._fill(meta_cache, cb_addr, cb_set, True, now)
             cycles += crypto.hash_latency
         return cycles
-
-    def layout_block_index(self, addr: int) -> int:
-        return addr // BLOCK_SIZE
 
     def _architectural_plaintext(self, block_addr: int) -> bytes:
         if block_addr in self._ciphertext:
@@ -555,7 +565,9 @@ class MemoryEncryptionEngine(Component):
             self.tracer.emit("mee", "enc_overflow", cycle=now, value=float(burst))
         return burst
 
-    def _update_tree_eager(self, cb_index: int, cb_addr: int, now: int) -> int:
+    def _update_tree_eager(
+        self, cb_index: int, cb_addr: int, cb_set: int, now: int
+    ) -> int:
         """EAGER policy: propagate a write along the whole path at once.
 
         Simpler than the paper's lazy scheme and useful for ablation, but
@@ -567,19 +579,25 @@ class MemoryEncryptionEngine(Component):
         )
         self._refresh_cb_hash(cb_index)
         cycles = self._apply_tree_update(update, now)
-        # Dirty the path in the metadata cache (nodes now hold newer state
+        # Dirty the path in the metadata caches (nodes now hold newer state
         # than memory and will write back on eviction).
-        self._meta_fill(cb_addr, dirty=True, now=now)
-        for level, index in self.tree.path_nodes(cb_index):
-            self._meta_fill(self.layout.node_addr(level, index), dirty=True, now=now)
+        self._fill(self.meta_cache, cb_addr, cb_set, True, now)
+        for _, _, node_addr in self.layout.path_of(cb_index):
+            self._fill_dirty_node(node_addr, now)
         return cycles
+
+    def cache_for(self, meta_addr: int) -> SetAssocCache:
+        """The on-chip cache that holds metadata block ``meta_addr``."""
+        if self.layout.is_tree_addr(self._untag(meta_addr)[1]):
+            return self.tree_cache
+        return self.meta_cache
 
     def invalidate_metadata(self, meta_addr: int) -> tuple[bool, bool]:
         """Drop one metadata block from whichever cache holds it."""
-        return self._cache_for(meta_addr).invalidate(meta_addr)
+        return self.cache_for(meta_addr).invalidate(meta_addr)
 
     def metadata_cached(self, meta_addr: int) -> bool:
-        return self._cache_for(meta_addr).contains(meta_addr)
+        return self.cache_for(meta_addr).contains(meta_addr)
 
     def flush_metadata_cache(self, now: int) -> int:
         """Evict every metadata block, processing dirty write-backs.
@@ -616,8 +634,7 @@ class MemoryEncryptionEngine(Component):
             return bytes(BLOCK_SIZE)
         if not self.config.functional_crypto:
             return ciphertext
-        block = self.layout_block_index(block_addr)
-        counter = self.counters.current(block)
+        counter = self.counters.current(block_addr // BLOCK_SIZE)
         mac = self._macs.get(block_addr)
         if mac is None or not self.mac.verify(mac, ciphertext, counter, block_addr):
             raise IntegrityViolation(

@@ -98,6 +98,10 @@ class IntegrityTree(Component, abc.ABC):
     def verify_node(self, level: int, index: int) -> None:
         """Check a node block loaded from memory against its parent/root."""
 
+    @abc.abstractmethod
+    def leaf_parent_value(self, cb_index: int) -> int:
+        """The tree counter a counter block's freshness hash binds."""
+
     def path_nodes(self, cb_index: int) -> list[tuple[int, int]]:
         """(level, index) of every off-chip node on a counter block's path
         (see :meth:`MetadataLayout.path_of`)."""
@@ -496,6 +500,9 @@ class HashTree(IntegrityTree):
                 level, index
             )
         return TreeUpdate(levels_touched=1)
+
+    def leaf_parent_value(self, cb_index: int) -> int:
+        return 0  # the leaf hash binds the counter block's whole image
 
     # -- verification --------------------------------------------------------
 

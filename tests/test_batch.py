@@ -17,8 +17,11 @@ import pytest
 
 from repro.config import DEFENSES, PAGE_SIZE
 from repro.faults import FaultHook
+from repro.os import PageAllocator, Process
 from repro.perf import CycleAttributor
 from repro.proc import AccessBatch, SecureProcessor
+from repro.proc.processor import AccessResult
+from repro.sgx.enclave import Enclave
 from repro.synth.runner import synth_config
 from repro.trace import Tracer
 
@@ -257,3 +260,63 @@ class TestBatchScalarEquivalence:
         assert mixed.cycle == reference.cycle
         assert mixed.registry.snapshot() == reference.registry.snapshot()
         assert _cache_states(mixed) == _cache_states(reference)
+
+
+def _process_run(make_process, preset: str, seed: int, batched: bool):
+    """Drive one seeded op list through a process on a fresh traced
+    machine, call by call or as one ``process.batch()``.
+
+    Returns the machine, its tracer and the ``AccessResult`` of every
+    read and write (the ops a process call returns a result for).
+    """
+    proc = _machine(preset)
+    tracer = Tracer()
+    proc.attach(tracer)
+    allocator = PageAllocator(
+        proc.layout.data_size // PAGE_SIZE, cores=proc.config.cores
+    )
+    process = make_process(proc, allocator)
+    base = process.alloc(8)
+    rng = Random(seed)
+    ops = []
+    for i in range(120):
+        vaddr = base + rng.randrange(8 * PAGE_SIZE // 64) * 64
+        roll = rng.random()
+        if roll < 0.6:
+            ops.append(("read", vaddr, ()))
+        elif roll < 0.85:
+            ops.append(("write", vaddr, (i.to_bytes(2, "little"),)))
+        else:
+            ops.append(("flush", vaddr, ()))
+    target = process.batch() if batched else process
+    results = [getattr(target, kind)(vaddr, *data) for kind, vaddr, data in ops]
+    if batched:
+        results = list(target.run())
+    return proc, tracer, [r for r in results if isinstance(r, AccessResult)]
+
+
+_PROCESSES = {
+    "plain": ("sct", lambda proc, alloc: Process(proc, alloc, core=1)),
+    "cleansed": (
+        "sct", lambda proc, alloc: Process(proc, alloc, core=1, cleanse=True)
+    ),
+    "enclave": ("sgx", lambda proc, alloc: Enclave(proc, alloc)),
+}
+
+
+class TestProcessBatch:
+    @pytest.mark.parametrize("name", list(_PROCESSES))
+    def test_scalar_calls_match_process_batch(self, name):
+        """A process's ``read``/``write``/``flush`` calls and the same ops
+        recorded on ``process.batch()`` apply the same cleanse rule: same
+        results, cycle, tallies and trace events."""
+        preset, make_process = _PROCESSES[name]
+        scalar = _process_run(make_process, preset, 61, batched=False)
+        batched = _process_run(make_process, preset, 61, batched=True)
+        scalar_proc, scalar_tracer, scalar_results = scalar
+        batch_proc, batch_tracer, batch_results = batched
+        assert len(scalar_results) > 80
+        assert batch_results == scalar_results
+        assert batch_proc.cycle == scalar_proc.cycle
+        assert batch_proc.registry.snapshot() == scalar_proc.registry.snapshot()
+        assert batch_tracer.events() == scalar_tracer.events()

@@ -14,6 +14,22 @@ def small_cache(sets=4, ways=2):
     return SetAssocCache(CacheConfig("t", sets * ways * 64, ways, 1))
 
 
+def probe(cache, addr):
+    """A user's probe of the block at ``addr``: ``hit``, then ``miss``
+    when it fails.  True on a hit."""
+    block, set_index = cache.decompose(addr)
+    if cache.hit(block, set_index, False):
+        return True
+    cache.miss(block, set_index)
+    return False
+
+
+def fill(cache, addr, dirty=False):
+    """``install`` the block at ``addr``: its (victim, victim dirty), or
+    None when nothing was evicted."""
+    return cache.install(*cache.decompose(addr), dirty)
+
+
 class TestGeometry:
     def test_sets_and_ways(self):
         cache = SetAssocCache(CacheConfig("L1", 32 * 1024, 8, 1))
@@ -35,86 +51,81 @@ class TestGeometry:
 class TestLookupInsert:
     def test_miss_then_hit(self):
         cache = small_cache()
-        assert not cache.lookup(0x1000)
-        cache.insert(0x1000)
-        assert cache.lookup(0x1000)
+        assert not probe(cache, 0x1000)
+        fill(cache, 0x1000)
+        assert probe(cache, 0x1000)
         assert cache.counters.get("hits") == 1
         assert cache.counters.get("misses") == 1
 
-    def test_hit_traces_exactly_what_lookup_traces(self):
-        """Under a tracer, ``hit`` emits the event a ``lookup`` of the same
-        resident block emits, and nothing at all on a miss."""
-        via_hit, via_lookup = small_cache(), small_cache()
-        tracers = Tracer(), Tracer()
-        for cache, tracer in zip((via_hit, via_lookup), tracers):
-            cache.insert(0x1040)
-            attach(cache, tracer)
-        block, set_index = via_hit.decompose(0x1040)
-        assert via_hit.hit(block, set_index, False)
-        assert via_lookup.lookup(0x1040)
-        [event] = tracers[0].raw_events()
-        assert tracers[1].raw_events() == [event]
+    def test_probe_traces_one_hit_or_one_miss(self):
+        """Under a tracer, ``hit`` on a resident block emits one ``hit``
+        event and nothing at all on a miss, which ``miss`` then emits."""
+        cache, tracer = small_cache(), Tracer()
+        fill(cache, 0x1040)
+        attach(cache, tracer)
+        block, set_index = cache.decompose(0x1040)
+        assert cache.hit(block, set_index, False)
+        [event] = tracer.raw_events()
         assert (event.component, event.kind, event.addr, event.set_index) == (
             "cache.t", "hit", block, set_index
         )
-        block, set_index = via_hit.decompose(0x2000)
-        assert not via_hit.hit(block, set_index, True)
-        assert tracers[0].raw_events() == [event]
+        block, set_index = cache.decompose(0x2000)
+        assert not cache.hit(block, set_index, True)
+        assert tracer.raw_events() == [event]
+        cache.miss(block, set_index)
+        missed = tracer.raw_events()[-1]
+        assert (missed.kind, missed.addr, missed.set_index) == (
+            "miss", block, set_index
+        )
+        assert len(tracer.raw_events()) == 2
 
     def test_insert_same_block_no_evict(self):
         cache = small_cache()
-        cache.insert(0x1000)
-        event = cache.insert(0x1000)
-        assert event.hit
-        assert event.evicted_addr is None
+        fill(cache, 0x1000)
+        assert fill(cache, 0x1000) is None
+        assert cache.counters.get("fills") == 1
 
     def test_lru_eviction_order(self):
         cache = small_cache(sets=1, ways=2)
-        cache.insert(0 * 64)
-        cache.insert(1 * 64)
-        event = cache.insert(2 * 64)
-        assert event.evicted_addr == 0  # least recently used
+        fill(cache, 0 * 64)
+        fill(cache, 1 * 64)
+        assert fill(cache, 2 * 64) == (0, False)  # least recently used
 
     def test_lookup_refreshes_recency(self):
         cache = small_cache(sets=1, ways=2)
-        cache.insert(0 * 64)
-        cache.insert(1 * 64)
-        cache.lookup(0)  # promote block 0
-        event = cache.insert(2 * 64)
-        assert event.evicted_addr == 64
+        fill(cache, 0 * 64)
+        fill(cache, 1 * 64)
+        probe(cache, 0)  # promote block 0
+        assert fill(cache, 2 * 64) == (64, False)
 
     def test_peek_does_not_refresh(self):
         cache = small_cache(sets=1, ways=2)
-        cache.insert(0 * 64)
-        cache.insert(1 * 64)
+        fill(cache, 0 * 64)
+        fill(cache, 1 * 64)
         assert cache.contains(0)
-        event = cache.insert(2 * 64)
-        assert event.evicted_addr == 0
+        assert fill(cache, 2 * 64) == (0, False)
 
     def test_sub_block_addresses_alias(self):
         cache = small_cache()
-        cache.insert(0x1000)
-        assert cache.lookup(0x1001)
-        assert cache.lookup(0x103F)
+        fill(cache, 0x1000)
+        assert probe(cache, 0x1001)
+        assert probe(cache, 0x103F)
 
 
 class TestDirty:
     def test_dirty_eviction_reported(self):
         cache = small_cache(sets=1, ways=1)
-        cache.insert(0, dirty=True)
-        event = cache.insert(64)
-        assert event.evicted_addr == 0
-        assert event.evicted_dirty
+        fill(cache, 0, dirty=True)
+        assert fill(cache, 64) == (0, True)
 
     def test_clean_eviction(self):
         cache = small_cache(sets=1, ways=1)
-        cache.insert(0)
-        event = cache.insert(64)
-        assert not event.evicted_dirty
+        fill(cache, 0)
+        assert fill(cache, 64) == (0, False)
 
     def test_mark_dirty(self):
         cache = small_cache()
-        cache.insert(0x40)
+        fill(cache, 0x40)
         assert not cache.is_dirty(0x40)
         cache.mark_dirty(0x40)
         assert cache.is_dirty(0x40)
@@ -126,15 +137,15 @@ class TestDirty:
 
     def test_insert_or_dirty_merge(self):
         cache = small_cache()
-        cache.insert(0x40, dirty=True)
-        cache.insert(0x40, dirty=False)
+        fill(cache, 0x40, dirty=True)
+        fill(cache, 0x40, dirty=False)
         assert cache.is_dirty(0x40)
 
 
 class TestInvalidate:
     def test_invalidate_present(self):
         cache = small_cache()
-        cache.insert(0x40, dirty=True)
+        fill(cache, 0x40, dirty=True)
         present, dirty = cache.invalidate(0x40)
         assert present and dirty
         assert not cache.contains(0x40)
@@ -145,8 +156,8 @@ class TestInvalidate:
 
     def test_clear(self):
         cache = small_cache()
-        cache.insert(0)
-        cache.insert(64)
+        fill(cache, 0)
+        fill(cache, 64)
         cache.clear()
         assert cache.occupancy() == 0
 
@@ -157,7 +168,7 @@ class TestOccupancyInvariants:
     def test_occupancy_never_exceeds_capacity(self, block_numbers):
         cache = small_cache(sets=4, ways=2)
         for number in block_numbers:
-            cache.insert(number * 64)
+            fill(cache, number * 64)
             assert cache.occupancy() <= 8
             for set_index in range(4):
                 assert len(cache.blocks_in_set(set_index)) <= 2
@@ -167,7 +178,7 @@ class TestOccupancyInvariants:
     def test_most_recent_insert_always_present(self, block_numbers):
         cache = small_cache(sets=2, ways=2)
         for number in block_numbers:
-            cache.insert(number * 64)
+            fill(cache, number * 64)
             assert cache.contains(number * 64)
 
     @given(st.lists(st.integers(min_value=0, max_value=63), max_size=100))
@@ -175,7 +186,7 @@ class TestOccupancyInvariants:
     def test_blocks_map_to_correct_set(self, block_numbers):
         cache = small_cache(sets=4, ways=2)
         for number in block_numbers:
-            cache.insert(number * 64)
+            fill(cache, number * 64)
         for set_index in range(4):
             for addr in cache.blocks_in_set(set_index):
                 assert cache.set_index_of(addr) == set_index
@@ -184,7 +195,7 @@ class TestOccupancyInvariants:
         cache = small_cache(sets=4, ways=2)
         addrs = {i * 64 for i in range(6)}
         for addr in addrs:
-            cache.insert(addr)
+            fill(cache, addr)
         assert set(cache) == addrs
 
 
@@ -192,18 +203,18 @@ class TestLruSets:
     def test_lru_victim_is_least_recent(self):
         cache = small_cache(sets=1, ways=4)
         for number in range(4):
-            cache.insert(number * 64)
-        cache.lookup(0)
-        assert cache.insert(4 * 64).evicted_addr == 64
+            fill(cache, number * 64)
+        probe(cache, 0)
+        assert fill(cache, 4 * 64) == (64, False)
 
     def test_invalidated_hole_refilled_without_eviction(self):
         cache = small_cache(sets=1, ways=4)
         for number in range(4):
-            cache.insert(number * 64)
+            fill(cache, number * 64)
         cache.invalidate(0)
-        assert cache.insert(4 * 64).evicted_addr is None
+        assert fill(cache, 4 * 64) is None
         assert cache.blocks_in_set(0) == [64, 128, 192, 256]
-        assert cache.insert(5 * 64).evicted_addr == 64
+        assert fill(cache, 5 * 64) == (64, False)
 
 
 class _ListLru:
@@ -221,7 +232,7 @@ class _ListLru:
                 return lines, i
         return lines, None
 
-    def lookup(self, block):
+    def probe(self, block):
         lines, i = self._find(block)
         if i is None:
             self.misses += 1
@@ -239,17 +250,15 @@ class _ListLru:
         self.hits += 1
         return True
 
-    def insert(self, block, dirty):
+    def install(self, block, dirty):
         lines, i = self._find(block)
         if i is not None:
             _, was_dirty = lines.pop(i)
             lines.append((block, was_dirty or dirty))
-            return True, None, False
-        victim, victim_dirty = None, False
-        if len(lines) == self.ways:
-            victim, victim_dirty = lines.pop(0)
+            return None
+        evicted = lines.pop(0) if len(lines) == self.ways else None
         lines.append((block, dirty))
-        return False, victim, victim_dirty
+        return evicted
 
     def invalidate(self, block):
         lines, i = self._find(block)
@@ -266,7 +275,7 @@ class _ListLru:
         return {i: tuple(lines) for i, lines in enumerate(self.sets) if lines}
 
 
-_CACHE_OPS = ("insert", "lookup", "hit", "invalidate", "mark_dirty")
+_CACHE_OPS = ("install", "probe", "hit", "invalidate", "mark_dirty")
 
 
 class TestLruReferenceModel:
@@ -281,7 +290,7 @@ class TestLruReferenceModel:
         model = _ListLru(sets, ways)
         # Start full, then draw from twice the capacity in distinct
         # blocks: about half the probes hit, and fills keep evicting.
-        warmup = [("insert", number, False) for number in range(sets * ways)]
+        warmup = [("install", number, False) for number in range(sets * ways)]
         ops = data.draw(st.lists(
             st.tuples(
                 st.sampled_from(_CACHE_OPS),
@@ -293,13 +302,10 @@ class TestLruReferenceModel:
         ))
         for op, number, flag in warmup + ops:
             block = number * 64
-            if op == "insert":
-                got = cache.insert(block, dirty=flag)
-                assert (got.hit, got.evicted_addr, got.evicted_dirty) == (
-                    model.insert(block, flag)
-                )
-            elif op == "lookup":
-                assert cache.lookup(block) == model.lookup(block)
+            if op == "install":
+                assert fill(cache, block, flag) == model.install(block, flag)
+            elif op == "probe":
+                assert probe(cache, block) == model.probe(block)
             elif op == "hit":
                 _, set_index = cache.decompose(block)
                 assert cache.hit(block, set_index, flag) == model.hit(block, flag)

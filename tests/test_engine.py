@@ -7,6 +7,7 @@ timing behaviour, and tamper detection (spoof / splice / replay).
 import pytest
 
 from repro.config import (
+    BLOCK_SIZE,
     MIB,
     TreeUpdatePolicy,
     preset_config,
@@ -135,7 +136,7 @@ class TestDataRoundtrip:
         for value in (b"v1", b"v2", b"v3"):
             proc.write_through(0x40000, value)
         proc.drain_writes()
-        block = proc.mee.layout_block_index(0x40000)
+        block = 0x40000 // BLOCK_SIZE
         # Three posted writes merged into one serviced write -> counter 1.
         assert proc.mee.counters.current(block) == 1
         proc.flush(0x40000)

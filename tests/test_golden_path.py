@@ -10,19 +10,33 @@ pins the cycle, access count and tallies of seeded multi-core steady
 mixes, the RSA victim and a covert-channel round.  The machine state
 does not show what each op returned, so ``TestGoldenResults`` hashes
 every op's result of the steady mixes, with timer jitter and with a
-profiler too.
+profiler too.  Every machine above has a large combined LRU metadata
+cache, the lazy tree policy, MAC-in-ECC and timing-only crypto, so
+``TestGoldenVariants`` hashes the steady mix on a small metadata cache
+under each replacement policy, split counter and tree caches, the eager
+policy, the separate MAC word and functional crypto.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from random import Random
 
 import pytest
 
 from repro.attacks.covert import CovertChannelT
-from repro.config import DEFENSES, MIB, PAGE_SIZE, preset_config
+from repro.config import (
+    DEFENSES,
+    KIB,
+    MIB,
+    PAGE_SIZE,
+    CacheConfig,
+    CryptoConfig,
+    TreeUpdatePolicy,
+    preset_config,
+)
 from repro.leakcheck.victims import get_victim
 from repro.os.page_alloc import PageAllocator
 from repro.perf import CycleAttributor
@@ -283,3 +297,96 @@ class TestGoldenResults:
         for result in results:
             digest.update(_result_record(result).encode() + b"\n")
         assert digest.hexdigest() == _RESULT_PINS[name]
+
+
+# -- metadata-path variants -----------------------------------------------
+
+# Small enough that the steady mix evicts metadata: at the presets'
+# 256 KiB it never does, and every replacement policy reads the same.
+_SMALL_META = CacheConfig("MetaCache", 2 * KIB, 4, 2)
+
+# (preset, overrides) of the metadata-path variants no other pin runs:
+# replacement policies of the metadata cache, split counter and tree
+# caches (ablation A6's, shrunk), the eager tree policy, the classical
+# separate MAC word, and functional crypto's freshness hashes.
+_VARIANTS = {
+    "sct_lru": ("sct", {"metadata_cache": _SMALL_META}),
+    "sct_plru": ("sct", {
+        "metadata_cache": replace(_SMALL_META, replacement="plru"),
+    }),
+    "sct_random": ("sct", {
+        "metadata_cache": replace(_SMALL_META, replacement="random"),
+    }),
+    "sct_split": ("sct", {
+        "split_metadata_caches": True,
+        "metadata_cache": CacheConfig("CtrCache", 1 * KIB, 8, 2),
+        "tree_cache": CacheConfig("TreeCache", 1 * KIB, 8, 2),
+    }),
+    "sct_eager": ("sct", {
+        "metadata_cache": _SMALL_META,
+        "tree_update_policy": TreeUpdatePolicy.EAGER,
+    }),
+    "sct_mac_word": ("sct", {
+        "metadata_cache": _SMALL_META,
+        "crypto": CryptoConfig(mac_in_ecc=False),
+    }),
+    "sct_functional": ("sct", {
+        "metadata_cache": _SMALL_META, "functional_crypto": True,
+    }),
+    "ht_functional": ("ht", {
+        "metadata_cache": _SMALL_META, "functional_crypto": True,
+    }),
+}
+
+# sha256 over the bare and the traced seed-0 steady run of each variant:
+# its cycle, sorted registry snapshot and every op's result, then the
+# traced run's JSONL.
+_VARIANT_PINS = {
+    "sct_lru": (
+        "b7d44704290bcee562b589aff00fea8b2d17768c1b3ac4e8cdf73ef8d8d8472d"
+    ),
+    "sct_plru": (
+        "14497105543c179fdeeee1e4c7b3fc9c66294f9f7f335c57bbe007bfa4178389"
+    ),
+    "sct_random": (
+        "fb93454cf61605d92e9c6df646571dfe33b3408c517cdbf65975e55f6a31c522"
+    ),
+    "sct_split": (
+        "66f7aeff312aafaafa335d07b481ced5c42efd0202ab01f17cd014756b01326d"
+    ),
+    "sct_eager": (
+        "0345c75a8f8b390fb0c7860a078364634f98e43a76a4e0ee22b4b36a3a93aafb"
+    ),
+    "sct_mac_word": (
+        "6fdb8fed01ddd847a574667f28dd7348d50b30edadf41c7b9a0224f2d6312350"
+    ),
+    "sct_functional": (
+        "1a1589efde7bca2ffae64e8c2c43f651051b716eef22f8c975805f935767b611"
+    ),
+    "ht_functional": (
+        "be5bcc3aea1d9c7bce1710967ad26f4901812de5573c20279882dceba2c6620c"
+    ),
+}
+
+
+def _variant_digest(name: str, tmp_path) -> str:
+    preset, overrides = _VARIANTS[name]
+    digest = hashlib.sha256()
+    tracer = Tracer(capacity=1 << 20)
+    for instrument in (None, tracer):
+        proc, results = _steady_run(preset, 0, instrument, **overrides)
+        snapshot = json.dumps(proc.registry.snapshot(), sort_keys=True)
+        digest.update(f"{proc.cycle}\n{snapshot}\n".encode())
+        for result in results:
+            digest.update(_result_record(result).encode() + b"\n")
+    assert tracer.dropped == 0
+    trace_file = tmp_path / "trace.jsonl"
+    write_jsonl(tracer.events(), trace_file)
+    digest.update(trace_file.read_bytes())
+    return digest.hexdigest()
+
+
+class TestGoldenVariants:
+    @pytest.mark.parametrize("name", list(_VARIANT_PINS))
+    def test_variant_matches_its_pin(self, name, tmp_path):
+        assert _variant_digest(name, tmp_path) == _VARIANT_PINS[name]

@@ -200,11 +200,27 @@ class TestWritebackInvariants:
                 assert l3.occupancy() <= l3.num_sets * l3.ways
 
 
+def _probe(cache, addr):
+    """Address-level probe: ``hit`` on the decomposed address, then
+    ``miss`` when it fails."""
+    block, set_index = cache.decompose(addr)
+    if cache.hit(block, set_index, False):
+        return True
+    cache.miss(block, set_index)
+    return False
+
+
+def _fill(cache, addr, dirty=False):
+    """Address-level fill: ``install`` on the decomposed address; the
+    (victim, victim dirty) pair, or None."""
+    return cache.install(*cache.decompose(addr), dirty)
+
+
 class _AddressLevelHierarchy:
     """Reference: the hierarchy's fill, promotion, fold and flush written
-    with address-level cache calls — ``insert`` into L3, back-invalidation
-    with one ``invalidate`` per private cache of the socket, ``insert``
-    into L2 and L1, a dirty victim folded with ``contains`` and
+    with address-level cache calls — a fill into L3, back-invalidation
+    with one ``invalidate`` per private cache of the socket, fills into
+    L2 and L1, a dirty victim folded with ``contains`` and
     ``mark_dirty``, and a flush that invalidates every cache."""
 
     def __init__(self, caches):
@@ -223,10 +239,10 @@ class _AddressLevelHierarchy:
         l1, l2, l3, _ = self._path(core)
         l1.miss(block, l1_set)
         writebacks = []
-        if l2.lookup(block):
+        if _probe(l2, block):
             self._install_l1(core, block, is_write, writebacks)
             return 2, writebacks
-        if l3.lookup(block):
+        if _probe(l3, block):
             self._install_private(core, block, is_write, writebacks)
             return 3, writebacks
         return 0, ()
@@ -234,14 +250,14 @@ class _AddressLevelHierarchy:
     def fill(self, core, block, dirty):
         _, _, l3, private = self._path(core)
         writebacks = []
-        event = l3.insert(block)
-        if event.evicted_addr is not None:
-            dirty_copy = event.evicted_dirty
+        evicted = _fill(l3, block)
+        if evicted is not None:
+            victim, dirty_copy = evicted
             for cache in private:
-                if cache.invalidate(event.evicted_addr)[1]:
+                if cache.invalidate(victim)[1]:
                     dirty_copy = True
             if dirty_copy:
-                writebacks.append(event.evicted_addr)
+                writebacks.append(victim)
         self._install_private(core, block, dirty, writebacks)
         return writebacks
 
@@ -257,16 +273,16 @@ class _AddressLevelHierarchy:
 
     def _install_private(self, core, block, dirty, writebacks):
         _, l2, l3, _ = self._path(core)
-        event = l2.insert(block)
-        if event.evicted_dirty:
-            self._fold(event.evicted_addr, (l3,), writebacks)
+        evicted = _fill(l2, block)
+        if evicted is not None and evicted[1]:
+            self._fold(evicted[0], (l3,), writebacks)
         self._install_l1(core, block, dirty, writebacks)
 
     def _install_l1(self, core, block, dirty, writebacks):
         l1, l2, l3, _ = self._path(core)
-        event = l1.insert(block, dirty=dirty)
-        if event.evicted_dirty:
-            self._fold(event.evicted_addr, (l2, l3), writebacks)
+        evicted = _fill(l1, block, dirty)
+        if evicted is not None and evicted[1]:
+            self._fold(evicted[0], (l2, l3), writebacks)
 
     @staticmethod
     def _fold(victim, lower, writebacks):

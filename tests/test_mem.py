@@ -37,27 +37,32 @@ class TestBlockHelpers:
         assert len(banks) > 4
 
 
+def dram_latency(dram, addr, now):
+    """One read's whole latency: the bank wait plus the service."""
+    return sum(dram.access_parts(addr, now))
+
+
 class TestDram:
     def test_row_hit_faster_than_miss(self):
         dram = DramModel(DramConfig())
-        first = dram.access(0x0, 0)
+        first = dram_latency(dram, 0x0, 0)
         # Same bank (block 0 and block 16 both fold to bank 0), same row.
         assert dram.bank_of(0x0) == dram.bank_of(0x400)
-        second = dram.access(0x400, first)
+        second = dram_latency(dram, 0x400, first)
         assert second < first  # row now open
 
     def test_row_conflict_reopens(self):
         config = DramConfig()
         dram = DramModel(config)
-        dram.access(0x0, 0)
+        dram.access_parts(0x0, 0)
         far = config.row_size * config.banks  # same bank, different row
-        latency = dram.access(far, 1000)
+        latency = dram_latency(dram, far, 1000)
         assert latency == config.row_miss_latency + config.bus_latency
 
     def test_busy_bank_delays_access(self):
         dram = DramModel(DramConfig())
         dram.occupy_bank(0x1000, 0, 5000)
-        latency = dram.access(0x1000, 100)
+        latency = dram_latency(dram, 0x1000, 100)
         assert latency > 4000
 
     def test_occupy_all_blocks_every_bank(self):
@@ -65,7 +70,7 @@ class TestDram:
         dram = DramModel(config)
         dram.occupy_all(0, 9999)
         for block in range(4):
-            assert dram.access(block * 64, 0) > 9000
+            assert dram_latency(dram, block * 64, 0) > 9000
 
     def test_idle_bank_not_delayed(self):
         dram = DramModel(DramConfig())
@@ -73,12 +78,12 @@ class TestDram:
         other = next(
             a for a in range(64, 1 << 16, 64) if dram.bank_of(a) != dram.bank_of(0)
         )
-        assert dram.access(other, 0) < 1000
+        assert dram_latency(dram, other, 0) < 1000
 
     def test_stats(self):
         dram = DramModel(DramConfig())
-        dram.access(0, 0)
-        dram.access(64, 0, is_write=True)
+        dram.access_parts(0, 0)
+        dram.access_parts(64, 0, is_write=True)
         assert dram.counters.get("reads") == 1
         assert dram.counters.get("writes") == 1
 

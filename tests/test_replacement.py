@@ -66,11 +66,23 @@ class TestPolicyCaches:
             CacheConfig("t", 4 * 64, 4, 1, replacement=replacement)
         )
 
+    @staticmethod
+    def _fill(cache, addr, dirty=False):
+        return cache.install(*cache.decompose(addr), dirty)
+
+    @staticmethod
+    def _probe(cache, addr):
+        block, set_index = cache.decompose(addr)
+        if cache.hit(block, set_index, False):
+            return True
+        cache.miss(block, set_index)
+        return False
+
     @pytest.mark.parametrize("replacement", ["lru", "plru", "random"])
     def test_basic_semantics_hold(self, replacement):
         cache = self._cache(replacement)
-        cache.insert(0, dirty=True)
-        assert cache.lookup(0)
+        self._fill(cache, 0, dirty=True)
+        assert self._probe(cache, 0)
         assert cache.is_dirty(0)
         present, dirty = cache.invalidate(0)
         assert present and dirty
@@ -80,22 +92,22 @@ class TestPolicyCaches:
     def test_capacity_respected(self, replacement):
         cache = self._cache(replacement)
         for i in range(40):
-            cache.insert(i * 64 * 1)  # single set (1 set cache)
+            self._fill(cache, i * 64)  # single set (1 set cache)
         assert cache.occupancy() <= 4
 
     def test_plru_keeps_hot_line(self):
         cache = self._cache("plru")
-        cache.insert(0)
+        self._fill(cache, 0)
         for i in range(1, 40):
-            cache.lookup(0)  # keep line 0 hot
-            cache.insert(i * 64)
+            self._probe(cache, 0)  # keep line 0 hot
+            self._fill(cache, i * 64)
         assert cache.contains(0)
 
     def test_random_eventually_evicts_hot_line(self):
         cache = self._cache("random")
-        cache.insert(0)
+        self._fill(cache, 0)
         for i in range(1, 100):
-            cache.lookup(0)
-            cache.insert(i * 64)
+            self._probe(cache, 0)
+            self._fill(cache, i * 64)
         # With uniform random victims, even a hot line dies eventually.
         assert not cache.contains(0)

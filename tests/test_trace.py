@@ -119,7 +119,7 @@ class TestTracer:
         proc.attach(tracer)
         proc.advance(1234)
         # A cache emits without cycle knowledge; the bound clock fills it in.
-        proc.caches.core_caches[0].l1.lookup(0)
+        proc.caches.core_caches[0].l1.miss(0, 0)
         assert tracer.raw_events()[-1].cycle >= 1234
 
     def test_tracer_outlives_its_machine(self):
